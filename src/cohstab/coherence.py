@@ -103,16 +103,20 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     classical law). A fermion kind preserves iff the linear forcing vanishes
     on the grid; a non-preserving verdict is accompanied by an evolved
     trajectory whose residual exceeds DYNAMIC_RESIDUAL_TOL somewhere.
+    With dynamic=False no witness is integrated for any kind: the law,
+    dynamic_max_residual and agrees stay None.
     """
     config = config or _default_config()
     times = config.times()
     if spec.kind == "boson":
-        law = build_ladder_invariant(spec, config)
+        law = build_ladder_invariant(spec, config) if dynamic else None
         return Classification("preserving", "boson", spec.forcing.max_abs_on(times),
                               law=law)
     if spec.kind == "grassmann":
-        zeta0 = _canonical_zeta(spec.gens, spec.eta_generator)
-        law = evolve_grassmann_classical(spec, zeta0, config)
+        law = None
+        if dynamic:
+            zeta0 = _canonical_zeta(spec.gens, spec.eta_generator)
+            law = evolve_grassmann_classical(spec, zeta0, config)
         return Classification("preserving", "grassmann",
                               spec.forcing.max_abs_on(times), law=law)
 

@@ -1,13 +1,15 @@
 """Time propagation and invariant construction.
 
-Everything integrates with fixed-step classical RK4 on a uniform grid, with
-a mandatory dt vs dt/2 endpoint comparison (StepTooLarge on disagreement).
+Every evolution goes through one fixed-step classical RK4 driver on a
+uniform grid, with a mandatory dt vs dt/2 endpoint comparison (StepTooLarge
+on disagreement or NaN).
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,10 @@ class IntegrationConfig:
     stride: int = 10
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValidationError("t_end must be positive")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValidationError("t_end must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
         if self.stride < 1:
             raise ValidationError("stride must be at least 1")
 
@@ -322,34 +324,53 @@ class Trajectory:
         return float(np.max(self.norm_dev))
 
 
-# -- RK4 core ----------------------------------------------------------------
+# -- RK4 driver ----------------------------------------------------------------
 
 
-def _rk4(rhs, y0: np.ndarray, times: np.ndarray, observer=None) -> np.ndarray:
-    y = np.array(y0, dtype=np.complex128)
-    if observer is not None:
-        observer(0, times[0], y)
-    for i in range(times.size - 1):
-        t = times[i]
-        dt = times[i + 1] - t
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-        k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-        k4 = rhs(times[i + 1], y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if observer is not None:
-            observer(i + 1, times[i + 1], y)
-    return y
+def _integrate(rhs, y0, config: IntegrationConfig, label: str,
+               record=None, on_step=None) -> np.ndarray:
+    """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
 
+    Returns the states at the grid indices `record` (every grid point by
+    default) along a new leading axis. `on_step(t, y)` sees every grid
+    point of the dt run, the start included. The dt/2 run keeps only its
+    endpoint; unless that lies within STEP_TOL of the dt endpoint (NaN never
+    does) the evolution is refused with StepTooLarge.
+    """
+    times = config.times()
+    keep = range(times.size) if record is None else [int(i) for i in record]
+    slots = {i: k for k, i in enumerate(keep)}
+    records = np.empty((len(slots),) + np.shape(y0), dtype=np.complex128)
 
-def _check_step(rhs, y0, config: IntegrationConfig, endpoint: np.ndarray,
-                label: str) -> None:
-    refined = _rk4(rhs, y0, config.refined_times())
-    diff = float(np.max(np.abs(refined - endpoint)))
-    if diff > STEP_TOL:
+    def observe(i, t, y):
+        if on_step is not None:
+            on_step(t, y)
+        if i in slots:
+            records[slots[i]] = y
+
+    def run(grid, observe=None):
+        y = np.array(y0, dtype=np.complex128)
+        if observe is not None:
+            observe(0, grid[0], y)
+        for i in range(grid.size - 1):
+            t = grid[i]
+            dt = grid[i + 1] - t
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+            k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+            k4 = rhs(grid[i + 1], y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if observe is not None:
+                observe(i + 1, grid[i + 1], y)
+        return y
+
+    end = run(times, observe)
+    diff = float(np.max(np.abs(run(config.refined_times()) - end)))
+    if not diff <= STEP_TOL:
         raise StepTooLarge(
             f"{label}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
         )
+    return records
 
 
 def _memo1(fn):
@@ -380,13 +401,7 @@ def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
         return -1j * (spec.omega(t) * y + spec.forcing(t))
 
     y0 = np.array([z0], dtype=np.complex128)
-    series = np.zeros(times.size, dtype=np.complex128)
-
-    def observer(i, t, y):
-        series[i] = y[0]
-
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "classical boson")
+    series = _integrate(rhs, y0, config, "classical boson")[:, 0]
 
     dt = times[1] - times[0]
     phase = cumulative_simpson(np.real(spec.omega(times)), dt)
@@ -433,14 +448,7 @@ def evolve_nu_system(spec: HamiltonianSpec,
         )
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    data = np.zeros((times.size, 3), dtype=np.complex128)
-
-    def observer(i, t, y):
-        data[i] = y
-
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "nu system")
-    return FermionInvariantPath(times, data)
+    return FermionInvariantPath(times, _integrate(rhs, y0, config, "nu system"))
 
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
@@ -490,17 +498,15 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
 
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
-    rec_set = {int(i) for i in rec_idx}
+    records = _integrate(rhs, y0, config, "fermion Schrödinger", rec_idx)
+
     states: list[FermionState] = []
     eigenvalues: list = []
     phase_factors: list = []
     residuals: list[float] = []
     norm_dev: list[float] = []
     ip0 = inner_product(s0, s0)
-
-    def observer(i, t, y):
-        if i not in rec_set:
-            return
+    for y in records:
         state = FermionState(gens, Multivector(gens, y[0]), Multivector(gens, y[1]))
         states.append(state)
         # physical norm^2 = body of <psi|psi>; the soul components are only
@@ -512,7 +518,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
             eigenvalues.append(None)
             residuals.append(np.inf)
             phase_factors.append(None)
-            return
+            continue
         eigenvalues.append(lam)
         residuals.append(res)
         if lam.is_odd_degree_one():
@@ -520,9 +526,6 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
             phase_factors.append(state.psi0 * invert(ref.psi0))
         else:
             phase_factors.append(None)
-
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "fermion Schrödinger")
 
     spec = h if isinstance(h, HamiltonianSpec) else None
     return Trajectory(
@@ -563,37 +566,25 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
         return -1j * (spec.omega(t) * (nlev * y) + f * up + np.conj(f) * down
                       + spec.scalar(t) * y)
 
-    y0 = s0.amps.copy()
-    norm0 = s0.norm_sq()
-    rec_idx = config.record_indices()
-    rec_set = {int(i) for i in rec_idx}
-    states: list[BosonState] = []
-    eigenvalues: list[complex] = []
-    residuals: list[float] = []
-    norm_dev: list[float] = []
     max_tail = [0.0]
 
-    def observer(i, t, y):
+    def tail_guard(t, y):
         nsq = float(np.sum(np.abs(y) ** 2))
         tail = float((np.abs(y[-1]) ** 2 + np.abs(y[-2]) ** 2) / nsq)
         if tail > max_tail[0]:
             max_tail[0] = tail
-        if tail > BREACH_TOL:
+        if not tail <= BREACH_TOL:
             raise TruncationBreach(
                 f"tail mass {tail:.3e} at t={t:.6g} exceeds {BREACH_TOL}"
             )
-        if i not in rec_set:
-            return
-        state = BosonState(y)
-        states.append(state)
-        lam, res = eigenvalue_lsq(state)
-        eigenvalues.append(lam)
-        residuals.append(res)
-        norm_dev.append(abs(nsq - norm0))
 
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "boson Schrödinger")
+    rec_idx = config.record_indices()
+    records = _integrate(rhs, s0.amps, config, "boson Schrödinger", rec_idx,
+                         on_step=tail_guard)
 
+    norm0 = s0.norm_sq()
+    states = [BosonState(y, _copy=False) for y in records]
+    fits = [eigenvalue_lsq(state) for state in states]
     return Trajectory(
         kind="boson",
         config=config,
@@ -601,9 +592,10 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
         record_indices=rec_idx,
         times=times[rec_idx],
         states=states,
-        eigenvalues=eigenvalues,
-        residuals=np.asarray(residuals),
-        norm_dev=np.asarray(norm_dev),
+        eigenvalues=[lam for lam, _ in fits],
+        residuals=np.asarray([res for _, res in fits]),
+        norm_dev=np.asarray([abs(float(np.sum(np.abs(y) ** 2)) - norm0)
+                             for y in records]),
         spec=spec,
         max_tail=max_tail[0],
     )
@@ -681,16 +673,8 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
         return np.stack((zdot, phidot))
 
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
-    zeta_series = np.zeros((times.size, gens.dim), dtype=np.complex128)
-    phi_series = np.zeros((times.size, gens.dim), dtype=np.complex128)
-
-    def observer(i, t, y):
-        zeta_series[i] = y[0]
-        phi_series[i] = y[1]
-
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "grassmann classical")
-    return GrassmannPath(gens, times, zeta_series, phi_series)
+    series = _integrate(rhs, y0, config, "grassmann classical")
+    return GrassmannPath(gens, times, series[:, 0], series[:, 1])
 
 
 # -- operator transport ---------------------------------------------------------
@@ -715,16 +699,9 @@ def evolve_operator_transport(h, op0: FermionOperator,
         return 1j * (np.stack(xh) - np.stack(hx))
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
-    series: list[FermionOperator] = []
-
-    def observer(i, t, y):
-        series.append(
-            FermionOperator(gens, *(Multivector(gens, row) for row in y))
-        )
-
-    end = _rk4(rhs, y0, times, observer)
-    _check_step(rhs, y0, config, end, "operator transport")
-    return series
+    series = _integrate(rhs, y0, config, "operator transport")
+    return [FermionOperator(gens, *(Multivector(gens, row) for row in y))
+            for y in series]
 
 
 # -- invariance condition -------------------------------------------------------

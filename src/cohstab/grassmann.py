@@ -320,17 +320,6 @@ def require_odd_degree_one(x: Multivector, what: str = "element") -> None:
         raise NotOddLinear(f"{what} must be odd of degree one, got {x!r}")
 
 
-def soul_nilpotency_order(x: Multivector) -> int:
-    """Smallest k with soul(x)^k = 0 (at most 2m+1)."""
-    s = x.soul()
-    power = x.gens.one()
-    for k in range(1, x.gens.n_generators + 2):
-        power = power * s
-        if power.is_zero():
-            return k
-    return x.gens.n_generators + 1
-
-
 def random_multivector(gens: GeneratorSet, rng: np.random.Generator,
                        scale: float = 1.0) -> Multivector:
     """Uniform random coefficients in a box; test helper, not physics."""

@@ -1,10 +1,13 @@
 """CLI behaviour: golden CSVs, exit codes, determinism."""
 
+import dataclasses
 import pathlib
 
 import pytest
 
+from cohstab import cli, coherence
 from cohstab.cli import main
+from cohstab.scenario import parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -20,6 +23,8 @@ def test_golden_csv_byte_exact(name, tmp_path):
     produced = (tmp_path / f"{name}.csv").read_bytes()
     golden = (GOLDEN / f"{name}.csv").read_bytes()
     assert produced == golden
+    verdict = (tmp_path / f"{name}.verdict.csv").read_bytes()
+    assert verdict == (GOLDEN / f"{name}.verdict.csv").read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -67,6 +72,41 @@ def test_truncation_breach_exits_three(tmp_path):
         "[output]\npath = big.csv\n"
     )
     assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+
+
+def test_nan_initial_value_exits_three(tmp_path):
+    # NaN fails the tail guard and the dt/2 gate closed instead of
+    # writing an all-NaN trajectory
+    scenario = tmp_path / "nan.ini"
+    scenario.write_text(
+        "[system]\nkind = boson\n\n[hamiltonian]\nomega = 1\n\n"
+        "[initial]\nz0_re = nan\n\n[integration]\nt_end = 0.01\n\n"
+        "[output]\npath = nan.csv\n"
+    )
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "nan.csv").exists()
+
+
+def test_infinite_t_end_is_validation_error(tmp_path):
+    assert main(["run", str(SCENARIOS / "free_fermion.ini"),
+                 "--out", str(tmp_path), "--t-end", "inf"]) == 1
+
+
+def test_one_law_integration_per_run(tmp_path, monkeypatch):
+    calls = []
+    law = coherence.evolve_grassmann_classical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return law(*args, **kwargs)
+
+    monkeypatch.setattr(coherence, "evolve_grassmann_classical", counted)
+    scenario = parse_scenario(SCENARIOS / "grassmann_forced.ini")
+    scenario = dataclasses.replace(
+        scenario, config=dataclasses.replace(scenario.config, t_end=0.2)
+    )
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 def test_overrides_change_grid(tmp_path):

@@ -68,6 +68,9 @@ def test_config_validation():
         IntegrationConfig(t_end=1.0, dt=0.0)
     with pytest.raises(ValidationError):
         IntegrationConfig(t_end=1.0, stride=0)
+    for t_end, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(ValidationError):
+            IntegrationConfig(t_end=t_end, dt=dt)
 
 
 def test_grid_hits_endpoint_exactly():
