@@ -1,7 +1,8 @@
-"""Build script: compiles the graded-product kernel when Cython is present.
+"""Build script: compiles the optional graded-product extension when Cython is present.
 
-Without Cython (or a C compiler) the package still installs and falls back
-to the pure-numpy kernel at import time.
+Without Cython (or a C compiler) the package still installs. Either way the
+batched numpy kernel is the default; COHERENCE_KERNEL=compiled selects the
+extension when it is built.
 """
 
 from setuptools import Extension, setup

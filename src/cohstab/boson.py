@@ -90,8 +90,10 @@ class BosonState:
 
 
 def coherent_tail_mass(z: complex, nmax: int) -> float:
-    """Poisson tail beyond nmax for mean |z|^2."""
+    """Poisson tail beyond nmax for mean |z|^2; NaN for a non-finite z."""
     lam = abs(z) ** 2
+    if not np.isfinite(lam):
+        return np.nan
     if lam == 0.0:
         return 0.0
     terms = np.zeros(nmax + 1)
@@ -106,7 +108,7 @@ def make_coherent_boson(z: complex, nmax: int = DEFAULT_NMAX) -> BosonState:
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     tail = coherent_tail_mass(z, nmax)
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:
         raise TruncationTooSmall(
             f"tail mass {tail:.3e} exceeds {TAIL_TOL} at nmax={nmax} for |z|={abs(z):.3g}"
         )

@@ -46,6 +46,10 @@ BREACH_TOL = 1e-6
 #: Hermiticity tolerance for Hamiltonian builders.
 HERMITIAN_TOL = 1e-12
 
+#: Largest grid an IntegrationConfig accepts, checked before anything is
+#: allocated (the dt/2 self-check runs twice as many steps).
+MAX_STEPS = 10**7
+
 VALID_KINDS = ("boson", "fermion", "grassmann")
 
 
@@ -65,6 +69,10 @@ class IntegrationConfig:
             raise ValidationError("t_end must be positive and finite")
         if not 0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValidationError(
+                f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}"
+            )
         if self.stride < 1:
             raise ValidationError("stride must be at least 1")
 
@@ -143,9 +151,9 @@ class HamiltonianSpec:
             self.gens.index(self.eta_generator)  # raises KeyError if undeclared
 
     def validate_real_coefficients(self, times: np.ndarray) -> None:
-        if self.omega.max_imag_on(times) > HERMITIAN_TOL:
+        if not self.omega.max_imag_on(times) <= HERMITIAN_TOL:
             raise NotHermitian("omega must be real-valued")
-        if self.scalar.max_imag_on(times) > HERMITIAN_TOL:
+        if not self.scalar.max_imag_on(times) <= HERMITIAN_TOL:
             raise NotHermitian("the scalar term must be real-valued")
 
 
@@ -164,19 +172,17 @@ def hamiltonian_operator(spec: HamiltonianSpec, t: float,
 
 
 def _spec_coeff_source(spec: HamiltonianSpec, gens: GeneratorSet):
+    """t -> (4, dim) coefficients over the slots (I, b, b†, b†b)."""
     dim = gens.dim
     if spec.kind == "fermion":
         def build(t):
-            ci = np.zeros(dim, dtype=np.complex128)
-            cm = np.zeros(dim, dtype=np.complex128)
-            cp = np.zeros(dim, dtype=np.complex128)
-            cn = np.zeros(dim, dtype=np.complex128)
+            c = np.zeros((4, dim), dtype=np.complex128)
             f = complex(spec.forcing(t))
-            ci[0] = spec.scalar(t)
-            cm[0] = np.conj(f)
-            cp[0] = f
-            cn[0] = spec.omega(t)
-            return ci, cm, cp, cn
+            c[0, 0] = spec.scalar(t)
+            c[1, 0] = np.conj(f)
+            c[2, 0] = f
+            c[3, 0] = spec.omega(t)
+            return c
 
         return build
     if spec.kind == "grassmann":
@@ -184,16 +190,13 @@ def _spec_coeff_source(spec: HamiltonianSpec, gens: GeneratorSet):
         bit, bit_star = 1 << idx, 1 << (idx ^ 1)
 
         def build(t):
-            ci = np.zeros(dim, dtype=np.complex128)
-            cm = np.zeros(dim, dtype=np.complex128)
-            cp = np.zeros(dim, dtype=np.complex128)
-            cn = np.zeros(dim, dtype=np.complex128)
+            c = np.zeros((4, dim), dtype=np.complex128)
             h = complex(spec.forcing(t))
-            ci[0] = spec.scalar(t)
-            cp[bit] = h
-            cm[bit_star] = -np.conj(h)
-            cn[0] = spec.omega(t)
-            return ci, cm, cp, cn
+            c[0, 0] = spec.scalar(t)
+            c[2, bit] = h
+            c[1, bit_star] = -np.conj(h)
+            c[3, 0] = spec.omega(t)
+            return c
 
         return build
     raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
@@ -463,7 +466,7 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
         if h.gens is not None and h.gens != gens:
             raise MismatchedGenerators("spec and state generator sets differ")
         h.validate_real_coefficients(times)
-        return _memo1(_spec_coeff_source(h, gens)), h.kind
+        return _spec_coeff_source(h, gens), h.kind
     if callable(h):
         def build(t):
             op = h(t)
@@ -471,9 +474,9 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
                 raise MismatchedGenerators("operator builder uses a foreign set")
             if not op.is_selfadjoint(HERMITIAN_TOL):
                 raise NotHermitian(f"H(t) is not self-adjoint at t={t:.6g}")
-            return tuple(c.coeffs for c in op.coefficients())
+            return np.stack([c.coeffs for c in op.coefficients()])
 
-        return _memo1(build), "fermion"
+        return build, "fermion"
     raise ValidationError("h must be a HamiltonianSpec or a callable t -> operator")
 
 
@@ -483,18 +486,24 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     gens = s0.gens
     n_gen = gens.n_generators
     times = config.times()
-    source, kind = _fermion_coeff_source(h, gens, times)
+    build, kind = _fermion_coeff_source(h, gens, times)
+    # the five products ci*p0, cm*gi(p1), ci*p1, cn*p1, cp*gi(p0) of one
+    # stage, where the grade involution gi flips the odd part of an
+    # amplitude passing b or b†
+    source = _memo1(lambda t: build(t)[[0, 1, 0, 3, 2]])
+    pick = [0, 1, 1, 1, 0]
     gsigns = kernel.grade_signs(n_gen)
 
     def rhs(t, y):
-        ci, cm, cp, cn = source(t)
-        p0, p1 = y
-        out0 = kernel.multiply(ci, p0, n_gen) \
-            + kernel.multiply(cm, gsigns * p1, n_gen)
-        out1 = kernel.multiply(ci, p1, n_gen) \
-            + kernel.multiply(cn, p1, n_gen) \
-            + kernel.multiply(cp, gsigns * p0, n_gen)
-        return -1j * np.stack((out0, out1))
+        right = y[pick]
+        right[1::3] *= gsigns  # rows 1 and 4 only: a product by 1 can flip a -0.0
+        prod = kernel.multiply(source(t), right, n_gen)
+        out = np.empty_like(y)
+        np.add(prod[0], prod[1], out=out[0])
+        np.add(prod[2], prod[3], out=out[1])
+        out[1] += prod[4]
+        out *= -1j
+        return out
 
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
@@ -647,30 +656,31 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
         bit = 1 << idx
         omega_fn = spec.omega
 
-        def eta_arr(t):
-            arr = np.zeros(gens.dim, dtype=np.complex128)
-            arr[bit] = spec.forcing(t)
-            return arr
-
-        def delta_arr(t):
-            arr = np.zeros(gens.dim, dtype=np.complex128)
-            arr[0] = spec.scalar(t)
+        def drive(t):
+            arr = np.zeros((2, gens.dim), dtype=np.complex128)
+            arr[0, bit] = spec.forcing(t)
+            arr[1, 0] = spec.scalar(t)
             return arr
     else:
         omega_fn, eta_fn, delta_fn = spec
-        eta_arr = _memo1(lambda t: _as_coeff_array(eta_fn(t), gens))
-        delta_arr = _memo1(lambda t: _as_coeff_array(delta_fn(t), gens))
+
+        def drive(t):
+            return np.stack((_as_coeff_array(eta_fn(t), gens),
+                             _as_coeff_array(delta_fn(t), gens)))
+
+    drive = _memo1(drive)  # rows eta(t) and delta(t)
 
     def rhs(t, y):
-        zeta, _ = y
-        eta = eta_arr(t)
-        zdot = -1j * (omega_fn(t) * zeta - eta)
-        zc = kernel.conjugate(zeta, n_gen)
-        ec = kernel.conjugate(eta, n_gen)
-        phidot = -delta_arr(t) + 0.5 * (
-            kernel.multiply(zc, eta, n_gen) + kernel.multiply(ec, zeta, n_gen)
-        )
-        return np.stack((zdot, phidot))
+        zeta = y[0]
+        eta, delta = drive(t)
+        pair = y.copy()
+        pair[1] = eta
+        # zeta* eta and eta* zeta in one call
+        prod = kernel.multiply(kernel.conjugate(pair, n_gen), pair[::-1], n_gen)
+        out = np.empty_like(y)
+        out[0] = -1j * (omega_fn(t) * zeta - eta)
+        out[1] = -delta + 0.5 * (prod[0] + prod[1])
+        return out
 
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
     series = _integrate(rhs, y0, config, "grassmann classical")
@@ -689,7 +699,8 @@ def evolve_operator_transport(h, op0: FermionOperator,
     """
     gens = op0.gens
     times = config.times()
-    source, _ = _fermion_coeff_source(h, gens, times)
+    build, _ = _fermion_coeff_source(h, gens, times)
+    source = _memo1(build)
     n_gen = gens.n_generators
 
     def rhs(t, y):

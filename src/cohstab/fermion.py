@@ -238,6 +238,7 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int):
     and the integrators (which avoid building operator objects per stage)."""
     gsigns = kernel.grade_signs(n_gen)
     out = [np.zeros(1 << n_gen, dtype=np.complex128) for _ in range(4)]
+    lefts, rights, slots = [], [], []
     for i in range(4):
         c1 = c1s[i]
         if not np.any(c1):
@@ -249,8 +250,12 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int):
             c2 = c2s[j]
             if not np.any(c2):
                 continue
-            passed = gsigns * c2 if _PARITY[i] else c2
-            coeff = kernel.multiply(c1, passed, n_gen)
+            lefts.append(c1)
+            rights.append(gsigns * c2 if _PARITY[i] else c2)
+            slots.append(targets)
+    if slots:
+        coeffs = kernel.multiply(np.stack(lefts), np.stack(rights), n_gen)
+        for coeff, targets in zip(coeffs, slots):
             for slot, sign in targets:
                 out[slot] += sign * coeff
     return out

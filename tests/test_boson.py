@@ -39,6 +39,13 @@ def test_truncation_guard():
     assert coherent_tail_mass(3.0, 5) > 1e-9
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan), math.inf])
+def test_non_finite_amplitude_fails_tail_guard(z):
+    assert math.isnan(coherent_tail_mass(z, 64))
+    with pytest.raises(TruncationTooSmall):
+        make_coherent_boson(z, 64)
+
+
 def test_expectation_lowering_matches_direct_sum(rng):
     # independent oracle: <a> = sum sqrt(n+1) conj(c_n) c_{n+1}
     for z in (0.3, 0.9j, 0.5 - 0.5j):

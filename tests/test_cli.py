@@ -92,6 +92,12 @@ def test_infinite_t_end_is_validation_error(tmp_path):
                  "--out", str(tmp_path), "--t-end", "inf"]) == 1
 
 
+def test_step_budget_is_validation_error(tmp_path):
+    assert main(["run", str(SCENARIOS / "free_fermion.ini"),
+                 "--out", str(tmp_path), "--dt", "1e-300"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_one_law_integration_per_run(tmp_path, monkeypatch):
     calls = []
     law = coherence.evolve_grassmann_classical

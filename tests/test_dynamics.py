@@ -6,6 +6,7 @@ import pytest
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
 from cohstab.dynamics import (
+    MAX_STEPS,
     HamiltonianSpec,
     IntegrationConfig,
     build_ladder_invariant,
@@ -68,9 +69,15 @@ def test_config_validation():
         IntegrationConfig(t_end=1.0, dt=0.0)
     with pytest.raises(ValidationError):
         IntegrationConfig(t_end=1.0, stride=0)
-    for t_end, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan)):
+    # the last two exceed MAX_STEPS; for (1e300, 1e-300) t_end / dt overflows to inf
+    for t_end, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan),
+                      (1.0, 1e-300), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-300)):
         with pytest.raises(ValidationError):
             IntegrationConfig(t_end=t_end, dt=dt)
+
+
+def test_step_budget_admits_large_grids():
+    assert IntegrationConfig(t_end=1.0, dt=2.0 / MAX_STEPS).n_steps == MAX_STEPS // 2
 
 
 def test_grid_hits_endpoint_exactly():
@@ -254,6 +261,15 @@ def test_not_hermitian_spec_rejected(gens1):
     with pytest.raises(NotHermitian):
         evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
                                    IntegrationConfig(1.0, 1e-3))
+
+
+def test_nan_imaginary_part_is_not_hermitian():
+    times = IntegrationConfig(1.0, 1e-2).times()
+    with pytest.raises(NotHermitian):
+        HamiltonianSpec("boson", const_fn(complex(1, np.nan))).validate_real_coefficients(times)
+    with pytest.raises(NotHermitian):
+        HamiltonianSpec("boson", const_fn(1.0), scalar=const_fn(complex(0, np.nan))) \
+            .validate_real_coefficients(times)
 
 
 def test_not_hermitian_builder_rejected(gens1):

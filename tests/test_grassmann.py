@@ -1,5 +1,8 @@
 """Exact algebra identities of the Grassmann kernel."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,171 @@ def test_backend_equivalence_exact(gens2, rng):
         kernel.set_backend("compiled")
         a, b = results.values()
         assert np.array_equal(a, b)
+    xs = np.stack([random_multivector(gens2, rng).coeffs for _ in range(5)])
+    ys = np.stack([random_multivector(gens2, rng).coeffs for _ in range(5)])
+    batched = {}
+    for name in kernel.available_backends():
+        kernel.set_backend(name)
+        batched[name] = kernel.multiply(xs, ys, gens2.n_generators)
+    kernel.set_backend("compiled")
+    a, b = batched.values()
+    assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+# -- batched kernel calls -------------------------------------------------------
+
+
+def _signed_zero_rows(rng, rows, dim):
+    """Random complex rows with exact zeros and negative zeros mixed in."""
+    parts = rng.standard_normal((2, rows, dim))
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    out = np.empty((rows, dim), dtype=np.complex128)
+    out.real, out.imag = parts  # x + 1j*y would turn some -0.0 into +0.0
+    return out
+
+
+def _scalar_oracle(x, y, n_gen):
+    """The graded product as one scalar loop over the table, in table order."""
+    left, right, target, sign = kernel.tables.mul_table(n_gen)
+    out = [0.0] * (2 << n_gen)
+    for a, b, t, s in zip(left.tolist(), right.tolist(), target.tolist(), sign.tolist()):
+        p = s * x[a].real
+        q = s * x[a].imag
+        c, d = y[b].real, y[b].imag
+        out[2 * t] += p * c - q * d
+        out[2 * t + 1] += p * d + q * c
+    return np.asarray(out)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+@pytest.mark.parametrize("n_gen", [2, 4, 8])
+def test_batched_multiply_bit_identical_to_rows(n_gen, each_backend):
+    rng = np.random.default_rng(n_gen)
+    dim = 1 << n_gen
+    for rows in (1, 2, 5):
+        x = _signed_zero_rows(rng, rows, dim)
+        y = _signed_zero_rows(rng, rows, dim)
+        got = kernel.multiply(x, y, n_gen)
+        assert got.shape == (rows, dim)
+        for b in range(rows):
+            single = kernel.multiply(x[b], y[b], n_gen)
+            assert np.array_equal(_bits(got[b]), _bits(single))
+        assert np.array_equal(_bits(got[-1]), _scalar_oracle(x[-1], y[-1], n_gen))
+
+
+def test_batched_multiply_on_views_and_real_input(gens2, rng):
+    # strided and reversed rows, and float input, take the contiguous path
+    x = _signed_zero_rows(rng, 4, gens2.dim)
+    y = _signed_zero_rows(rng, 4, gens2.dim)
+    got = kernel.multiply(x[::-2], y[1::2], 4)
+    for k, (a, b) in enumerate(zip(x[::-2], y[1::2])):
+        assert np.array_equal(_bits(got[k]), _scalar_oracle(a, b, 4))
+    real = kernel.multiply(x.real, y.real, 4)
+    want = kernel.multiply(x.real.astype(np.complex128), y.real.astype(np.complex128), 4)
+    assert np.array_equal(_bits(real), _bits(want))
+
+
+def test_single_array_keeps_its_shape(gens2, rng):
+    x = random_multivector(gens2, rng).coeffs
+    y = random_multivector(gens2, rng).coeffs
+    out = kernel.multiply(x, y, gens2.n_generators)
+    assert out.shape == (gens2.dim,)
+    assert np.array_equal(_bits(out), _scalar_oracle(x, y, gens2.n_generators))
+
+
+def test_mismatched_shapes_rejected(gens2, rng):
+    x = random_multivector(gens2, rng).coeffs
+    with pytest.raises(ValueError):
+        kernel.multiply(np.stack((x, x)), x, 4)
+    with pytest.raises(ValueError):
+        kernel.multiply(x, x, 2)
+    with pytest.raises(ValueError):
+        kernel.multiply(x.reshape(1, 1, -1), x.reshape(1, 1, -1), 4)
+
+
+def _in_fresh_thread(fn):
+    """Run fn in a new thread, which starts with no kernel plans of its own."""
+    result, errors = [], []
+
+    def target():
+        try:
+            result.append(fn())
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if errors:
+        raise errors[0]
+    return result[0]
+
+
+@pytest.mark.parametrize("order", [(5, 2, 1), (1, 2, 5)])
+def test_plan_growth_keeps_results(order):
+    rng = np.random.default_rng(11)
+    n_gen, dim = 8, 256
+    x = _signed_zero_rows(rng, 5, dim)
+    y = _signed_zero_rows(rng, 5, dim)
+    want = [_scalar_oracle(a, b, n_gen) for a, b in zip(x, y)]
+
+    def sequence():
+        return [kernel.multiply(x[:rows], y[:rows], n_gen) for rows in order]
+
+    for rows, got in zip(order, _in_fresh_thread(sequence)):
+        for b in range(rows):
+            assert np.array_equal(_bits(got[b]), want[b])
+
+
+def test_concurrent_evolutions_match_serial_runs():
+    from cohstab.coeffs import const_fn, sin_fn
+    from cohstab.dynamics import (
+        HamiltonianSpec,
+        IntegrationConfig,
+        evolve_schrodinger_fermion,
+    )
+    from cohstab.fermion import make_coherent
+
+    gens = GeneratorSet.from_pairs(("zeta", "eta", "chi"))
+    spec = HamiltonianSpec("grassmann", const_fn(1.0), sin_fn(0.3, 1.0),
+                           const_fn(0.2), gens=gens, eta_generator="eta")
+    cfg = IntegrationConfig(t_end=0.1, dt=1e-3, stride=20)
+    zeta, chi = gens.gen("zeta"), gens.gen("chi")
+    # more threads than cores, each with its own start, all on one generator count
+    starts = [make_coherent(zeta), make_coherent(0.5j * zeta - 0.7 * chi),
+              make_coherent(0.3 * chi), make_coherent(-zeta + 0.2j * chi)]
+
+    def run(s0):
+        traj = evolve_schrodinger_fermion(spec, s0, cfg)
+        return np.stack([np.stack((s.psi0.coeffs, s.psi1.coeffs)) for s in traj.states])
+
+    serial = [run(s0) for s0 in starts]
+    concurrent = [None] * len(starts)
+    barrier = threading.Barrier(len(starts))
+
+    def worker(k):
+        barrier.wait()
+        concurrent[k] = run(starts[k])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for want, got in zip(serial, concurrent):
+        assert got is not None
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 # -- conjugation and involutions ----------------------------------------------
