@@ -9,21 +9,30 @@ at 2, 4 and 8 generators in batches of 1, 2 and 5 rows: one kernel.multiply
 call per batch, or one call per row for a kernel that takes no batch. Then
 the wall time of a coherent-state evolution (the criterion-3 shape) and of
 each shipped scenario, run as `coherence run` runs it, with a byte check of
-its trajectory against tests/golden/.
+its trajectory against tests/golden/. Then two layers of the RK4 driver,
+for the fermion Schrödinger evolution and the Grassmann law at 4, 16 and
+256 coefficients: "one RK4 step" (four RHS stages and the update on one
+state, on the evolution's own RHS) and "the dt vs dt/2 self-check" (one
+grid step of the driver: the dt step and the two dt/2 substeps that check
+it), each in microseconds of CPU time and RHS calls per grid step.
 
 With --baseline the same measurements run in fresh interpreters, alternating
 between this checkout's src/ and a `git archive` of REV, for ROUNDS rounds;
 the JSON then holds a "parent" column (REV) and a "change" column (this
-checkout), each with every round and the medians. Without --baseline it
-holds the one column measured in this interpreter.
+checkout), each with every round and the medians. The two driver layers
+instead run both trees in one interpreter, alternating run by run, which
+keeps this machine's drift in speed out of their comparison. Without
+--baseline the JSON holds the one column measured in this interpreter.
 """
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,7 +47,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ("free_fermion", "forced_fermion", "grassmann_forced")
 N_GENS = (2, 4, 8)
 BATCHES = (1, 2, 5)
-ROUNDS = 3
+ROUNDS = 5
+STEP_PAIRS = (1, 2, 4)  # generator pairs: 4, 16 and 256 coefficients
+STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
+STEP_RUNS = 10
 
 
 def _batched_call(kernel, x, y, n_gen):
@@ -75,6 +87,138 @@ def bench_products(kernel, backend: str, repeats: int) -> dict:
                 blocks.append((time.perf_counter() - t0) / (calls * batch) * 1e6)
             out[f"n{n_gen}_b{batch}"] = statistics.median(blocks)
     return out
+
+
+def _one_row(rhs, y0):
+    """The driver's RHS as f(t, y) on one state.
+
+    The lock-step driver passes rhs(ts, Y) over rows, one time per row;
+    the driver before it passed rhs(t, y) on one state.
+    """
+    y0 = np.asarray(y0, dtype=np.complex128)
+    try:
+        out = rhs(np.array([0.0]), y0[None])
+    except (IndexError, TypeError, ValueError):
+        return rhs
+    if np.shape(out) != (1,) + y0.shape:
+        return rhs
+    return lambda t, y: rhs(np.array([t]), y[None])[0]
+
+
+def _rk4_run(f, y0, grid: np.ndarray) -> np.ndarray:
+    y = np.array(y0, dtype=np.complex128)
+    for i in range(grid.size - 1):
+        t = grid[i]
+        dt = grid[i + 1] - t
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = f(grid[i + 1], y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def _step_cases(package: str) -> dict:
+    """Per evolution and size: `package`'s _integrate, the grid, the RHS,
+    y0 and arguments that the evolution passes to _integrate, and the RHS
+    on one state."""
+    dynamics = importlib.import_module(f"{package}.dynamics")
+    coeffs = importlib.import_module(f"{package}.coeffs")
+    fermion = importlib.import_module(f"{package}.fermion")
+    grassmann = importlib.import_module(f"{package}.grassmann")
+    integrate = dynamics._integrate
+    cfg = dynamics.IntegrationConfig(*STEP_GRID)
+    cases = {}
+    for n_pairs in STEP_PAIRS:
+        gens = grassmann.GeneratorSet.from_pairs(
+            ("eta",) + tuple(f"zeta{k}" for k in range(1, n_pairs)))
+        spec = dynamics.HamiltonianSpec(
+            "grassmann", coeffs.const_fn(1.0) + coeffs.sin_fn(0.5, 1.0),
+            coeffs.const_fn(0.4), coeffs.const_fn(0.2), gens=gens,
+            eta_generator="eta")
+        zeta = gens.zero()
+        for k in range(1, n_pairs):
+            zeta = zeta + gens.gen(f"zeta{k}")
+        evolutions = {
+            "fermion_schrodinger": lambda: dynamics.evolve_schrodinger_fermion(
+                spec, fermion.make_coherent(zeta), cfg),
+            "grassmann_law": lambda: dynamics.evolve_grassmann_classical(
+                spec, zeta, cfg),
+        }
+        for name, evolve in evolutions.items():
+            captured = []
+
+            def capture(rhs, y0, *args, **kw):
+                captured.append((rhs, y0, args, kw))
+                return integrate(rhs, y0, *args, **kw)
+
+            dynamics._integrate = capture
+            try:
+                evolve()
+            finally:
+                dynamics._integrate = integrate
+            rhs, y0, args, kw = captured[0]
+            cases[f"{name}_c{gens.dim}"] = (integrate, cfg, rhs, _one_row(rhs, y0),
+                                            y0, args, kw)
+    return cases
+
+
+def bench_steps(packages: dict) -> dict:
+    """One RK4 step and one self-checked grid step, per evolution and size.
+
+    `packages` maps a column name to an importable cohstab package. All
+    columns run in this interpreter, alternating run by run, so the
+    machine's drift in speed falls on each alike. Times are the median of
+    STEP_RUNS runs of the CPU time of this process, per grid step.
+    """
+    cases = {col: _step_cases(pkg) for col, pkg in packages.items()}
+    names = list(next(iter(cases.values())))
+    step_us = {col: {case: [] for case in names} for col in cases}
+    gated_us = {col: {case: [] for case in names} for col in cases}
+    calls = {col: {} for col in cases}
+    for run in range(STEP_RUNS):
+        order = list(cases) if run % 2 == 0 else list(cases)[::-1]
+        for case in names:
+            for col in order:
+                integrate, cfg, rhs, one, y0, args, kw = cases[col][case]
+                n_steps = cfg.n_steps
+                count = [0]
+
+                def counted(*a):
+                    count[0] += 1
+                    return rhs(*a)
+
+                t0 = time.process_time()
+                _rk4_run(one, y0, cfg.times())
+                step_us[col][case].append((time.process_time() - t0) / n_steps * 1e6)
+                t0 = time.process_time()
+                integrate(counted, y0, *args, **kw)
+                gated_us[col][case].append((time.process_time() - t0) / n_steps * 1e6)
+                calls[col][case] = count[0] / n_steps
+    return {
+        col: {
+            case: {
+                "rk4_step_us": statistics.median(step_us[col][case]),
+                "rk4_step_rhs_calls": 4,
+                "self_check_step_us": statistics.median(gated_us[col][case]),
+                "self_check_step_rhs_calls": calls[col][case],
+            }
+            for case in names
+        }
+        for col in cases
+    }
+
+
+def _steps_side_by_side(parent_pkg: Path, change_pkg: Path, tmp: Path) -> dict:
+    """bench_steps on two cohstab trees, imported under distinct names."""
+    pkgs = tmp / "pkgs"
+    for name, src in (("cohstab_parent", parent_pkg), ("cohstab_change", change_pkg)):
+        shutil.copytree(src, pkgs / name, ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(pkgs))
+    try:
+        return bench_steps({"parent": "cohstab_parent", "change": "cohstab_change"})
+    finally:
+        sys.path.remove(str(pkgs))
 
 
 def bench_evolution() -> float:
@@ -175,6 +319,8 @@ def compare(rev: str, repeats: int) -> dict:
         for _ in range(ROUNDS):
             columns["parent"].append(_worker(Path(tmp) / "parent" / "src", repeats))
             columns["change"].append(_worker(ROOT / "src", repeats))
+        steps = _steps_side_by_side(Path(tmp) / "parent" / "src" / "cohstab",
+                                    ROOT / "src" / "cohstab", Path(tmp))
     head = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--", "src"))
     sources = {
@@ -183,7 +329,7 @@ def compare(rev: str, repeats: int) -> dict:
     }
     return {
         name: {"source": sources[name], "backend": runs[0]["default_backend"],
-               "median": _medians(runs), "rounds": runs}
+               "steps": steps[name], "median": _medians(runs), "rounds": runs}
         for name, runs in columns.items()
     }
 
@@ -195,6 +341,10 @@ def _print_column(name: str, data: dict) -> None:
             row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
             print(f"  {backend:<9} {1 << n_gen:>3} coefficients, us/product at batch "
                   f"{'/'.join(map(str, BATCHES))}:{row}")
+    for case, row in data["steps"].items():
+        print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
+              f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
+              f"{row['self_check_step_us']:9.1f} us ({row['self_check_step_rhs_calls']:g})")
     print(f"  grassmann evolution, t=1: {data['evolution_s']:.2f} s")
     for scen, res in data.get("scenarios", {}).items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
@@ -225,11 +375,13 @@ def main() -> None:
             _print_column(f"{name} {column['source']} (median of {ROUNDS})",
                           {"default_backend": column["backend"],
                            "us_per_product": column["median"]["us_per_product"],
+                           "steps": column["steps"],
                            "evolution_s": column["median"]["evolution_s"]})
             print(f"  shipped scenarios: {column['median']['scenario_run_s']}")
     else:
         result = measure(args.repeats)
         if args.json != "-":
+            result["steps"] = bench_steps({"this checkout": "cohstab"})["this checkout"]
             _print_column("this checkout", result)
             result = {**meta, **result}
     if args.json == "-":

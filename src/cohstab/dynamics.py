@@ -2,7 +2,9 @@
 
 Every evolution goes through one fixed-step classical RK4 driver on a
 uniform grid, with a mandatory dt vs dt/2 endpoint comparison (StepTooLarge
-on disagreement or NaN).
+on disagreement or NaN). The driver advances the dt run and the dt/2 run in
+lock step, so every right-hand side takes a batch of rows, one time per
+row: rhs(ts, Y) with Y of shape (R,) + the state's shape.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -69,6 +71,8 @@ class IntegrationConfig:
             raise ValidationError("t_end must be positive and finite")
         if not 0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
+        if not self.dt <= self.t_end:
+            raise ValidationError(f"dt = {self.dt:g} exceeds t_end = {self.t_end:g}")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValidationError(
                 f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}"
@@ -78,7 +82,7 @@ class IntegrationConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return int(round(self.t_end / self.dt))
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
@@ -339,36 +343,37 @@ def _integrate(rhs, y0, config: IntegrationConfig, label: str,
     point of the dt run, the start included. The dt/2 run keeps only its
     endpoint; unless that lies within STEP_TOL of the dt endpoint (NaN never
     does) the evolution is refused with StepTooLarge.
+
+    The two runs advance in lock step: per grid step, the dt step and the
+    first dt/2 substep share each of their four RHS calls as a 2-row batch,
+    and the second substep follows on 1 row, so a grid step makes 8 calls,
+    the length of the dt/2 run's chain of stages. Each row's arithmetic is
+    that of a run on its own, so both runs are bit-identical to sequential
+    ones.
     """
     times = config.times()
+    fine = config.refined_times()
     keep = range(times.size) if record is None else [int(i) for i in record]
     slots = {i: k for k, i in enumerate(keep)}
     records = np.empty((len(slots),) + np.shape(y0), dtype=np.complex128)
 
-    def observe(i, t, y):
+    def observe(i, y):
         if on_step is not None:
-            on_step(t, y)
+            on_step(times[i], y)
         if i in slots:
             records[slots[i]] = y
 
-    def run(grid, observe=None):
-        y = np.array(y0, dtype=np.complex128)
-        if observe is not None:
-            observe(0, grid[0], y)
-        for i in range(grid.size - 1):
-            t = grid[i]
-            dt = grid[i + 1] - t
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-            k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-            k4 = rhs(grid[i + 1], y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            if observe is not None:
-                observe(i + 1, grid[i + 1], y)
-        return y
+    y = np.array(y0, dtype=np.complex128)
+    pair = np.stack((y, y))  # rows: the dt run, the dt/2 run
+    observe(0, pair[0])
+    for i in range(times.size - 1):
+        pair = _rk4_step(rhs, np.array((times[i], fine[2 * i])),
+                         np.array((times[i + 1], fine[2 * i + 1])), pair)
+        pair[1:] = _rk4_step(rhs, fine[2 * i + 1:2 * i + 2],
+                             fine[2 * i + 2:2 * i + 3], pair[1:])
+        observe(i + 1, pair[0])
 
-    end = run(times, observe)
-    diff = float(np.max(np.abs(run(config.refined_times()) - end)))
+    diff = float(np.max(np.abs(pair[1] - pair[0])))
     if not diff <= STEP_TOL:
         raise StepTooLarge(
             f"{label}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
@@ -376,17 +381,48 @@ def _integrate(rhs, y0, config: IntegrationConfig, label: str,
     return records
 
 
-def _memo1(fn):
-    last_t = [None]
-    last_v = [None]
+def _rk4_step(rhs, t, t_next, y):
+    """One classical RK4 step of each row of y, from t[r] to t_next[r]."""
+    dt = t_next - t
+    mid = t + 0.5 * dt
+    dt = dt.reshape((-1,) + (1,) * (y.ndim - 1))
+    k1 = rhs(t, y)
+    k2 = rhs(mid, y + (0.5 * dt) * k1)
+    k3 = rhs(mid, y + (0.5 * dt) * k2)
+    k4 = rhs(t_next, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _memo(fn):
+    """fn at a scalar time, remembered for the four times evaluated last.
+
+    A lock-step grid step evaluates fn at up to six new times, the
+    midpoints and ends of the dt step and of both dt/2 substeps. The next
+    step starts at the dt step's end and the second substep's end, which
+    are among the last four.
+    """
+    cache = {}
 
     def get(t):
-        if last_t[0] != t:
-            last_v[0] = fn(t)
-            last_t[0] = t
-        return last_v[0]
+        value = cache.get(t)
+        if value is None:
+            value = cache[t] = fn(t)
+            if len(cache) > 4:
+                del cache[next(iter(cache))]
+        return value
 
     return get
+
+
+def _coeff_columns(*fns):
+    """ts -> one complex (R, 1) column per function, each evaluated at the
+    scalar time of every row (through _memo)."""
+    at = _memo(lambda t: np.array([fn(t) for fn in fns], dtype=np.complex128))
+
+    def columns(ts):
+        return np.array([at(t) for t in ts]).T[:, :, None]
+
+    return columns
 
 
 # -- classical boson sector ---------------------------------------------------
@@ -400,8 +436,11 @@ def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
     times = config.times()
     spec.validate_real_coefficients(times)
 
-    def rhs(t, y):
-        return -1j * (spec.omega(t) * y + spec.forcing(t))
+    coeffs = _coeff_columns(spec.omega, spec.forcing)
+
+    def rhs(ts, y):
+        w, f = coeffs(ts)
+        return -1j * (w * y + f)
 
     y0 = np.array([z0], dtype=np.complex128)
     series = _integrate(rhs, y0, config, "classical boson")[:, 0]
@@ -437,17 +476,18 @@ def evolve_nu_system(spec: HamiltonianSpec,
     times = config.times()
     spec.validate_real_coefficients(times)
 
-    def rhs(t, y):
-        w = spec.omega(t)
-        f = complex(spec.forcing(t))
-        nm, npl, n3 = y
-        return np.array(
-            [
+    coeffs = _coeff_columns(spec.omega, spec.forcing)
+
+    def rhs(ts, y):
+        w, f = coeffs(ts)
+        nm, npl, n3 = np.split(y, 3, axis=1)
+        return np.concatenate(
+            (
                 1j * (nm * w - n3 * np.conj(f)),
                 1j * (n3 * f - npl * w),
                 2j * (npl * np.conj(f) - nm * f),
-            ],
-            dtype=np.complex128,
+            ),
+            axis=1,
         )
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
@@ -485,23 +525,26 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     """RK4 on the amplitude coefficients of i d/dt psi = H(t) psi."""
     gens = s0.gens
     n_gen = gens.n_generators
+    dim = gens.dim
     times = config.times()
     build, kind = _fermion_coeff_source(h, gens, times)
-    # the five products ci*p0, cm*gi(p1), ci*p1, cn*p1, cp*gi(p0) of one
+    # the five products ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0) of one
     # stage, where the grade involution gi flips the odd part of an
     # amplitude passing b or b†
-    source = _memo1(lambda t: build(t)[[0, 1, 0, 3, 2]])
-    pick = [0, 1, 1, 1, 0]
+    source = _memo(lambda t: build(t)[[0, 0, 1, 3, 2]])
     gsigns = kernel.grade_signs(n_gen)
 
-    def rhs(t, y):
-        right = y[pick]
-        right[1::3] *= gsigns  # rows 1 and 4 only: a product by 1 can flip a -0.0
-        prod = kernel.multiply(source(t), right, n_gen)
-        out = np.empty_like(y)
-        np.add(prod[0], prod[1], out=out[0])
-        np.add(prod[2], prod[3], out=out[1])
-        out[1] += prod[4]
+    def rhs(ts, y):
+        right = np.empty((len(y), 5, dim), dtype=np.complex128)
+        right[:, :2] = y
+        right[:, 3] = y[:, 1]
+        # gi on rows 2 and 4 only: a product by 1 can flip a -0.0
+        np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
+        left = np.concatenate([source(t) for t in ts])
+        prod = kernel.multiply(left, right.reshape(left.shape), n_gen)
+        prod = prod.reshape(right.shape)
+        out = prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ci*p1 + cn*p1
+        out[:, 1] += prod[:, 4]
         out *= -1j
         return out
 
@@ -566,14 +609,15 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     nlev = np.arange(s0.amps.size)
     sq = np.sqrt(np.arange(1, s0.amps.size))
 
-    def rhs(t, y):
+    coeffs = _coeff_columns(spec.omega, spec.forcing, spec.scalar)
+
+    def rhs(ts, y):
+        w, f, g = coeffs(ts)
         up = np.zeros_like(y)
-        up[1:] = sq * y[:-1]
+        up[:, 1:] = sq * y[:, :-1]
         down = np.zeros_like(y)
-        down[:-1] = sq * y[1:]
-        f = complex(spec.forcing(t))
-        return -1j * (spec.omega(t) * (nlev * y) + f * up + np.conj(f) * down
-                      + spec.scalar(t) * y)
+        down[:, :-1] = sq * y[:, 1:]
+        return -1j * (w * (nlev * y) + f * up + np.conj(f) * down + g * y)
 
     max_tail = [0.0]
 
@@ -638,6 +682,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
     gens = zeta0.gens
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
+    dim = gens.dim
     times = config.times()
 
     if isinstance(spec, HamiltonianSpec):
@@ -654,35 +699,37 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
             )
         bit = 1 << idx
-        omega_fn = spec.omega
 
         def drive(t):
-            arr = np.zeros((2, gens.dim), dtype=np.complex128)
+            arr = np.zeros((3, dim), dtype=np.complex128)
             arr[0, bit] = spec.forcing(t)
             arr[1, 0] = spec.scalar(t)
+            arr[2] = spec.omega(t)
             return arr
     else:
         omega_fn, eta_fn, delta_fn = spec
 
         def drive(t):
             return np.stack((_as_coeff_array(eta_fn(t), gens),
-                             _as_coeff_array(delta_fn(t), gens)))
+                             _as_coeff_array(delta_fn(t), gens),
+                             np.full(dim, omega_fn(t), dtype=np.complex128)))
 
-    drive = _memo1(drive)  # rows eta(t) and delta(t)
+    drive = _memo(drive)  # rows eta(t), delta(t) and omega(t) in every slot
 
-    def rhs(t, y):
-        zeta = y[0]
-        eta, delta = drive(t)
+    def rhs(ts, y):
+        eta, delta, omega = np.array([drive(t) for t in ts]).transpose(1, 0, 2)
         pair = y.copy()
-        pair[1] = eta
-        # zeta* eta and eta* zeta in one call
-        prod = kernel.multiply(kernel.conjugate(pair, n_gen), pair[::-1], n_gen)
+        pair[:, 1] = eta
+        # zeta* eta and eta* zeta of every row in one call
+        prod = kernel.multiply(kernel.conjugate(pair, n_gen).reshape(-1, dim),
+                               pair[:, ::-1].reshape(-1, dim), n_gen)
+        prod = prod.reshape(pair.shape)
         out = np.empty_like(y)
-        out[0] = -1j * (omega_fn(t) * zeta - eta)
-        out[1] = -delta + 0.5 * (prod[0] + prod[1])
+        out[:, 0] = -1j * (omega * y[:, 0] - eta)
+        out[:, 1] = -delta + 0.5 * (prod[:, 0] + prod[:, 1])
         return out
 
-    y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
+    y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
     series = _integrate(rhs, y0, config, "grassmann classical")
     return GrassmannPath(gens, times, series[:, 0], series[:, 1])
 
@@ -700,14 +747,14 @@ def evolve_operator_transport(h, op0: FermionOperator,
     gens = op0.gens
     times = config.times()
     build, _ = _fermion_coeff_source(h, gens, times)
-    source = _memo1(build)
+    source = _memo(build)
     n_gen = gens.n_generators
 
-    def rhs(t, y):
-        hc = source(t)
+    def rhs(ts, y):
+        hc = np.stack([source(t) for t in ts])
         xh = _compose_coeff_arrays(y, hc, n_gen)
         hx = _compose_coeff_arrays(hc, y, n_gen)
-        return 1j * (np.stack(xh) - np.stack(hx))
+        return 1j * (xh - hx)
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
     series = _integrate(rhs, y0, config, "operator transport")

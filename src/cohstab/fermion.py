@@ -233,31 +233,39 @@ class FermionState:
 # -- operations ------------------------------------------------------------
 
 
-def _compose_coeff_arrays(c1s, c2s, n_gen: int):
+def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     """Array-level graded product over the 4-slot basis; shared by compose
-    and the integrators (which avoid building operator objects per stage)."""
+    and the integrators (which avoid building operator objects per stage).
+
+    c1s and c2s are (4, dim) or a batch (R, 4, dim), composed row by row;
+    the non-zero slot pairs of every row go through one kernel call.
+    """
     gsigns = kernel.grade_signs(n_gen)
-    out = [np.zeros(1 << n_gen, dtype=np.complex128) for _ in range(4)]
+    c1s = np.asarray(c1s)
+    out = np.zeros(c1s.shape, dtype=np.complex128)
+    rows = out.reshape(-1, 4, 1 << n_gen)
     lefts, rights, slots = [], [], []
-    for i in range(4):
-        c1 = c1s[i]
-        if not np.any(c1):
-            continue
-        for j in range(4):
-            targets = _BASIS_MUL.get((i, j))
-            if targets is None:
+    for row, c1r, c2r in zip(rows, c1s.reshape(rows.shape),
+                             np.asarray(c2s).reshape(rows.shape)):
+        for i in range(4):
+            c1 = c1r[i]
+            if not np.any(c1):
                 continue
-            c2 = c2s[j]
-            if not np.any(c2):
-                continue
-            lefts.append(c1)
-            rights.append(gsigns * c2 if _PARITY[i] else c2)
-            slots.append(targets)
+            for j in range(4):
+                targets = _BASIS_MUL.get((i, j))
+                if targets is None:
+                    continue
+                c2 = c2r[j]
+                if not np.any(c2):
+                    continue
+                lefts.append(c1)
+                rights.append(gsigns * c2 if _PARITY[i] else c2)
+                slots.append((row, targets))
     if slots:
         coeffs = kernel.multiply(np.stack(lefts), np.stack(rights), n_gen)
-        for coeff, targets in zip(coeffs, slots):
+        for coeff, (row, targets) in zip(coeffs, slots):
             for slot, sign in targets:
-                out[slot] += sign * coeff
+                row[slot] += sign * coeff
     return out
 
 
@@ -365,7 +373,8 @@ def extract_eigenvalue(s: FermionState) -> tuple[Multivector, float]:
     """Annihilation eigenvalue and relative residual of a candidate state."""
     if abs(s.psi0.body) < 1e-150:
         raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
-    lam = s.psi1.grade_involution() * invert(s.psi0)
-    applied = apply(FermionOperator.annihilator(s.gens), s)
+    g1 = s.psi1.grade_involution()
+    lam = g1 * invert(s.psi0)
+    applied = FermionState(s.gens, g1, s.gens.zero())  # b|s>
     diff = applied - (lam * s)
     return lam, diff.sup_norm() / s.norm_body()

@@ -98,6 +98,12 @@ def test_step_budget_is_validation_error(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_dt_above_t_end_is_validation_error(tmp_path):
+    assert main(["run", str(SCENARIOS / "free_fermion.ini"),
+                 "--out", str(tmp_path), "--dt", "7"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_one_law_integration_per_run(tmp_path, monkeypatch):
     calls = []
     law = coherence.evolve_grassmann_classical

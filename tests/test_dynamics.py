@@ -1,12 +1,17 @@
 """Integrators, auxiliary systems, invariants, transport."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cohstab import dynamics
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
 from cohstab.dynamics import (
     MAX_STEPS,
+    STEP_TOL,
     HamiltonianSpec,
     IntegrationConfig,
     build_ladder_invariant,
@@ -71,9 +76,11 @@ def test_config_validation():
         IntegrationConfig(t_end=1.0, stride=0)
     # the last two exceed MAX_STEPS; for (1e300, 1e-300) t_end / dt overflows to inf
     for t_end, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan),
-                      (1.0, 1e-300), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-300)):
+                      (1.0, 1e-300), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-300),
+                      (1.0, 1.5)):
         with pytest.raises(ValidationError):
             IntegrationConfig(t_end=t_end, dt=dt)
+    assert IntegrationConfig(t_end=1.0, dt=1.0).n_steps == 1
 
 
 def test_step_budget_admits_large_grids():
@@ -134,10 +141,23 @@ def test_forced_endpoint_analytic():
     assert abs(path.z_closed[-1] - (-0.9)) < 1e-8
 
 
-def test_step_too_large_detected():
+def test_step_too_large_detected(gens2):
     spec = HamiltonianSpec("boson", const_fn(1.0))
     with pytest.raises(StepTooLarge):
         evolve_classical_boson(spec, 1.0, IntegrationConfig(2.0, 0.5))
+    # every evolution's gate sees the dt/2 rows of its lock-step batches
+    fermion = HamiltonianSpec("fermion", const_fn(1.0), const_fn(0.3))
+    grassmann = HamiltonianSpec("grassmann", const_fn(1.0), const_fn(0.4),
+                                const_fn(0.1), gens=gens2, eta_generator="eta")
+    zeta = gens2.gen("zeta")
+    for evolve in (
+        lambda cfg: evolve_schrodinger_fermion(grassmann, make_coherent(zeta), cfg),
+        lambda cfg: evolve_grassmann_classical(grassmann, zeta, cfg),
+        lambda cfg: evolve_nu_system(fermion, cfg),
+        lambda cfg: evolve_schrodinger_boson(spec, make_coherent_boson(0.5, 8), cfg),
+    ):
+        with pytest.raises(StepTooLarge):
+            evolve(IntegrationConfig(2.0, 0.25))
 
 
 def test_rk4_error_ratio_on_exact_case():
@@ -463,3 +483,140 @@ def test_grid_too_coarse_calibration():
     ops = [FermionOperator.annihilator(g0) for _ in cfg.times()]
     with pytest.raises(GridTooCoarse):
         invariant_residual(ops, spec, cfg)
+
+
+# -- the lock-step driver against sequential runs ---------------------------------
+
+LOCK_FORCING = complex_pair(cos_fn(0.4, 1.0), sin_fn(-0.4, 1.3))
+LOCK_G1 = GeneratorSet.from_pairs(("zeta",))
+LOCK_G2 = GeneratorSet.from_pairs(("zeta", "eta"))
+LOCK_FERMION = HamiltonianSpec("fermion", const_fn(1.0) + sin_fn(0.5, 1.0),
+                               LOCK_FORCING, const_fn(0.1))
+LOCK_GRASSMANN = HamiltonianSpec("grassmann", const_fn(1.0) + cos_fn(0.2, 2.0),
+                                 LOCK_FORCING, const_fn(0.1),
+                                 gens=LOCK_G2, eta_generator="eta")
+LOCK_BOSON = HamiltonianSpec("boson", const_fn(1.0) + sin_fn(0.3, 1.0),
+                             LOCK_FORCING, const_fn(0.2))
+
+# keyed by the label each evolution passes to the driver
+EVOLUTIONS = {
+    "classical boson":
+        lambda cfg: evolve_classical_boson(LOCK_BOSON, 0.5 + 0.2j, cfg),
+    "nu system": lambda cfg: evolve_nu_system(LOCK_FERMION, cfg),
+    "fermion Schrödinger": lambda cfg: evolve_schrodinger_fermion(
+        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg),
+    "boson Schrödinger": lambda cfg: evolve_schrodinger_boson(
+        LOCK_BOSON, make_coherent_boson(0.5, 16), cfg),
+    "grassmann classical": lambda cfg: evolve_grassmann_classical(
+        LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
+    "operator transport": lambda cfg: evolve_operator_transport(
+        LOCK_FERMION, FermionOperator.annihilator(LOCK_G1), cfg),
+}
+EVOLUTION_IDS = [name.replace(" ", "_").replace("ö", "o") for name in EVOLUTIONS]
+
+
+def sequential_rk4(rhs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
+    """Order reference: one run on its own, one RHS row per stage, with the
+    scalar time and step arithmetic of the driver before the lock step.
+    Each stage's (t, y) is appended to `stages` if given."""
+    def one(t, y):
+        if stages is not None:
+            stages.append((t, y))
+        return rhs(np.array([t]), y[None])[0]
+
+    y = np.array(y0, dtype=np.complex128)
+    states = [y]
+    for i in range(grid.size - 1):
+        t = grid[i]
+        dt = grid[i + 1] - t
+        k1 = one(t, y)
+        k2 = one(t + 0.5 * dt, y + (0.5 * dt) * k1)
+        k3 = one(t + 0.5 * dt, y + (0.5 * dt) * k2)
+        k4 = one(grid[i + 1], y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        states.append(y)
+    return np.array(states)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """Raw float bits, so that signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture
+def driver_runs(monkeypatch):
+    """Each _integrate call's arguments, its RHS calls by row count and its records."""
+    runs = []
+    integrate = dynamics._integrate
+
+    def spy(rhs, y0, config, label, record=None, on_step=None):
+        run = SimpleNamespace(rhs=rhs, y0=y0, config=config, label=label,
+                              record=record, calls=Counter(), stages=[],
+                              records=None)
+        runs.append(run)
+
+        def counted(ts, y):
+            run.calls[len(y)] += 1
+            run.stages.append((np.array(ts), np.array(y)))
+            return rhs(ts, y)
+
+        run.records = integrate(counted, y0, config, label, record, on_step)
+        return run.records
+
+    monkeypatch.setattr(dynamics, "_integrate", spy)
+    return runs
+
+
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_lock_step_records_match_sequential_run(name, driver_runs):
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    EVOLUTIONS[name](cfg)
+    (run,) = driver_runs
+    assert run.label == name
+    # 8 RHS calls per grid step: 4 paired stages, then 4 of the second dt/2 substep
+    assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
+    stages, half_stages = [], []
+    ref = sequential_rk4(run.rhs, run.y0, cfg.times(), stages)
+    sequential_rk4(run.rhs, run.y0, cfg.refined_times(), half_stages)
+    if run.record is not None:
+        ref = ref[run.record]
+    assert np.array_equal(bits(run.records), bits(ref))
+    # row 0 of the paired calls is the dt run; the last row of every call
+    # is the dt/2 run: each sees the stage times and states of its own run
+    dt_rows = [(ts[0], y[0]) for ts, y in run.stages if len(ts) == 2]
+    half_rows = [(ts[-1], y[-1]) for ts, y in run.stages]
+    for got, want in ((dt_rows, stages), (half_rows, half_stages)):
+        assert len(got) == len(want)
+        for (t, y), (t_ref, y_ref) in zip(got, want):
+            assert bits(np.float64(t)) == bits(np.float64(t_ref))
+            assert np.array_equal(bits(y), bits(y_ref))
+
+
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_lock_step_gate_reports_sequential_gap(name, driver_runs):
+    cfg = IntegrationConfig(1.0, 0.1)
+    with pytest.raises(StepTooLarge) as caught:
+        EVOLUTIONS[name](cfg)
+    (run,) = driver_runs
+    end = sequential_rk4(run.rhs, run.y0, cfg.times())[-1]
+    half_end = sequential_rk4(run.rhs, run.y0, cfg.refined_times())[-1]
+    diff = float(np.max(np.abs(half_end - end)))
+    assert str(caught.value) == \
+        f"{name}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
+
+
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_lock_step_gate_fails_closed_on_half_run_nan(name, monkeypatch):
+    integrate = dynamics._integrate
+
+    def poisoned(rhs, y0, config, label, record=None, on_step=None):
+        def half_run_nan(ts, y):
+            k = rhs(ts, y)
+            k[-1] = np.nan  # the last row of every call is the dt/2 run's
+            return k
+
+        return integrate(half_run_nan, y0, config, label, record, on_step)
+
+    monkeypatch.setattr(dynamics, "_integrate", poisoned)
+    with pytest.raises(StepTooLarge, match="by nan"):
+        EVOLUTIONS[name](IntegrationConfig(0.3, 1e-2, stride=3))
