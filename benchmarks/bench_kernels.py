@@ -14,20 +14,25 @@ for the fermion Schrödinger evolution and the Grassmann law at 4, 16 and
 256 coefficients: "one RK4 step" (four RHS stages and the update on one
 state, on the evolution's own RHS) and "the dt vs dt/2 self-check" (one
 grid step of the driver: the dt step and the two dt/2 substeps that check
-it), each in microseconds of CPU time and RHS calls per grid step.
+it), each in microseconds of CPU time and RHS calls per grid step. Then
+"coefficient evaluation per grid step" for the boson Schrödinger evolution
+on 64 levels and the fermion Schrödinger evolution at 4, 16 and 256
+coefficients: the wall time spent evaluating the Hamiltonian's coefficients
+over one evolution, and the CoefficientFn calls, per grid step.
 
 With --baseline the same measurements run in fresh interpreters, alternating
 between this checkout's src/ and a `git archive` of REV, for ROUNDS rounds;
 the JSON then holds a "parent" column (REV) and a "change" column (this
-checkout), each with every round and the medians. The two driver layers
-instead run both trees in one interpreter, alternating run by run, which
-keeps this machine's drift in speed out of their comparison. Without
+checkout), each with every round and the medians. The driver and
+coefficient layers instead run both trees in one interpreter, alternating
+run by run, which keeps this machine's drift in speed out of their comparison. Without
 --baseline the JSON holds the one column measured in this interpreter.
 """
 
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -89,13 +94,21 @@ def bench_products(kernel, backend: str, repeats: int) -> dict:
     return out
 
 
-def _one_row(rhs, y0):
-    """The driver's RHS as f(t, y) on one state.
+def _one_row(rhs, y0, coeffs=None, grid=None):
+    """The driver's RHS as f(t, y) on one state, on `grid`.
 
-    The lock-step driver passes rhs(ts, Y) over rows, one time per row;
-    the driver before it passed rhs(t, y) on one state.
+    The driver with coefficient tables passes rhs(c, Y) over rows, with the
+    rows c of `coeffs` at the stage times; here they are tabulated once for
+    every stage time of `grid`, before any timing, and looked up per stage.
+    The lock-step driver before it passed rhs(ts, Y), one time per row; the
+    driver before that passed rhs(t, y) on one state.
     """
     y0 = np.asarray(y0, dtype=np.complex128)
+    if coeffs is not None:
+        t, t_next = grid[:-1], grid[1:]
+        stages = np.concatenate((t, t + 0.5 * (t_next - t), t_next))
+        rows = dict(zip(stages.tolist(), coeffs(stages)))
+        return lambda t, y: rhs(rows[t][None], y[None])[0]
     try:
         out = rhs(np.array([0.0]), y0[None])
     except (IndexError, TypeError, ValueError):
@@ -118,17 +131,23 @@ def _rk4_run(f, y0, grid: np.ndarray) -> np.ndarray:
     return y
 
 
-def _step_cases(package: str) -> dict:
-    """Per evolution and size: `package`'s _integrate, the grid, the RHS,
-    y0 and arguments that the evolution passes to _integrate, and the RHS
-    on one state."""
+def _evolutions(package: str) -> dict:
+    """Per evolution and size, a call that runs it on `package` over the
+    step layers' grid: the fermion Schrödinger evolution and the Grassmann
+    law at 4, 16 and 256 coefficients, and the boson Schrödinger evolution
+    on 64 levels."""
     dynamics = importlib.import_module(f"{package}.dynamics")
     coeffs = importlib.import_module(f"{package}.coeffs")
     fermion = importlib.import_module(f"{package}.fermion")
     grassmann = importlib.import_module(f"{package}.grassmann")
-    integrate = dynamics._integrate
+    boson = importlib.import_module(f"{package}.boson")
     cfg = dynamics.IntegrationConfig(*STEP_GRID)
-    cases = {}
+    forcing = coeffs.complex_pair(coeffs.cos_fn(0.3, 1.0), coeffs.sin_fn(-0.3, 1.0))
+    boson_spec = dynamics.HamiltonianSpec(
+        "boson", coeffs.const_fn(1.0) + coeffs.sin_fn(0.5, 1.0), forcing,
+        coeffs.const_fn(0.2))
+    out = {"boson_schrodinger_l64": lambda: dynamics.evolve_schrodinger_boson(
+        boson_spec, boson.make_coherent_boson(0.5, 64), cfg)}
     for n_pairs in STEP_PAIRS:
         gens = grassmann.GeneratorSet.from_pairs(
             ("eta",) + tuple(f"zeta{k}" for k in range(1, n_pairs)))
@@ -139,27 +158,42 @@ def _step_cases(package: str) -> dict:
         zeta = gens.zero()
         for k in range(1, n_pairs):
             zeta = zeta + gens.gen(f"zeta{k}")
-        evolutions = {
-            "fermion_schrodinger": lambda: dynamics.evolve_schrodinger_fermion(
-                spec, fermion.make_coherent(zeta), cfg),
-            "grassmann_law": lambda: dynamics.evolve_grassmann_classical(
-                spec, zeta, cfg),
-        }
-        for name, evolve in evolutions.items():
-            captured = []
+        out[f"fermion_schrodinger_c{gens.dim}"] = (
+            lambda spec=spec, zeta=zeta: dynamics.evolve_schrodinger_fermion(
+                spec, fermion.make_coherent(zeta), cfg))
+        out[f"grassmann_law_c{gens.dim}"] = (
+            lambda spec=spec, zeta=zeta: dynamics.evolve_grassmann_classical(
+                spec, zeta, cfg))
+    return out
 
-            def capture(rhs, y0, *args, **kw):
-                captured.append((rhs, y0, args, kw))
-                return integrate(rhs, y0, *args, **kw)
 
-            dynamics._integrate = capture
-            try:
-                evolve()
-            finally:
-                dynamics._integrate = integrate
-            rhs, y0, args, kw = captured[0]
-            cases[f"{name}_c{gens.dim}"] = (integrate, cfg, rhs, _one_row(rhs, y0),
-                                            y0, args, kw)
+def _step_cases(package: str) -> dict:
+    """Per fermion-sector evolution and size: `package`'s _integrate, the
+    grid, the RHS, the arguments that the evolution passes to _integrate
+    after the RHS, and the RHS on one state."""
+    dynamics = importlib.import_module(f"{package}.dynamics")
+    integrate = dynamics._integrate
+    tabled = "coeffs" in inspect.signature(integrate).parameters
+    cfg = dynamics.IntegrationConfig(*STEP_GRID)
+    cases = {}
+    for name, evolve in _evolutions(package).items():
+        if name.startswith("boson"):
+            continue
+        captured = []
+
+        def capture(rhs, *args, **kw):
+            captured.append((rhs, args, kw))
+            return integrate(rhs, *args, **kw)
+
+        dynamics._integrate = capture
+        try:
+            evolve()
+        finally:
+            dynamics._integrate = integrate
+        rhs, args, kw = captured[0]
+        y0 = args[1] if tabled else args[0]
+        one = _one_row(rhs, y0, args[0], cfg.times()) if tabled else _one_row(rhs, y0)
+        cases[name] = (integrate, cfg, rhs, one, y0, args, kw)
     return cases
 
 
@@ -192,7 +226,7 @@ def bench_steps(packages: dict) -> dict:
                 _rk4_run(one, y0, cfg.times())
                 step_us[col][case].append((time.process_time() - t0) / n_steps * 1e6)
                 t0 = time.process_time()
-                integrate(counted, y0, *args, **kw)
+                integrate(counted, *args, **kw)
                 gated_us[col][case].append((time.process_time() - t0) / n_steps * 1e6)
                 calls[col][case] = count[0] / n_steps
     return {
@@ -209,14 +243,119 @@ def bench_steps(packages: dict) -> dict:
     }
 
 
-def _steps_side_by_side(parent_pkg: Path, change_pkg: Path, tmp: Path) -> dict:
-    """bench_steps on two cohstab trees, imported under distinct names."""
+def _timed_coefficients(dynamics, coeffs, spent: list, calls: list):
+    """Patch one tree so that its coefficient evaluation adds its wall time
+    to spent[0] and its CoefficientFn calls to calls[0]; returns the undo.
+
+    A tree with `_coeff_table` evaluates the coefficients there, once per
+    chunk of grid steps; a tree before it evaluates them in the per-time
+    getters that `_memo` and `_coeff_columns` hand the RHS. Only the
+    outermost of nested timed calls counts. The clock is perf_counter: the
+    getters are called a dozen times per grid step, too often for a CPU
+    clock's system call.
+    """
+    depth = [0]
+
+    def timed(fn):
+        def run(*args, **kw):
+            depth[0] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    spent[0] += time.perf_counter() - t0
+        return run
+
+    fn_call = coeffs.CoefficientFn.__call__
+
+    def counted_call(self, t):
+        calls[0] += 1
+        return fn_call(self, t)
+
+    def timed_chunks(fn):
+        def run(*args, **kw):
+            chunks = fn(*args, **kw)
+            while True:
+                t0 = time.perf_counter()
+                chunk = next(chunks, None)
+                spent[0] += time.perf_counter() - t0
+                if chunk is None:
+                    return
+                yield chunk
+        return run
+
+    saved = {name: getattr(dynamics, name)
+             for name in ("_coeff_tables", "_coeff_table", "_memo", "_coeff_columns")
+             if hasattr(dynamics, name)}
+    if "_coeff_tables" in saved:
+        dynamics._coeff_tables = timed_chunks(saved["_coeff_tables"])
+    elif "_coeff_table" in saved:
+        dynamics._coeff_table = timed(saved["_coeff_table"])
+    else:
+        for name, make in saved.items():
+            setattr(dynamics, name, lambda *a, make=make: timed(make(*a)))
+    coeffs.CoefficientFn.__call__ = counted_call
+
+    def undo():
+        coeffs.CoefficientFn.__call__ = fn_call
+        for name, fn in saved.items():
+            setattr(dynamics, name, fn)
+
+    return undo
+
+
+def bench_coefficients(packages: dict) -> dict:
+    """Coefficient evaluation per grid step, for the boson and fermion
+    Schrödinger evolutions.
+
+    `packages` maps a column name to an importable cohstab package; the
+    columns alternate run by run in this interpreter. Each run is one whole
+    evolution on the step layers' grid; reported are the median over
+    STEP_RUNS runs of the microseconds spent evaluating coefficients per
+    grid step (see _timed_coefficients) and the CoefficientFn calls per
+    grid step.
+    """
+    runs = {col: {name: evolve for name, evolve in _evolutions(pkg).items()
+                  if "schrodinger" in name}
+            for col, pkg in packages.items()}
+    us = {col: {name: [] for name in runs[col]} for col in runs}
+    calls = {col: {} for col in runs}
+    n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
+    for run in range(STEP_RUNS):
+        order = list(runs) if run % 2 == 0 else list(runs)[::-1]
+        for name in next(iter(runs.values())):
+            for col in order:
+                pkg = packages[col]
+                spent, count = [0.0], [0]
+                undo = _timed_coefficients(importlib.import_module(f"{pkg}.dynamics"),
+                                           importlib.import_module(f"{pkg}.coeffs"),
+                                           spent, count)
+                try:
+                    runs[col][name]()
+                finally:
+                    undo()
+                us[col][name].append(spent[0] / n_steps * 1e6)
+                calls[col][name] = count[0] / n_steps
+    return {
+        col: {name: {"coeff_us_per_step": statistics.median(us[col][name]),
+                     "coeff_fn_calls_per_step": calls[col][name]}
+              for name in runs[col]}
+        for col in runs
+    }
+
+
+def _steps_side_by_side(parent_pkg: Path, change_pkg: Path, tmp: Path):
+    """bench_steps and bench_coefficients on two cohstab trees, imported
+    under distinct names."""
     pkgs = tmp / "pkgs"
     for name, src in (("cohstab_parent", parent_pkg), ("cohstab_change", change_pkg)):
         shutil.copytree(src, pkgs / name, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(pkgs))
+    packages = {"parent": "cohstab_parent", "change": "cohstab_change"}
     try:
-        return bench_steps({"parent": "cohstab_parent", "change": "cohstab_change"})
+        return bench_steps(packages), bench_coefficients(packages)
     finally:
         sys.path.remove(str(pkgs))
 
@@ -319,8 +458,9 @@ def compare(rev: str, repeats: int) -> dict:
         for _ in range(ROUNDS):
             columns["parent"].append(_worker(Path(tmp) / "parent" / "src", repeats))
             columns["change"].append(_worker(ROOT / "src", repeats))
-        steps = _steps_side_by_side(Path(tmp) / "parent" / "src" / "cohstab",
-                                    ROOT / "src" / "cohstab", Path(tmp))
+        steps, coefficients = _steps_side_by_side(
+            Path(tmp) / "parent" / "src" / "cohstab", ROOT / "src" / "cohstab",
+            Path(tmp))
     head = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--", "src"))
     sources = {
@@ -329,7 +469,8 @@ def compare(rev: str, repeats: int) -> dict:
     }
     return {
         name: {"source": sources[name], "backend": runs[0]["default_backend"],
-               "steps": steps[name], "median": _medians(runs), "rounds": runs}
+               "steps": steps[name], "coefficients": coefficients[name],
+               "median": _medians(runs), "rounds": runs}
         for name, runs in columns.items()
     }
 
@@ -345,6 +486,10 @@ def _print_column(name: str, data: dict) -> None:
         print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
               f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
               f"{row['self_check_step_us']:9.1f} us ({row['self_check_step_rhs_calls']:g})")
+    for case, row in data["coefficients"].items():
+        print(f"  {case:<26} coefficient evaluation per grid step "
+              f"{row['coeff_us_per_step']:9.1f} us "
+              f"({row['coeff_fn_calls_per_step']:g} CoefficientFn calls)")
     print(f"  grassmann evolution, t=1: {data['evolution_s']:.2f} s")
     for scen, res in data.get("scenarios", {}).items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
@@ -376,12 +521,15 @@ def main() -> None:
                           {"default_backend": column["backend"],
                            "us_per_product": column["median"]["us_per_product"],
                            "steps": column["steps"],
+                           "coefficients": column["coefficients"],
                            "evolution_s": column["median"]["evolution_s"]})
             print(f"  shipped scenarios: {column['median']['scenario_run_s']}")
     else:
         result = measure(args.repeats)
         if args.json != "-":
             result["steps"] = bench_steps({"this checkout": "cohstab"})["this checkout"]
+            result["coefficients"] = bench_coefficients(
+                {"this checkout": "cohstab"})["this checkout"]
             _print_column("this checkout", result)
             result = {**meta, **result}
     if args.json == "-":

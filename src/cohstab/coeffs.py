@@ -21,7 +21,9 @@ class ConstTerm:
     value: complex
 
     def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float), dtype=complex) \
+        # np.full copies the value's bits; value * ones would turn a -0.0
+        # part into +0.0 and differ from the scalar branch
+        return np.full(np.shape(t), self.value, dtype=complex) \
             if np.ndim(t) else self.value
 
     def derivative(self):

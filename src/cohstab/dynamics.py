@@ -3,8 +3,11 @@
 Every evolution goes through one fixed-step classical RK4 driver on a
 uniform grid, with a mandatory dt vs dt/2 endpoint comparison (StepTooLarge
 on disagreement or NaN). The driver advances the dt run and the dt/2 run in
-lock step, so every right-hand side takes a batch of rows, one time per
-row: rhs(ts, Y) with Y of shape (R,) + the state's shape.
+lock step, so every right-hand side takes a batch of rows: rhs(c, Y) with Y
+of shape (R,) + the state's shape and c the coefficient rows of their stage
+times. Each evolution hands the driver one vectorised coefficient function;
+the driver tabulates it once per chunk of grid steps on the distinct stage
+times, bit-identical to evaluating it at each time alone.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -164,8 +167,7 @@ class HamiltonianSpec:
 def hamiltonian_operator(spec: HamiltonianSpec, t: float,
                          gens: GeneratorSet) -> FermionOperator:
     """Build the family's fermion-sector operator at one time."""
-    source = _spec_coeff_source(spec, gens)
-    ci, cm, cp, cn = source(t)
+    ci, cm, cp, cn = _spec_coeff_table(spec, gens)(np.array([t], dtype=float))[0]
     return FermionOperator(
         gens,
         Multivector(gens, ci),
@@ -175,35 +177,27 @@ def hamiltonian_operator(spec: HamiltonianSpec, t: float,
     )
 
 
-def _spec_coeff_source(spec: HamiltonianSpec, gens: GeneratorSet):
-    """t -> (4, dim) coefficients over the slots (I, b, b†, b†b)."""
-    dim = gens.dim
-    if spec.kind == "fermion":
-        def build(t):
-            c = np.zeros((4, dim), dtype=np.complex128)
-            f = complex(spec.forcing(t))
-            c[0, 0] = spec.scalar(t)
-            c[1, 0] = np.conj(f)
-            c[2, 0] = f
-            c[3, 0] = spec.omega(t)
-            return c
-
-        return build
-    if spec.kind == "grassmann":
+def _spec_coeff_table(spec: HamiltonianSpec, gens: GeneratorSet):
+    """ts -> (len(ts), 4, dim) coefficients over the slots (I, b, b†, b†b)."""
+    if spec.kind not in ("fermion", "grassmann"):
+        raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
+    grassmann = spec.kind == "grassmann"
+    plus = minus = 0
+    if grassmann:
+        # eta on b†, -conj(eta) on b, over the eta generator and its conjugate
         idx = gens.index(spec.eta_generator)
-        bit, bit_star = 1 << idx, 1 << (idx ^ 1)
+        plus, minus = 1 << idx, 1 << (idx ^ 1)
 
-        def build(t):
-            c = np.zeros((4, dim), dtype=np.complex128)
-            h = complex(spec.forcing(t))
-            c[0, 0] = spec.scalar(t)
-            c[2, bit] = h
-            c[1, bit_star] = -np.conj(h)
-            c[3, 0] = spec.omega(t)
-            return c
+    def table(ts):
+        c = np.zeros((len(ts), 4, gens.dim), dtype=np.complex128)
+        f = np.asarray(spec.forcing(ts), dtype=np.complex128)
+        c[:, 0, 0] = spec.scalar(ts)
+        c[:, 1, minus] = -np.conj(f) if grassmann else np.conj(f)
+        c[:, 2, plus] = f
+        c[:, 3, 0] = spec.omega(ts)
+        return c
 
-        return build
-    raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
+    return table
 
 
 # -- invariants and auxiliary systems ----------------------------------------
@@ -334,9 +328,25 @@ class Trajectory:
 # -- RK4 driver ----------------------------------------------------------------
 
 
-def _integrate(rhs, y0, config: IntegrationConfig, label: str,
+#: Byte budget of one chunk's coefficient table: the driver tabulates the
+#: coefficients of as many grid steps at a time as fit in it (at least one).
+TABLE_BYTES = 256 * 1024
+
+#: Grid steps whose stage times the driver works out and tells apart at a
+#: time, which bounds that work's memory on long grids.
+LATTICE_STEPS = 512
+
+
+def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
                record=None, on_step=None) -> np.ndarray:
     """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
+
+    `coeffs(ts)` evaluates the evolution's coefficients at a 1-D array of
+    times, one row per time; `rhs(c, Y)` takes a batch of states Y of shape
+    (R,) + the state's shape and the coefficient rows c of their stage
+    times. The driver tabulates `coeffs` once per chunk of grid steps, on
+    the chunk's distinct stage times (see _coeff_tables), and hands each
+    stage its rows, so no RHS looks anything up by time.
 
     Returns the states at the grid indices `record` (every grid point by
     default) along a new leading axis. `on_step(t, y)` sees every grid
@@ -366,12 +376,14 @@ def _integrate(rhs, y0, config: IntegrationConfig, label: str,
     y = np.array(y0, dtype=np.complex128)
     pair = np.stack((y, y))  # rows: the dt run, the dt/2 run
     observe(0, pair[0])
-    for i in range(times.size - 1):
-        pair = _rk4_step(rhs, np.array((times[i], fine[2 * i])),
-                         np.array((times[i + 1], fine[2 * i + 1])), pair)
-        pair[1:] = _rk4_step(rhs, fine[2 * i + 1:2 * i + 2],
-                             fine[2 * i + 2:2 * i + 3], pair[1:])
-        observe(i + 1, pair[0])
+    i = 0
+    for table, dts in _coeff_tables(coeffs, times, fine):
+        for c, dt in zip(table, dts):  # columns as _stage_times orders them
+            pair = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
+            pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
+            i += 1
+            observe(i, pair[0])
+        del table, c  # frees this chunk's table before the next is built
 
     diff = float(np.max(np.abs(pair[1] - pair[0])))
     if not diff <= STEP_TOL:
@@ -381,48 +393,74 @@ def _integrate(rhs, y0, config: IntegrationConfig, label: str,
     return records
 
 
-def _rk4_step(rhs, t, t_next, y):
-    """One classical RK4 step of each row of y, from t[r] to t_next[r]."""
-    dt = t_next - t
-    mid = t + 0.5 * dt
+def _stage_times(times: np.ndarray, fine: np.ndarray):
+    """Stage times and steps of the lock-step grid steps over `times`.
+
+    `fine` is the dt/2 grid over the same span. Returns the (K, 8) stage
+    times: t, mid and next of the paired stages (dt run, first dt/2
+    substep), then mid and next of the second dt/2 substep, whose t is
+    column 5; and the (K, 3) steps of the dt run and the two substeps. Each
+    midpoint is t + 0.5 * (t_next - t), as a sequential RK4 step computes
+    it, so every entry is bitwise the time that step would see.
+    """
+    t, t_next = times[:-1], times[1:]
+    h0, h1, h2 = fine[:-2:2], fine[1:-1:2], fine[2::2]
+    dts = np.stack((t_next - t, h1 - h0, h2 - h1), axis=1)
+    lattice = np.stack((t, h0, t + 0.5 * dts[:, 0], h0 + 0.5 * dts[:, 1],
+                        t_next, h1, h1 + 0.5 * dts[:, 2], h2), axis=1)
+    return lattice, dts
+
+
+def _coeff_tables(coeffs, times: np.ndarray, fine: np.ndarray):
+    """Yield the coefficient rows of every stage of the grid steps over
+    `times`, chunk by chunk, each as (table, dts): a (K, 8) + row shape
+    table in the column order of _stage_times, and the chunk's steps.
+
+    The stage times of up to LATTICE_STEPS grid steps at a time are told
+    apart by their bits; `coeffs` is then evaluated once per chunk, on the
+    chunk's distinct times, and one gather lays its rows out. The first
+    chunk is one step; its rows size the rest to fit TABLE_BYTES.
+    """
+    chunk = 1
+    for a in range(0, times.size - 1, LATTICE_STEPS):
+        b = min(a + LATTICE_STEPS, times.size - 1)
+        lattice, dts = _stage_times(times[a:b + 1], fine[2 * a:2 * b + 1])
+        bits, where = np.unique(lattice.reshape(-1).view(np.uint64),
+                                return_inverse=True)
+        distinct, where = bits.view(np.float64), where.reshape(lattice.shape)
+        i = 0
+        while i < b - a:
+            w = where[i:i + chunk]
+            lo = w.min()
+            values = np.asarray(coeffs(distinct[lo:w.max() + 1]),
+                                dtype=np.complex128)
+            table = values[w - lo]
+            del values  # while the driver steps, only the table is held
+            yield table, dts[i:i + chunk]
+            i += len(table)
+            chunk = max(1, TABLE_BYTES * len(table) // table.nbytes)
+            del table  # freed before the next chunk's rows are evaluated
+
+
+def _rk4_step(rhs, c, c_mid, c_next, dt, y):
+    """One classical RK4 step of each row of y by dt[r], with coefficient
+    rows c, c_mid and c_next at the step's start, midpoint and end."""
     dt = dt.reshape((-1,) + (1,) * (y.ndim - 1))
-    k1 = rhs(t, y)
-    k2 = rhs(mid, y + (0.5 * dt) * k1)
-    k3 = rhs(mid, y + (0.5 * dt) * k2)
-    k4 = rhs(t_next, y + dt * k3)
+    k1 = rhs(c, y)
+    k2 = rhs(c_mid, y + (0.5 * dt) * k1)
+    k3 = rhs(c_mid, y + (0.5 * dt) * k2)
+    k4 = rhs(c_next, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _memo(fn):
-    """fn at a scalar time, remembered for the four times evaluated last.
+def _tabulate(*fns):
+    """ts -> (len(ts), len(fns), 1): every function at every time, as one
+    complex column each that broadcasts over a row of amplitudes."""
+    def table(ts):
+        return np.stack([np.asarray(fn(ts), dtype=np.complex128)
+                         for fn in fns], axis=1)[:, :, None]
 
-    A lock-step grid step evaluates fn at up to six new times, the
-    midpoints and ends of the dt step and of both dt/2 substeps. The next
-    step starts at the dt step's end and the second substep's end, which
-    are among the last four.
-    """
-    cache = {}
-
-    def get(t):
-        value = cache.get(t)
-        if value is None:
-            value = cache[t] = fn(t)
-            if len(cache) > 4:
-                del cache[next(iter(cache))]
-        return value
-
-    return get
-
-
-def _coeff_columns(*fns):
-    """ts -> one complex (R, 1) column per function, each evaluated at the
-    scalar time of every row (through _memo)."""
-    at = _memo(lambda t: np.array([fn(t) for fn in fns], dtype=np.complex128))
-
-    def columns(ts):
-        return np.array([at(t) for t in ts]).T[:, :, None]
-
-    return columns
+    return table
 
 
 # -- classical boson sector ---------------------------------------------------
@@ -436,14 +474,13 @@ def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
     times = config.times()
     spec.validate_real_coefficients(times)
 
-    coeffs = _coeff_columns(spec.omega, spec.forcing)
-
-    def rhs(ts, y):
-        w, f = coeffs(ts)
+    def rhs(c, y):
+        w, f = c.swapaxes(0, 1)
         return -1j * (w * y + f)
 
     y0 = np.array([z0], dtype=np.complex128)
-    series = _integrate(rhs, y0, config, "classical boson")[:, 0]
+    series = _integrate(rhs, _tabulate(spec.omega, spec.forcing), y0, config,
+                        "classical boson")[:, 0]
 
     dt = times[1] - times[0]
     phase = cumulative_simpson(np.real(spec.omega(times)), dt)
@@ -476,10 +513,8 @@ def evolve_nu_system(spec: HamiltonianSpec,
     times = config.times()
     spec.validate_real_coefficients(times)
 
-    coeffs = _coeff_columns(spec.omega, spec.forcing)
-
-    def rhs(ts, y):
-        w, f = coeffs(ts)
+    def rhs(c, y):
+        w, f = c.swapaxes(0, 1)
         nm, npl, n3 = np.split(y, 3, axis=1)
         return np.concatenate(
             (
@@ -491,14 +526,18 @@ def evolve_nu_system(spec: HamiltonianSpec,
         )
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    return FermionInvariantPath(times, _integrate(rhs, y0, config, "nu system"))
+    coeffs = _tabulate(spec.omega, spec.forcing)
+    return FermionInvariantPath(times,
+                                _integrate(rhs, coeffs, y0, config, "nu system"))
 
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
 
 
 def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
-    """Normalize a HamiltonianSpec or operator builder into an array source."""
+    """Normalize a HamiltonianSpec or operator builder into a coefficient
+    table ts -> (len(ts), 4, dim), as _spec_coeff_table gives; a builder is
+    called, and checked, once per time."""
     if isinstance(h, HamiltonianSpec):
         if h.kind not in ("fermion", "grassmann"):
             raise ValidationError("fermion-sector evolution needs a fermion or "
@@ -506,7 +545,7 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
         if h.gens is not None and h.gens != gens:
             raise MismatchedGenerators("spec and state generator sets differ")
         h.validate_real_coefficients(times)
-        return _spec_coeff_source(h, gens), h.kind
+        return _spec_coeff_table(h, gens), h.kind
     if callable(h):
         def build(t):
             op = h(t)
@@ -514,9 +553,12 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
                 raise MismatchedGenerators("operator builder uses a foreign set")
             if not op.is_selfadjoint(HERMITIAN_TOL):
                 raise NotHermitian(f"H(t) is not self-adjoint at t={t:.6g}")
-            return np.stack([c.coeffs for c in op.coefficients()])
+            return [c.coeffs for c in op.coefficients()]
 
-        return build, "fermion"
+        def table(ts):
+            return np.array([build(t) for t in ts], dtype=np.complex128)
+
+        return table, "fermion"
     raise ValidationError("h must be a HamiltonianSpec or a callable t -> operator")
 
 
@@ -527,20 +569,16 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     n_gen = gens.n_generators
     dim = gens.dim
     times = config.times()
-    build, kind = _fermion_coeff_source(h, gens, times)
-    # the five products ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0) of one
-    # stage, where the grade involution gi flips the odd part of an
-    # amplitude passing b or b†
-    source = _memo(lambda t: build(t)[[0, 0, 1, 3, 2]])
+    table, kind = _fermion_coeff_source(h, gens, times)
     gsigns = kernel.grade_signs(n_gen)
 
-    def rhs(ts, y):
+    def rhs(c, y):
         right = np.empty((len(y), 5, dim), dtype=np.complex128)
         right[:, :2] = y
         right[:, 3] = y[:, 1]
         # gi on rows 2 and 4 only: a product by 1 can flip a -0.0
         np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
-        left = np.concatenate([source(t) for t in ts])
+        left = c.reshape(-1, dim)
         prod = kernel.multiply(left, right.reshape(left.shape), n_gen)
         prod = prod.reshape(right.shape)
         out = prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ci*p1 + cn*p1
@@ -550,7 +588,13 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
 
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
-    records = _integrate(rhs, y0, config, "fermion Schrödinger", rec_idx)
+    def coeffs(ts):
+        # the left operands of the five products ci*p0, ci*p1, cm*gi(p1),
+        # cn*p1, cp*gi(p0) of one stage, where the grade involution gi flips
+        # the odd part of an amplitude passing b or b†
+        return table(ts)[:, [0, 0, 1, 3, 2]]
+
+    records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
 
     states: list[FermionState] = []
     eigenvalues: list = []
@@ -609,10 +653,8 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     nlev = np.arange(s0.amps.size)
     sq = np.sqrt(np.arange(1, s0.amps.size))
 
-    coeffs = _coeff_columns(spec.omega, spec.forcing, spec.scalar)
-
-    def rhs(ts, y):
-        w, f, g = coeffs(ts)
+    def rhs(c, y):
+        w, f, g = c.swapaxes(0, 1)
         up = np.zeros_like(y)
         up[:, 1:] = sq * y[:, :-1]
         down = np.zeros_like(y)
@@ -632,7 +674,8 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
             )
 
     rec_idx = config.record_indices()
-    records = _integrate(rhs, s0.amps, config, "boson Schrödinger", rec_idx,
+    coeffs = _tabulate(spec.omega, spec.forcing, spec.scalar)
+    records = _integrate(rhs, coeffs, s0.amps, config, "boson Schrödinger", rec_idx,
                          on_step=tail_guard)
 
     norm0 = s0.norm_sq()
@@ -700,24 +743,24 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
             )
         bit = 1 << idx
 
-        def drive(t):
-            arr = np.zeros((3, dim), dtype=np.complex128)
-            arr[0, bit] = spec.forcing(t)
-            arr[1, 0] = spec.scalar(t)
-            arr[2] = spec.omega(t)
+        def coeffs(ts):
+            arr = np.zeros((len(ts), 3, dim), dtype=np.complex128)
+            arr[:, 0, bit] = spec.forcing(ts)
+            arr[:, 1, 0] = spec.scalar(ts)
+            arr[:, 2] = spec.omega(ts)[:, None]
             return arr
     else:
         omega_fn, eta_fn, delta_fn = spec
 
-        def drive(t):
-            return np.stack((_as_coeff_array(eta_fn(t), gens),
-                             _as_coeff_array(delta_fn(t), gens),
-                             np.full(dim, omega_fn(t), dtype=np.complex128)))
+        def coeffs(ts):
+            return np.array([(_as_coeff_array(eta_fn(t), gens),
+                              _as_coeff_array(delta_fn(t), gens),
+                              np.full(dim, omega_fn(t), dtype=np.complex128))
+                             for t in ts])
 
-    drive = _memo(drive)  # rows eta(t), delta(t) and omega(t) in every slot
-
-    def rhs(ts, y):
-        eta, delta, omega = np.array([drive(t) for t in ts]).transpose(1, 0, 2)
+    # coefficient rows: eta(t), delta(t) and omega(t) in every slot
+    def rhs(c, y):
+        eta, delta, omega = c.swapaxes(0, 1)
         pair = y.copy()
         pair[:, 1] = eta
         # zeta* eta and eta* zeta of every row in one call
@@ -730,7 +773,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
         return out
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
-    series = _integrate(rhs, y0, config, "grassmann classical")
+    series = _integrate(rhs, coeffs, y0, config, "grassmann classical")
     return GrassmannPath(gens, times, series[:, 0], series[:, 1])
 
 
@@ -746,18 +789,16 @@ def evolve_operator_transport(h, op0: FermionOperator,
     """
     gens = op0.gens
     times = config.times()
-    build, _ = _fermion_coeff_source(h, gens, times)
-    source = _memo(build)
+    coeffs, _ = _fermion_coeff_source(h, gens, times)
     n_gen = gens.n_generators
 
-    def rhs(ts, y):
-        hc = np.stack([source(t) for t in ts])
+    def rhs(hc, y):
         xh = _compose_coeff_arrays(y, hc, n_gen)
         hx = _compose_coeff_arrays(hc, y, n_gen)
         return 1j * (xh - hx)
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
-    series = _integrate(rhs, y0, config, "operator transport")
+    series = _integrate(rhs, coeffs, y0, config, "operator transport")
     return [FermionOperator(gens, *(Multivector(gens, row) for row in y))
             for y in series]
 

@@ -87,10 +87,8 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
 
 def conjugate(x: np.ndarray, n_gen: int) -> np.ndarray:
     """Antilinear conjugation of a dense coefficient array, row-wise on a batch."""
-    perm, sign = tables.conj_table(n_gen)
-    out = np.zeros_like(x)
-    out[..., perm] = sign * np.conj(x)
-    return out
+    inv, sign = tables.conj_gather(n_gen)
+    return sign * np.conj(x.take(inv, axis=-1))
 
 
 def grade_signs(n_gen: int) -> np.ndarray:

@@ -72,6 +72,15 @@ def conj_table(n_gen: int):
 
 
 @lru_cache(maxsize=None)
+def conj_gather(n_gen: int):
+    """conj_table as a gather: (inv, sign[inv]) with inv = argsort(perm), so
+    conjugation is out[k] = sign[inv[k]] * conj(x[inv[k]])."""
+    perm, sign = conj_table(n_gen)
+    inv = np.argsort(perm)
+    return inv, sign[inv]
+
+
+@lru_cache(maxsize=None)
 def degrees(n_gen: int):
     """Monomial degree (popcount) per mask."""
     masks = np.arange(1 << n_gen)

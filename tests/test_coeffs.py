@@ -75,3 +75,21 @@ def test_max_helpers():
     t = np.linspace(0, 1, 5)
     assert abs(fn.max_imag_on(t) - 0.3) < 1e-15
     assert abs(fn.max_abs_on(t) - 0.3) < 1e-15
+
+
+@pytest.mark.parametrize("fn", [
+    const_fn(complex(0.3, -0.0)),                 # imaginary part -0.0
+    complex_pair(zero_fn(), const_fn(-0.3)),      # real part -0.0, as f_im = -0.3 alone
+    const_fn(complex(-0.0, -0.0)),
+    const_fn(-0.3) + const_fn(complex(0.3, -0.0)),
+], ids=["imag_minus_zero", "real_minus_zero", "both_minus_zero", "sum"])
+def test_array_evaluation_is_bit_exact_with_scalar(fn):
+    ts = np.array([0.0, 0.5, 2.0])
+    got = np.asarray(fn(ts), dtype=complex)
+    want = np.array([complex(fn(t)) for t in ts])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_f_im_alone_has_minus_zero_real_part():
+    (term,) = complex_pair(zero_fn(), const_fn(-0.3)).terms
+    assert np.signbit(term.value.real)

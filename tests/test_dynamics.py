@@ -1,6 +1,9 @@
 """Integrators, auxiliary systems, invariants, transport."""
 
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +48,7 @@ from cohstab.fermion import (
     make_coherent,
 )
 from cohstab.grassmann import GeneratorSet
+from cohstab.scenario import parse_scenario
 
 # expm oracle value for the forced nu system (omega'=1, f'=0.3, t=1);
 # computed with scipy.linalg.expm on the 3x3 generator, see oracle below
@@ -515,14 +519,16 @@ EVOLUTIONS = {
 EVOLUTION_IDS = [name.replace(" ", "_").replace("ö", "o") for name in EVOLUTIONS]
 
 
-def sequential_rk4(rhs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
+def sequential_rk4(rhs, coeffs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
     """Order reference: one run on its own, one RHS row per stage, with the
-    scalar time and step arithmetic of the driver before the lock step.
-    Each stage's (t, y) is appended to `stages` if given."""
+    scalar time and step arithmetic of the driver before the lock step and
+    the coefficients evaluated at each stage's time alone. Each stage's
+    (t, coefficient row, y) is appended to `stages` if given."""
     def one(t, y):
+        c = coeffs(np.array([t]))
         if stages is not None:
-            stages.append((t, y))
-        return rhs(np.array([t]), y[None])[0]
+            stages.append((t, c[0], y))
+        return rhs(c, y[None])[0]
 
     y = np.array(y0, dtype=np.complex128)
     states = [y]
@@ -545,22 +551,28 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def driver_runs(monkeypatch):
-    """Each _integrate call's arguments, its RHS calls by row count and its records."""
+    """Each _integrate call's arguments, its RHS calls by row count, the
+    times it evaluates the coefficients at, and its records."""
     runs = []
     integrate = dynamics._integrate
 
-    def spy(rhs, y0, config, label, record=None, on_step=None):
-        run = SimpleNamespace(rhs=rhs, y0=y0, config=config, label=label,
-                              record=record, calls=Counter(), stages=[],
-                              records=None)
+    def spy(rhs, coeffs, y0, config, label, record=None, on_step=None):
+        run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, config=config,
+                              label=label, record=record, calls=Counter(),
+                              stages=[], coeff_times=[], records=None)
         runs.append(run)
 
-        def counted(ts, y):
+        def counted(c, y):
             run.calls[len(y)] += 1
-            run.stages.append((np.array(ts), np.array(y)))
-            return rhs(ts, y)
+            run.stages.append((np.array(c), np.array(y)))
+            return rhs(c, y)
 
-        run.records = integrate(counted, y0, config, label, record, on_step)
+        def tabulated(ts):
+            run.coeff_times.append(np.array(ts))
+            return coeffs(ts)
+
+        run.records = integrate(counted, tabulated, y0, config, label, record,
+                                on_step)
         return run.records
 
     monkeypatch.setattr(dynamics, "_integrate", spy)
@@ -576,19 +588,25 @@ def test_lock_step_records_match_sequential_run(name, driver_runs):
     # 8 RHS calls per grid step: 4 paired stages, then 4 of the second dt/2 substep
     assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
     stages, half_stages = [], []
-    ref = sequential_rk4(run.rhs, run.y0, cfg.times(), stages)
-    sequential_rk4(run.rhs, run.y0, cfg.refined_times(), half_stages)
+    ref = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.times(), stages)
+    sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.refined_times(), half_stages)
     if run.record is not None:
         ref = ref[run.record]
     assert np.array_equal(bits(run.records), bits(ref))
+    # the driver tabulates the coefficients at the stage times of the two
+    # sequential runs, bit for bit, and at no other time
+    got_times = np.concatenate(run.coeff_times)
+    want_times = np.array([t for t, _, _ in stages + half_stages])
+    assert set(bits(got_times).tolist()) == set(bits(want_times).tolist())
     # row 0 of the paired calls is the dt run; the last row of every call
-    # is the dt/2 run: each sees the stage times and states of its own run
-    dt_rows = [(ts[0], y[0]) for ts, y in run.stages if len(ts) == 2]
-    half_rows = [(ts[-1], y[-1]) for ts, y in run.stages]
+    # is the dt/2 run: each sees the coefficients at the stage times and the
+    # states of its own run
+    dt_rows = [(c[0], y[0]) for c, y in run.stages if len(y) == 2]
+    half_rows = [(c[-1], y[-1]) for c, y in run.stages]
     for got, want in ((dt_rows, stages), (half_rows, half_stages)):
         assert len(got) == len(want)
-        for (t, y), (t_ref, y_ref) in zip(got, want):
-            assert bits(np.float64(t)) == bits(np.float64(t_ref))
+        for (c, y), (_, c_ref, y_ref) in zip(got, want):
+            assert np.array_equal(bits(c), bits(c_ref))
             assert np.array_equal(bits(y), bits(y_ref))
 
 
@@ -598,8 +616,8 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs):
     with pytest.raises(StepTooLarge) as caught:
         EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    end = sequential_rk4(run.rhs, run.y0, cfg.times())[-1]
-    half_end = sequential_rk4(run.rhs, run.y0, cfg.refined_times())[-1]
+    end = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.times())[-1]
+    half_end = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.refined_times())[-1]
     diff = float(np.max(np.abs(half_end - end)))
     assert str(caught.value) == \
         f"{name}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
@@ -609,14 +627,198 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs):
 def test_lock_step_gate_fails_closed_on_half_run_nan(name, monkeypatch):
     integrate = dynamics._integrate
 
-    def poisoned(rhs, y0, config, label, record=None, on_step=None):
-        def half_run_nan(ts, y):
-            k = rhs(ts, y)
+    def poisoned(rhs, coeffs, y0, config, label, record=None, on_step=None):
+        def half_run_nan(c, y):
+            k = rhs(c, y)
             k[-1] = np.nan  # the last row of every call is the dt/2 run's
             return k
 
-        return integrate(half_run_nan, y0, config, label, record, on_step)
+        return integrate(half_run_nan, coeffs, y0, config, label, record, on_step)
 
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="by nan"):
         EVOLUTIONS[name](IntegrationConfig(0.3, 1e-2, stride=3))
+
+
+# -- coefficient tables on the lock-step lattice --------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_workload_inputs():
+    """perfbench/inputs.py, which writes the benchmark's seeded scenarios."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _table_cases():
+    """(name, spec, config): the shipped scenarios, the benchmark's seeded
+    boson_forced and grassmann_wide at seeds 0-2, the LOCK_* specs, and a
+    forcing given by its imaginary part alone (a constant with real part
+    -0.0)."""
+    inputs = _load_workload_inputs()
+    cases = []
+    for name in ("free_fermion", "forced_fermion", "grassmann_forced"):
+        sc = parse_scenario(ROOT / "scenarios" / f"{name}.ini")
+        cases.append((name, sc.hamiltonian_spec(), sc.config))
+    for workload, text in (("boson_forced", inputs.boson_forced_text),
+                           ("grassmann_wide", inputs.grassmann_wide_text)):
+        for seed in range(3):
+            sc = parse_scenario(text(seed, inputs.T_END[workload]["full"]))
+            cases.append((f"{workload}_{seed}", sc.hamiltonian_spec(), sc.config))
+    lock = IntegrationConfig(0.3, 1e-2)
+    cases += [("lock_fermion", LOCK_FERMION, lock),
+              ("lock_grassmann", LOCK_GRASSMANN, lock),
+              ("lock_boson", LOCK_BOSON, lock)]
+    f_im = complex_pair(zero_fn(), const_fn(-0.3))
+    cases += [("f_im_fermion", HamiltonianSpec("fermion", const_fn(1.0), f_im), lock),
+              ("f_im_boson", HamiltonianSpec("boson", const_fn(1.0), f_im), lock)]
+    return cases
+
+
+TABLE_CASES = _table_cases()
+
+
+class _Captured(Exception):
+    pass
+
+
+def _evolutions_of(spec: HamiltonianSpec):
+    """label -> a call that starts that evolution of `spec`."""
+    if spec.kind == "boson":
+        return {
+            "classical boson": lambda cfg: evolve_classical_boson(spec, 0.5, cfg),
+            "boson Schrödinger": lambda cfg: evolve_schrodinger_boson(
+                spec, make_coherent_boson(0.5, 16), cfg),
+        }
+    gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
+    zeta = next(gens.gen(label) for label in gens.names[::2]
+                if label != spec.eta_generator)
+    out = {
+        "fermion Schrödinger": lambda cfg: evolve_schrodinger_fermion(
+            spec, make_coherent(zeta), cfg),
+        "operator transport": lambda cfg: evolve_operator_transport(
+            spec, FermionOperator.annihilator(gens), cfg),
+    }
+    if spec.kind == "fermion":
+        out["nu system"] = lambda cfg: evolve_nu_system(spec, cfg)
+    else:
+        out["grassmann classical"] = lambda cfg: evolve_grassmann_classical(
+            spec, zeta, cfg)
+    return out
+
+
+def _coeffs_of(start, cfg, monkeypatch):
+    """The coefficient function an evolution hands the driver (not run)."""
+    got = []
+
+    def capture(rhs, coeffs, *args, **kw):
+        got.append(coeffs)
+        raise _Captured
+
+    monkeypatch.setattr(dynamics, "_integrate", capture)
+    with pytest.raises(_Captured):
+        start(cfg)
+    monkeypatch.undo()
+    return got[0]
+
+
+def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarray:
+    """One evolution's coefficient rows at the scalar time t, every function
+    evaluated at t alone, in the layout of the driver's table."""
+    w, f, g = (complex(fn(t)) for fn in (spec.omega, spec.forcing, spec.scalar))
+    if label in ("classical boson", "nu system"):
+        return np.array([[w], [f]])
+    if label == "boson Schrödinger":
+        return np.array([[w], [f], [g]])
+    plus = minus = 0
+    if spec.kind == "grassmann":
+        idx = gens.index(spec.eta_generator)
+        plus, minus = 1 << idx, 1 << (idx ^ 1)
+    if label == "grassmann classical":
+        c = np.zeros((3, gens.dim), dtype=np.complex128)
+        c[0, plus], c[1, 0], c[2] = f, g, w
+        return c
+    c = np.zeros((4, gens.dim), dtype=np.complex128)
+    c[0, 0] = g
+    c[1, minus] = -np.conj(f) if spec.kind == "grassmann" else np.conj(f)
+    c[2, plus] = f
+    c[3, 0] = w
+    return c[[0, 0, 1, 3, 2]] if label == "fermion Schrödinger" else c
+
+
+@pytest.mark.parametrize("name, spec, cfg", TABLE_CASES,
+                         ids=[case[0] for case in TABLE_CASES])
+def test_coefficient_tables_match_per_time_evaluation(name, spec, cfg, monkeypatch):
+    times, fine = cfg.times(), cfg.refined_times()
+    lattice, _ = dynamics._stage_times(times, fine)
+    distinct, where = np.unique(bits(lattice).reshape(-1), return_inverse=True)
+    gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
+    for label, start in _evolutions_of(spec).items():
+        coeffs = _coeffs_of(start, cfg, monkeypatch)
+        table = np.concatenate(
+            [rows for rows, _ in dynamics._coeff_tables(coeffs, times, fine)])
+        ref = np.array([per_time_rows(label, spec, gens, t)
+                        for t in distinct.view(np.float64)])
+        want = ref[where.reshape(-1)].reshape(table.shape)
+        assert np.array_equal(bits(table), bits(want)), label
+    if spec.kind != "boson":
+        for t in distinct.view(np.float64)[:50]:
+            op = hamiltonian_operator(spec, t, gens)
+            got = np.stack([c.coeffs for c in op.coefficients()])
+            want = per_time_rows("operator transport", spec, gens, t)
+            assert np.array_equal(bits(got), bits(want))
+
+
+def _chunk_spy(monkeypatch, seen):
+    """Route the driver's tables through a spy that appends each chunk's
+    table to `seen`."""
+    coeff_tables = dynamics._coeff_tables
+
+    def spy(coeffs, times, fine):
+        for table, dts in coeff_tables(coeffs, times, fine):
+            seen.append(table)
+            yield table, dts
+
+    monkeypatch.setattr(dynamics, "_coeff_tables", spy)
+
+
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_chunked_tables_match_sequential_run(name, driver_runs, monkeypatch):
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    EVOLUTIONS[name](cfg)
+    row_bytes = driver_runs[0].coeffs(np.zeros(1)).nbytes
+    # 3 grid steps per chunk within lattice blocks of 7 steps: the 30 steps
+    # go as 1 (the sizing chunk) + 3 + 3, then 3 + 3 + 1 three times, then 2
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * row_bytes)
+    monkeypatch.setattr(dynamics, "LATTICE_STEPS", 7)
+    tables = []
+    _chunk_spy(monkeypatch, tables)
+    EVOLUTIONS[name](cfg)
+    run = driver_runs[1]
+    assert [len(table) for table in tables] == [1, 3, 3] + [3, 3, 1] * 3 + [2]
+    ref = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.times())
+    if run.record is not None:
+        ref = ref[run.record]
+    assert np.array_equal(bits(run.records), bits(ref))
+    assert np.array_equal(bits(run.records), bits(driver_runs[0].records))
+
+
+def test_chunk_table_within_budget_at_256_coefficients(monkeypatch):
+    gens = GeneratorSet.from_pairs(("zeta", "chi", "xi", "eta"))
+    spec = HamiltonianSpec("grassmann", const_fn(1.0) + sin_fn(0.5, 1.0),
+                           LOCK_FORCING, const_fn(0.2), gens=gens,
+                           eta_generator="eta")
+    assert gens.dim == 256
+    tables = []
+    _chunk_spy(monkeypatch, tables)
+    cfg = IntegrationConfig(0.003, 1e-3)
+    for start in _evolutions_of(spec).values():
+        tables.clear()
+        start(cfg)
+        assert sum(len(table) for table in tables) == cfg.n_steps
+        assert all(table.nbytes <= dynamics.TABLE_BYTES for table in tables)

@@ -447,3 +447,28 @@ def test_m_zero_algebra_is_plain_complex():
     y = g0.scalar(3 - 1j)
     assert (x * y).body == (2 + 1j) * (3 - 1j)
     assert conjugate(x).body == (2 - 1j)
+
+
+def _scatter_conjugate(x, n_gen):
+    """Conjugation as a scatter over conj_table, the form before the gather."""
+    perm, sign = kernel.tables.conj_table(n_gen)
+    out = np.zeros_like(x)
+    out[..., perm] = sign * np.conj(x)
+    return out
+
+
+@pytest.mark.parametrize("n_gen", (2, 4, 8))
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 2)],
+                         ids=["one", "row", "batch", "pairs"])
+def test_conjugate_gather_matches_scatter(n_gen, lead, rng):
+    shape = lead + (1 << n_gen,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[::3] = 0.0
+    flat[1::5] = complex(-0.0, 0.0)
+    flat[2::7] = complex(0.0, -0.0)
+    flat[3::11] = complex(-0.0, -0.0)
+    got = kernel.conjugate(x, n_gen)
+    want = _scatter_conjugate(x, n_gen)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
