@@ -4,9 +4,13 @@ Usage:
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N] [--json PATH]
     python benchmarks/bench_kernels.py --baseline REV --json PATH
 
-Measures, for each available kernel backend, microseconds per graded product
-at 2, 4 and 8 generators in batches of 1, 2 and 5 rows: one kernel.multiply
-call per batch, or one call per row for a kernel that takes no batch. Then
+Measures, on the numpy kernel, microseconds per graded product at 2, 4 and
+8 generators in batches of 1, 2 and 5 rows: one kernel.multiply call per
+batch, or one call per row for a kernel that takes no batch. Then the same
+for the five products of one fermion Schrödinger RHS stage of a grassmann
+spec (a 5-row batch whose left operands are zero off the forcing's
+monomials), through the full table and, on a kernel that takes a support,
+through the pairs that the support keeps. Then
 the wall time of a coherent-state evolution (the criterion-3 shape) and of
 each shipped scenario, run as `coherence run` runs it, with a byte check of
 its trajectory against tests/golden/. Then two layers of the RK4 driver,
@@ -56,6 +60,7 @@ ROUNDS = 5
 STEP_PAIRS = (1, 2, 4)  # generator pairs: 4, 16 and 256 coefficients
 STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
 STEP_RUNS = 10
+BACKEND = "numpy (cohstab/kernel/pyref.py)"
 
 
 def _batched_call(kernel, x, y, n_gen):
@@ -71,10 +76,29 @@ def _batched_call(kernel, x, y, n_gen):
     return lambda: [kernel.multiply(a, b, n_gen) for a, b in zip(x, y)]
 
 
-def bench_products(kernel, backend: str, repeats: int) -> dict:
-    """Median over 5 blocks of microseconds per product, per n_gen and batch."""
-    kernel.set_backend(backend)
+#: Left-operand masks of the five products of a fermion Schrödinger RHS
+#: stage (ci, ci, cm, cn, cp) for a grassmann spec forced along generator 0.
+FERMION_RHS_MASKS = (0, 0, 2, 0, 1)
+
+
+def _us_per_product(fn, calls: int, batch: int) -> float:
+    """Median over 5 blocks of `calls` calls of fn, per product."""
+    fn()  # warm the tables
+    blocks = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        blocks.append((time.perf_counter() - t0) / (calls * batch) * 1e6)
+    return statistics.median(blocks)
+
+
+def bench_products(kernel, repeats: int) -> dict:
+    """Microseconds per product, per n_gen and batch; then per product of a
+    fermion RHS stage's 5-row batch, full ("fermion_rhs_full_n*") and, if
+    the kernel takes a support, restricted ("fermion_rhs_restricted_n*")."""
     rng = np.random.default_rng(7)
+    restricted = "support" in inspect.signature(kernel.multiply).parameters
     out = {}
     for n_gen in N_GENS:
         dim = 1 << n_gen
@@ -82,15 +106,17 @@ def bench_products(kernel, backend: str, repeats: int) -> dict:
         for batch in BATCHES:
             x = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
             y = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
-            fn = _batched_call(kernel, x, y, n_gen)
-            fn()  # warm the tables
-            blocks = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    fn()
-                blocks.append((time.perf_counter() - t0) / (calls * batch) * 1e6)
-            out[f"n{n_gen}_b{batch}"] = statistics.median(blocks)
+            out[f"n{n_gen}_b{batch}"] = _us_per_product(
+                _batched_call(kernel, x, y, n_gen), calls, batch)
+        x = np.zeros((5, dim), dtype=np.complex128)
+        x[range(5), FERMION_RHS_MASKS] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        y = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        out[f"fermion_rhs_full_n{n_gen}"] = _us_per_product(
+            lambda: kernel.multiply(x, y, n_gen), calls, 5)
+        if restricted:
+            support = tuple(((m,), None) for m in FERMION_RHS_MASKS)
+            out[f"fermion_rhs_restricted_n{n_gen}"] = _us_per_product(
+                lambda: kernel.multiply(x, y, n_gen, support), calls, 5)
     return out
 
 
@@ -400,14 +426,7 @@ def bench_scenarios() -> dict:
 def measure(repeats: int) -> dict:
     from cohstab import kernel
 
-    backends = kernel.available_backends()
-    previous = kernel.get_backend()
-    result = {
-        "backends": list(backends),
-        "default_backend": previous,
-        "us_per_product": {b: bench_products(kernel, b, repeats) for b in backends},
-    }
-    kernel.set_backend(previous)
+    result = {"backend": BACKEND, "us_per_product": bench_products(kernel, repeats)}
     result["evolution_s"] = bench_evolution()
     result["scenarios"] = bench_scenarios()
     return result
@@ -431,11 +450,8 @@ def _git(*args) -> str:
 def _medians(rounds: list[dict]) -> dict:
     first = rounds[0]
     med = {
-        "us_per_product": {
-            b: {k: statistics.median(r["us_per_product"][b][k] for r in rounds)
-                for k in first["us_per_product"][b]}
-            for b in first["us_per_product"]
-        },
+        "us_per_product": {k: statistics.median(r["us_per_product"][k] for r in rounds)
+                           for k in first["us_per_product"]},
         "evolution_s": statistics.median(r["evolution_s"] for r in rounds),
         "scenario_run_s": {
             name: statistics.median(r["scenarios"][name]["run_s"] for r in rounds)
@@ -468,7 +484,7 @@ def compare(rev: str, repeats: int) -> dict:
         "change": f"{head} with uncommitted src/ changes" if dirty else head,
     }
     return {
-        name: {"source": sources[name], "backend": runs[0]["default_backend"],
+        name: {"source": sources[name], "backend": runs[0]["backend"],
                "steps": steps[name], "coefficients": coefficients[name],
                "median": _medians(runs), "rounds": runs}
         for name, runs in columns.items()
@@ -476,12 +492,16 @@ def compare(rev: str, repeats: int) -> dict:
 
 
 def _print_column(name: str, data: dict) -> None:
-    print(f"[{name}] default backend: {data['default_backend']}")
-    for backend, table in data["us_per_product"].items():
-        for n_gen in N_GENS:
-            row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
-            print(f"  {backend:<9} {1 << n_gen:>3} coefficients, us/product at batch "
-                  f"{'/'.join(map(str, BATCHES))}:{row}")
+    print(f"[{name}] backend: {data['backend']}")
+    table = data["us_per_product"]
+    for n_gen in N_GENS:
+        row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
+        rhs = "".join(f"{table[f'fermion_rhs_{plan}_n{n_gen}']:>10.2f}"
+                      for plan in ("full", "restricted")
+                      if f"fermion_rhs_{plan}_n{n_gen}" in table)
+        print(f"  {1 << n_gen:>3} coefficients, us/product at batch "
+              f"{'/'.join(map(str, BATCHES))}:{row}; fermion RHS batch "
+              f"full/restricted:{rhs}")
     for case, row in data["steps"].items():
         print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
               f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
@@ -518,7 +538,7 @@ def main() -> None:
                   "columns": compare(args.baseline, args.repeats)}
         for name, column in result["columns"].items():
             _print_column(f"{name} {column['source']} (median of {ROUNDS})",
-                          {"default_backend": column["backend"],
+                          {"backend": column["backend"],
                            "us_per_product": column["median"]["us_per_product"],
                            "steps": column["steps"],
                            "coefficients": column["coefficients"],

@@ -182,11 +182,7 @@ def _spec_coeff_table(spec: HamiltonianSpec, gens: GeneratorSet):
     if spec.kind not in ("fermion", "grassmann"):
         raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
     grassmann = spec.kind == "grassmann"
-    plus = minus = 0
-    if grassmann:
-        # eta on b†, -conj(eta) on b, over the eta generator and its conjugate
-        idx = gens.index(spec.eta_generator)
-        plus, minus = 1 << idx, 1 << (idx ^ 1)
+    plus, minus = _forcing_masks(spec, gens)
 
     def table(ts):
         c = np.zeros((len(ts), 4, gens.dim), dtype=np.complex128)
@@ -198,6 +194,16 @@ def _spec_coeff_table(spec: HamiltonianSpec, gens: GeneratorSet):
         return c
 
     return table
+
+
+def _forcing_masks(spec: HamiltonianSpec, gens: GeneratorSet):
+    """(plus, minus): the monomials of the b† and b coefficients, which are
+    eta and -conj(eta) over the eta generator and its conjugate for kind
+    "grassmann" and the body otherwise."""
+    if spec.kind != "grassmann":
+        return 0, 0
+    idx = gens.index(spec.eta_generator)
+    return 1 << idx, 1 << (idx ^ 1)
 
 
 # -- invariants and auxiliary systems ----------------------------------------
@@ -571,6 +577,16 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     times = config.times()
     table, kind = _fermion_coeff_source(h, gens, times)
     gsigns = kernel.grade_signs(n_gen)
+    # the left operands of the five products ci*p0, ci*p1, cm*gi(p1),
+    # cn*p1, cp*gi(p0) of one stage, where the grade involution gi flips
+    # the odd part of an amplitude passing b or b†
+    slots = [0, 0, 1, 3, 2]
+    support = None
+    if isinstance(h, HamiltonianSpec):
+        # a spec's operands are zero off one monomial each: the products
+        # skip the pairs that multiply those zeros
+        plus, minus = _forcing_masks(h, gens)
+        support = tuple(((m,), None) for m in (0, 0, minus, 0, plus))
 
     def rhs(c, y):
         right = np.empty((len(y), 5, dim), dtype=np.complex128)
@@ -579,7 +595,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         # gi on rows 2 and 4 only: a product by 1 can flip a -0.0
         np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
         left = c.reshape(-1, dim)
-        prod = kernel.multiply(left, right.reshape(left.shape), n_gen)
+        prod = kernel.multiply(left, right.reshape(left.shape), n_gen, support)
         prod = prod.reshape(right.shape)
         out = prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ci*p1 + cn*p1
         out[:, 1] += prod[:, 4]
@@ -589,10 +605,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
     def coeffs(ts):
-        # the left operands of the five products ci*p0, ci*p1, cm*gi(p1),
-        # cn*p1, cp*gi(p0) of one stage, where the grade involution gi flips
-        # the odd part of an amplitude passing b or b†
-        return table(ts)[:, [0, 0, 1, 3, 2]]
+        return table(ts)[:, slots]
 
     records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
 
@@ -742,6 +755,9 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
             )
         bit = 1 << idx
+        # eta is zero off its generator and eta* off its conjugate, so the
+        # products zeta* eta and eta* zeta skip the pairs that miss them
+        support = ((None, (bit,)), ((1 << (idx ^ 1),), None))
 
         def coeffs(ts):
             arr = np.zeros((len(ts), 3, dim), dtype=np.complex128)
@@ -751,6 +767,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
             return arr
     else:
         omega_fn, eta_fn, delta_fn = spec
+        support = None
 
         def coeffs(ts):
             return np.array([(_as_coeff_array(eta_fn(t), gens),
@@ -765,7 +782,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
         pair[:, 1] = eta
         # zeta* eta and eta* zeta of every row in one call
         prod = kernel.multiply(kernel.conjugate(pair, n_gen).reshape(-1, dim),
-                               pair[:, ::-1].reshape(-1, dim), n_gen)
+                               pair[:, ::-1].reshape(-1, dim), n_gen, support)
         prod = prod.reshape(pair.shape)
         out = np.empty_like(y)
         out[:, 0] = -1j * (omega * y[:, 0] - eta)

@@ -1,78 +1,33 @@
-"""Graded-product kernel with backend selection.
+"""Graded-product kernel: one batched numpy implementation (see pyref).
 
-The batched numpy kernel is the default. The compiled Cython extension,
-when built, can be selected instead; it loops over the rows of a batch and
-is slower end to end than the batched numpy kernel. Both run the same
-table-driven scatter-add in the same order, so results are bit-identical,
-whatever the batch size. The COHERENCE_KERNEL environment variable
-("compiled" | "python") pins the initial choice; set_backend switches at
-runtime (used by the benchmark and the equivalence tests).
+Products run the table-driven scatter-add of tables.mul_table in table
+order, so results are bit-identical whatever the batch size. A caller that
+knows which monomials of an operand are structural zeros can pass a
+support, and the products skip the table pairs that would multiply them;
+for finite operands that leaves every result bit unchanged.
 """
-
-import os
 
 import numpy as np
 
 from . import pyref, tables
 
-try:
-    from . import _graded
-except ImportError:
-    _graded = None
 
-
-def _compiled_multiply(x, y, n_gen):
-    left, right, target, sign = tables.mul_table(n_gen)
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for xr, yr, row in zip(x, y, out):
-        _graded.graded_multiply(
-            xr.view(np.float64), yr.view(np.float64),
-            left, right, target, sign,
-            row.view(np.float64),
-        )
-    return out
-
-
-_BACKENDS = {"python": pyref.graded_multiply}
-if _graded is not None:
-    _BACKENDS["compiled"] = _compiled_multiply
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def _initial_backend():
-    env = os.environ.get("COHERENCE_KERNEL", "auto").lower()
-    if env in _BACKENDS:
-        return env
-    if env not in ("", "auto"):
-        raise ValueError(
-            f"COHERENCE_KERNEL={env!r}; expected one of {available_backends()} or 'auto'"
-        )
-    return "python"
-
-
-_active = _initial_backend()
-
-
-def get_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; have {available_backends()}")
-    _active = name
-
-
-def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
+def multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
     """Graded product of dense coefficient arrays over n_gen generators.
 
     x and y are one array of shape (dim,) or a batch of shape (B, dim),
     dim = 2**n_gen; the result has their shape, and row b of a batch is the
     product of row b of x and row b of y, bit-identical to a single call.
+
+    `support`, if given, is a tuple of S entries (left, right), one per row
+    of each block of S rows: row b takes entry b % S, and B must be a
+    multiple of S. `left` and `right` are tuples of the masks at which that
+    row's x and y may be non-zero, or None for any mask. Table pairs with an
+    operand outside its support are skipped. Their products are +-0.0 when
+    the other operand is finite, and adding +-0.0 to a sum that starts at
+    +0.0 changes no bit, so the result equals the full product's bit for
+    bit; a skipped pair that would multiply 0 by inf or NaN is the one case
+    where it does not (the full product has NaN there).
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     y = np.ascontiguousarray(y, dtype=np.complex128)
@@ -80,9 +35,13 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
     if x.shape != y.shape or x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"operands of shape {x.shape} and {y.shape} are not "
                          f"(dim,) or (B, dim) with dim = {dim}")
+    rows = len(x) if x.ndim == 2 else 1
+    if support is not None and (not support or rows % len(support)):
+        raise ValueError(f"{rows} rows are not a whole number of blocks of "
+                         f"the support's {len(support)} rows")
     if x.ndim == 1:
-        return _BACKENDS[_active](x[None], y[None], n_gen)[0]
-    return _BACKENDS[_active](x, y, n_gen)
+        return pyref.graded_multiply(x[None], y[None], n_gen, support)[0]
+    return pyref.graded_multiply(x, y, n_gen, support)
 
 
 def conjugate(x: np.ndarray, n_gen: int) -> np.ndarray:

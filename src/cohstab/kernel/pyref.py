@@ -4,13 +4,16 @@ Works on the real/imaginary components explicitly so every operation is a
 single IEEE rounding (numpy's vectorized complex multiply may contract to
 FMA on some CPUs). The accumulation is np.bincount with weights: one
 sequential pass `out[idx[k]] += w[k]` from zero, over row-major (row, pair)
-indices, so each target sums its pairs in table order as the compiled loop
-does, and both backends and every batch size give bit-identical rows.
+indices, so each target sums its pairs in table order and every batch size
+gives bit-identical rows.
 
 Gathers go through precomputed intp indices into the flat float64 views,
 and the products land in reusable work buffers: one plan per generator
-count, grown to the largest batch seen, smaller batches using its leading
-rows. Plans are per thread, so concurrent evolutions share no buffers.
+count and support, grown to the largest batch seen, smaller batches using
+its leading rows. A support (see kernel.multiply) keeps only the table
+pairs whose operands may be non-zero, still in table order; without one a
+plan keeps every pair. Plans are per thread, so concurrent evolutions share
+no buffers.
 """
 
 import threading
@@ -21,20 +24,45 @@ from . import tables
 
 _local = threading.local()
 
+_FULL = ((None, None),)
+
+
+def _block_pairs(n_gen: int, support):
+    """(left, right, target, sign) of the pairs kept in one block of
+    len(support) rows, row by row, each row's in table order; the indices
+    are complex slots of a (len(support), dim) block."""
+    left, right, target, sign = tables.mul_table(n_gen)
+    dim = 1 << n_gen
+    rows = []
+    for r, (lsup, rsup) in enumerate(support):
+        keep = np.ones(sign.size, dtype=bool)
+        for index, masks in ((left, lsup), (right, rsup)):
+            if masks is not None:
+                masks = np.asarray(masks, dtype=np.intp)
+                if masks.ndim != 1 or np.any((masks < 0) | (masks >= dim)):
+                    raise ValueError(f"support masks {masks} are not masks "
+                                     f"over {n_gen} generators")
+                keep &= np.isin(index, masks)
+        at = r * dim
+        rows.append((left[keep] + at, right[keep] + at, target[keep] + at, sign[keep]))
+    return tuple(np.concatenate(part) for part in zip(*rows))
+
 
 class _Plan:
-    """Gather/scatter indices and five work buffers for up to `rows` rows."""
+    """Gather/scatter indices and five work buffers for up to `rows` rows,
+    a whole number of blocks of the support's rows."""
 
-    __slots__ = ("rows", "left", "right", "target", "sign", "work", "views")
+    __slots__ = ("rows", "block", "left", "right", "target", "sign", "work", "views")
 
-    def __init__(self, n_gen: int, rows: int):
-        left, right, target, sign = tables.mul_table(n_gen)
+    def __init__(self, n_gen: int, support, rows: int):
+        left, right, target, sign = _block_pairs(n_gen, support)
         self.rows = rows
-        row = np.arange(rows, dtype=np.intp)[:, None] << n_gen
+        self.block = len(support)
+        start = np.arange(rows // self.block, dtype=np.intp)[:, None] * (self.block << n_gen)
         # float offset of a coefficient's real part in a (rows, dim) complex array
-        self.left = (2 * (left + row)).ravel()
-        self.right = (2 * (right + row)).ravel()
-        self.target = (target + row).ravel()  # complex slot of the product
+        self.left = (2 * (left + start)).ravel()
+        self.right = (2 * (right + start)).ravel()
+        self.target = (target + start).ravel()  # complex slot of the product
         self.sign = sign
         self.work = np.empty(5 * self.left.size)
         self.views = {}
@@ -43,30 +71,34 @@ class _Plan:
         """Index and buffer views over the first `rows` rows (cached)."""
         views = self.views.get(rows)
         if views is None:
-            n = rows * self.sign.size
+            blocks = rows // self.block
+            n = blocks * self.sign.size
             work = self.work[:5 * n]
             views = self.views[rows] = (
                 self.left[:n], self.right[:n], self.target[:n],
-                work[:2 * n].reshape(2 * rows, -1),  # p and q of every row, for the sign
+                # p and q of every block, for the sign
+                work[:2 * n].reshape(2 * blocks, self.sign.size),
                 *work.reshape(5, n),
             )
         return views
 
 
-def _plan(n_gen: int, rows: int) -> _Plan:
+def _plan(n_gen: int, support, rows: int) -> _Plan:
     plans = getattr(_local, "plans", None)
     if plans is None:
         plans = _local.plans = {}
-    plan = plans.get(n_gen)
+    key = (n_gen, support)
+    plan = plans.get(key)
     if plan is None or plan.rows < rows:
-        plan = plans[n_gen] = _Plan(n_gen, rows)
+        plan = plans[key] = _Plan(n_gen, support or _FULL, rows)
     return plan
 
 
-def graded_multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
-    """Row-wise graded products of C-contiguous complex128 (B, dim) arrays."""
+def graded_multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
+    """Row-wise graded products of C-contiguous complex128 (B, dim) arrays;
+    B is a multiple of len(support) (see kernel.multiply)."""
     rows = x.shape[0]
-    plan = _plan(n_gen, rows)
+    plan = _plan(n_gen, support, rows)
     left, right, target, pq, p, q, c, d, re = plan.leading(rows)
     xf = x.ravel().view(np.float64)
     yf = y.ravel().view(np.float64)

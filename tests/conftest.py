@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cohstab import kernel
 from cohstab.grassmann import GeneratorSet
 
 
@@ -18,12 +17,3 @@ def gens2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
-
-
-@pytest.fixture(params=kernel.available_backends())
-def each_backend(request):
-    """Run the decorated test once per available kernel backend."""
-    previous = kernel.get_backend()
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(previous)

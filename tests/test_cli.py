@@ -1,7 +1,9 @@
 """CLI behaviour: golden CSVs, exit codes, determinism."""
 
 import dataclasses
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -25,6 +27,28 @@ def test_golden_csv_byte_exact(name, tmp_path):
     assert produced == golden
     verdict = (tmp_path / f"{name}.verdict.csv").read_bytes()
     assert verdict == (GOLDEN / f"{name}.verdict.csv").read_bytes()
+
+
+def _workload_inputs():
+    """perfbench/inputs.py, which writes the benchmark's seeded scenarios."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grassmann_wide_golden_byte_exact(tmp_path):
+    # 256 coefficients: the seed-0 scenario of the benchmark's grassmann_wide
+    inputs = _workload_inputs()
+    scenario = tmp_path / "grassmann_wide_s0.ini"
+    scenario.write_text(inputs.grassmann_wide_text(0, inputs.T_END["grassmann_wide"]["full"]))
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+    produced = (tmp_path / "grassmann_wide.csv").read_bytes()
+    assert produced == (GOLDEN / "grassmann_wide_s0.csv").read_bytes()
+    verdict = (tmp_path / "grassmann_wide.verdict.csv").read_bytes()
+    assert verdict == (GOLDEN / "grassmann_wide_s0.verdict.csv").read_bytes()
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -85,6 +109,22 @@ def test_nan_initial_value_exits_three(tmp_path):
     )
     assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "nan.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_grassmann_state_exits_three(tmp_path):
+    # 1e200*zeta makes the coherent state's zeta zeta* coefficient overflow
+    # to inf; the evolution fails the dt/2 gate closed, whatever the
+    # products that skip structural zeros make of it
+    scenario = tmp_path / "inf.ini"
+    scenario.write_text(
+        "[system]\nkind = grassmann\ngenerators = zeta, chi, xi, eta\n\n"
+        "[hamiltonian]\nomega = 1\neta_re = 0.3*cos(1*t)\neta_generator = eta\n\n"
+        "[initial]\nzeta0 = 1e200*zeta + 0.5*chi\n\n[integration]\nt_end = 0.01\n\n"
+        "[output]\npath = inf.csv\n"
+    )
+    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "inf.csv").exists()
 
 
 def test_infinite_t_end_is_validation_error(tmp_path):

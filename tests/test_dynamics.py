@@ -47,7 +47,7 @@ from cohstab.fermion import (
     inner_product,
     make_coherent,
 )
-from cohstab.grassmann import GeneratorSet
+from cohstab.grassmann import GeneratorSet, Multivector
 from cohstab.scenario import parse_scenario
 
 # expm oracle value for the forced nu system (omega'=1, f'=0.3, t=1);
@@ -638,6 +638,38 @@ def test_lock_step_gate_fails_closed_on_half_run_nan(name, monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="by nan"):
         EVOLUTIONS[name](IntegrationConfig(0.3, 1e-2, stride=3))
+
+
+# With inf in a state the full graded product makes NaN (0 * inf) where the
+# products that skip a spec's structural zeros may make inf; either way the
+# evolution must fail the dt/2 gate closed.
+WIDE_GENS = GeneratorSet.from_pairs(("zeta", "chi", "xi", "eta"))
+WIDE_GRASSMANN = HamiltonianSpec("grassmann", const_fn(1.0), LOCK_FORCING, const_fn(0.1),
+                                 gens=WIDE_GENS, eta_generator="eta")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+@pytest.mark.parametrize("spec", [LOCK_FERMION, WIDE_GRASSMANN], ids=["fermion", "grassmann"])
+@pytest.mark.parametrize("mask", [0, 3, 255])
+def test_non_finite_initial_amplitude_fails_closed(spec, mask, value):
+    s0 = make_coherent(WIDE_GENS.gen("zeta"))
+    psi1 = s0.psi1.coeffs.copy()
+    psi1[mask] = value
+    s0 = FermionState(WIDE_GENS, s0.psi0, Multivector(WIDE_GENS, psi1))
+    with pytest.raises(StepTooLarge):
+        evolve_schrodinger_fermion(spec, s0, IntegrationConfig(0.05, 1e-2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, complex(0.0, -np.inf), np.nan])
+@pytest.mark.parametrize("label", ["zeta", "zeta*", "xi"])
+def test_non_finite_law_eigenvalue_fails_closed(label, value):
+    zeta0 = WIDE_GENS.gen("chi").coeffs.copy()
+    zeta0[WIDE_GENS.gen(label).coeffs != 0] = value
+    with pytest.raises(StepTooLarge):
+        evolve_grassmann_classical(WIDE_GRASSMANN, Multivector(WIDE_GENS, zeta0),
+                                   IntegrationConfig(0.05, 1e-2))
 
 
 # -- coefficient tables on the lock-step lattice --------------------------------

@@ -37,11 +37,11 @@ def zeta_star(gens1):
 # -- multiplication ----------------------------------------------------------
 
 
-def test_generator_squares_to_zero(zeta, each_backend):
+def test_generator_squares_to_zero(zeta):
     assert multiply(zeta, zeta).sup_norm() == 0.0
 
 
-def test_anticommutation_canonical_order(gens1, zeta, zeta_star, each_backend):
+def test_anticommutation_canonical_order(gens1, zeta, zeta_star):
     # zeta* zeta is stored as -zeta zeta*
     prod = multiply(zeta_star, zeta)
     want = Multivector.from_terms(gens1, {0b11: -1.0})
@@ -59,7 +59,7 @@ def test_mismatched_generators_rejected(gens1, gens2):
         multiply(gens1.gen(0), gens2.gen(0))
 
 
-def test_associativity_exhaustive_monomials(gens2, each_backend):
+def test_associativity_exhaustive_monomials(gens2):
     dim = gens2.dim
     monomials = [Multivector.from_terms(gens2, {m: 1.0}) for m in range(dim)]
     for a in monomials:
@@ -89,30 +89,6 @@ def test_graded_commutativity(gens2):
             assert ((a * b) - sign * (b * a)).sup_norm() == 0.0
 
 
-def test_backend_equivalence_exact(gens2, rng):
-    if len(kernel.available_backends()) < 2:
-        pytest.skip("compiled kernel not built")
-    for _ in range(50):
-        x = random_multivector(gens2, rng)
-        y = random_multivector(gens2, rng)
-        results = {}
-        for name in kernel.available_backends():
-            kernel.set_backend(name)
-            results[name] = (x * y).coeffs
-        kernel.set_backend("compiled")
-        a, b = results.values()
-        assert np.array_equal(a, b)
-    xs = np.stack([random_multivector(gens2, rng).coeffs for _ in range(5)])
-    ys = np.stack([random_multivector(gens2, rng).coeffs for _ in range(5)])
-    batched = {}
-    for name in kernel.available_backends():
-        kernel.set_backend(name)
-        batched[name] = kernel.multiply(xs, ys, gens2.n_generators)
-    kernel.set_backend("compiled")
-    a, b = batched.values()
-    assert np.array_equal(a.view(np.float64), b.view(np.float64))
-
-
 # -- batched kernel calls -------------------------------------------------------
 
 
@@ -136,15 +112,16 @@ def _scalar_oracle(x, y, n_gen):
         c, d = y[b].real, y[b].imag
         out[2 * t] += p * c - q * d
         out[2 * t + 1] += p * d + q * c
-    return np.asarray(out)
+    return np.asarray(out).view(np.uint64)
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(np.float64)
+    """The bits of each float, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("n_gen", [2, 4, 8])
-def test_batched_multiply_bit_identical_to_rows(n_gen, each_backend):
+def test_batched_multiply_bit_identical_to_rows(n_gen):
     rng = np.random.default_rng(n_gen)
     dim = 1 << n_gen
     for rows in (1, 2, 5):
@@ -221,6 +198,98 @@ def test_plan_growth_keeps_results(order):
     for rows, got in zip(order, _in_fresh_thread(sequence)):
         for b in range(rows):
             assert np.array_equal(_bits(got[b]), want[b])
+
+
+# -- support-restricted plans ----------------------------------------------------
+
+
+def _support(rng, n_gen):
+    """Four rows: left-restricted, right-restricted, both, and unrestricted."""
+    dim = 1 << n_gen
+
+    def masks():
+        return tuple(int(m) for m in np.sort(rng.choice(dim, rng.integers(1, 4), replace=False)))
+
+    return ((masks(), None), (None, masks()), (masks(), masks()), (None, None))
+
+
+def _zero_off(rng, rows, support, side):
+    """rows with +-0.0 at every mask that `support` rules out on `side`
+    (0: left, 1: right); row b takes entry b % len(support)."""
+    out = rows.copy()
+    parts = out.view(np.float64).reshape(len(rows), -1, 2)
+    for b in range(len(rows)):
+        masks = support[b % len(support)][side]
+        if masks is not None:
+            off = np.ones(rows.shape[1], dtype=bool)
+            off[list(masks)] = False
+            parts[b, off] = np.where(rng.random((off.sum(), 2)) < 0.5, 0.0, -0.0)
+    return out
+
+
+@pytest.mark.parametrize("n_gen", [2, 4, 8])
+def test_restricted_plan_bit_identical_to_full(n_gen):
+    rng = np.random.default_rng(100 + n_gen)
+    support = _support(rng, n_gen)
+    for blocks in (1, 2, 5):
+        rows = blocks * len(support)
+        x = _zero_off(rng, _signed_zero_rows(rng, rows, 1 << n_gen), support, 0)
+        y = _zero_off(rng, _signed_zero_rows(rng, rows, 1 << n_gen), support, 1)
+        got = kernel.multiply(x, y, n_gen, support)
+        assert np.array_equal(_bits(got), _bits(kernel.multiply(x, y, n_gen)))
+        assert np.array_equal(_bits(got[2]), _scalar_oracle(x[2], y[2], n_gen))
+
+
+def test_restricted_plan_on_one_array():
+    rng = np.random.default_rng(5)
+    support = (((0, 3), None),)
+    x = _zero_off(rng, _signed_zero_rows(rng, 1, 16), support, 0)[0]
+    y = _signed_zero_rows(rng, 1, 16)[0]
+    got = kernel.multiply(x, y, 4, support)
+    assert got.shape == (16,)
+    assert np.array_equal(_bits(got), _scalar_oracle(x, y, 4))
+
+
+def test_restricted_and_full_plans_never_share_a_slot():
+    rng = np.random.default_rng(6)
+    n_gen = 4
+    support = _support(rng, n_gen)
+    s = len(support)
+    # data that is non-zero off the support, so the two plans disagree
+    x = _signed_zero_rows(rng, 5 * s, 1 << n_gen)
+    y = _signed_zero_rows(rng, 5 * s, 1 << n_gen)
+    full = [_scalar_oracle(a, b, n_gen) for a, b in zip(x, y)]
+    restricted = kernel.multiply(x, y, n_gen, support)
+    assert not np.array_equal(_bits(restricted), np.stack(full))
+
+    def sequence():
+        # grow and shrink both plans, interleaved, on one generator count
+        out = []
+        for blocks in (2, 5, 1, 2, 5):
+            rows = blocks * s
+            out.append((rows, kernel.multiply(x[:rows], y[:rows], n_gen, support),
+                        kernel.multiply(x[:rows], y[:rows], n_gen)))
+        from cohstab.kernel import pyref
+        return out, {key: plan.rows for key, plan in pyref._local.plans.items()}
+
+    out, plans = _in_fresh_thread(sequence)
+    for rows, got_restricted, got_full in out:
+        assert np.array_equal(_bits(got_restricted), _bits(restricted[:rows]))
+        assert np.array_equal(_bits(got_full), np.stack(full[:rows]))
+    assert plans == {(n_gen, support): 5 * s, (n_gen, None): 5 * s}
+
+
+def test_restricted_plan_rejects_partial_blocks():
+    x = np.ones((5, 4), dtype=np.complex128)
+    support = (((0,), None), (None, (1, 2)))
+    with pytest.raises(ValueError):
+        kernel.multiply(x, x, 2, support)
+    with pytest.raises(ValueError):
+        kernel.multiply(x[0], x[0], 2, support)
+    with pytest.raises(ValueError):
+        kernel.multiply(x, x, 2, ())
+    with pytest.raises(ValueError):
+        kernel.multiply(x[:2], x[:2], 2, (((4,), None), (None, None)))
 
 
 def test_concurrent_evolutions_match_serial_runs():
