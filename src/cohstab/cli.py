@@ -96,7 +96,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
         if scenario.kind == "boson":
             s0 = make_coherent_boson(scenario.z0, DEFAULT_NMAX)
             traj = evolve_schrodinger_boson(spec, s0, config)
-            classification = classify_hamiltonian(spec, config, dynamic=False)
+            classification = classify_hamiltonian(spec, config)
             verification = verify_trajectory(traj, "boson")
         elif scenario.kind == "fermion":
             s0 = make_coherent(scenario.initial_zeta())
@@ -110,7 +110,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
         else:
             s0 = make_coherent(scenario.initial_zeta())
             traj = evolve_schrodinger_fermion(spec, s0, config)
-            classification = classify_hamiltonian(spec, config, dynamic=False)
+            classification = classify_hamiltonian(spec, config)
             verification = verify_trajectory(traj, "grassmann")
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Executable forms of the stability theorems.
 
 check_eigenstate certifies a single state; classify_hamiltonian gives the
-static preserving/non-preserving verdict together with a dynamic witness;
-reconstruct_forcing inverts a prescribed eigenvalue path into Hamiltonian
-parameters; verify_trajectory compares an evolved trajectory against the
-independently integrated classical law.
+static preserving/non-preserving verdict, with a dynamic witness trajectory
+for the fermion kind; reconstruct_forcing inverts a prescribed eigenvalue
+path into Hamiltonian parameters; verify_trajectory compares an evolved
+trajectory against the classical law: the closed form for the boson and
+free-fermion laws, an independent integration for the grassmann law.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .dynamics import (
     HamiltonianSpec,
     IntegrationConfig,
     Trajectory,
-    build_ladder_invariant,
-    cumulative_simpson,
-    evolve_classical_boson,
+    _boson_closed_form,
+    _simpson_phase,
     evolve_grassmann_classical,
     evolve_schrodinger_fermion,
 )
@@ -86,7 +86,6 @@ class Classification:
     witness_time: float | None = None
     dynamic_max_residual: float | None = None
     agrees: bool | None = None
-    law: object | None = None
 
 
 def _default_config() -> IntegrationConfig:
@@ -95,30 +94,21 @@ def _default_config() -> IntegrationConfig:
 
 def classify_hamiltonian(spec: HamiltonianSpec,
                          config: IntegrationConfig | None = None,
-                         trajectory: Trajectory | None = None,
-                         dynamic: bool = True) -> Classification:
-    """Preserving/non-preserving verdict with a dynamic cross-check.
+                         trajectory: Trajectory | None = None) -> Classification:
+    """Preserving/non-preserving verdict, with a dynamic cross-check for
+    the fermion kind.
 
-    Boson and grassmann kinds always preserve (their witness is the closed
-    classical law). A fermion kind preserves iff the linear forcing vanishes
-    on the grid; a non-preserving verdict is accompanied by an evolved
-    trajectory whose residual exceeds DYNAMIC_RESIDUAL_TOL somewhere.
-    With dynamic=False no witness is integrated for any kind: the law,
-    dynamic_max_residual and agrees stay None.
+    Boson and grassmann kinds always preserve; their verdict is static and
+    nothing is integrated. A fermion kind preserves iff the linear forcing
+    vanishes on the grid. Its witness is `trajectory`, or one evolved from
+    the coherent state of the first generator: dynamic_max_residual is its
+    worst residual, and agrees says whether that residual, against
+    DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
     config = config or _default_config()
     times = config.times()
-    if spec.kind == "boson":
-        law = build_ladder_invariant(spec, config) if dynamic else None
-        return Classification("preserving", "boson", spec.forcing.max_abs_on(times),
-                              law=law)
-    if spec.kind == "grassmann":
-        law = None
-        if dynamic:
-            zeta0 = _canonical_zeta(spec.gens, spec.eta_generator)
-            law = evolve_grassmann_classical(spec, zeta0, config)
-        return Classification("preserving", "grassmann",
-                              spec.forcing.max_abs_on(times), law=law)
+    if spec.kind in ("boson", "grassmann"):
+        return Classification("preserving", spec.kind, spec.forcing.max_abs_on(times))
 
     forcing = np.abs(np.asarray(spec.forcing(times), dtype=complex))
     max_forcing = float(np.max(forcing)) if forcing.size else 0.0
@@ -127,28 +117,16 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     if not static_preserving:
         witness_time = float(times[int(np.argmax(forcing > STATIC_ZERO_TOL))])
 
-    dynamic_max = None
-    agrees = None
-    if dynamic:
-        if trajectory is None:
-            gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
-            s0 = make_coherent(gens.gen(0))
-            trajectory = evolve_schrodinger_fermion(spec, s0, config)
-        dynamic_max = trajectory.max_residual
-        dynamic_preserving = dynamic_max <= DYNAMIC_RESIDUAL_TOL
-        agrees = dynamic_preserving == static_preserving
+    if trajectory is None:
+        gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
+        s0 = make_coherent(gens.gen(0))
+        trajectory = evolve_schrodinger_fermion(spec, s0, config)
+    dynamic_max = trajectory.max_residual
+    agrees = (dynamic_max <= DYNAMIC_RESIDUAL_TOL) == static_preserving
 
     verdict = "preserving" if static_preserving else "non_preserving"
     return Classification(verdict, "fermion", max_forcing, witness_time,
                           dynamic_max, agrees)
-
-
-def _canonical_zeta(gens: GeneratorSet, eta_generator: str) -> Multivector:
-    eta_idx = gens.index(eta_generator)
-    for i in range(0, gens.n_generators, 2):
-        if i != (eta_idx & ~1):
-            return gens.gen(i)
-    raise ValidationError("no generator pair left for the initial eigenvalue")
 
 
 # -- forcing reconstruction ------------------------------------------------------
@@ -244,8 +222,7 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
 
     if expected_law == "fermion_free":
         lam0 = traj.eigenvalues[0]
-        dt = traj.full_times[1] - traj.full_times[0]
-        phase = cumulative_simpson(np.real(traj.spec.omega(traj.full_times)), dt)
+        phase = _simpson_phase(traj.spec.omega, traj.full_times)
         devs = []
         for k, idx in enumerate(traj.record_indices):
             law_val = complex(np.exp(-1j * phase[int(idx)])) * lam0
@@ -264,10 +241,9 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         max_dev = float(np.max(devs))
         state_dev = float(np.max(sdevs))
     elif expected_law == "boson":
-        classical = evolve_classical_boson(
-            traj.spec, complex(traj.eigenvalues[0]), traj.config
-        )
-        law_vals = classical.z_closed[traj.record_indices]
+        z_closed = _boson_closed_form(traj.spec, complex(traj.eigenvalues[0]),
+                                      traj.full_times)
+        law_vals = z_closed[traj.record_indices]
         max_dev = float(np.max(np.abs(np.asarray(traj.eigenvalues) - law_vals)))
     else:
         raise ValidationError(f"unknown law {expected_law!r}")

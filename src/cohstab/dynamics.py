@@ -14,6 +14,7 @@ RK4 cross-validate at matching order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -306,7 +307,8 @@ class GrassmannPath:
 
 @dataclass
 class Trajectory:
-    """Stride-sampled records of one Schrödinger evolution."""
+    """Stride-sampled records of one Schrödinger evolution; phase_factors
+    is computed from them when first read, not by the evolution."""
 
     kind: str
     config: IntegrationConfig
@@ -317,7 +319,6 @@ class Trajectory:
     eigenvalues: list
     residuals: np.ndarray
     norm_dev: np.ndarray
-    phase_factors: list | None = None
     spec: HamiltonianSpec | None = None
     gens: GeneratorSet | None = None
     max_tail: float = 0.0
@@ -329,6 +330,16 @@ class Trajectory:
     @property
     def max_norm_dev(self) -> float:
         return float(np.max(self.norm_dev))
+
+    @functools.cached_property
+    def phase_factors(self) -> list | None:
+        """Per record, p with psi0 = p * the coherent state's psi0 at the
+        record's eigenvalue (None if it is not odd degree-one); boson: None."""
+        if self.kind == "boson":
+            return None
+        return [state.psi0 * invert(make_coherent(lam).psi0)
+                if lam is not None and lam.is_odd_degree_one() else None
+                for state, lam in zip(self.states, self.eigenvalues)]
 
 
 # -- RK4 driver ----------------------------------------------------------------
@@ -487,13 +498,28 @@ def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
     y0 = np.array([z0], dtype=np.complex128)
     series = _integrate(rhs, _tabulate(spec.omega, spec.forcing), y0, config,
                         "classical boson")[:, 0]
+    return ClassicalBosonPath(times, series, _boson_closed_form(spec, z0, times))
 
-    dt = times[1] - times[0]
-    phase = cumulative_simpson(np.real(spec.omega(times)), dt)
-    beta_tilde = np.exp(-1j * phase)
-    drive = cumulative_simpson(spec.forcing(times) * np.exp(1j * phase), dt)
-    z_closed = beta_tilde * (z0 - 1j * drive)
-    return ClassicalBosonPath(times, series, z_closed)
+
+def _simpson_phase(omega: CoefficientFn, times: np.ndarray) -> np.ndarray:
+    """The phase integral of omega from the start of a uniform grid."""
+    return cumulative_simpson(np.real(omega(times)), times[1] - times[0])
+
+
+def _boson_integrals(spec: HamiltonianSpec, times: np.ndarray):
+    """(phase, drive) on the grid: the integrals of omega and of
+    forcing * exp(i phase), from which the boson closed forms are built."""
+    phase = _simpson_phase(spec.omega, times)
+    drive = cumulative_simpson(spec.forcing(times) * np.exp(1j * phase),
+                               times[1] - times[0])
+    return phase, drive
+
+
+def _boson_closed_form(spec: HamiltonianSpec, z0: complex,
+                       times: np.ndarray) -> np.ndarray:
+    """Closed-form solution of i z' = omega z + f from z0 on the grid."""
+    phase, drive = _boson_integrals(spec, times)
+    return np.exp(-1j * phase) * (z0 - 1j * drive)
 
 
 def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
@@ -501,11 +527,8 @@ def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
     if spec.kind == "boson":
         times = config.times()
         spec.validate_real_coefficients(times)
-        dt = times[1] - times[0]
-        phase = cumulative_simpson(np.real(spec.omega(times)), dt)
-        beta = np.exp(1j * phase)
-        gamma = 1j * cumulative_simpson(spec.forcing(times) * np.exp(1j * phase), dt)
-        return BosonInvariantPath(times, beta, gamma)
+        phase, drive = _boson_integrals(spec, times)
+        return BosonInvariantPath(times, np.exp(1j * phase), 1j * drive)
     if spec.kind == "fermion":
         return evolve_nu_system(spec, config)
     raise ValidationError("ladder invariants exist for boson and fermion kinds")
@@ -611,7 +634,6 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
 
     states: list[FermionState] = []
     eigenvalues: list = []
-    phase_factors: list = []
     residuals: list[float] = []
     norm_dev: list[float] = []
     ip0 = inner_product(s0, s0)
@@ -626,15 +648,9 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         except VacuumAmplitudeZero:
             eigenvalues.append(None)
             residuals.append(np.inf)
-            phase_factors.append(None)
             continue
         eigenvalues.append(lam)
         residuals.append(res)
-        if lam.is_odd_degree_one():
-            ref = make_coherent(lam)
-            phase_factors.append(state.psi0 * invert(ref.psi0))
-        else:
-            phase_factors.append(None)
 
     spec = h if isinstance(h, HamiltonianSpec) else None
     return Trajectory(
@@ -647,7 +663,6 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         eigenvalues=eigenvalues,
         residuals=np.asarray(residuals),
         norm_dev=np.asarray(norm_dev),
-        phase_factors=phase_factors,
         spec=spec,
         gens=gens,
     )

@@ -106,7 +106,8 @@ class FermionOperator:
         return (self.c_i, self.c_minus, self.c_plus, self.c_n)
 
     def sup_norm(self) -> float:
-        return max(c.sup_norm() for c in self.coefficients())
+        # np.max, unlike max, propagates a NaN wherever it sits
+        return float(np.max([c.sup_norm() for c in self.coefficients()]))
 
     def _check_gens(self, other) -> None:
         if self.gens != other.gens:
@@ -218,7 +219,7 @@ class FermionState:
         return NotImplemented
 
     def sup_norm(self) -> float:
-        return max(self.psi0.sup_norm(), self.psi1.sup_norm())
+        return float(np.max([self.psi0.sup_norm(), self.psi1.sup_norm()]))
 
     def norm_body(self) -> float:
         return float(inner_product(self, self).body.real)
@@ -315,7 +316,7 @@ def exp_operator(o: FermionOperator, body_tol: float = 1e-13) -> FermionOperator
     rest = o - FermionOperator.scaled_identity(gens.scalar(scalar))
     scale = max(1.0, rest.sup_norm())
     for name, c in zip(("c_i", "c_minus", "c_plus", "c_n"), rest.coefficients()):
-        if abs(c.body) > body_tol * scale:
+        if not abs(c.body) <= body_tol * scale:
             raise NonTerminatingSeries(
                 f"{name} has nonzero body {c.body}; series would not terminate"
             )
@@ -353,9 +354,9 @@ def make_displacement(zeta: Multivector, ladder: FermionOperator,
     gens = ladder.gens
     ident = FermionOperator.identity(gens)
     lad_dag = ladder.adjoint()
-    if anticommutator(ladder, lad_dag).__sub__(ident).sup_norm() > ladder_tol:
+    if not (anticommutator(ladder, lad_dag) - ident).sup_norm() <= ladder_tol:
         raise NotALadder("anticommutator {L, L+} deviates from the identity")
-    if compose(ladder, ladder).sup_norm() > ladder_tol:
+    if not compose(ladder, ladder).sup_norm() <= ladder_tol:
         raise NotALadder("L^2 deviates from zero")
     zeta_op = FermionOperator.scaled_identity(zeta)
     zconj_op = FermionOperator.scaled_identity(zeta.conjugate())
@@ -371,7 +372,7 @@ def inner_product(s1: FermionState, s2: FermionState) -> Multivector:
 
 def extract_eigenvalue(s: FermionState) -> tuple[Multivector, float]:
     """Annihilation eigenvalue and relative residual of a candidate state."""
-    if abs(s.psi0.body) < 1e-150:
+    if not abs(s.psi0.body) >= 1e-150:
         raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
     g1 = s.psi1.grade_involution()
     lam = g1 * invert(s.psi0)

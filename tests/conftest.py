@@ -1,7 +1,12 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from cohstab.cli import main
 from cohstab.grassmann import GeneratorSet
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -17,3 +22,13 @@ def gens2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def scenario_runs(tmp_path_factory):
+    """`coherence run` of every file in scenarios/, once per session:
+    (exit code per scenario name, the directory holding their outputs)."""
+    out = tmp_path_factory.mktemp("scenario_runs")
+    codes = {path.stem: main(["run", str(path), "--out", str(out)])
+             for path in sorted(SCENARIOS.glob("*.ini"))}
+    return codes, out

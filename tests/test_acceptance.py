@@ -393,13 +393,12 @@ def test_criterion_09_numerics_hygiene(coherent_run, forced_runs, boson_runs,
            f"RK4 halving ratio {ratio:.2f}, worst norm drift {worst:.1e}")
 
 
-def test_criterion_10_cli_golden_files(tmp_path):
+def test_criterion_10_cli_golden_files(tmp_path, scenario_runs):
     golden_dir = ROOT / "tests" / "golden"
+    codes, out = scenario_runs
     for name in ("free_fermion", "forced_fermion", "grassmann_forced"):
-        code = cli_main(["run", str(ROOT / "scenarios" / f"{name}.ini"),
-                         "--out", str(tmp_path)])
-        assert code == 0, name
-        assert (tmp_path / f"{name}.csv").read_bytes() == \
+        assert codes[name] == 0, name
+        assert (out / f"{name}.csv").read_bytes() == \
             (golden_dir / f"{name}.csv").read_bytes(), name
 
     # documented exit codes: 1 parse error, 2 failed verification, 3 numeric

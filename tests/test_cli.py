@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cohstab import cli, coherence
+from cohstab import cli, coherence, dynamics
 from cohstab.cli import main
 from cohstab.scenario import parse_scenario
 
@@ -15,17 +15,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = ROOT / "tests" / "golden"
 
-BUNDLED = ("free_fermion", "forced_fermion", "grassmann_forced")
+BUNDLED = ("free_fermion", "forced_fermion", "grassmann_forced", "boson_forced")
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_golden_csv_byte_exact(name, tmp_path):
-    code = main(["run", str(SCENARIOS / f"{name}.ini"), "--out", str(tmp_path)])
-    assert code == 0
-    produced = (tmp_path / f"{name}.csv").read_bytes()
+def test_golden_csv_byte_exact(name, scenario_runs):
+    codes, out = scenario_runs
+    assert codes[name] == 0
+    produced = (out / f"{name}.csv").read_bytes()
     golden = (GOLDEN / f"{name}.csv").read_bytes()
     assert produced == golden
-    verdict = (tmp_path / f"{name}.verdict.csv").read_bytes()
+    verdict = (out / f"{name}.verdict.csv").read_bytes()
     assert verdict == (GOLDEN / f"{name}.verdict.csv").read_bytes()
 
 
@@ -144,21 +144,35 @@ def test_dt_above_t_end_is_validation_error(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_one_law_integration_per_run(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Count the calls of dynamics.<name>, wherever the package binds it."""
     calls = []
-    law = coherence.evolve_grassmann_classical
+    law = getattr(dynamics, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return law(*args, **kwargs)
 
-    monkeypatch.setattr(coherence, "evolve_grassmann_classical", counted)
-    scenario = parse_scenario(SCENARIOS / "grassmann_forced.ini")
-    scenario = dataclasses.replace(
-        scenario, config=dataclasses.replace(scenario.config, t_end=0.2)
-    )
-    assert cli.run_scenario(scenario, str(tmp_path)) == 0
-    assert len(calls) == 1
+    for module in (dynamics, coherence):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_law_integration_per_run(tmp_path, monkeypatch):
+    # the grassmann law is integrated once; the boson law is read from its
+    # closed form, so its integration never runs
+    for name, law_name, expected in (
+        ("grassmann_forced", "evolve_grassmann_classical", 1),
+        ("boson_forced", "evolve_classical_boson", 0),
+    ):
+        calls = _count_calls(monkeypatch, law_name)
+        scenario = parse_scenario(SCENARIOS / f"{name}.ini")
+        scenario = dataclasses.replace(
+            scenario, config=dataclasses.replace(scenario.config, t_end=0.2)
+        )
+        assert cli.run_scenario(scenario, str(tmp_path)) == 0, name
+        assert len(calls) == expected, name
 
 
 def test_overrides_change_grid(tmp_path):

@@ -307,6 +307,26 @@ def test_not_hermitian_builder_rejected(gens1):
                                    IntegrationConfig(0.1, 1e-2))
 
 
+def test_nan_builder_rejected(gens1):
+    # NaN on b†b, after three finite coefficients
+    z = gens1.zero()
+    nan_op = FermionOperator(gens1, z, z, z, gens1.scalar(complex(np.nan, 0.0)))
+    with pytest.raises(NotHermitian):
+        evolve_schrodinger_fermion(lambda t: nan_op, make_coherent(gens1.gen("zeta")),
+                                   IntegrationConfig(0.1, 1e-2))
+
+
+def test_phase_factors_computed_when_first_read(gens1):
+    spec = HamiltonianSpec("fermion", const_fn(1.0), zero_fn(), const_fn(0.2))
+    traj = evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
+                                      IntegrationConfig(0.1, 1e-2))
+    assert "phase_factors" not in traj.__dict__
+    factors = traj.phase_factors
+    assert "phase_factors" in traj.__dict__
+    assert len(factors) == len(traj.states)
+    assert abs(factors[-1].body - np.exp(-0.02j)) < 1e-9
+
+
 def test_operator_builder_path_matches_spec(gens1):
     spec = HamiltonianSpec("fermion", const_fn(1.0), const_fn(0.2), const_fn(0.1))
     cfg = IntegrationConfig(0.5, 1e-3, stride=100)

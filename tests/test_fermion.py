@@ -294,3 +294,44 @@ def test_operator_generator_sets_must_match(gens1, gens2):
         apply(FermionOperator.annihilator(gens1), FermionState.vacuum(gens2))
     with pytest.raises(MismatchedGenerators):
         inner_product(FermionState.vacuum(gens1), FermionState.vacuum(gens2))
+
+
+# -- NaN fails every tolerance gate closed ----------------------------------------
+
+
+def _nan_scalar(gens):
+    return gens.scalar(complex(np.nan, 0.0))
+
+
+def test_state_with_nan_amplitude_is_not_close(gens1):
+    # the NaN sits in psi1, after psi0's finite sup norm
+    vac = FermionState.vacuum(gens1)
+    bad = FermionState(gens1, gens1.one(), _nan_scalar(gens1))
+    assert np.isnan(bad.sup_norm())
+    assert not bad.isclose(vac)
+
+
+def test_operator_with_nan_coefficient_is_not_selfadjoint(gens1):
+    z = gens1.zero()
+    op = FermionOperator(gens1, z, z, z, _nan_scalar(gens1))  # NaN on b†b
+    assert np.isnan(op.sup_norm())
+    assert not op.is_selfadjoint()
+
+
+def test_make_displacement_rejects_nan_ladder(gens1):
+    z = gens1.zero()
+    ladder = FermionOperator(gens1, z, _nan_scalar(gens1), z, z)
+    with pytest.raises(NotALadder):
+        make_displacement(gens1.gen("zeta"), ladder)
+
+
+def test_extract_refuses_nan_vacuum_body(gens1):
+    s = FermionState(gens1, _nan_scalar(gens1), gens1.zero())
+    with pytest.raises(VacuumAmplitudeZero):
+        extract_eigenvalue(s)
+
+
+def test_exp_operator_refuses_nan_body(gens1):
+    z = gens1.zero()
+    with pytest.raises(NonTerminatingSeries):
+        exp_operator(FermionOperator(gens1, z, _nan_scalar(gens1), z, z))

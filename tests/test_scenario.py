@@ -251,7 +251,7 @@ def test_forced_fermion_parses_then_classifies_non_preserving():
 @pytest.mark.parametrize(
     "path",
     ["scenarios/free_fermion.ini", "scenarios/forced_fermion.ini",
-     "scenarios/grassmann_forced.ini"],
+     "scenarios/grassmann_forced.ini", "scenarios/boson_forced.ini"],
 )
 def test_scenario_serialize_round_trip(path):
     import pathlib
