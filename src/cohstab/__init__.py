@@ -41,7 +41,6 @@ from .dynamics import (
     GrassmannPath,
     HamiltonianSpec,
     IntegrationConfig,
-    NuState,
     Trajectory,
     build_ladder_invariant,
     cumulative_simpson,

@@ -35,41 +35,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _multivector_header(gens) -> list[str]:
-    cols = ["t"]
-    for mask in range(gens.dim):
-        label = gens.monomial_label(mask)
-        cols.append(f"re[{label}]")
-        cols.append(f"im[{label}]")
-    cols += ["residual", "norm_dev"]
-    return cols
-
-
 def _trajectory_rows(traj: Trajectory):
+    """Header and rows of a trajectory CSV: t, the re and im parts of each
+    eigenvalue coefficient (nan where a record has none), residual and
+    norm_dev, each written as repr of its float."""
     if traj.kind == "boson":
-        header = ["t", "re[z]", "im[z]", "residual", "norm_dev"]
-        rows = []
-        for k, t in enumerate(traj.times):
-            lam = traj.eigenvalues[k]
-            rows.append([_fmt(t), _fmt(lam.real), _fmt(lam.imag),
-                         _fmt(traj.residuals[k]), _fmt(traj.norm_dev[k])])
-        return header, rows
-    gens = traj.gens
-    header = _multivector_header(gens)
-    rows = []
-    for k, t in enumerate(traj.times):
-        lam = traj.eigenvalues[k]
-        row = [_fmt(t)]
-        if lam is None:
-            row += [_fmt(np.nan)] * (2 * gens.dim)
-        else:
-            for mask in range(gens.dim):
-                row.append(_fmt(lam.coeffs[mask].real))
-                row.append(_fmt(lam.coeffs[mask].imag))
-        row.append(_fmt(traj.residuals[k]))
-        row.append(_fmt(traj.norm_dev[k]))
-        rows.append(row)
-    return header, rows
+        labels, lams = ["z"], traj.eigenvalues
+    else:
+        labels = [traj.gens.monomial_label(mask) for mask in range(traj.gens.dim)]
+        lams = [None if lam is None else lam.coeffs for lam in traj.eigenvalues]
+    header = (["t"] + [f"{part}[{label}]" for label in labels for part in ("re", "im")]
+              + ["residual", "norm_dev"])
+    table = np.full((len(traj.times), len(header)), np.nan)
+    table[:, 0] = traj.times
+    for row, lam in zip(table, lams):
+        if lam is not None:
+            row[1:-2].view(np.complex128)[:] = lam
+    table[:, -2] = traj.residuals
+    table[:, -1] = traj.norm_dev
+    return header, [list(map(repr, row.tolist())) for row in table]
 
 
 def _write_csv(path: Path, header, rows) -> None:

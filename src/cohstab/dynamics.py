@@ -210,18 +210,11 @@ def _forcing_masks(spec: HamiltonianSpec, gens: GeneratorSet):
 # -- invariants and auxiliary systems ----------------------------------------
 
 
-@dataclass(frozen=True)
-class NuState:
-    """Coefficients of the invariant B = nu_minus*b + nu_plus*b† + nu_3*(b†b - 1/2)."""
-
-    nu_minus: complex
-    nu_plus: complex
-    nu_3: complex
-
-    @property
-    def conservation(self) -> float:
-        return abs(self.nu_minus) ** 2 + abs(self.nu_plus) ** 2 \
-            + 0.5 * abs(self.nu_3) ** 2
+def _nu_slots(nu) -> np.ndarray:
+    """(..., 4) coefficients over the slots (I, b, b†, b†b) of the invariant
+    B = nu_minus*b + nu_plus*b† + nu_3*(b†b - 1/2), from (..., 3) nu rows."""
+    nm, npl, n3 = np.moveaxis(np.asarray(nu, dtype=np.complex128), -1, 0)
+    return np.stack((-0.5 * n3, nm, npl, n3), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -231,27 +224,13 @@ class FermionInvariantPath:
     times: np.ndarray
     nu: np.ndarray  # shape (n_times, 3): nu_minus, nu_plus, nu_3
 
-    @property
-    def states(self) -> list[NuState]:
-        return [NuState(*(complex(v) for v in row)) for row in self.nu]
-
-    def nu_state(self, i: int) -> NuState:
-        return NuState(*(complex(v) for v in self.nu[i]))
-
     def conservation(self) -> np.ndarray:
         return (np.abs(self.nu[:, 0]) ** 2 + np.abs(self.nu[:, 1]) ** 2
                 + 0.5 * np.abs(self.nu[:, 2]) ** 2)
 
     def operator_at(self, i: int, gens: GeneratorSet) -> FermionOperator:
         """The invariant B(t_i) = U(t_i) b U(t_i)† as an operator over gens."""
-        nm, npl, n3 = (complex(v) for v in self.nu[i])
-        return FermionOperator(
-            gens,
-            gens.scalar(-0.5 * n3),
-            gens.scalar(nm),
-            gens.scalar(npl),
-            gens.scalar(n3),
-        )
+        return FermionOperator(gens, *(gens.scalar(c) for c in _nu_slots(self.nu[i])))
 
 
 @dataclass(frozen=True)
@@ -345,8 +324,10 @@ class Trajectory:
 # -- RK4 driver ----------------------------------------------------------------
 
 
-#: Byte budget of one chunk's coefficient table: the driver tabulates the
-#: coefficients of as many grid steps at a time as fit in it (at least one).
+#: Byte budget of one block of work over grid times, at least one time each:
+#: the driver tabulates the coefficients of as many grid steps at a time as
+#: fit in it, and invariant_residual composes the slot-pair products of as
+#: many grid times.
 TABLE_BYTES = 256 * 1024
 
 #: Grid steps whose stage times the driver works out and tells apart at a
@@ -763,16 +744,14 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
         if spec.gens != gens:
             raise MismatchedGenerators("spec and initial value generator sets differ")
         spec.validate_real_coefficients(times)
-        idx = gens.index(spec.eta_generator)
-        used_bits = {mask for mask in zeta0.terms}
-        if any(mask >> idx & 1 for mask in used_bits):
+        bit, conj_bit = _forcing_masks(spec, gens)
+        if any(mask & bit for mask in zeta0.terms):
             raise GeneratorCollision(
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
             )
-        bit = 1 << idx
         # eta is zero off its generator and eta* off its conjugate, so the
         # products zeta* eta and eta* zeta skip the pairs that miss them
-        support = ((None, (bit,)), ((1 << (idx ^ 1),), None))
+        support = ((None, (bit,)), ((conj_bit,), None))
 
         def coeffs(ts):
             arr = np.zeros((len(ts), 3, dim), dtype=np.complex128)
@@ -847,51 +826,45 @@ def _fd_derivative(series: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _operator_series(b_series, gens: GeneratorSet, n_times: int):
-    if isinstance(b_series, FermionInvariantPath):
-        return [b_series.operator_at(i, gens) for i in range(n_times)]
-    ops = list(b_series)
-    if len(ops) != n_times:
-        raise ValidationError("operator series and grid lengths differ")
-    return ops
-
-
 def invariant_residual(b_series, h, config: IntegrationConfig,
                        gens: GeneratorSet | None = None,
                        calibrate: bool = True) -> np.ndarray:
-    """Per-time sup-norm of dB/dt - i[B, H] over the basis coefficients."""
+    """Per-time sup-norm of dB/dt - i[B, H] over the basis coefficients.
+
+    `b_series` is a FermionInvariantPath or one FermionOperator per grid
+    time; `h` is what evolve_schrodinger_fermion takes. The commutators are
+    composed a block of grid times at a time.
+    """
     times = config.times()
     dt = times[1] - times[0]
     if calibrate:
         _fd_order_check(dt)
-    if gens is None:
-        if isinstance(b_series, FermionInvariantPath):
+    if isinstance(b_series, FermionInvariantPath):
+        if gens is None:
             gens = h.gens if isinstance(h, HamiltonianSpec) and h.gens is not None \
                 else GeneratorSet(())
-        else:
-            gens = b_series[0].gens
-    ops = _operator_series(b_series, gens, times.size)
-    if isinstance(h, HamiltonianSpec):
-        h_at = lambda t: hamiltonian_operator(h, t, gens)  # noqa: E731
-        h.validate_real_coefficients(times)
+        b = np.zeros((len(b_series.nu), 4, gens.dim), dtype=np.complex128)
+        b[:, :, 0] = _nu_slots(b_series.nu)
     else:
-        h_at = h
-
-    coeff_stack = np.stack(
-        [np.stack([c.coeffs for c in op.coefficients()]) for op in ops]
-    )  # (n_times, 4, dim)
-    dcoeff = _fd_derivative(coeff_stack, dt)
-
-    residuals = np.zeros(times.size)
-    for i, t in enumerate(times):
-        b_op = ops[i]
-        h_op = h_at(t)
-        comm = b_op * h_op - h_op * b_op
-        diff = [
-            dcoeff[i, k] - 1j * c.coeffs
-            for k, c in enumerate(comm.coefficients())
-        ]
-        residuals[i] = max(float(np.max(np.abs(d))) for d in diff)
+        ops = list(b_series)
+        if gens is None:
+            gens = ops[0].gens
+        if any(op.gens != gens for op in ops):
+            raise MismatchedGenerators("operator series over a foreign set")
+        b = np.array([[c.coeffs for c in op.coefficients()] for op in ops])
+    if len(b) != times.size:
+        raise ValidationError("operator series and grid lengths differ")
+    table, _ = _fermion_coeff_source(h, gens, times)
+    dcoeff = _fd_derivative(b, dt)
+    n_gen = gens.n_generators
+    # the 12 slot-pair products of a block's times, both ways, fit in TABLE_BYTES
+    block = max(1, TABLE_BYTES // (2 * 12 * b[0, 0].nbytes))
+    residuals = np.empty(times.size)
+    for a in range(0, times.size, block):
+        bs, hs = b[a:a + block], table(times[a:a + block])
+        comm = _compose_coeff_arrays(bs, hs, n_gen) - _compose_coeff_arrays(hs, bs, n_gen)
+        residuals[a:a + block] = np.max(np.abs(dcoeff[a:a + block] - 1j * comm),
+                                        axis=(1, 2))
     return residuals
 
 

@@ -10,7 +10,7 @@ class MismatchedGenerators(CohstabError):
 
 
 class NotInvertible(CohstabError):
-    """Element has zero body, so no inverse exists."""
+    """Element has a zero or non-finite body, so no inverse exists."""
 
 
 class UnknownPair(CohstabError):

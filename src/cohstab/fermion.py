@@ -234,39 +234,36 @@ class FermionState:
 # -- operations ------------------------------------------------------------
 
 
+# The slot pairs (i, j) of _BASIS_MUL in its order, as gather indices; the
+# pairs whose left slot is odd; and the (pair, slot, sign) scatter of their
+# products, pair by pair, so each slot sums its products in pair order.
+_PAIR_LEFT = np.array([i for i, _ in _BASIS_MUL])
+_PAIR_RIGHT = np.array([j for _, j in _BASIS_MUL])
+_PAIR_ODD = np.flatnonzero([_PARITY[i] for i, _ in _BASIS_MUL])
+_PAIR_SCATTER = tuple((k, slot, sign)
+                      for k, targets in enumerate(_BASIS_MUL.values())
+                      for slot, sign in targets)
+
+
 def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     """Array-level graded product over the 4-slot basis; shared by compose
     and the integrators (which avoid building operator objects per stage).
 
     c1s and c2s are (4, dim) or a batch (R, 4, dim), composed row by row;
-    the non-zero slot pairs of every row go through one kernel call.
+    all twelve slot pairs of every row go through one kernel call. A pair
+    with an all-zero operand adds an exact +0.0 product to a sum that starts
+    at +0.0, which changes no bit for finite operands.
     """
-    gsigns = kernel.grade_signs(n_gen)
     c1s = np.asarray(c1s)
+    right = np.asarray(c2s)[..., _PAIR_RIGHT, :]
+    # gi on the pairs with an odd left slot only: a product by 1 can flip a -0.0
+    right[..., _PAIR_ODD, :] = kernel.grade_signs(n_gen) * right[..., _PAIR_ODD, :]
+    dim = 1 << n_gen
+    prod = kernel.multiply(c1s[..., _PAIR_LEFT, :].reshape(-1, dim),
+                           right.reshape(-1, dim), n_gen).reshape(right.shape)
     out = np.zeros(c1s.shape, dtype=np.complex128)
-    rows = out.reshape(-1, 4, 1 << n_gen)
-    lefts, rights, slots = [], [], []
-    for row, c1r, c2r in zip(rows, c1s.reshape(rows.shape),
-                             np.asarray(c2s).reshape(rows.shape)):
-        for i in range(4):
-            c1 = c1r[i]
-            if not np.any(c1):
-                continue
-            for j in range(4):
-                targets = _BASIS_MUL.get((i, j))
-                if targets is None:
-                    continue
-                c2 = c2r[j]
-                if not np.any(c2):
-                    continue
-                lefts.append(c1)
-                rights.append(gsigns * c2 if _PARITY[i] else c2)
-                slots.append((row, targets))
-    if slots:
-        coeffs = kernel.multiply(np.stack(lefts), np.stack(rights), n_gen)
-        for coeff, (row, targets) in zip(coeffs, slots):
-            for slot, sign in targets:
-                row[slot] += sign * coeff
+    for k, slot, sign in _PAIR_SCATTER:
+        out[..., slot, :] += sign * prod[..., k, :]
     return out
 
 

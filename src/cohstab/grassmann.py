@@ -283,8 +283,8 @@ def exponential(x: Multivector) -> Multivector:
 def invert(x: Multivector) -> Multivector:
     """Exact inverse via the geometric series on the nilpotent soul."""
     b = x.body
-    if abs(b) == 0.0:
-        raise NotInvertible("element has zero body")
+    if not (np.isfinite(b) and b != 0.0):
+        raise NotInvertible(f"element has body {b}; an inverse needs a finite non-zero one")
     u = x.soul() / b
     acc = x.gens.one()
     term = x.gens.one()

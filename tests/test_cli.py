@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from cohstab import cli, coherence, dynamics
@@ -49,6 +50,25 @@ def test_grassmann_wide_golden_byte_exact(tmp_path):
     assert produced == (GOLDEN / "grassmann_wide_s0.csv").read_bytes()
     verdict = (tmp_path / "grassmann_wide.verdict.csv").read_bytes()
     assert verdict == (GOLDEN / "grassmann_wide_s0.verdict.csv").read_bytes()
+
+
+def test_record_without_eigenvalue_writes_nan(gens1):
+    cfg = dynamics.IntegrationConfig(1.0, 0.5, stride=1)
+    lam = 0.5 * gens1.gen("zeta")
+    traj = dynamics.Trajectory(
+        "fermion", cfg, cfg.times(), cfg.record_indices(), cfg.times(),
+        states=[None] * 3, eigenvalues=[lam, None, -lam],
+        residuals=np.array([0.0, np.inf, 1e-3]), norm_dev=np.array([0.0, 0.25, -0.0]),
+        gens=gens1)
+    header, rows = cli._trajectory_rows(traj)
+    assert header == ["t", "re[1]", "im[1]", "re[zeta]", "im[zeta]", "re[zeta*]",
+                      "im[zeta*]", "re[zeta zeta*]", "im[zeta zeta*]",
+                      "residual", "norm_dev"]
+    zeros = ["0.0", "0.0"]
+    assert rows[0] == ["0.0"] + zeros + ["0.5", "0.0"] + zeros * 2 + ["0.0", "0.0"]
+    assert rows[1] == ["0.5"] + ["nan"] * 8 + ["inf", "0.25"]
+    negated = ["-0.0", "-0.0"]  # signed zeros survive
+    assert rows[2] == ["1.0"] + negated + ["-0.5", "-0.0"] + negated * 2 + ["0.001", "-0.0"]
 
 
 def test_reruns_are_byte_identical(tmp_path):

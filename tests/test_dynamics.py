@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cohstab import dynamics
+from cohstab.kernel import pyref
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
 from cohstab.dynamics import (
@@ -874,3 +876,114 @@ def test_chunk_table_within_budget_at_256_coefficients(monkeypatch):
         start(cfg)
         assert sum(len(table) for table in tables) == cfg.n_steps
         assert all(table.nbytes <= dynamics.TABLE_BYTES for table in tables)
+
+
+# -- the invariance residual against a per-time loop -------------------------------
+
+
+def _residual_reference(b_series, h, config, gens):
+    """Order reference: B and H(t) as operators, B from nu in Python complex
+    arithmetic, composed one grid time at a time."""
+    times = config.times()
+    if isinstance(b_series, dynamics.FermionInvariantPath):
+        ops = []
+        for row in b_series.nu:
+            nm, npl, n3 = (complex(v) for v in row)
+            ops.append(FermionOperator(gens, *(gens.scalar(c)
+                                               for c in (-0.5 * n3, nm, npl, n3))))
+    else:
+        ops = list(b_series)
+    if isinstance(h, HamiltonianSpec):
+        def h_at(t):
+            return hamiltonian_operator(h, t, gens)
+    else:
+        h_at = h
+    coeff_stack = np.stack([np.stack([c.coeffs for c in op.coefficients()])
+                            for op in ops])
+    dcoeff = dynamics._fd_derivative(coeff_stack, times[1] - times[0])
+    residuals = np.zeros(times.size)
+    for i, t in enumerate(times):
+        h_op = h_at(t)
+        comm = ops[i] * h_op - h_op * ops[i]
+        residuals[i] = max(float(np.max(np.abs(dcoeff[i, k] - 1j * c.coeffs)))
+                           for k, c in enumerate(comm.coefficients()))
+    return residuals
+
+
+def _phase_invariant_ops(cfg):
+    g0 = GeneratorSet(())
+    return [complex(np.exp(1j * t)) * FermionOperator.annihilator(g0)
+            for t in cfg.times()]
+
+
+def _grassmann_builder(t):
+    return hamiltonian_operator(LOCK_GRASSMANN, t, LOCK_G2)
+
+
+# (B series, h, config, gens): an ops list, nu paths, transport at 4 and 16
+# coefficients, and an operator builder; the grids span several blocks
+RESIDUAL_CASES = {
+    "ops": lambda: (_phase_invariant_ops(IntegrationConfig(2.0, 1e-3)), LOCK_FERMION,
+                    IntegrationConfig(2.0, 1e-3), GeneratorSet(())),
+    "nu": lambda: (evolve_nu_system(LOCK_FERMION, IntegrationConfig(2.0, 1e-3)),
+                   LOCK_FERMION, IntegrationConfig(2.0, 1e-3), GeneratorSet(())),
+    "nu_g1": lambda: (evolve_nu_system(LOCK_FERMION, IntegrationConfig(2.0, 1e-2)),
+                      LOCK_FERMION, IntegrationConfig(2.0, 1e-2), LOCK_G1),
+    "transport_4": lambda: (
+        evolve_operator_transport(LOCK_FERMION, FermionOperator.annihilator(LOCK_G1),
+                                  IntegrationConfig(2.0, 1e-2)),
+        LOCK_FERMION, IntegrationConfig(2.0, 1e-2), LOCK_G1),
+    "transport_16": lambda: (
+        evolve_operator_transport(LOCK_GRASSMANN, FermionOperator.annihilator(LOCK_G2),
+                                  IntegrationConfig(0.5, 1e-2)),
+        LOCK_GRASSMANN, IntegrationConfig(0.5, 1e-2), LOCK_G2),
+    "builder_16": lambda: (
+        evolve_operator_transport(LOCK_GRASSMANN, FermionOperator.annihilator(LOCK_G2),
+                                  IntegrationConfig(0.5, 1e-2)),
+        _grassmann_builder, IntegrationConfig(0.5, 1e-2), LOCK_G2),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["blocks", "7_times"])
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+def test_invariant_residual_matches_per_time_loop(case, budget, monkeypatch):
+    b_series, h, cfg, gens = RESIDUAL_CASES[case]()
+    if budget is not None:
+        # blocks of 7 grid times
+        monkeypatch.setattr(dynamics, "TABLE_BYTES", 2 * 12 * 16 * gens.dim * budget)
+    res = invariant_residual(b_series, h, cfg, gens=gens)
+    ref = _residual_reference(b_series, h, cfg, gens)
+    assert np.all(ref > 0.0)
+    assert np.array_equal(bits(res), bits(ref))
+
+
+def test_invariant_residual_propagates_nan():
+    cfg = IntegrationConfig(2.0, 1e-3)
+    ops = _phase_invariant_ops(cfg)
+    g0 = ops[0].gens
+    z = g0.zero()
+    ops[50] = FermionOperator(g0, z, ops[50].c_minus, g0.scalar(np.nan), z)
+    res = invariant_residual(ops, LOCK_FERMION, cfg)
+    # B(t_50) enters the commutator at t_50 and the differences at t_49, t_51
+    assert np.isnan(res[49:52]).all()
+    assert np.isfinite(np.delete(res, [49, 50, 51])).all()
+
+
+def test_invariant_residual_kernel_plan_holds_one_block():
+    # the kernel keeps each plan at the largest batch it has seen, so the
+    # residual of a long grid must reach it a block of times at a time
+    cfg = IntegrationConfig(2.0, 1e-3)
+    nu = evolve_nu_system(LOCK_FERMION, cfg)
+    rows = []
+
+    def run():  # a fresh thread starts with no plans
+        invariant_residual(nu, LOCK_FERMION, cfg, gens=LOCK_G2)
+        rows.append(pyref._local.plans[(4, None)].rows)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    block = dynamics.TABLE_BYTES // (2 * 12 * 16 * LOCK_G2.dim)
+    assert cfg.times().size > block
+    assert len(rows) == 1 and rows[0] <= 12 * block

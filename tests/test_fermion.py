@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cohstab import kernel
 from cohstab.errors import (
     NonTerminatingSeries,
     NotALadder,
@@ -10,8 +11,11 @@ from cohstab.errors import (
     VacuumAmplitudeZero,
 )
 from cohstab.fermion import (
+    _BASIS_MUL,
+    _PARITY,
     FermionOperator,
     FermionState,
+    _compose_coeff_arrays,
     adjoint,
     anticommutator,
     apply,
@@ -335,3 +339,62 @@ def test_exp_operator_refuses_nan_body(gens1):
     z = gens1.zero()
     with pytest.raises(NonTerminatingSeries):
         exp_operator(FermionOperator(gens1, z, _nan_scalar(gens1), z, z))
+
+
+# -- the slot-pair composition against a per-row loop ------------------------------
+
+
+def _compose_reference(c1s, c2s, n_gen):
+    """Row by row, the non-zero slot pairs in _BASIS_MUL order, each slot
+    summing its products in pair order."""
+    gsigns = kernel.grade_signs(n_gen)
+    c1s = np.asarray(c1s)
+    out = np.zeros(c1s.shape, dtype=np.complex128)
+    rows = out.reshape(-1, 4, 1 << n_gen)
+    lefts, rights, slots = [], [], []
+    for row, c1r, c2r in zip(rows, c1s.reshape(rows.shape),
+                             np.asarray(c2s).reshape(rows.shape)):
+        for i in range(4):
+            c1 = c1r[i]
+            if not np.any(c1):
+                continue
+            for j in range(4):
+                targets = _BASIS_MUL.get((i, j))
+                if targets is None:
+                    continue
+                c2 = c2r[j]
+                if not np.any(c2):
+                    continue
+                lefts.append(c1)
+                rights.append(gsigns * c2 if _PARITY[i] else c2)
+                slots.append((row, targets))
+    if slots:
+        coeffs = kernel.multiply(np.stack(lefts), np.stack(rights), n_gen)
+        for coeff, (row, targets) in zip(coeffs, slots):
+            for slot, sign in targets:
+                row[slot] += sign * coeff
+    return out
+
+
+def _signed_zero_coeffs(rng, shape):
+    """Random coefficients with whole slots zero and scattered +-0.0 parts."""
+    parts = rng.normal(size=shape + (2,))
+    parts[rng.random(shape + (2,)) < 0.3] = 0.0
+    parts[rng.random(shape + (2,)) < 0.5] *= -1.0
+    c = np.empty(shape, dtype=np.complex128)
+    c.real, c.imag = parts[..., 0], parts[..., 1]
+    c[rng.random(shape[:-1]) < 0.3] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("n_gen", [0, 2, 4])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_compose_coeff_arrays_matches_row_loop_bitwise(n_gen, batch):
+    rng = np.random.default_rng(n_gen * 10 + len(batch))
+    shape = batch + (4, 1 << n_gen)
+    for _ in range(20):
+        c1, c2 = _signed_zero_coeffs(rng, shape), _signed_zero_coeffs(rng, shape)
+        got = _compose_coeff_arrays(c1, c2, n_gen)
+        want = _compose_reference(c1, c2, n_gen)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

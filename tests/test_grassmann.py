@@ -434,6 +434,13 @@ def test_invert_requires_body(zeta):
         invert(zeta)
 
 
+@pytest.mark.parametrize("body", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_invert_refuses_non_finite_body(zeta, body):
+    # a NaN body would return all-NaN coefficients, an infinite one zeros
+    with pytest.raises(NotInvertible):
+        invert(zeta + body)
+
+
 def test_soul_nilpotency(gens2, rng):
     n = gens2.n_generators
     for _ in range(5):
