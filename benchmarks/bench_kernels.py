@@ -6,19 +6,16 @@ Usage:
 
 Measures, on the numpy kernel, microseconds per graded product at 2, 4 and
 8 generators in batches of 1, 2 and 5 rows: one kernel.multiply call per
-batch, or one call per row for a kernel that takes no batch. Then the same
-for the five products of one fermion Schrödinger RHS stage of a grassmann
-spec (a 5-row batch whose left operands are zero off the forcing's
-monomials), through the full table and, on a kernel that takes a support,
-through the pairs that the support keeps. Then
-the wall time of a coherent-state evolution (the criterion-3 shape) and of
-each shipped scenario, run as `coherence run` runs it, with a byte check of
-its trajectory against tests/golden/. Then two layers of the RK4 driver,
-for the fermion Schrödinger evolution and the Grassmann law at 4, 16 and
-256 coefficients: "one RK4 step" (four RHS stages and the update on one
-state, on the evolution's own RHS) and "the dt vs dt/2 self-check" (one
+batch, or one call per row for a kernel that takes no batch. Then the wall
+time of a coherent-state evolution (the criterion-3 shape) and of each
+shipped scenario, run as `coherence run` runs it, with a byte check of its
+trajectory against tests/golden/. Then three layers of the RK4 driver, for
+the fermion Schrödinger evolution and the Grassmann law at 4, 16 and 256
+coefficients: "one RHS stage" (microseconds per call of the evolution's own
+RHS on 1 and 2 rows, the driver's batch sizes), "one RK4 step" (four RHS
+stages and the update on one state) and "the dt vs dt/2 self-check" (one
 grid step of the driver: the dt step and the two dt/2 substeps that check
-it), each in microseconds of CPU time and RHS calls per grid step. Then
+it), the last two in microseconds of CPU time and RHS calls per grid step. Then
 "coefficient evaluation per grid step" for the boson Schrödinger evolution
 on 64 levels and the fermion Schrödinger evolution at 4, 16 and 256
 coefficients: the wall time spent evaluating the Hamiltonian's coefficients
@@ -27,8 +24,8 @@ over one evolution, and the CoefficientFn calls, per grid step.
 With --baseline the same measurements run in fresh interpreters, alternating
 between this checkout's src/ and a `git archive` of REV, for ROUNDS rounds;
 the JSON then holds a "parent" column (REV) and a "change" column (this
-checkout), each with every round and the medians. The driver and
-coefficient layers instead run both trees in one interpreter, alternating
+checkout), each with every round and the medians. The RHS, driver
+and coefficient layers instead run both trees in one interpreter, alternating
 run by run, which keeps this machine's drift in speed out of their comparison. Without
 --baseline the JSON holds the one column measured in this interpreter.
 """
@@ -60,6 +57,7 @@ ROUNDS = 5
 STEP_PAIRS = (1, 2, 4)  # generator pairs: 4, 16 and 256 coefficients
 STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
 STEP_RUNS = 10
+RHS_CALLS = 1000
 BACKEND = "numpy (cohstab/kernel/pyref.py)"
 
 
@@ -76,11 +74,6 @@ def _batched_call(kernel, x, y, n_gen):
     return lambda: [kernel.multiply(a, b, n_gen) for a, b in zip(x, y)]
 
 
-#: Left-operand masks of the five products of a fermion Schrödinger RHS
-#: stage (ci, ci, cm, cn, cp) for a grassmann spec forced along generator 0.
-FERMION_RHS_MASKS = (0, 0, 2, 0, 1)
-
-
 def _us_per_product(fn, calls: int, batch: int) -> float:
     """Median over 5 blocks of `calls` calls of fn, per product."""
     fn()  # warm the tables
@@ -94,11 +87,8 @@ def _us_per_product(fn, calls: int, batch: int) -> float:
 
 
 def bench_products(kernel, repeats: int) -> dict:
-    """Microseconds per product, per n_gen and batch; then per product of a
-    fermion RHS stage's 5-row batch, full ("fermion_rhs_full_n*") and, if
-    the kernel takes a support, restricted ("fermion_rhs_restricted_n*")."""
+    """Microseconds per product, per n_gen and batch."""
     rng = np.random.default_rng(7)
-    restricted = "support" in inspect.signature(kernel.multiply).parameters
     out = {}
     for n_gen in N_GENS:
         dim = 1 << n_gen
@@ -108,15 +98,6 @@ def bench_products(kernel, repeats: int) -> dict:
             y = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
             out[f"n{n_gen}_b{batch}"] = _us_per_product(
                 _batched_call(kernel, x, y, n_gen), calls, batch)
-        x = np.zeros((5, dim), dtype=np.complex128)
-        x[range(5), FERMION_RHS_MASKS] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
-        out[f"fermion_rhs_full_n{n_gen}"] = _us_per_product(
-            lambda: kernel.multiply(x, y, n_gen), calls, 5)
-        if restricted:
-            support = tuple(((m,), None) for m in FERMION_RHS_MASKS)
-            out[f"fermion_rhs_restricted_n{n_gen}"] = _us_per_product(
-                lambda: kernel.multiply(x, y, n_gen, support), calls, 5)
     return out
 
 
@@ -221,6 +202,41 @@ def _step_cases(package: str) -> dict:
         one = _one_row(rhs, y0, args[0], cfg.times()) if tabled else _one_row(rhs, y0)
         cases[name] = (integrate, cfg, rhs, one, y0, args, kw)
     return cases
+
+
+def bench_rhs(packages: dict) -> dict:
+    """One RHS stage, per evolution, size and batch of 1 or 2 rows.
+
+    `packages` maps a column name to an importable cohstab package. Each
+    case calls the RHS that the evolution hands its driver (see _step_cases)
+    on the evolution's coefficient rows at the first stage times and its
+    initial state, repeated per row. The columns alternate run by run in
+    this interpreter; reported is the median over STEP_RUNS runs of the
+    wall time per call of a block of RHS_CALLS calls (a tenth at 256
+    coefficients). A tree whose driver passes times, not coefficient rows,
+    has no entry.
+    """
+    cases = {col: _step_cases(pkg) for col, pkg in packages.items()}
+    us = {col: {} for col in cases}
+    for run in range(STEP_RUNS):
+        order = list(cases) if run % 2 == 0 else list(cases)[::-1]
+        for case in next(iter(cases.values())):
+            for rows in (1, 2):
+                for col in order:
+                    _, cfg, rhs, _, y0, args, _ = cases[col][case]
+                    if not callable(args[0]):
+                        continue
+                    c = np.asarray(args[0](cfg.times()[:rows]), dtype=np.complex128)
+                    y = np.stack([np.asarray(y0, dtype=np.complex128)] * rows)
+                    calls = RHS_CALLS if y0.size < 512 else RHS_CALLS // 10
+                    rhs(c, y)
+                    t0 = time.perf_counter()
+                    for _ in range(calls):
+                        rhs(c, y)
+                    us[col].setdefault(f"{case}_r{rows}", []).append(
+                        (time.perf_counter() - t0) / calls * 1e6)
+    return {col: {case: statistics.median(runs) for case, runs in table.items()}
+            for col, table in us.items()}
 
 
 def bench_steps(packages: dict) -> dict:
@@ -373,15 +389,15 @@ def bench_coefficients(packages: dict) -> dict:
 
 
 def _steps_side_by_side(parent_pkg: Path, change_pkg: Path, tmp: Path):
-    """bench_steps and bench_coefficients on two cohstab trees, imported
-    under distinct names."""
+    """bench_rhs, bench_steps and bench_coefficients on two cohstab trees,
+    imported under distinct names."""
     pkgs = tmp / "pkgs"
     for name, src in (("cohstab_parent", parent_pkg), ("cohstab_change", change_pkg)):
         shutil.copytree(src, pkgs / name, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(pkgs))
     packages = {"parent": "cohstab_parent", "change": "cohstab_change"}
     try:
-        return bench_steps(packages), bench_coefficients(packages)
+        return bench_rhs(packages), bench_steps(packages), bench_coefficients(packages)
     finally:
         sys.path.remove(str(pkgs))
 
@@ -474,7 +490,7 @@ def compare(rev: str, repeats: int) -> dict:
         for _ in range(ROUNDS):
             columns["parent"].append(_worker(Path(tmp) / "parent" / "src", repeats))
             columns["change"].append(_worker(ROOT / "src", repeats))
-        steps, coefficients = _steps_side_by_side(
+        rhs, steps, coefficients = _steps_side_by_side(
             Path(tmp) / "parent" / "src" / "cohstab", ROOT / "src" / "cohstab",
             Path(tmp))
     head = _git("rev-parse", "HEAD")
@@ -485,7 +501,8 @@ def compare(rev: str, repeats: int) -> dict:
     }
     return {
         name: {"source": sources[name], "backend": runs[0]["backend"],
-               "steps": steps[name], "coefficients": coefficients[name],
+               "rhs_stage_us": rhs[name], "steps": steps[name],
+               "coefficients": coefficients[name],
                "median": _medians(runs), "rounds": runs}
         for name, runs in columns.items()
     }
@@ -496,12 +513,13 @@ def _print_column(name: str, data: dict) -> None:
     table = data["us_per_product"]
     for n_gen in N_GENS:
         row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
-        rhs = "".join(f"{table[f'fermion_rhs_{plan}_n{n_gen}']:>10.2f}"
-                      for plan in ("full", "restricted")
-                      if f"fermion_rhs_{plan}_n{n_gen}" in table)
         print(f"  {1 << n_gen:>3} coefficients, us/product at batch "
-              f"{'/'.join(map(str, BATCHES))}:{row}; fermion RHS batch "
-              f"full/restricted:{rhs}")
+              f"{'/'.join(map(str, BATCHES))}:{row}")
+    for case in data["steps"]:
+        calls = [data["rhs_stage_us"].get(f"{case}_r{rows}") for rows in (1, 2)]
+        if None not in calls:
+            print(f"  {case:<26} one RHS stage {calls[0]:9.1f} us on 1 row, "
+                  f"{calls[1]:9.1f} us on 2 rows")
     for case, row in data["steps"].items():
         print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
               f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
@@ -540,6 +558,7 @@ def main() -> None:
             _print_column(f"{name} {column['source']} (median of {ROUNDS})",
                           {"backend": column["backend"],
                            "us_per_product": column["median"]["us_per_product"],
+                           "rhs_stage_us": column["rhs_stage_us"],
                            "steps": column["steps"],
                            "coefficients": column["coefficients"],
                            "evolution_s": column["median"]["evolution_s"]})
@@ -547,6 +566,7 @@ def main() -> None:
     else:
         result = measure(args.repeats)
         if args.json != "-":
+            result["rhs_stage_us"] = bench_rhs({"this checkout": "cohstab"})["this checkout"]
             result["steps"] = bench_steps({"this checkout": "cohstab"})["this checkout"]
             result["coefficients"] = bench_coefficients(
                 {"this checkout": "cohstab"})["this checkout"]

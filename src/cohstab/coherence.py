@@ -230,13 +230,13 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         max_dev = float(np.max(devs))
     elif expected_law == "grassmann":
         lam0 = traj.eigenvalues[0]
-        path = evolve_grassmann_classical(traj.spec, lam0, traj.config)
+        path = evolve_grassmann_classical(traj.spec, lam0, traj.config,
+                                          traj.record_indices)
         devs = []
         sdevs = []
-        for k, idx in enumerate(traj.record_indices):
-            i = int(idx)
-            devs.append((traj.eigenvalues[k] - path.zeta_at(i)).sup_norm())
-            reference = path.phase_factor_at(i) * make_coherent(path.zeta_at(i))
+        for k in range(len(traj.record_indices)):
+            devs.append((traj.eigenvalues[k] - path.zeta_at(k)).sup_norm())
+            reference = path.phase_factor_at(k) * make_coherent(path.zeta_at(k))
             sdevs.append((traj.states[k] - reference).sup_norm())
         max_dev = float(np.max(devs))
         state_dev = float(np.max(sdevs))

@@ -168,33 +168,35 @@ class HamiltonianSpec:
 def hamiltonian_operator(spec: HamiltonianSpec, t: float,
                          gens: GeneratorSet) -> FermionOperator:
     """Build the family's fermion-sector operator at one time."""
-    ci, cm, cp, cn = _spec_coeff_table(spec, gens)(np.array([t], dtype=float))[0]
-    return FermionOperator(
-        gens,
-        Multivector(gens, ci),
-        Multivector(gens, cm),
-        Multivector(gens, cp),
-        Multivector(gens, cn),
-    )
+    c = _dense_slots(*_spec_slots(spec, gens), gens.dim)(np.array([t], dtype=float))
+    return FermionOperator(gens, *(Multivector(gens, row) for row in c[0]))
 
 
-def _spec_coeff_table(spec: HamiltonianSpec, gens: GeneratorSet):
-    """ts -> (len(ts), 4, dim) coefficients over the slots (I, b, b†, b†b)."""
+def _spec_slots(spec: HamiltonianSpec, gens: GeneratorSet):
+    """(values, masks): values(ts) -> (len(ts), 4) coefficients over the
+    slots (I, b, b†, b†b), each zero off its one monomial in masks."""
     if spec.kind not in ("fermion", "grassmann"):
         raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
     grassmann = spec.kind == "grassmann"
     plus, minus = _forcing_masks(spec, gens)
 
-    def table(ts):
-        c = np.zeros((len(ts), 4, gens.dim), dtype=np.complex128)
+    def values(ts):
         f = np.asarray(spec.forcing(ts), dtype=np.complex128)
-        c[:, 0, 0] = spec.scalar(ts)
-        c[:, 1, minus] = -np.conj(f) if grassmann else np.conj(f)
-        c[:, 2, plus] = f
-        c[:, 3, 0] = spec.omega(ts)
+        cm = -np.conj(f) if grassmann else np.conj(f)
+        return np.stack((spec.scalar(ts), cm, f, spec.omega(ts)), axis=1)
+
+    return values, (0, minus, plus, 0)
+
+
+def _dense_slots(values, masks, dim: int):
+    """ts -> (len(ts), 4, dim) from the (values, masks) of _spec_slots, or
+    values itself if masks is None."""
+    def table(ts):
+        c = np.zeros((len(ts), 4, dim), dtype=np.complex128)
+        c[:, range(4), masks] = values(ts)
         return c
 
-    return table
+    return values if masks is None else table
 
 
 def _forcing_masks(spec: HamiltonianSpec, gens: GeneratorSet):
@@ -545,9 +547,9 @@ def evolve_nu_system(spec: HamiltonianSpec,
 
 
 def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
-    """Normalize a HamiltonianSpec or operator builder into a coefficient
-    table ts -> (len(ts), 4, dim), as _spec_coeff_table gives; a builder is
-    called, and checked, once per time."""
+    """Normalize a HamiltonianSpec or operator builder into (coeffs, masks,
+    kind): a spec's _spec_slots, or a builder's table ts -> (len(ts), 4,
+    dim), which calls and checks it once per time, and None."""
     if isinstance(h, HamiltonianSpec):
         if h.kind not in ("fermion", "grassmann"):
             raise ValidationError("fermion-sector evolution needs a fermion or "
@@ -555,7 +557,7 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
         if h.gens is not None and h.gens != gens:
             raise MismatchedGenerators("spec and state generator sets differ")
         h.validate_real_coefficients(times)
-        return _spec_coeff_table(h, gens), h.kind
+        return *_spec_slots(h, gens), h.kind
     if callable(h):
         def build(t):
             op = h(t)
@@ -568,7 +570,7 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
         def table(ts):
             return np.array([build(t) for t in ts], dtype=np.complex128)
 
-        return table, "fermion"
+        return table, None, "fermion"
     raise ValidationError("h must be a HamiltonianSpec or a callable t -> operator")
 
 
@@ -579,38 +581,30 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     n_gen = gens.n_generators
     dim = gens.dim
     times = config.times()
-    table, kind = _fermion_coeff_source(h, gens, times)
-    gsigns = kernel.grade_signs(n_gen)
-    # the left operands of the five products ci*p0, ci*p1, cm*gi(p1),
-    # cn*p1, cp*gi(p0) of one stage, where the grade involution gi flips
-    # the odd part of an amplitude passing b or b†
-    slots = [0, 0, 1, 3, 2]
-    support = None
-    if isinstance(h, HamiltonianSpec):
-        # a spec's operands are zero off one monomial each: the products
-        # skip the pairs that multiply those zeros
-        plus, minus = _forcing_masks(h, gens)
-        support = tuple(((m,), None) for m in (0, 0, minus, 0, plus))
+    coeffs, masks, kind = _fermion_coeff_source(h, gens, times)
+    # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
+    # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
+    # part of an amplitude passing b or b†. A spec's coefficients are one
+    # monomial each, so each row is one sum of the plan (see kernel.bilinear);
+    # a builder's products keep their own sums, added after in this order.
+    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
+             (2, 0, "gi", 1))
+    fused = masks is not None
+    plan = kernel.bilinear_plan(n_gen, tuple(
+        ((1, slot, (masks[slot],) if fused else None, None), (0, row, None, op),
+         out if fused else k) for k, (slot, row, op, out) in enumerate(terms)),
+        ((2, dim), (4, 1 if fused else dim), (2 if fused else 5, dim)))
 
     def rhs(c, y):
-        right = np.empty((len(y), 5, dim), dtype=np.complex128)
-        right[:, :2] = y
-        right[:, 3] = y[:, 1]
-        # gi on rows 2 and 4 only: a product by 1 can flip a -0.0
-        np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
-        left = c.reshape(-1, dim)
-        prod = kernel.multiply(left, right.reshape(left.shape), n_gen, support)
-        prod = prod.reshape(right.shape)
-        out = prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ci*p1 + cn*p1
-        out[:, 1] += prod[:, 4]
+        prod = kernel.bilinear(plan, y, c)
+        out = prod if fused else prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ...
+        if not fused:
+            out[:, 1] += prod[:, 4]  # ci*p1 + cn*p1 + cp*gi(p0)
         out *= -1j
         return out
 
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
-    def coeffs(ts):
-        return table(ts)[:, slots]
-
     records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
 
     states: list[FermionState] = []
@@ -623,9 +617,10 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         states.append(state)
         # physical norm^2 = body of <psi|psi>; the soul components are only
         # conserved for parity-even Hamiltonians
-        norm_dev.append(abs(inner_product(state, state).body - ip0.body))
+        norm = inner_product(state, state).body
+        norm_dev.append(abs(norm - ip0.body))
         try:
-            lam, res = extract_eigenvalue(state)
+            lam, res = extract_eigenvalue(state, norm.real)
         except VacuumAmplitudeZero:
             eigenvalues.append(None)
             residuals.append(np.inf)
@@ -719,13 +714,14 @@ def _as_coeff_array(value, gens: GeneratorSet) -> np.ndarray:
     return arr
 
 
-def evolve_grassmann_classical(spec, zeta0: Multivector,
-                               config: IntegrationConfig) -> GrassmannPath:
+def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConfig,
+                               record=None) -> GrassmannPath:
     """Integrate i zeta' = omega zeta - eta and the phase equation.
 
     `spec` is either a grassmann HamiltonianSpec or a triple
     (omega_fn, eta_fn, delta_fn) with eta_fn/delta_fn mapping t to
     Multivectors (odd degree-one and even self-conjugate respectively).
+    The path holds the grid points `record` (every one by default).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
     which is what makes exp(i phi(t)) |zeta(t)> solve the Schrödinger equation
@@ -737,6 +733,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
     dim = gens.dim
     times = config.times()
 
+    # coefficient rows: eta(t), delta(t), omega(t) and eta(t)*
     if isinstance(spec, HamiltonianSpec):
         if spec.kind != "grassmann":
             raise ValidationError("grassmann classical evolution needs a "
@@ -749,43 +746,47 @@ def evolve_grassmann_classical(spec, zeta0: Multivector,
             raise GeneratorCollision(
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
             )
-        # eta is zero off its generator and eta* off its conjugate, so the
-        # products zeta* eta and eta* zeta skip the pairs that miss them
-        support = ((None, (bit,)), ((conj_bit,), None))
+        # eta, delta and eta* are zero off the eta generator, the body and
+        # its conjugate: a row holds each one's coefficient there
+        fused, masks = True, ((bit,), (conj_bit,))
+        eta_at, delta_at = slice(bit, bit + 1), slice(0, 1)
 
         def coeffs(ts):
-            arr = np.zeros((len(ts), 3, dim), dtype=np.complex128)
-            arr[:, 0, bit] = spec.forcing(ts)
-            arr[:, 1, 0] = spec.scalar(ts)
-            arr[:, 2] = spec.omega(ts)[:, None]
-            return arr
+            f = np.asarray(spec.forcing(ts), dtype=np.complex128)
+            return np.stack((f, spec.scalar(ts), spec.omega(ts), np.conj(f)), axis=1)
     else:
         omega_fn, eta_fn, delta_fn = spec
-        support = None
+        fused, masks, eta_at, delta_at = False, (None, None), slice(None), slice(None)
 
         def coeffs(ts):
-            return np.array([(_as_coeff_array(eta_fn(t), gens),
+            rows = np.array([(_as_coeff_array(eta_fn(t), gens),
                               _as_coeff_array(delta_fn(t), gens),
                               np.full(dim, omega_fn(t), dtype=np.complex128))
                              for t in ts])
+            return np.concatenate((rows, kernel.conjugate(rows[:, :1], n_gen)), axis=1)
 
-    # coefficient rows: eta(t), delta(t) and omega(t) in every slot
+    # zeta* eta + eta* zeta, summed in one pass if eta and eta* are one
+    # monomial each; the plan conjugates zeta as it gathers it
+    plan = kernel.bilinear_plan(n_gen, (
+        ((0, 0, None, "conj"), (1, 0, masks[0], None), 0),
+        ((1, 3, masks[1], None), (0, 0, None, None), 0 if fused else 1)),
+        ((2, dim), (4, 1 if fused else dim), (1 if fused else 2, dim)))
+
     def rhs(c, y):
-        eta, delta, omega = c.swapaxes(0, 1)
-        pair = y.copy()
-        pair[:, 1] = eta
-        # zeta* eta and eta* zeta of every row in one call
-        prod = kernel.multiply(kernel.conjugate(pair, n_gen).reshape(-1, dim),
-                               pair[:, ::-1].reshape(-1, dim), n_gen, support)
-        prod = prod.reshape(pair.shape)
+        eta, delta, omega, _ = c.reshape(len(c), 4, -1).swapaxes(0, 1)
+        prod = kernel.bilinear(plan, y, c)
         out = np.empty_like(y)
-        out[:, 0] = -1j * (omega * y[:, 0] - eta)
-        out[:, 1] = -delta + 0.5 * (prod[:, 0] + prod[:, 1])
+        drift = omega * y[:, 0]
+        drift[:, eta_at] -= eta
+        np.multiply(-1j, drift, out=out[:, 0])
+        np.multiply(0.5, prod[:, 0] if fused else prod[:, 0] + prod[:, 1], out=out[:, 1])
+        out[:, 1, delta_at] -= delta
         return out
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
-    series = _integrate(rhs, coeffs, y0, config, "grassmann classical")
-    return GrassmannPath(gens, times, series[:, 0], series[:, 1])
+    series = _integrate(rhs, coeffs, y0, config, "grassmann classical", record)
+    return GrassmannPath(gens, times if record is None else times[record],
+                         series[:, 0], series[:, 1])
 
 
 # -- operator transport ---------------------------------------------------------
@@ -800,7 +801,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
     """
     gens = op0.gens
     times = config.times()
-    coeffs, _ = _fermion_coeff_source(h, gens, times)
+    coeffs = _dense_slots(*_fermion_coeff_source(h, gens, times)[:2], gens.dim)
     n_gen = gens.n_generators
 
     def rhs(hc, y):
@@ -854,7 +855,7 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
         b = np.array([[c.coeffs for c in op.coefficients()] for op in ops])
     if len(b) != times.size:
         raise ValidationError("operator series and grid lengths differ")
-    table, _ = _fermion_coeff_source(h, gens, times)
+    table = _dense_slots(*_fermion_coeff_source(h, gens, times)[:2], gens.dim)
     dcoeff = _fd_derivative(b, dt)
     n_gen = gens.n_generators
     # the 12 slot-pair products of a block's times, both ways, fit in TABLE_BYTES

@@ -235,12 +235,12 @@ class FermionState:
 
 
 # The slot pairs (i, j) of _BASIS_MUL in its order, as gather indices; the
-# pairs whose left slot is odd; and the (pair, slot, sign) scatter of their
-# products, pair by pair, so each slot sums its products in pair order.
+# pairs whose left slot is odd; and the (pair, slot, np.add or np.subtract)
+# scatter of their products, so each slot sums its products in pair order.
 _PAIR_LEFT = np.array([i for i, _ in _BASIS_MUL])
 _PAIR_RIGHT = np.array([j for _, j in _BASIS_MUL])
 _PAIR_ODD = np.flatnonzero([_PARITY[i] for i, _ in _BASIS_MUL])
-_PAIR_SCATTER = tuple((k, slot, sign)
+_PAIR_SCATTER = tuple((k, slot, np.add if sign > 0 else np.subtract)
                       for k, targets in enumerate(_BASIS_MUL.values())
                       for slot, sign in targets)
 
@@ -262,8 +262,9 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     prod = kernel.multiply(c1s[..., _PAIR_LEFT, :].reshape(-1, dim),
                            right.reshape(-1, dim), n_gen).reshape(right.shape)
     out = np.zeros(c1s.shape, dtype=np.complex128)
-    for k, slot, sign in _PAIR_SCATTER:
-        out[..., slot, :] += sign * prod[..., k, :]
+    slots, prod = out.reshape(-1, 4, dim), prod.reshape(-1, len(_PAIR_LEFT), dim)
+    for k, slot, add in _PAIR_SCATTER:
+        add(slots[:, slot], prod[:, k], out=slots[:, slot])
     return out
 
 
@@ -367,12 +368,13 @@ def inner_product(s1: FermionState, s2: FermionState) -> Multivector:
     return s1.psi0.conjugate() * s2.psi0 + s1.psi1.conjugate() * s2.psi1
 
 
-def extract_eigenvalue(s: FermionState) -> tuple[Multivector, float]:
-    """Annihilation eigenvalue and relative residual of a candidate state."""
+def extract_eigenvalue(s: FermionState, norm_body=None) -> tuple[Multivector, float]:
+    """Annihilation eigenvalue and relative residual of a candidate state;
+    `norm_body`, if given, is s.norm_body(), already computed."""
     if not abs(s.psi0.body) >= 1e-150:
         raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
     g1 = s.psi1.grade_involution()
     lam = g1 * invert(s.psi0)
     applied = FermionState(s.gens, g1, s.gens.zero())  # b|s>
     diff = applied - (lam * s)
-    return lam, diff.sup_norm() / s.norm_body()
+    return lam, diff.sup_norm() / (s.norm_body() if norm_body is None else norm_body)

@@ -39,9 +39,23 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarr
     if support is not None and (not support or rows % len(support)):
         raise ValueError(f"{rows} rows are not a whole number of blocks of "
                          f"the support's {len(support)} rows")
-    if x.ndim == 1:
-        return pyref.graded_multiply(x[None], y[None], n_gen, support)[0]
     return pyref.graded_multiply(x, y, n_gen, support)
+
+
+def bilinear_plan(n_gen: int, products, shapes) -> pyref.Plan:
+    """A plan of a sum of graded products per row (see pyref._block_pairs)."""
+    return pyref.Plan(n_gen, products, shapes)
+
+
+def bilinear(plan: pyref.Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A plan over rows a (R, ...) and b (R, ...): (R,) + out's row shape.
+
+    Products that keep at most one pair per target may share one bincount
+    sum per target, bit for bit as their own sums added in order: a sum
+    starts at +0.0, so it is never -0.0 and adding +-0.0 to it changes no
+    bit; (0 + a) + b equals (0 + a) + (0 + b), and a sign folded onto a zero
+    operand changes nothing. Products with several pairs keep their own."""
+    return pyref.evaluate(plan, a, b)
 
 
 def conjugate(x: np.ndarray, n_gen: int) -> np.ndarray:

@@ -1,22 +1,23 @@
-"""Pure-numpy graded-product kernel over a batch of coefficient rows.
+"""Pure-numpy bilinear plans: out[t] = sum_k s_k * a[l_k] * b[r_k] over flat
+complex operands, a batch of row blocks at a time.
 
 Works on the real/imaginary components explicitly so every operation is a
 single IEEE rounding (numpy's vectorized complex multiply may contract to
-FMA on some CPUs). The accumulation is np.bincount with weights: one
-sequential pass `out[idx[k]] += w[k]` from zero, over row-major (row, pair)
-indices, so each target sums its pairs in table order and every batch size
-gives bit-identical rows.
+FMA on some CPUs); a's coefficient takes separate real and imaginary signs.
+The accumulation is np.bincount with weights, one per component: one
+sequential pass `out[idx[k]] += w[k]` from +0.0, over row-major (block,
+pair) indices, so each target sums its pairs in the plan's order and every
+batch size gives bit-identical rows.
 
-Gathers go through precomputed intp indices into the flat float64 views,
-and the products land in reusable work buffers: one plan per generator
-count and support, grown to the largest batch seen, smaller batches using
-its leading rows. A support (see kernel.multiply) keeps only the table
-pairs whose operands may be non-zero, still in table order; without one a
-plan keeps every pair. Plans are per thread, so concurrent evolutions share
-no buffers.
+Every plan's pairs come from _block_pairs. Gathers go through precomputed
+intp indices into the flat float64 views, and the products land in five
+reusable work buffers, grown to the largest batch seen, smaller batches
+using their leading rows. kernel.multiply caches its plans per thread, one
+per generator count and support, so concurrent evolutions share no buffers.
 """
 
 import threading
+from math import prod
 
 import numpy as np
 
@@ -27,93 +28,105 @@ _local = threading.local()
 _FULL = ((None, None),)
 
 
-def _block_pairs(n_gen: int, support):
-    """(left, right, target, sign) of the pairs kept in one block of
-    len(support) rows, row by row, each row's in table order; the indices
-    are complex slots of a (len(support), dim) block."""
+def _block_pairs(n_gen: int, products, shapes):
+    """(a, b, out, re_sign, im_sign) of the pairs kept in one block: the
+    graded products x*y of `products` (x, y, row of out), each in table
+    order. A factor is (operand, row, masks, op): a row of a (operand 0) or
+    b (1), the masks it may be non-zero at (None: any; pairs off them are
+    skipped), and op None, "gi" (grade involution) or "conj" (a only).
+    `shapes` holds the (rows, width) of a block of a, b and out; a row of
+    width 1 holds the coefficient of its factor's one mask."""
     left, right, target, sign = tables.mul_table(n_gen)
     dim = 1 << n_gen
-    rows = []
-    for r, (lsup, rsup) in enumerate(support):
+    parts = []
+    for x, y, row in products:
         keep = np.ones(sign.size, dtype=bool)
-        for index, masks in ((left, lsup), (right, rsup)):
+        for index, (_, _, masks, _) in ((left, x), (right, y)):
             if masks is not None:
                 masks = np.asarray(masks, dtype=np.intp)
                 if masks.ndim != 1 or np.any((masks < 0) | (masks >= dim)):
                     raise ValueError(f"support masks {masks} are not masks "
                                      f"over {n_gen} generators")
                 keep &= np.isin(index, masks)
-        at = r * dim
-        rows.append((left[keep] + at, right[keep] + at, target[keep] + at, sign[keep]))
-    return tuple(np.concatenate(part) for part in zip(*rows))
+        at, re, im = [None, None], sign[keep], sign[keep]
+        for mask, (operand, frow, _, op) in ((left[keep], x), (right[keep], y)):
+            if op == "gi":
+                re, im = (s * tables.parity_signs(n_gen)[mask] for s in (re, im))
+            elif op == "conj":  # conj(f)[m] = conj_sign[m] * conj(f[inv[m]])
+                inv, conj_sign = tables.conj_gather(n_gen)
+                re, im, mask = re * conj_sign[mask], -im * conj_sign[mask], inv[mask]
+            at[operand] = frow * shapes[operand][1] + mask % shapes[operand][1]
+        parts.append((*at, row * dim + target[keep], re, im))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-class _Plan:
-    """Gather/scatter indices and five work buffers for up to `rows` rows,
-    a whole number of blocks of the support's rows."""
+class Plan:
+    """The pairs of _block_pairs, and their indices and work buffers for up
+    to `rows` rows of a: a whole number of blocks of `block` rows."""
 
-    __slots__ = ("rows", "block", "left", "right", "target", "sign", "work", "views")
-
-    def __init__(self, n_gen: int, support, rows: int):
-        left, right, target, sign = _block_pairs(n_gen, support)
-        self.rows = rows
-        self.block = len(support)
-        start = np.arange(rows // self.block, dtype=np.intp)[:, None] * (self.block << n_gen)
-        # float offset of a coefficient's real part in a (rows, dim) complex array
-        self.left = (2 * (left + start)).ravel()
-        self.right = (2 * (right + start)).ravel()
-        self.target = (target + start).ravel()  # complex slot of the product
-        self.sign = sign
-        self.work = np.empty(5 * self.left.size)
-        self.views = {}
+    def __init__(self, n_gen: int, products, shapes, block: int = 1):
+        *self.pairs, re, im = _block_pairs(n_gen, products, shapes)
+        self.sign = np.stack((re, im))[:, None]
+        self.block = block
+        self.strides = [prod(shape) for shape in shapes]  # a block of a, b, out
+        self.out_shape = tuple(shapes[2])
+        self.rows = 0
 
     def leading(self, rows: int):
         """Index and buffer views over the first `rows` rows (cached)."""
+        if rows > self.rows:
+            start = np.arange(rows // self.block, dtype=np.intp)[:, None]
+            a, b, out = (i + start * s for i, s in zip(self.pairs, self.strides))
+            # float offsets of a coefficient's real part, complex slots of out
+            self.index = ((2 * a).ravel(), (2 * b).ravel(), out.ravel())
+            self.work = np.empty(5 * self.index[0].size)
+            self.views = {}
+            self.rows = rows
         views = self.views.get(rows)
         if views is None:
-            blocks = rows // self.block
-            n = blocks * self.sign.size
-            work = self.work[:5 * n]
+            blocks, pairs = rows // self.block, self.sign.shape[-1]
+            work = self.work[:5 * blocks * pairs]
             views = self.views[rows] = (
-                self.left[:n], self.right[:n], self.target[:n],
-                # p and q of every block, for the sign
-                work[:2 * n].reshape(2 * blocks, self.sign.size),
-                *work.reshape(5, n),
+                *(index[:blocks * pairs] for index in self.index),
+                work[:2 * blocks * pairs].reshape(2, blocks, pairs),  # p and q
+                *work.reshape(5, -1),
             )
         return views
 
 
-def _plan(n_gen: int, support, rows: int) -> _Plan:
-    plans = getattr(_local, "plans", None)
-    if plans is None:
-        plans = _local.plans = {}
-    key = (n_gen, support)
-    plan = plans.get(key)
-    if plan is None or plan.rows < rows:
-        plan = plans[key] = _Plan(n_gen, support or _FULL, rows)
-    return plan
-
-
-def graded_multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
-    """Row-wise graded products of C-contiguous complex128 (B, dim) arrays;
-    B is a multiple of len(support) (see kernel.multiply)."""
-    rows = x.shape[0]
-    plan = _plan(n_gen, support, rows)
+def evaluate(plan: Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The plan over complex128 a and b, whose len(a) rows are a whole
+    number of blocks; returns (blocks,) + the plan's out shape."""
+    rows = len(a)
     left, right, target, pq, p, q, c, d, re = plan.leading(rows)
-    xf = x.ravel().view(np.float64)
-    yf = y.ravel().view(np.float64)
-    xf.take(left, out=p, mode="clip")
-    xf[1:].take(left, out=q, mode="clip")
-    yf.take(right, out=c, mode="clip")
-    yf[1:].take(right, out=d, mode="clip")
-    np.multiply(pq, plan.sign, out=pq)  # p = sign * x_re, q = sign * x_im
+    af, bf = (v.reshape(-1).view(np.float64) for v in (a, b))
+    af.take(left, out=p, mode="clip")
+    af[1:].take(left, out=q, mode="clip")
+    bf.take(right, out=c, mode="clip")
+    bf[1:].take(right, out=d, mode="clip")
+    np.multiply(pq, plan.sign, out=pq)  # p = re_sign * a_re, q = im_sign * a_im
     np.multiply(p, c, out=re)
     np.multiply(p, d, out=p)
     np.multiply(q, d, out=d)
     np.subtract(re, d, out=re)  # re = p*c - q*d
     np.multiply(q, c, out=c)
     np.add(p, c, out=p)  # im = p*d + q*c
-    out = np.empty(x.shape, dtype=np.complex128)
-    out.real = np.bincount(target, re, x.size).reshape(x.shape)
-    out.imag = np.bincount(target, p, x.size).reshape(x.shape)
-    return out
+    size = rows // plan.block * plan.strides[2]
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(target, re, size)
+    out.imag = np.bincount(target, p, size)
+    return out.reshape((-1,) + plan.out_shape)
+
+
+def graded_multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
+    """Row-wise graded products of complex128 (dim,) or (B, dim) arrays; B
+    is a multiple of len(support) (see kernel.multiply)."""
+    plans = _local.__dict__.setdefault("plans", {})
+    plan = plans.get((n_gen, support))
+    if plan is None:
+        rows = support or _FULL
+        shape = (len(rows), 1 << n_gen)
+        plan = plans[(n_gen, support)] = Plan(n_gen, tuple(
+            ((0, r, lsup, None), (1, r, rsup, None), r)
+            for r, (lsup, rsup) in enumerate(rows)), (shape,) * 3, len(rows))
+    return evaluate(plan, x.reshape(-1, 1 << n_gen), y).reshape(x.shape)

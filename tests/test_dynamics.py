@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cohstab import dynamics
+from cohstab import dynamics, kernel
 from cohstab.kernel import pyref
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
@@ -783,7 +783,9 @@ def _coeffs_of(start, cfg, monkeypatch):
 
 def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarray:
     """One evolution's coefficient rows at the scalar time t, every function
-    evaluated at t alone, in the layout of the driver's table."""
+    evaluated at t alone, in the layout of the driver's table: the fermion
+    Schrödinger evolution and the grassmann law hold one entry per row, the
+    coefficient of the one monomial the row may be non-zero at."""
     w, f, g = (complex(fn(t)) for fn in (spec.omega, spec.forcing, spec.scalar))
     if label in ("classical boson", "nu system"):
         return np.array([[w], [f]])
@@ -794,15 +796,13 @@ def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarr
         idx = gens.index(spec.eta_generator)
         plus, minus = 1 << idx, 1 << (idx ^ 1)
     if label == "grassmann classical":
-        c = np.zeros((3, gens.dim), dtype=np.complex128)
-        c[0, plus], c[1, 0], c[2] = f, g, w
-        return c
+        return np.array([f, g, w, np.conj(f)])
     c = np.zeros((4, gens.dim), dtype=np.complex128)
     c[0, 0] = g
     c[1, minus] = -np.conj(f) if spec.kind == "grassmann" else np.conj(f)
     c[2, plus] = f
     c[3, 0] = w
-    return c[[0, 0, 1, 3, 2]] if label == "fermion Schrödinger" else c
+    return c[range(4), (0, minus, plus, 0)] if label == "fermion Schrödinger" else c
 
 
 @pytest.mark.parametrize("name, spec, cfg", TABLE_CASES,
@@ -987,3 +987,182 @@ def test_invariant_residual_kernel_plan_holds_one_block():
     block = dynamics.TABLE_BYTES // (2 * 12 * 16 * LOCK_G2.dim)
     assert cfg.times().size > block
     assert len(rows) == 1 and rows[0] <= 12 * block
+
+
+# -- the fused RHS plans against the two-stage RHSs they replace -------------------
+
+
+def two_stage_fermion_rhs(n_gen, support):
+    """Order reference: the fermion Schrödinger RHS as it was before its plan,
+    on dense rows c (R, 5, dim) of ci, ci, cm, cn, cp: the five products in
+    one kernel.multiply call, then added in three array operations."""
+    gsigns = kernel.grade_signs(n_gen)
+
+    def rhs(c, y):
+        right = np.empty((len(y), 5, 1 << n_gen), dtype=np.complex128)
+        right[:, :2] = y
+        right[:, 3] = y[:, 1]
+        np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
+        left = c.reshape(-1, 1 << n_gen)
+        prod = kernel.multiply(left, right.reshape(left.shape), n_gen, support)
+        prod = prod.reshape(right.shape)
+        out = prod[:, :2] + prod[:, 2:4]
+        out[:, 1] += prod[:, 4]
+        out *= -1j
+        return out
+
+    return rhs
+
+
+def two_stage_law_rhs(n_gen, support):
+    """Order reference: the grassmann law's RHS as it was before its plan, on
+    dense rows c (R, 3, dim) of eta, delta and omega: zeta* eta and eta* zeta
+    through kernel.conjugate and one kernel.multiply call, then added."""
+    def rhs(c, y):
+        eta, delta, omega = c.swapaxes(0, 1)
+        pair = y.copy()
+        pair[:, 1] = eta
+        dim = 1 << n_gen
+        prod = kernel.multiply(kernel.conjugate(pair, n_gen).reshape(-1, dim),
+                               pair[:, ::-1].reshape(-1, dim), n_gen, support)
+        prod = prod.reshape(pair.shape)
+        out = np.empty_like(y)
+        out[:, 0] = -1j * (omega * y[:, 0] - eta)
+        out[:, 1] = -delta + 0.5 * (prod[:, 0] + prod[:, 1])
+        return out
+
+    return rhs
+
+
+def awkward(rng, shape) -> np.ndarray:
+    """Complex values whose parts are normal, +-0.0 or subnormal."""
+    parts = rng.standard_normal(shape + (2,))
+    draw = rng.random(shape + (2,))
+    parts[draw < 0.3] = 0.0
+    parts[(draw >= 0.3) & (draw < 0.45)] *= 1e-310
+    parts[rng.random(shape + (2,)) < 0.5] *= -1.0
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = parts[..., 0], parts[..., 1]  # no +0.0 from 1j*-0.0
+    return out
+
+
+def _rhs_of(start, cfg, monkeypatch):
+    """The RHS and coefficient function an evolution hands the driver."""
+    got = []
+
+    def capture(rhs, coeffs, *args, **kw):
+        got.append((rhs, coeffs))
+        raise _Captured
+
+    monkeypatch.setattr(dynamics, "_integrate", capture)
+    with pytest.raises(_Captured):
+        start(cfg)
+    monkeypatch.undo()
+    return got[0]
+
+
+def _oracle_case(kind, gens):
+    """(start, reference, draw) of one oracle case over `gens`, whose
+    generator 0 is eta: `start` begins the evolution whose RHS is tested,
+    `reference` is the two-stage RHS it replaced, and draw(rng, rows) gives
+    random coefficient rows in the RHS's layout and the reference's."""
+    n_gen, dim = gens.n_generators, gens.dim
+    spec = HamiltonianSpec("grassmann", const_fn(1.0), LOCK_FORCING, const_fn(0.1),
+                           gens=gens, eta_generator="eta")
+    masks = (0, 0, 2, 0, 1)  # ci, ci, cm, cn, cp: eta* is mask 2, eta mask 1
+    if kind == "fermion":
+        spec, masks = HamiltonianSpec("fermion", const_fn(1.0), LOCK_FORCING), (0,) * 5
+
+    def compact(rng, rows):  # the slot values (I, b, b†, b†b) at their masks
+        c = awkward(rng, (rows, 4))
+        dense = np.zeros((rows, 5, dim), dtype=np.complex128)
+        for k, slot in enumerate((0, 0, 1, 3, 2)):
+            dense[:, k, masks[k]] = c[:, slot]
+        return c, dense
+
+    def builder_rows(rng, rows):
+        c = awkward(rng, (rows, 4, dim))
+        return c, c[:, [0, 0, 1, 3, 2]]
+
+    def law_rows(rng, rows):  # eta, delta, omega and eta*, one entry each
+        c = awkward(rng, (rows, 4))
+        c[:, 3] = np.conj(c[:, 0])
+        dense = np.zeros((rows, 3, dim), dtype=np.complex128)
+        dense[:, 0, 1], dense[:, 1, 0], dense[:, 2] = c[:, 0], c[:, 1], c[:, 2:3]
+        return c, dense
+
+    def triple_rows(rng, rows):
+        dense = awkward(rng, (rows, 3, dim))
+        return np.concatenate((dense, kernel.conjugate(dense[:, :1], n_gen)), axis=1), dense
+
+    def fermion(h):
+        return lambda cfg: evolve_schrodinger_fermion(h, FermionState.vacuum(gens), cfg)
+
+    def law(h):
+        return lambda cfg: evolve_grassmann_classical(h, gens.zero(), cfg)
+
+    triple = (lambda t: 1.0, lambda t: 0.3 * gens.gen("eta"), lambda t: 0.1)
+    return {
+        "fermion": (fermion(spec), tuple(((m,), None) for m in masks), compact),
+        "grassmann": (fermion(spec), tuple(((m,), None) for m in masks), compact),
+        "builder": (fermion(lambda t: hamiltonian_operator(spec, t, gens)), None,
+                    builder_rows),
+        "law": (law(spec), ((None, (1,)), ((2,), None)), law_rows),
+        "triple": (law(triple), None, triple_rows),
+    }[kind]
+
+
+ORACLE_CASES = [(kind, n_pairs)
+                for kind in ("fermion", "grassmann", "builder", "law", "triple")
+                for n_pairs in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("kind, n_pairs", ORACLE_CASES,
+                         ids=[f"{kind}_c{4 ** n}" for kind, n in ORACLE_CASES])
+def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
+    rng = np.random.default_rng(n_pairs)
+    gens = GeneratorSet.from_pairs(("eta", "zeta", "chi", "xi")[:n_pairs])
+    start, support, draw = _oracle_case(kind, gens)
+    two_stage = two_stage_law_rhs if kind in ("law", "triple") else two_stage_fermion_rhs
+    reference = two_stage(gens.n_generators, support)
+    rhs, _ = _rhs_of(start, IntegrationConfig(0.01, 1e-3), monkeypatch)
+    for rows in (1, 2):
+        for _ in range(20 if n_pairs < 4 else 3):
+            y = awkward(rng, (rows, 2, gens.dim))
+            c, dense = draw(rng, rows)
+            assert np.array_equal(bits(rhs(c, y)), bits(reference(dense, y))), rows
+
+
+@pytest.mark.parametrize("start", [
+    lambda cfg: evolve_schrodinger_fermion(
+        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg),
+    lambda cfg: evolve_schrodinger_fermion(
+        lambda t: hamiltonian_operator(LOCK_GRASSMANN, t, LOCK_G2),
+        make_coherent(LOCK_G2.gen("zeta")), cfg),
+    lambda cfg: evolve_grassmann_classical(LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
+], ids=["fermion_spec", "fermion_builder", "grassmann_law"])
+def test_each_rhs_stage_is_one_plan_evaluation(start, driver_runs, monkeypatch):
+    calls = Counter()
+    for name in ("bilinear", "multiply", "conjugate"):
+        fn = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, fn=fn, name=name: (
+            calls.update([name]), fn(*a))[1])
+    cfg = IntegrationConfig(0.05, 1e-2)
+    integrate = dynamics._integrate  # the driver_runs spy
+
+    def counting(rhs, *args, **kw):
+        def stage(c, y):
+            calls.update(["stage"])
+            before = calls["multiply"]
+            out = rhs(c, y)
+            calls.update({"stage_multiply": calls["multiply"] - before})
+            return out
+        return integrate(stage, *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_integrate", counting)
+    start(cfg)
+    assert calls["stage"] == 8 * cfg.n_steps
+    assert calls["bilinear"] == calls["stage"]
+    assert calls["stage_multiply"] == 0
+    if driver_runs[0].label == "grassmann classical":
+        assert calls["conjugate"] == 0
