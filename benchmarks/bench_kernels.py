@@ -19,14 +19,18 @@ it), the last two in microseconds of CPU time and RHS calls per grid step. Then
 "coefficient evaluation per grid step" for the boson Schrödinger evolution
 on 64 levels and the fermion Schrödinger evolution at 4, 16 and 256
 coefficients: the wall time spent evaluating the Hamiltonian's coefficients
-over one evolution, and the CoefficientFn calls, per grid step.
+over one evolution, and the CoefficientFn calls, per grid step. Then "the
+per-record observer" of the fermion Schrödinger evolution at 4, 16 and 256
+coefficients: microseconds per record of what the evolution computes from
+its records (<psi|psi> and norm_dev, the eigenvalue and its residual).
 
 With --baseline the same measurements run in fresh interpreters, alternating
 between this checkout's src/ and a `git archive` of REV, for ROUNDS rounds;
 the JSON then holds a "parent" column (REV) and a "change" column (this
-checkout), each with every round and the medians. The RHS, driver
-and coefficient layers instead run both trees in one interpreter, alternating
-run by run, which keeps this machine's drift in speed out of their comparison. Without
+checkout), each with every round and the medians. The RHS, driver,
+coefficient and observer layers instead run both trees in one interpreter,
+alternating run by run, which keeps this machine's drift in speed out of
+their comparison. Without
 --baseline the JSON holds the one column measured in this interpreter.
 """
 
@@ -58,6 +62,7 @@ STEP_PAIRS = (1, 2, 4)  # generator pairs: 4, 16 and 256 coefficients
 STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
 STEP_RUNS = 10
 RHS_CALLS = 1000
+OBSERVER_GRID = (0.2, 1e-3, 1)  # t_end, dt and stride: 201 records
 BACKEND = "numpy (cohstab/kernel/pyref.py)"
 
 
@@ -166,8 +171,8 @@ def _evolutions(package: str) -> dict:
         for k in range(1, n_pairs):
             zeta = zeta + gens.gen(f"zeta{k}")
         out[f"fermion_schrodinger_c{gens.dim}"] = (
-            lambda spec=spec, zeta=zeta: dynamics.evolve_schrodinger_fermion(
-                spec, fermion.make_coherent(zeta), cfg))
+            lambda config=cfg, spec=spec, zeta=zeta: dynamics.evolve_schrodinger_fermion(
+                spec, fermion.make_coherent(zeta), config))
         out[f"grassmann_law_c{gens.dim}"] = (
             lambda spec=spec, zeta=zeta: dynamics.evolve_grassmann_classical(
                 spec, zeta, cfg))
@@ -388,16 +393,68 @@ def bench_coefficients(packages: dict) -> dict:
     }
 
 
+def bench_observer(packages: dict) -> dict:
+    """The per-record observer of the fermion Schrödinger evolution, per size.
+
+    `packages` maps a column name to an importable cohstab package. Each
+    case evolves the step layers' spec and start (see _evolutions) on
+    OBSERVER_GRID once and keeps its records; then the evolution runs with
+    its driver replaced by one that returns those records, all of them or
+    the first alone. Reported is the median over STEP_RUNS runs of the
+    difference of the two wall times per extra record, so what the
+    evolution does once (plan, coefficient checks) cancels. The columns
+    alternate run by run in this interpreter.
+    """
+    cases = {}
+    for col, pkg in packages.items():
+        dynamics = importlib.import_module(f"{pkg}.dynamics")
+        cfg = dynamics.IntegrationConfig(*OBSERVER_GRID)
+        for name, evolve in _evolutions(pkg).items():
+            if not name.startswith("fermion"):
+                continue
+            integrate, kept = dynamics._integrate, []
+
+            def keep(*args, integrate=integrate, **kw):
+                kept.append(integrate(*args, **kw))
+                return kept[-1]
+
+            def run(records, evolve=evolve, dynamics=dynamics, integrate=integrate):
+                dynamics._integrate = lambda *args, **kw: records.copy()
+                try:
+                    t0 = time.perf_counter()
+                    evolve(cfg)
+                    return time.perf_counter() - t0
+                finally:
+                    dynamics._integrate = integrate
+
+            dynamics._integrate = keep
+            try:
+                evolve(cfg)
+            finally:
+                dynamics._integrate = integrate
+            cases.setdefault(name.replace("schrodinger", "observer"), {})[col] = (run, kept[0])
+    us = {col: {} for col in packages}
+    for i in range(STEP_RUNS):
+        for name, cols in cases.items():
+            for col in (list(cols) if i % 2 == 0 else list(cols)[::-1]):
+                run, records = cols[col]
+                extra = run(records) - run(records[:1])
+                us[col].setdefault(name, []).append(extra / (len(records) - 1) * 1e6)
+    return {col: {name: statistics.median(runs) for name, runs in table.items()}
+            for col, table in us.items()}
+
+
 def _steps_side_by_side(parent_pkg: Path, change_pkg: Path, tmp: Path):
-    """bench_rhs, bench_steps and bench_coefficients on two cohstab trees,
-    imported under distinct names."""
+    """bench_rhs, bench_steps, bench_coefficients and bench_observer on two
+    cohstab trees, imported under distinct names."""
     pkgs = tmp / "pkgs"
     for name, src in (("cohstab_parent", parent_pkg), ("cohstab_change", change_pkg)):
         shutil.copytree(src, pkgs / name, ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(pkgs))
     packages = {"parent": "cohstab_parent", "change": "cohstab_change"}
     try:
-        return bench_rhs(packages), bench_steps(packages), bench_coefficients(packages)
+        return (bench_rhs(packages), bench_steps(packages), bench_coefficients(packages),
+                bench_observer(packages))
     finally:
         sys.path.remove(str(pkgs))
 
@@ -490,7 +547,7 @@ def compare(rev: str, repeats: int) -> dict:
         for _ in range(ROUNDS):
             columns["parent"].append(_worker(Path(tmp) / "parent" / "src", repeats))
             columns["change"].append(_worker(ROOT / "src", repeats))
-        rhs, steps, coefficients = _steps_side_by_side(
+        rhs, steps, coefficients, observer = _steps_side_by_side(
             Path(tmp) / "parent" / "src" / "cohstab", ROOT / "src" / "cohstab",
             Path(tmp))
     head = _git("rev-parse", "HEAD")
@@ -503,6 +560,7 @@ def compare(rev: str, repeats: int) -> dict:
         name: {"source": sources[name], "backend": runs[0]["backend"],
                "rhs_stage_us": rhs[name], "steps": steps[name],
                "coefficients": coefficients[name],
+               "observer_us_per_record": observer[name],
                "median": _medians(runs), "rounds": runs}
         for name, runs in columns.items()
     }
@@ -528,6 +586,8 @@ def _print_column(name: str, data: dict) -> None:
         print(f"  {case:<26} coefficient evaluation per grid step "
               f"{row['coeff_us_per_step']:9.1f} us "
               f"({row['coeff_fn_calls_per_step']:g} CoefficientFn calls)")
+    for case, us in data["observer_us_per_record"].items():
+        print(f"  {case:<26} per-record observer {us:9.1f} us per record")
     print(f"  grassmann evolution, t=1: {data['evolution_s']:.2f} s")
     for scen, res in data.get("scenarios", {}).items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
@@ -561,6 +621,7 @@ def main() -> None:
                            "rhs_stage_us": column["rhs_stage_us"],
                            "steps": column["steps"],
                            "coefficients": column["coefficients"],
+                           "observer_us_per_record": column["observer_us_per_record"],
                            "evolution_s": column["median"]["evolution_s"]})
             print(f"  shipped scenarios: {column['median']['scenario_run_s']}")
     else:
@@ -569,6 +630,8 @@ def main() -> None:
             result["rhs_stage_us"] = bench_rhs({"this checkout": "cohstab"})["this checkout"]
             result["steps"] = bench_steps({"this checkout": "cohstab"})["this checkout"]
             result["coefficients"] = bench_coefficients(
+                {"this checkout": "cohstab"})["this checkout"]
+            result["observer_us_per_record"] = bench_observer(
                 {"this checkout": "cohstab"})["this checkout"]
             _print_column("this checkout", result)
             result = {**meta, **result}

@@ -65,11 +65,6 @@ class BosonState:
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
-    def tail_mass(self) -> float:
-        """Occupancy of the two highest levels relative to the norm."""
-        top = float(np.abs(self.amps[-1]) ** 2 + np.abs(self.amps[-2]) ** 2)
-        return top / self.norm_sq()
-
     def __add__(self, other):
         if not isinstance(other, BosonState):
             return NotImplemented

@@ -38,22 +38,14 @@ def _fmt(x: float) -> str:
 def _trajectory_rows(traj: Trajectory):
     """Header and rows of a trajectory CSV: t, the re and im parts of each
     eigenvalue coefficient (nan where a record has none), residual and
-    norm_dev, each written as repr of its float."""
-    if traj.kind == "boson":
-        labels, lams = ["z"], traj.eigenvalues
-    else:
-        labels = [traj.gens.monomial_label(mask) for mask in range(traj.gens.dim)]
-        lams = [None if lam is None else lam.coeffs for lam in traj.eigenvalues]
+    norm_dev, each written as repr of its float, one row at a time."""
+    labels = (["z"] if traj.kind == "boson"
+              else [traj.gens.monomial_label(mask) for mask in range(traj.gens.dim)])
     header = (["t"] + [f"{part}[{label}]" for label in labels for part in ("re", "im")]
               + ["residual", "norm_dev"])
-    table = np.full((len(traj.times), len(header)), np.nan)
-    table[:, 0] = traj.times
-    for row, lam in zip(table, lams):
-        if lam is not None:
-            row[1:-2].view(np.complex128)[:] = lam
-    table[:, -2] = traj.residuals
-    table[:, -1] = traj.norm_dev
-    return header, [list(map(repr, row.tolist())) for row in table]
+    table = np.column_stack((traj.times, traj.lams.view(np.float64),
+                             traj.residuals, traj.norm_dev))
+    return header, (list(map(repr, row.tolist())) for row in table)
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -30,18 +30,19 @@ from .errors import (
     NotHermitian,
     StepTooLarge,
     TruncationBreach,
-    VacuumAmplitudeZero,
     ValidationError,
 )
 from .fermion import (
     FermionOperator,
     FermionState,
+    _coherent_rows,
     _compose_coeff_arrays,
-    extract_eigenvalue,
-    inner_product,
-    make_coherent,
+    _observe_rows,
+    _state,
 )
-from .grassmann import GeneratorSet, Multivector, invert, require_odd_degree_one
+from .grassmann import GeneratorSet, Multivector, _invert_rows, _odd_degree_one_rows
+from .grassmann import require_odd_degree_one
+from .kernel import TABLE_BYTES
 
 #: Endpoint tolerance for the dt vs dt/2 self-check.
 STEP_TOL = 1e-8
@@ -94,11 +95,20 @@ class IntegrationConfig:
     def refined_times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, 2 * self.n_steps + 1)
 
+    @property
+    def n_records(self) -> int:  # len(record_indices()), without building it
+        return -(-self.n_steps // self.stride) + 1
+
     def record_indices(self) -> np.ndarray:
-        idx = list(range(0, self.n_steps + 1, self.stride))
-        if idx[-1] != self.n_steps:
-            idx.append(self.n_steps)
-        return np.asarray(idx, dtype=np.int64)
+        return np.minimum(np.arange(self.n_records) * self.stride, self.n_steps)
+
+
+def check_records(n_records: int, values: int) -> None:
+    """Refuse (ValidationError), before they exist, records of more complex
+    values than one per point of the largest grid (MAX_STEPS + 1, 160 MB)."""
+    if n_records * values > MAX_STEPS + 1:
+        raise ValidationError(f"{n_records} records of {values} complex values exceed "
+                              f"the record bound of {MAX_STEPS + 1} values")
 
 
 def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
@@ -277,32 +287,46 @@ class GrassmannPath:
     def phi_at(self, i: int) -> Multivector:
         return Multivector(self.gens, self.phi[i])
 
-    def phase_factor_at(self, i: int) -> Multivector:
-        from .grassmann import exponential
-
-        return exponential(1j * self.phi_at(i))
-
 
 # -- trajectories ------------------------------------------------------------
 
 
 @dataclass
 class Trajectory:
-    """Stride-sampled records of one Schrödinger evolution; phase_factors
-    is computed from them when first read, not by the evolution."""
+    """Stride-sampled records of one Schrödinger evolution, a row each: the
+    amplitudes (n_rec, 2, dim) or a boson's (n_rec, levels); the eigenvalues
+    lams (n_rec, dim) or a boson's (n_rec, 1), all NaN where a record has
+    none (residual inf); residuals and norm_dev. states, eigenvalues and
+    phase_factors are their objects, built when first read."""
 
     kind: str
     config: IntegrationConfig
-    full_times: np.ndarray
     record_indices: np.ndarray
-    times: np.ndarray
-    states: list
-    eigenvalues: list
+    amplitudes: np.ndarray
+    lams: np.ndarray
     residuals: np.ndarray
     norm_dev: np.ndarray
     spec: HamiltonianSpec | None = None
     gens: GeneratorSet | None = None
-    max_tail: float = 0.0
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.config.times()[self.record_indices]
+
+    @functools.cached_property
+    def states(self) -> list:
+        if self.kind == "boson":
+            return [BosonState(y) for y in self.amplitudes]
+        return [_state(self.gens, y) for y in self.amplitudes]
+
+    @functools.cached_property
+    def eigenvalues(self) -> list:  # a Multivector (None if none) or a boson's complex
+        if self.kind == "boson":
+            return [complex(z) for z in self.lams[:, 0]]
+        return self._multivectors(self.lams)
+
+    def _multivectors(self, rows: np.ndarray) -> list:
+        return [None if np.isnan(row).all() else Multivector(self.gens, row) for row in rows]
 
     @property
     def max_residual(self) -> float:
@@ -318,19 +342,17 @@ class Trajectory:
         record's eigenvalue (None if it is not odd degree-one); boson: None."""
         if self.kind == "boson":
             return None
-        return [state.psi0 * invert(make_coherent(lam).psi0)
-                if lam is not None and lam.is_odd_degree_one() else None
-                for state, lam in zip(self.states, self.eigenvalues)]
+        n_gen = self.gens.n_generators
+        odd = _odd_degree_one_rows(self.lams, n_gen)  # a NaN row is not
+        factors = np.full_like(self.lams, complex(np.nan, np.nan))
+        coherent = _coherent_rows(self.lams[odd], n_gen)
+        factors[odd] = kernel.multiply(self.amplitudes[odd, 0],
+                                       _invert_rows(coherent[:, 0], n_gen), n_gen)
+        return self._multivectors(factors)
 
 
 # -- RK4 driver ----------------------------------------------------------------
 
-
-#: Byte budget of one block of work over grid times, at least one time each:
-#: the driver tabulates the coefficients of as many grid steps at a time as
-#: fit in it, and invariant_residual composes the slot-pair products of as
-#: many grid times.
-TABLE_BYTES = 256 * 1024
 
 #: Grid steps whose stage times the driver works out and tells apart at a
 #: time, which bounds that work's memory on long grids.
@@ -349,7 +371,8 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     stage its rows, so no RHS looks anything up by time.
 
     Returns the states at the grid indices `record` (every grid point by
-    default) along a new leading axis. `on_step(t, y)` sees every grid
+    default) along a new leading axis, refused first if check_records
+    refuses them. `on_step(t, y)` sees every grid
     point of the dt run, the start included. The dt/2 run keeps only its
     endpoint; unless that lies within STEP_TOL of the dt endpoint (NaN never
     does) the evolution is refused with StepTooLarge.
@@ -361,6 +384,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     that of a run on its own, so both runs are bit-identical to sequential
     ones.
     """
+    check_records(config.n_steps + 1 if record is None else len(record), np.size(y0))
     times = config.times()
     fine = config.refined_times()
     keep = range(times.size) if record is None else [int(i) for i in record]
@@ -607,41 +631,12 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     rec_idx = config.record_indices()
     records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
 
-    states: list[FermionState] = []
-    eigenvalues: list = []
-    residuals: list[float] = []
-    norm_dev: list[float] = []
-    ip0 = inner_product(s0, s0)
-    for y in records:
-        state = FermionState(gens, Multivector(gens, y[0]), Multivector(gens, y[1]))
-        states.append(state)
-        # physical norm^2 = body of <psi|psi>; the soul components are only
-        # conserved for parity-even Hamiltonians
-        norm = inner_product(state, state).body
-        norm_dev.append(abs(norm - ip0.body))
-        try:
-            lam, res = extract_eigenvalue(state, norm.real)
-        except VacuumAmplitudeZero:
-            eigenvalues.append(None)
-            residuals.append(np.inf)
-            continue
-        eigenvalues.append(lam)
-        residuals.append(res)
-
-    spec = h if isinstance(h, HamiltonianSpec) else None
-    return Trajectory(
-        kind=kind,
-        config=config,
-        full_times=times,
-        record_indices=rec_idx,
-        times=times[rec_idx],
-        states=states,
-        eigenvalues=eigenvalues,
-        residuals=np.asarray(residuals),
-        norm_dev=np.asarray(norm_dev),
-        spec=spec,
-        gens=gens,
-    )
+    # physical norm^2 = body of <psi|psi>; the soul components are only
+    # conserved for parity-even Hamiltonians. Record 0 is s0.
+    norm, lams, residuals = _observe_rows(records, n_gen)
+    norm_dev = np.array([abs(complex(n) - complex(norm[0])) for n in norm])
+    return Trajectory(kind, config, rec_idx, records, lams, residuals, norm_dev,
+                      spec=h if isinstance(h, HamiltonianSpec) else None, gens=gens)
 
 
 # -- boson Schrödinger evolution ----------------------------------------------
@@ -665,13 +660,9 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
         down[:, :-1] = sq * y[:, 1:]
         return -1j * (w * (nlev * y) + f * up + np.conj(f) * down + g * y)
 
-    max_tail = [0.0]
-
     def tail_guard(t, y):
         nsq = float(np.sum(np.abs(y) ** 2))
         tail = float((np.abs(y[-1]) ** 2 + np.abs(y[-2]) ** 2) / nsq)
-        if tail > max_tail[0]:
-            max_tail[0] = tail
         if not tail <= BREACH_TOL:
             raise TruncationBreach(
                 f"tail mass {tail:.3e} at t={t:.6g} exceeds {BREACH_TOL}"
@@ -683,22 +674,10 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
                          on_step=tail_guard)
 
     norm0 = s0.norm_sq()
-    states = [BosonState(y, _copy=False) for y in records]
-    fits = [eigenvalue_lsq(state) for state in states]
-    return Trajectory(
-        kind="boson",
-        config=config,
-        full_times=times,
-        record_indices=rec_idx,
-        times=times[rec_idx],
-        states=states,
-        eigenvalues=[lam for lam, _ in fits],
-        residuals=np.asarray([res for _, res in fits]),
-        norm_dev=np.asarray([abs(float(np.sum(np.abs(y) ** 2)) - norm0)
-                             for y in records]),
-        spec=spec,
-        max_tail=max_tail[0],
-    )
+    lams, residuals = zip(*(eigenvalue_lsq(BosonState(y, _copy=False)) for y in records))
+    norm_dev = [abs(float(np.sum(np.abs(y) ** 2)) - norm0) for y in records]
+    return Trajectory("boson", config, rec_idx, records, np.array(lams)[:, None],
+                      np.array(residuals), np.array(norm_dev), spec)
 
 
 # -- grassmann classical sector -----------------------------------------------
@@ -828,8 +807,7 @@ def _fd_derivative(series: np.ndarray, dt: float) -> np.ndarray:
 
 
 def invariant_residual(b_series, h, config: IntegrationConfig,
-                       gens: GeneratorSet | None = None,
-                       calibrate: bool = True) -> np.ndarray:
+                       gens: GeneratorSet | None = None) -> np.ndarray:
     """Per-time sup-norm of dB/dt - i[B, H] over the basis coefficients.
 
     `b_series` is a FermionInvariantPath or one FermionOperator per grid
@@ -838,8 +816,7 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     """
     times = config.times()
     dt = times[1] - times[0]
-    if calibrate:
-        _fd_order_check(dt)
+    _fd_order_check(dt)
     if isinstance(b_series, FermionInvariantPath):
         if gens is None:
             gens = h.gens if isinstance(h, HamiltonianSpec) and h.gens is not None \

@@ -21,8 +21,8 @@ from .errors import (
 from .grassmann import (
     GeneratorSet,
     Multivector,
-    exponential,
-    invert,
+    _exponential_rows,
+    _invert_rows,
     require_odd_degree_one,
 )
 
@@ -167,7 +167,7 @@ class FermionOperator:
         parts = [
             f"[{c!r}]*{lab}"
             for c, lab in zip(self.coefficients(), labels)
-            if not c.is_zero(1e-15)
+            if not c.sup_norm() <= 1e-15
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -220,9 +220,6 @@ class FermionState:
 
     def sup_norm(self) -> float:
         return float(np.max([self.psi0.sup_norm(), self.psi1.sup_norm()]))
-
-    def norm_body(self) -> float:
-        return float(inner_product(self, self).body.real)
 
     def isclose(self, other: "FermionState", tol: float = 1e-13) -> bool:
         return (self - other).sup_norm() <= tol
@@ -334,8 +331,7 @@ def exp_operator(o: FermionOperator, body_tol: float = 1e-13) -> FermionOperator
 def make_coherent(zeta: Multivector) -> FermionState:
     """Normalized annihilation eigenstate for an odd degree-one eigenvalue."""
     require_odd_degree_one(zeta, "coherent-state eigenvalue")
-    n = exponential(-0.5 * (zeta.conjugate() * zeta))
-    return FermionState(zeta.gens, n, -(n * zeta))
+    return _state(zeta.gens, _coherent_rows(zeta.coeffs[None], zeta.gens.n_generators)[0])
 
 
 def make_displacement(zeta: Multivector, ladder: FermionOperator,
@@ -365,16 +361,65 @@ def inner_product(s1: FermionState, s2: FermionState) -> Multivector:
     """<s1|s2> = conj(psi0_1) psi0_2 + conj(psi1_1) psi1_2 (a Multivector)."""
     if s1.gens != s2.gens:
         raise MismatchedGenerators("states over different generator sets")
-    return s1.psi0.conjugate() * s2.psi0 + s1.psi1.conjugate() * s2.psi1
+    out = _inner_product_rows(_rows(s1), _rows(s2), s1.gens.n_generators)
+    return Multivector(s1.gens, out[0])
 
 
-def extract_eigenvalue(s: FermionState, norm_body=None) -> tuple[Multivector, float]:
-    """Annihilation eigenvalue and relative residual of a candidate state;
-    `norm_body`, if given, is s.norm_body(), already computed."""
-    if not abs(s.psi0.body) >= 1e-150:
+def extract_eigenvalue(s: FermionState) -> tuple[Multivector, float]:
+    """Annihilation eigenvalue and relative residual of a candidate state."""
+    psi = _rows(s)
+    if not _has_vacuum(psi)[0]:
         raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
-    g1 = s.psi1.grade_involution()
-    lam = g1 * invert(s.psi0)
-    applied = FermionState(s.gens, g1, s.gens.zero())  # b|s>
-    diff = applied - (lam * s)
-    return lam, diff.sup_norm() / (s.norm_body() if norm_body is None else norm_body)
+    _, lam, res = _observe_rows(psi, s.gens.n_generators)
+    return Multivector(s.gens, lam[0]), float(res[0])
+
+
+def _rows(s: FermionState) -> np.ndarray:
+    """s as the one row of the row-batched forms below: (1, 2, dim)."""
+    return np.stack((s.psi0.coeffs, s.psi1.coeffs))[None]
+
+
+def _state(gens: GeneratorSet, psi: np.ndarray) -> FermionState:
+    return FermionState(gens, Multivector(gens, psi[0]), Multivector(gens, psi[1]))
+
+
+def _left_times_rows(c: np.ndarray, psi: np.ndarray, n_gen: int) -> np.ndarray:
+    """c * state per row: both amplitudes of psi times that row of c (R, dim)."""
+    return kernel.multiply(np.repeat(c, 2, axis=0), psi.reshape(len(c) * 2, -1),
+                           n_gen).reshape(psi.shape)
+
+
+def _inner_product_rows(a: np.ndarray, b: np.ndarray, n_gen: int) -> np.ndarray:
+    prod = kernel.multiply(kernel.conjugate(a, n_gen).reshape(len(a) * 2, -1),
+                           b.reshape(len(b) * 2, -1), n_gen).reshape(a.shape)
+    return prod[:, 0] + prod[:, 1]
+
+
+def _has_vacuum(psi: np.ndarray) -> np.ndarray:
+    # Python's abs (libm hypot) on the vacuum body, as the gate always had it
+    return np.array([abs(complex(b)) >= 1e-150 for b in psi[:, 0, 0]], dtype=bool)
+
+
+def _observe_rows(psi: np.ndarray, n_gen: int):
+    """Per state row of psi (R, 2, dim): the body of <psi|psi>, and the
+    eigenvalue (R, dim) and residual of extract_eigenvalue, all NaN (both
+    parts of every coefficient) and inf on a row without a vacuum body."""
+    norm = _inner_product_rows(psi, psi, n_gen)[:, 0]
+    lam = np.full((len(psi), psi.shape[-1]), complex(np.nan, np.nan))
+    residual = np.full(len(psi), np.inf)
+    has = _has_vacuum(psi)
+    psi = psi[has]
+    g1 = kernel.grade_signs(n_gen) * psi[:, 1]
+    lam[has] = kernel.multiply(g1, _invert_rows(psi[:, 0], n_gen), n_gen)
+    applied = np.zeros_like(psi)  # b|psi>
+    applied[:, 0] = g1
+    diff = applied - _left_times_rows(lam[has], psi, n_gen)
+    residual[has] = np.abs(diff).max(axis=(1, 2)) / norm[has].real
+    return norm, lam, residual
+
+
+def _coherent_rows(zeta: np.ndarray, n_gen: int) -> np.ndarray:
+    """make_coherent's amplitudes per row of zeta, unchecked."""
+    n = _exponential_rows(-0.5 * kernel.multiply(kernel.conjugate(zeta, n_gen), zeta, n_gen),
+                          n_gen)
+    return np.stack((n, -kernel.multiply(n, zeta, n_gen)), axis=1)

@@ -64,9 +64,6 @@ class GeneratorSet:
         except ValueError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def conjugate_index(self, i: int) -> int:
-        return i ^ 1
-
     def monomial_label(self, mask: int) -> str:
         if mask == 0:
             return "1"
@@ -148,20 +145,6 @@ class Multivector:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.sup_norm() <= tol
-
-    def is_odd_degree_one(self, tol: float = PRUNE_TOL) -> bool:
-        deg = tables.degrees(self.gens.n_generators)
-        off = np.abs(self.coeffs[deg != 1])
-        return bool(off.size == 0 or np.max(off) <= tol)
-
-    def max_degree(self) -> int:
-        nz = np.abs(self.coeffs) > PRUNE_TOL
-        if not nz.any():
-            return 0
-        return int(np.max(tables.degrees(self.gens.n_generators)[nz]))
 
     # -- algebra ---------------------------------------------------------
 
@@ -268,32 +251,51 @@ def grade_involution(x: Multivector) -> Multivector:
 
 def exponential(x: Multivector) -> Multivector:
     """exp(x) = exp(body) * (terminating series in the nilpotent soul)."""
-    n_gen = x.gens.n_generators
-    soul = x.soul()
-    acc = x.gens.one()
-    term = x.gens.one()
-    for k in range(1, n_gen + 1):
-        term = term * soul / k
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc * complex(np.exp(x.body))
+    return Multivector(x.gens, _exponential_rows(x.coeffs[None], x.gens.n_generators)[0])
 
 
 def invert(x: Multivector) -> Multivector:
     """Exact inverse via the geometric series on the nilpotent soul."""
-    b = x.body
-    if not (np.isfinite(b) and b != 0.0):
-        raise NotInvertible(f"element has body {b}; an inverse needs a finite non-zero one")
-    u = x.soul() / b
-    acc = x.gens.one()
-    term = x.gens.one()
-    for k in range(1, x.gens.n_generators + 1):
-        term = term * u * (-1.0)
-        if term.is_zero():
+    return Multivector(x.gens, _invert_rows(x.coeffs[None], x.gens.n_generators)[0])
+
+
+def _soul_series(x: np.ndarray, n_gen: int, step) -> np.ndarray:
+    """Per row of x (R, dim): 1 + t_1 + t_2 + ..., t_k = step(t_(k-1) * soul,
+    k), soul the row without its body. Each row stops at its own first
+    all-zero term, which it does not add, and no later term reaches it."""
+    soul = x.copy()
+    soul[:, 0] = 0.0
+    acc = np.zeros_like(soul)
+    acc[:, 0] = 1.0
+    term, live = acc.copy(), np.arange(len(soul))
+    for k in range(1, n_gen + 1):
+        term = step(kernel.multiply(term, soul[live], n_gen), k)
+        nonzero = np.abs(term).max(axis=1) != 0.0
+        live, term = live[nonzero], term[nonzero]
+        if not live.size:
             break
-        acc = acc + term
-    return acc / b
+        acc[live] += term
+    return acc
+
+
+def _exponential_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
+    # exp(body) as one scalar per row, which a vectorised exp need not match
+    scale = np.array([complex(np.exp(b)) for b in x[:, 0]], dtype=np.complex128)
+    return _soul_series(x, n_gen, lambda t, k: t / k) * scale[:, None]
+
+
+def _invert_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
+    body = x[:, :1]
+    bad = ~(np.isfinite(body) & (body != 0.0))
+    if bad.any():
+        raise NotInvertible(f"element has body {complex(body[bad][0])}; an inverse "
+                            "needs a finite non-zero one")
+    return _soul_series(x / body, n_gen, lambda t, k: t * (-1.0)) / body
+
+
+def _odd_degree_one_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
+    off = np.abs(x[:, tables.degrees(n_gen) != 1])
+    return off.max(axis=1, initial=0.0) <= PRUNE_TOL  # NaN: not odd degree-one
 
 
 def left_derivative(x: Multivector, gen_index: int) -> Multivector:
@@ -316,7 +318,7 @@ def berezin_pair(x: Multivector, pair: int | str) -> Multivector:
 
 
 def require_odd_degree_one(x: Multivector, what: str = "element") -> None:
-    if not x.is_odd_degree_one():
+    if not _odd_degree_one_rows(x.coeffs[None], x.gens.n_generators)[0]:
         raise NotOddLinear(f"{what} must be odd of degree one, got {x!r}")
 
 

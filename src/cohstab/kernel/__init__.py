@@ -1,33 +1,31 @@
 """Graded-product kernel: one batched numpy implementation (see pyref).
 
 Products run the table-driven scatter-add of tables.mul_table in table
-order, so results are bit-identical whatever the batch size. A caller that
-knows which monomials of an operand are structural zeros can pass a
-support, and the products skip the table pairs that would multiply them;
-for finite operands that leaves every result bit unchanged.
+order, so results are bit-identical whatever the batch size.
 """
+
+import threading
 
 import numpy as np
 
 from . import pyref, tables
 
+#: Byte budget of one block of work: of rows in multiply, of grid steps in
+#: the RK4 driver's coefficient tables, of grid times in invariant_residual.
+TABLE_BYTES = 256 * 1024
 
-def multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
+_local = threading.local()  # kernel.multiply's plans, one per generator count
+
+
+def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
     """Graded product of dense coefficient arrays over n_gen generators.
 
     x and y are one array of shape (dim,) or a batch of shape (B, dim),
     dim = 2**n_gen; the result has their shape, and row b of a batch is the
     product of row b of x and row b of y, bit-identical to a single call.
-
-    `support`, if given, is a tuple of S entries (left, right), one per row
-    of each block of S rows: row b takes entry b % S, and B must be a
-    multiple of S. `left` and `right` are tuples of the masks at which that
-    row's x and y may be non-zero, or None for any mask. Table pairs with an
-    operand outside its support are skipped. Their products are +-0.0 when
-    the other operand is finite, and adding +-0.0 to a sum that starts at
-    +0.0 changes no bit, so the result equals the full product's bit for
-    bit; a skipped pair that would multiply 0 by inf or NaN is the one case
-    where it does not (the full product has NaN there).
+    A batch goes through the plan a block of rows at a time, as many as
+    fit TABLE_BYTES at 64 B (three intp indices and five float64 work
+    slots) per table pair of a row, 3**n_gen pairs.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     y = np.ascontiguousarray(y, dtype=np.complex128)
@@ -35,11 +33,17 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarr
     if x.shape != y.shape or x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"operands of shape {x.shape} and {y.shape} are not "
                          f"(dim,) or (B, dim) with dim = {dim}")
-    rows = len(x) if x.ndim == 2 else 1
-    if support is not None and (not support or rows % len(support)):
-        raise ValueError(f"{rows} rows are not a whole number of blocks of "
-                         f"the support's {len(support)} rows")
-    return pyref.graded_multiply(x, y, n_gen, support)
+    plans = _local.__dict__.setdefault("plans", {})
+    if n_gen not in plans:  # x * y on blocks of one row
+        plans[n_gen] = pyref.Plan(n_gen, (((0, 0, None, None), (1, 0, None, None), 0),),
+                                  ((1, dim),) * 3)
+    a, b, step = x.reshape(-1, dim), y.reshape(-1, dim), max(1, TABLE_BYTES // (64 * 3**n_gen))
+    if 0 < len(a) <= step:  # one block, returned as the plan makes it
+        return pyref.evaluate(plans[n_gen], a, b).reshape(x.shape)
+    out = np.empty_like(a)
+    for i in range(0, len(a), step):
+        out[i:i + step] = pyref.evaluate(plans[n_gen], a[i:i + step], b[i:i + step])[:, 0]
+    return out.reshape(x.shape)
 
 
 def bilinear_plan(n_gen: int, products, shapes) -> pyref.Plan:

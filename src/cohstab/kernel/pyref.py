@@ -13,19 +13,14 @@ Every plan's pairs come from _block_pairs. Gathers go through precomputed
 intp indices into the flat float64 views, and the products land in five
 reusable work buffers, grown to the largest batch seen, smaller batches
 using their leading rows. kernel.multiply caches its plans per thread, one
-per generator count and support, so concurrent evolutions share no buffers.
+per generator count, so concurrent evolutions share no buffers.
 """
 
-import threading
 from math import prod
 
 import numpy as np
 
 from . import tables
-
-_local = threading.local()
-
-_FULL = ((None, None),)
 
 
 def _block_pairs(n_gen: int, products, shapes):
@@ -62,12 +57,11 @@ def _block_pairs(n_gen: int, products, shapes):
 
 class Plan:
     """The pairs of _block_pairs, and their indices and work buffers for up
-    to `rows` rows of a: a whole number of blocks of `block` rows."""
+    to `rows` rows of a, one block each."""
 
-    def __init__(self, n_gen: int, products, shapes, block: int = 1):
+    def __init__(self, n_gen: int, products, shapes):
         *self.pairs, re, im = _block_pairs(n_gen, products, shapes)
         self.sign = np.stack((re, im))[:, None]
-        self.block = block
         self.strides = [prod(shape) for shape in shapes]  # a block of a, b, out
         self.out_shape = tuple(shapes[2])
         self.rows = 0
@@ -75,7 +69,7 @@ class Plan:
     def leading(self, rows: int):
         """Index and buffer views over the first `rows` rows (cached)."""
         if rows > self.rows:
-            start = np.arange(rows // self.block, dtype=np.intp)[:, None]
+            start = np.arange(rows, dtype=np.intp)[:, None]
             a, b, out = (i + start * s for i, s in zip(self.pairs, self.strides))
             # float offsets of a coefficient's real part, complex slots of out
             self.index = ((2 * a).ravel(), (2 * b).ravel(), out.ravel())
@@ -84,19 +78,19 @@ class Plan:
             self.rows = rows
         views = self.views.get(rows)
         if views is None:
-            blocks, pairs = rows // self.block, self.sign.shape[-1]
-            work = self.work[:5 * blocks * pairs]
+            pairs = self.sign.shape[-1]
+            work = self.work[:5 * rows * pairs]
             views = self.views[rows] = (
-                *(index[:blocks * pairs] for index in self.index),
-                work[:2 * blocks * pairs].reshape(2, blocks, pairs),  # p and q
+                *(index[:rows * pairs] for index in self.index),
+                work[:2 * rows * pairs].reshape(2, rows, pairs),  # p and q
                 *work.reshape(5, -1),
             )
         return views
 
 
 def evaluate(plan: Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The plan over complex128 a and b, whose len(a) rows are a whole
-    number of blocks; returns (blocks,) + the plan's out shape."""
+    """The plan over complex128 a and b, a block per row; returns
+    (len(a),) + the plan's out shape."""
     rows = len(a)
     left, right, target, pq, p, q, c, d, re = plan.leading(rows)
     af, bf = (v.reshape(-1).view(np.float64) for v in (a, b))
@@ -111,22 +105,8 @@ def evaluate(plan: Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.subtract(re, d, out=re)  # re = p*c - q*d
     np.multiply(q, c, out=c)
     np.add(p, c, out=p)  # im = p*d + q*c
-    size = rows // plan.block * plan.strides[2]
+    size = rows * plan.strides[2]
     out = np.empty(size, dtype=np.complex128)
     out.real = np.bincount(target, re, size)
     out.imag = np.bincount(target, p, size)
     return out.reshape((-1,) + plan.out_shape)
-
-
-def graded_multiply(x: np.ndarray, y: np.ndarray, n_gen: int, support=None) -> np.ndarray:
-    """Row-wise graded products of complex128 (dim,) or (B, dim) arrays; B
-    is a multiple of len(support) (see kernel.multiply)."""
-    plans = _local.__dict__.setdefault("plans", {})
-    plan = plans.get((n_gen, support))
-    if plan is None:
-        rows = support or _FULL
-        shape = (len(rows), 1 << n_gen)
-        plan = plans[(n_gen, support)] = Plan(n_gen, tuple(
-            ((0, r, lsup, None), (1, r, rsup, None), r)
-            for r, (lsup, rsup) in enumerate(rows)), (shape,) * 3, len(rows))
-    return evaluate(plan, x.reshape(-1, 1 << n_gen), y).reshape(x.shape)

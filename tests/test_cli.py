@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,12 +56,15 @@ def test_grassmann_wide_golden_byte_exact(tmp_path):
 def test_record_without_eigenvalue_writes_nan(gens1):
     cfg = dynamics.IntegrationConfig(1.0, 0.5, stride=1)
     lam = 0.5 * gens1.gen("zeta")
+    missing = np.full(gens1.dim, complex(np.nan, np.nan))
     traj = dynamics.Trajectory(
-        "fermion", cfg, cfg.times(), cfg.record_indices(), cfg.times(),
-        states=[None] * 3, eigenvalues=[lam, None, -lam],
+        "fermion", cfg, cfg.record_indices(), np.zeros((3, 2, gens1.dim), dtype=complex),
+        lams=np.stack((lam.coeffs, missing, (-lam).coeffs)),
         residuals=np.array([0.0, np.inf, 1e-3]), norm_dev=np.array([0.0, 0.25, -0.0]),
         gens=gens1)
+    assert traj.eigenvalues[1] is None
     header, rows = cli._trajectory_rows(traj)
+    rows = list(rows)
     assert header == ["t", "re[1]", "im[1]", "re[zeta]", "im[zeta]", "re[zeta*]",
                       "im[zeta*]", "re[zeta zeta*]", "im[zeta zeta*]",
                       "residual", "norm_dev"]
@@ -162,6 +166,47 @@ def test_dt_above_t_end_is_validation_error(tmp_path):
     assert main(["run", str(SCENARIOS / "free_fermion.ini"),
                  "--out", str(tmp_path), "--dt", "7"]) == 1
     assert not list(tmp_path.iterdir())
+
+
+OVER_BOUND = """
+[system]
+kind = grassmann
+generators = zeta, eta, chi, xi
+
+[hamiltonian]
+omega = 1.0
+eta_re = 0.3
+eta_generator = eta
+
+[integration]
+t_end = 1.0
+dt = 1e-7
+stride = 1
+"""
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("override", [[], ["--dt", "1e-7", "--t-end", "1.0"]],
+                         ids=["scenario", "override"])
+def test_record_bound_is_validation_error_before_allocating(tmp_path, override, capsys):
+    # 10**7 records of 2 * 256 amplitudes would take 82 GB
+    small = OVER_BOUND.replace("dt = 1e-7", "dt = 0.1") if override else OVER_BOUND
+    path = tmp_path / "over_bound.ini"
+    path.write_text(small)
+    code, peak = _traced_peak(lambda: main(["run", str(path), "--out", str(tmp_path)]
+                                           + override))
+    assert code == 1
+    assert "record bound" in capsys.readouterr().err
+    assert peak < 4 * 2**20
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _count_calls(monkeypatch, name):

@@ -234,7 +234,7 @@ def test_verify_requires_eigenvalues(gens1):
     spec = HamiltonianSpec("fermion", const_fn(1.0))
     traj = evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
                                       IntegrationConfig(0.1, 1e-2))
-    traj.eigenvalues = [None] * len(traj.eigenvalues)
+    traj.lams[:] = complex(np.nan, np.nan)
     with pytest.raises(MissingEigenvalues):
         verify_trajectory(traj, "fermion_free")
 
@@ -246,7 +246,7 @@ def test_phase_consistency_free_fermion(gens1):
     zeta = gens1.gen("zeta")
     traj = evolve_schrodinger_fermion(spec, make_coherent(zeta), cfg)
     for k, idx in enumerate(traj.record_indices):
-        t = traj.full_times[int(idx)]
+        t = traj.config.times()[int(idx)]
         law = complex(np.exp(-1j * t)) * zeta
         reference = complex(np.exp(-1j * 0.2 * t)) * make_coherent(law)
         assert (traj.states[k] - reference).sup_norm() < 1e-9

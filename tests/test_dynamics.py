@@ -3,6 +3,7 @@
 import importlib.util
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from cohstab import dynamics, kernel
-from cohstab.kernel import pyref
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
 from cohstab.dynamics import (
@@ -100,6 +100,31 @@ def test_grid_hits_endpoint_exactly():
     assert times[-1] == np.pi
     idx = cfg.record_indices()
     assert idx[0] == 0 and idx[-1] == cfg.n_steps
+
+
+def test_record_indices_follow_stride_without_a_list():
+    for t_end, stride in ((10.0, 3), (9.0, 3), (1.0, 5), (100.0, 10), (7.0, 1), (5.0, 5)):
+        cfg = IntegrationConfig(t_end, 1.0, stride)
+        idx = list(range(0, cfg.n_steps + 1, stride))
+        idx += [cfg.n_steps] if idx[-1] != cfg.n_steps else []
+        got = cfg.record_indices()
+        assert got.dtype == np.int64 and got.tolist() == idx and cfg.n_records == len(idx)
+    assert IntegrationConfig(1.0, 1.0 / MAX_STEPS, 1).n_records == MAX_STEPS + 1
+
+
+def test_evolution_refuses_records_over_the_bound_before_allocating():
+    # every grid point of four 256-coefficient slots: 10**4 + 1 points x 1024 values
+    gens = GeneratorSet.from_pairs(("zeta", "eta", "chi", "xi"))
+    cfg = IntegrationConfig(10.0, 1e-3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="record bound"):
+            evolve_operator_transport(HamiltonianSpec("fermion", const_fn(1.0)),
+                                      FermionOperator.annihilator(gens), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the records alone would take 168 MB
 
 
 def test_cumulative_simpson_against_scipy():
@@ -978,7 +1003,7 @@ def test_invariant_residual_kernel_plan_holds_one_block():
 
     def run():  # a fresh thread starts with no plans
         invariant_residual(nu, LOCK_FERMION, cfg, gens=LOCK_G2)
-        rows.append(pyref._local.plans[(4, None)].rows)
+        rows.append(kernel._local.plans[4].rows)
 
     worker = threading.Thread(target=run)
     worker.start()
@@ -992,10 +1017,12 @@ def test_invariant_residual_kernel_plan_holds_one_block():
 # -- the fused RHS plans against the two-stage RHSs they replace -------------------
 
 
-def two_stage_fermion_rhs(n_gen, support):
+def two_stage_fermion_rhs(n_gen):
     """Order reference: the fermion Schrödinger RHS as it was before its plan,
     on dense rows c (R, 5, dim) of ci, ci, cm, cn, cp: the five products in
-    one kernel.multiply call, then added in three array operations."""
+    one full kernel.multiply call, then added in three array operations. On
+    finite rows the full table gives the bits of the spec's restricted
+    products (see README, Numerical conventions)."""
     gsigns = kernel.grade_signs(n_gen)
 
     def rhs(c, y):
@@ -1004,7 +1031,7 @@ def two_stage_fermion_rhs(n_gen, support):
         right[:, 3] = y[:, 1]
         np.multiply(y[:, ::-1], gsigns, out=right[:, 2::2])
         left = c.reshape(-1, 1 << n_gen)
-        prod = kernel.multiply(left, right.reshape(left.shape), n_gen, support)
+        prod = kernel.multiply(left, right.reshape(left.shape), n_gen)
         prod = prod.reshape(right.shape)
         out = prod[:, :2] + prod[:, 2:4]
         out[:, 1] += prod[:, 4]
@@ -1014,7 +1041,7 @@ def two_stage_fermion_rhs(n_gen, support):
     return rhs
 
 
-def two_stage_law_rhs(n_gen, support):
+def two_stage_law_rhs(n_gen):
     """Order reference: the grassmann law's RHS as it was before its plan, on
     dense rows c (R, 3, dim) of eta, delta and omega: zeta* eta and eta* zeta
     through kernel.conjugate and one kernel.multiply call, then added."""
@@ -1024,7 +1051,7 @@ def two_stage_law_rhs(n_gen, support):
         pair[:, 1] = eta
         dim = 1 << n_gen
         prod = kernel.multiply(kernel.conjugate(pair, n_gen).reshape(-1, dim),
-                               pair[:, ::-1].reshape(-1, dim), n_gen, support)
+                               pair[:, ::-1].reshape(-1, dim), n_gen)
         prod = prod.reshape(pair.shape)
         out = np.empty_like(y)
         out[:, 0] = -1j * (omega * y[:, 0] - eta)
@@ -1062,10 +1089,10 @@ def _rhs_of(start, cfg, monkeypatch):
 
 
 def _oracle_case(kind, gens):
-    """(start, reference, draw) of one oracle case over `gens`, whose
-    generator 0 is eta: `start` begins the evolution whose RHS is tested,
-    `reference` is the two-stage RHS it replaced, and draw(rng, rows) gives
-    random coefficient rows in the RHS's layout and the reference's."""
+    """(start, draw) of one oracle case over `gens`, whose generator 0 is
+    eta: `start` begins the evolution whose RHS is tested, and draw(rng,
+    rows) gives random coefficient rows in the RHS's layout and in the
+    layout of the two-stage RHS it replaced."""
     n_gen, dim = gens.n_generators, gens.dim
     spec = HamiltonianSpec("grassmann", const_fn(1.0), LOCK_FORCING, const_fn(0.1),
                            gens=gens, eta_generator="eta")
@@ -1103,12 +1130,11 @@ def _oracle_case(kind, gens):
 
     triple = (lambda t: 1.0, lambda t: 0.3 * gens.gen("eta"), lambda t: 0.1)
     return {
-        "fermion": (fermion(spec), tuple(((m,), None) for m in masks), compact),
-        "grassmann": (fermion(spec), tuple(((m,), None) for m in masks), compact),
-        "builder": (fermion(lambda t: hamiltonian_operator(spec, t, gens)), None,
-                    builder_rows),
-        "law": (law(spec), ((None, (1,)), ((2,), None)), law_rows),
-        "triple": (law(triple), None, triple_rows),
+        "fermion": (fermion(spec), compact),
+        "grassmann": (fermion(spec), compact),
+        "builder": (fermion(lambda t: hamiltonian_operator(spec, t, gens)), builder_rows),
+        "law": (law(spec), law_rows),
+        "triple": (law(triple), triple_rows),
     }[kind]
 
 
@@ -1122,9 +1148,9 @@ ORACLE_CASES = [(kind, n_pairs)
 def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
     rng = np.random.default_rng(n_pairs)
     gens = GeneratorSet.from_pairs(("eta", "zeta", "chi", "xi")[:n_pairs])
-    start, support, draw = _oracle_case(kind, gens)
+    start, draw = _oracle_case(kind, gens)
     two_stage = two_stage_law_rhs if kind in ("law", "triple") else two_stage_fermion_rhs
-    reference = two_stage(gens.n_generators, support)
+    reference = two_stage(gens.n_generators)
     rhs, _ = _rhs_of(start, IntegrationConfig(0.01, 1e-3), monkeypatch)
     for rows in (1, 2):
         for _ in range(20 if n_pairs < 4 else 3):

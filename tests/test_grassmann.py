@@ -124,7 +124,11 @@ def _bits(a):
 def test_batched_multiply_bit_identical_to_rows(n_gen):
     rng = np.random.default_rng(n_gen)
     dim = 1 << n_gen
-    for rows in (1, 2, 5):
+    # a plan holds 64 B per pair of a row: 3**n_gen pairs
+    block = max(1, kernel.TABLE_BYTES // (64 * 3 ** n_gen))
+    empty = np.empty((0, dim), dtype=np.complex128)
+    assert kernel.multiply(empty, empty, n_gen).shape == (0, dim)
+    for rows in (1, 2, 5, 2 * block + 1):  # the last runs in three blocks
         x = _signed_zero_rows(rng, rows, dim)
         y = _signed_zero_rows(rng, rows, dim)
         got = kernel.multiply(x, y, n_gen)
@@ -227,15 +231,32 @@ def _zero_off(rng, rows, support, side):
     return out
 
 
+def _restricted_plan(n_gen, support):
+    """A bilinear plan of x*y on blocks of len(support) rows, row r of a
+    block restricted to the masks of support[r] = (left, right)."""
+    shape = (len(support), 1 << n_gen)
+    return kernel.bilinear_plan(n_gen, tuple(
+        ((0, r, left, None), (1, r, right, None), r)
+        for r, (left, right) in enumerate(support)), (shape,) * 3)
+
+
+def _restricted(plan, x, y):
+    """The plan over rows x and y, a whole number of its blocks."""
+    block = plan.out_shape
+    return kernel.bilinear(plan, x.reshape((-1,) + block),
+                           y.reshape((-1,) + block)).reshape(x.shape)
+
+
 @pytest.mark.parametrize("n_gen", [2, 4, 8])
 def test_restricted_plan_bit_identical_to_full(n_gen):
     rng = np.random.default_rng(100 + n_gen)
     support = _support(rng, n_gen)
+    plan = _restricted_plan(n_gen, support)
     for blocks in (1, 2, 5):
         rows = blocks * len(support)
         x = _zero_off(rng, _signed_zero_rows(rng, rows, 1 << n_gen), support, 0)
         y = _zero_off(rng, _signed_zero_rows(rng, rows, 1 << n_gen), support, 1)
-        got = kernel.multiply(x, y, n_gen, support)
+        got = _restricted(plan, x, y)
         assert np.array_equal(_bits(got), _bits(kernel.multiply(x, y, n_gen)))
         assert np.array_equal(_bits(got[2]), _scalar_oracle(x[2], y[2], n_gen))
 
@@ -245,7 +266,7 @@ def test_restricted_plan_on_one_array():
     support = (((0, 3), None),)
     x = _zero_off(rng, _signed_zero_rows(rng, 1, 16), support, 0)[0]
     y = _signed_zero_rows(rng, 1, 16)[0]
-    got = kernel.multiply(x, y, 4, support)
+    got = _restricted(_restricted_plan(4, support), x, y)
     assert got.shape == (16,)
     assert np.array_equal(_bits(got), _scalar_oracle(x, y, 4))
 
@@ -259,37 +280,30 @@ def test_restricted_and_full_plans_never_share_a_slot():
     x = _signed_zero_rows(rng, 5 * s, 1 << n_gen)
     y = _signed_zero_rows(rng, 5 * s, 1 << n_gen)
     full = [_scalar_oracle(a, b, n_gen) for a, b in zip(x, y)]
-    restricted = kernel.multiply(x, y, n_gen, support)
+    restricted = _restricted(_restricted_plan(n_gen, support), x, y)
     assert not np.array_equal(_bits(restricted), np.stack(full))
 
     def sequence():
         # grow and shrink both plans, interleaved, on one generator count
-        out = []
+        plan, out = _restricted_plan(n_gen, support), []
         for blocks in (2, 5, 1, 2, 5):
             rows = blocks * s
-            out.append((rows, kernel.multiply(x[:rows], y[:rows], n_gen, support),
+            out.append((rows, _restricted(plan, x[:rows], y[:rows]),
                         kernel.multiply(x[:rows], y[:rows], n_gen)))
-        from cohstab.kernel import pyref
-        return out, {key: plan.rows for key, plan in pyref._local.plans.items()}
+        return out, plan.rows, {key: plan.rows for key, plan in kernel._local.plans.items()}
 
-    out, plans = _in_fresh_thread(sequence)
+    out, blocks, plans = _in_fresh_thread(sequence)
     for rows, got_restricted, got_full in out:
         assert np.array_equal(_bits(got_restricted), _bits(restricted[:rows]))
         assert np.array_equal(_bits(got_full), np.stack(full[:rows]))
-    assert plans == {(n_gen, support): 5 * s, (n_gen, None): 5 * s}
+    assert blocks == 5
+    assert plans == {n_gen: 5 * s}
 
 
-def test_restricted_plan_rejects_partial_blocks():
-    x = np.ones((5, 4), dtype=np.complex128)
-    support = (((0,), None), (None, (1, 2)))
-    with pytest.raises(ValueError):
-        kernel.multiply(x, x, 2, support)
-    with pytest.raises(ValueError):
-        kernel.multiply(x[0], x[0], 2, support)
-    with pytest.raises(ValueError):
-        kernel.multiply(x, x, 2, ())
-    with pytest.raises(ValueError):
-        kernel.multiply(x[:2], x[:2], 2, (((4,), None), (None, None)))
+def test_restricted_plan_rejects_masks_off_the_algebra():
+    for masks in ((4,), (-1,), ((0, 1),)):
+        with pytest.raises(ValueError):
+            _restricted_plan(2, ((masks, None),))
 
 
 def test_concurrent_evolutions_match_serial_runs():
