@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import kernel
 from .boson import BosonState, eigenvalue_lsq
 from .coeffs import CoefficientFn
 from .dynamics import (
@@ -32,14 +33,8 @@ from .errors import (
     ValidationError,
     VacuumAmplitudeZero,
 )
-from .fermion import (
-    FermionState,
-    _coherent_rows,
-    _left_times_rows,
-    extract_eigenvalue,
-    make_coherent,
-)
-from .grassmann import GeneratorSet, Multivector, _exponential_rows
+from .fermion import FermionState, _amplitude_products, extract_eigenvalue, make_coherent
+from .grassmann import GeneratorSet, Multivector, exponential
 
 #: Residual below which a fermion-sector state counts as coherent (exact sector).
 FERMION_COHERENT_TOL = 1e-8
@@ -236,11 +231,15 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         path = evolve_grassmann_classical(traj.spec, Multivector(traj.gens, traj.lams[0]),
                                           traj.config, traj.record_indices)
         max_dev = float(np.max(np.abs(traj.lams - path.zeta)))
-        reference = _left_times_rows(_exponential_rows(1j * path.phi, n_gen),
-                                     _coherent_rows(path.zeta, n_gen), n_gen)
-        state_dev = float(np.max(np.abs(traj.amplitudes - reference)))
+        block_devs = []  # the law's states, rebuilt a block of records at a time
+        for rows in kernel.row_blocks(len(path.zeta), n_gen):
+            phase = np.repeat(exponential(1j * path.phi[rows])[:, None], 2, axis=1)
+            reference = _amplitude_products(phase, make_coherent(path.zeta[rows]), n_gen)
+            block_devs.append(np.max(np.abs(traj.amplitudes[rows] - reference)))
+        state_dev = float(np.max(block_devs))
     elif expected_law == "boson":
-        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]), traj.config.times())
+        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]),
+                                      traj.config.times())
         max_dev = float(np.max(np.abs(traj.lams[:, 0] - z_closed[traj.record_indices])))
     else:
         raise ValidationError(f"unknown law {expected_law!r}")

@@ -35,12 +35,13 @@ from .errors import (
 from .fermion import (
     FermionOperator,
     FermionState,
-    _coherent_rows,
     _compose_coeff_arrays,
-    _observe_rows,
+    _norm_bodies,
     _state,
+    extract_eigenvalue,
+    make_coherent,
 )
-from .grassmann import GeneratorSet, Multivector, _invert_rows, _odd_degree_one_rows
+from .grassmann import GeneratorSet, Multivector, _odd_degree_one_rows, invert
 from .grassmann import require_odd_degree_one
 from .kernel import TABLE_BYTES
 
@@ -103,9 +104,8 @@ class IntegrationConfig:
         return np.minimum(np.arange(self.n_records) * self.stride, self.n_steps)
 
 
-def check_records(n_records: int, values: int) -> None:
-    """Refuse (ValidationError), before they exist, records of more complex
-    values than one per point of the largest grid (MAX_STEPS + 1, 160 MB)."""
+def _check_records(n_records: int, values: int) -> None:
+    """Refuse (ValidationError) records of over MAX_STEPS + 1 complex values (160 MB)."""
     if n_records * values > MAX_STEPS + 1:
         raise ValidationError(f"{n_records} records of {values} complex values exceed "
                               f"the record bound of {MAX_STEPS + 1} values")
@@ -325,8 +325,8 @@ class Trajectory:
             return [complex(z) for z in self.lams[:, 0]]
         return self._multivectors(self.lams)
 
-    def _multivectors(self, rows: np.ndarray) -> list:
-        return [None if np.isnan(row).all() else Multivector(self.gens, row) for row in rows]
+    def _multivectors(self, rows: np.ndarray) -> list:  # None for a NaN row
+        return [None if np.isnan(r).all() else Multivector(self.gens, r) for r in rows]
 
     @property
     def max_residual(self) -> float:
@@ -342,12 +342,11 @@ class Trajectory:
         record's eigenvalue (None if it is not odd degree-one); boson: None."""
         if self.kind == "boson":
             return None
-        n_gen = self.gens.n_generators
-        odd = _odd_degree_one_rows(self.lams, n_gen)  # a NaN row is not
+        odd = _odd_degree_one_rows(self.lams)  # a NaN row is not
         factors = np.full_like(self.lams, complex(np.nan, np.nan))
-        coherent = _coherent_rows(self.lams[odd], n_gen)
         factors[odd] = kernel.multiply(self.amplitudes[odd, 0],
-                                       _invert_rows(coherent[:, 0], n_gen), n_gen)
+                                       invert(make_coherent(self.lams[odd])[:, 0]),
+                                       self.gens.n_generators)
         return self._multivectors(factors)
 
 
@@ -371,11 +370,11 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     stage its rows, so no RHS looks anything up by time.
 
     Returns the states at the grid indices `record` (every grid point by
-    default) along a new leading axis, refused first if check_records
-    refuses them. `on_step(t, y)` sees every grid
-    point of the dt run, the start included. The dt/2 run keeps only its
-    endpoint; unless that lies within STEP_TOL of the dt endpoint (NaN never
-    does) the evolution is refused with StepTooLarge.
+    default) along a new leading axis, refused first if _check_records
+    refuses them. `on_step(t, y)` sees every grid point of the dt run, the
+    start included. The dt/2 run keeps only its endpoint; unless that lies
+    within STEP_TOL of the dt endpoint (NaN never does) the evolution is
+    refused with StepTooLarge.
 
     The two runs advance in lock step: per grid step, the dt step and the
     first dt/2 substep share each of their four RHS calls as a 2-row batch,
@@ -384,7 +383,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     that of a run on its own, so both runs are bit-identical to sequential
     ones.
     """
-    check_records(config.n_steps + 1 if record is None else len(record), np.size(y0))
+    _check_records(config.n_steps + 1 if record is None else len(record), np.size(y0))
     times = config.times()
     fine = config.refined_times()
     keep = range(times.size) if record is None else [int(i) for i in record]
@@ -601,6 +600,8 @@ def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
 def evolve_schrodinger_fermion(h, s0: FermionState,
                                config: IntegrationConfig) -> Trajectory:
     """RK4 on the amplitude coefficients of i d/dt psi = H(t) psi."""
+    y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
+    _check_records(config.n_records, y0.size)
     gens = s0.gens
     n_gen = gens.n_generators
     dim = gens.dim
@@ -627,14 +628,16 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         out *= -1j
         return out
 
-    y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     rec_idx = config.record_indices()
     records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
     # conserved for parity-even Hamiltonians. Record 0 is s0.
-    norm, lams, residuals = _observe_rows(records, n_gen)
+    norm = _norm_bodies(records)
     norm_dev = np.array([abs(complex(n) - complex(norm[0])) for n in norm])
+    lams, residuals = np.empty(records.shape[::2], dtype=complex), np.empty(len(records))
+    for rows in kernel.row_blocks(len(records), n_gen):
+        lams[rows], residuals[rows] = extract_eigenvalue(records[rows])
     return Trajectory(kind, config, rec_idx, records, lams, residuals, norm_dev,
                       spec=h if isinstance(h, HamiltonianSpec) else None, gens=gens)
 
@@ -647,6 +650,7 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g."""
     if spec.kind != "boson":
         raise ValidationError("boson evolution needs a boson spec")
+    _check_records(config.n_records, s0.amps.size)
     times = config.times()
     spec.validate_real_coefficients(times)
     nlev = np.arange(s0.amps.size)

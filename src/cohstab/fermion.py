@@ -21,8 +21,9 @@ from .errors import (
 from .grassmann import (
     GeneratorSet,
     Multivector,
-    _exponential_rows,
-    _invert_rows,
+    _n_gen,
+    exponential,
+    invert,
     require_odd_degree_one,
 )
 
@@ -328,10 +329,15 @@ def exp_operator(o: FermionOperator, body_tol: float = 1e-13) -> FermionOperator
     return acc * complex(np.exp(scalar))
 
 
-def make_coherent(zeta: Multivector) -> FermionState:
-    """Normalized annihilation eigenstate for an odd degree-one eigenvalue."""
+def make_coherent(zeta):
+    """Normalized annihilation eigenstate for an odd degree-one eigenvalue;
+    on eigenvalue rows (R, dim), the amplitudes (R, 2, dim) of each row's."""
     require_odd_degree_one(zeta, "coherent-state eigenvalue")
-    return _state(zeta.gens, _coherent_rows(zeta.coeffs[None], zeta.gens.n_generators)[0])
+    if isinstance(zeta, Multivector):
+        return _state(zeta.gens, make_coherent(zeta.coeffs[None])[0])
+    n_gen = _n_gen(zeta)
+    n = exponential(-0.5 * kernel.multiply(kernel.conjugate(zeta, n_gen), zeta, n_gen))
+    return np.stack((n, -kernel.multiply(n, zeta, n_gen)), axis=1)
 
 
 def make_displacement(zeta: Multivector, ladder: FermionOperator,
@@ -357,25 +363,43 @@ def make_displacement(zeta: Multivector, ladder: FermionOperator,
     return exp_operator(compose(lad_dag, zeta_op) - compose(zconj_op, ladder))
 
 
-def inner_product(s1: FermionState, s2: FermionState) -> Multivector:
-    """<s1|s2> = conj(psi0_1) psi0_2 + conj(psi1_1) psi1_2 (a Multivector)."""
-    if s1.gens != s2.gens:
-        raise MismatchedGenerators("states over different generator sets")
-    out = _inner_product_rows(_rows(s1), _rows(s2), s1.gens.n_generators)
-    return Multivector(s1.gens, out[0])
+def inner_product(s1, s2):
+    """<s1|s2> = conj(psi0_1) psi0_2 + conj(psi1_1) psi1_2 (a Multivector);
+    on amplitude rows (R, 2, dim), the coefficient rows (R, dim) of each."""
+    if isinstance(s1, FermionState):
+        if s1.gens != s2.gens:
+            raise MismatchedGenerators("states over different generator sets")
+        return Multivector(s1.gens, inner_product(_rows(s1), _rows(s2))[0])
+    n_gen = _n_gen(s1)
+    prod = _amplitude_products(kernel.conjugate(s1, n_gen), s2, n_gen)
+    return prod[:, 0] + prod[:, 1]
 
 
-def extract_eigenvalue(s: FermionState) -> tuple[Multivector, float]:
-    """Annihilation eigenvalue and relative residual of a candidate state."""
-    psi = _rows(s)
-    if not _has_vacuum(psi)[0]:
-        raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
-    _, lam, res = _observe_rows(psi, s.gens.n_generators)
-    return Multivector(s.gens, lam[0]), float(res[0])
+def extract_eigenvalue(s):
+    """Annihilation eigenvalue and relative residual of a candidate state;
+    on amplitude rows (R, 2, dim), the eigenvalues (R, dim) and residuals
+    (R,) of each, NaN (both parts) and inf on a row without a vacuum body,
+    where a state without one raises VacuumAmplitudeZero."""
+    if isinstance(s, FermionState):
+        psi = _rows(s)
+        if not _has_vacuum(psi)[0]:
+            raise VacuumAmplitudeZero("state has no vacuum-amplitude body")
+        lam, res = extract_eigenvalue(psi)
+        return Multivector(s.gens, lam[0]), float(res[0])
+    n_gen = _n_gen(s)
+    lam, residual = np.full(s.shape[::2], complex(np.nan, np.nan)), np.full(len(s), np.inf)
+    has = _has_vacuum(s)
+    psi = s[has]
+    g1 = kernel.grade_signs(n_gen) * psi[:, 1]
+    lam[has] = kernel.multiply(g1, invert(psi[:, 0]), n_gen)
+    diff = -_amplitude_products(np.repeat(lam[has][:, None], 2, axis=1), psi, n_gen)
+    diff[:, 0] += g1  # b|psi> - lam|psi>, b|psi> = (g1, 0)
+    residual[has] = np.abs(diff).max(axis=(1, 2)) / _norm_bodies(psi).real
+    return lam, residual
 
 
 def _rows(s: FermionState) -> np.ndarray:
-    """s as the one row of the row-batched forms below: (1, 2, dim)."""
+    """s as the one row of the row-batched forms above: (1, 2, dim)."""
     return np.stack((s.psi0.coeffs, s.psi1.coeffs))[None]
 
 
@@ -383,43 +407,16 @@ def _state(gens: GeneratorSet, psi: np.ndarray) -> FermionState:
     return FermionState(gens, Multivector(gens, psi[0]), Multivector(gens, psi[1]))
 
 
-def _left_times_rows(c: np.ndarray, psi: np.ndarray, n_gen: int) -> np.ndarray:
-    """c * state per row: both amplitudes of psi times that row of c (R, dim)."""
-    return kernel.multiply(np.repeat(c, 2, axis=0), psi.reshape(len(c) * 2, -1),
-                           n_gen).reshape(psi.shape)
+def _amplitude_products(a: np.ndarray, b: np.ndarray, n_gen: int) -> np.ndarray:
+    """a * b per amplitude, a and b amplitude rows (R, 2, dim)."""
+    rows = (len(a) * 2, a.shape[-1])
+    return kernel.multiply(a.reshape(rows), b.reshape(rows), n_gen).reshape(a.shape)
 
 
-def _inner_product_rows(a: np.ndarray, b: np.ndarray, n_gen: int) -> np.ndarray:
-    prod = kernel.multiply(kernel.conjugate(a, n_gen).reshape(len(a) * 2, -1),
-                           b.reshape(len(b) * 2, -1), n_gen).reshape(a.shape)
-    return prod[:, 0] + prod[:, 1]
+def _norm_bodies(psi: np.ndarray) -> np.ndarray:  # <psi|psi>'s body; only bodies reach it
+    return inner_product(psi[..., :1], psi[..., :1])[:, 0]
 
 
 def _has_vacuum(psi: np.ndarray) -> np.ndarray:
     # Python's abs (libm hypot) on the vacuum body, as the gate always had it
     return np.array([abs(complex(b)) >= 1e-150 for b in psi[:, 0, 0]], dtype=bool)
-
-
-def _observe_rows(psi: np.ndarray, n_gen: int):
-    """Per state row of psi (R, 2, dim): the body of <psi|psi>, and the
-    eigenvalue (R, dim) and residual of extract_eigenvalue, all NaN (both
-    parts of every coefficient) and inf on a row without a vacuum body."""
-    norm = _inner_product_rows(psi, psi, n_gen)[:, 0]
-    lam = np.full((len(psi), psi.shape[-1]), complex(np.nan, np.nan))
-    residual = np.full(len(psi), np.inf)
-    has = _has_vacuum(psi)
-    psi = psi[has]
-    g1 = kernel.grade_signs(n_gen) * psi[:, 1]
-    lam[has] = kernel.multiply(g1, _invert_rows(psi[:, 0], n_gen), n_gen)
-    applied = np.zeros_like(psi)  # b|psi>
-    applied[:, 0] = g1
-    diff = applied - _left_times_rows(lam[has], psi, n_gen)
-    residual[has] = np.abs(diff).max(axis=(1, 2)) / norm[has].real
-    return norm, lam, residual
-
-
-def _coherent_rows(zeta: np.ndarray, n_gen: int) -> np.ndarray:
-    """make_coherent's amplitudes per row of zeta, unchecked."""
-    n = _exponential_rows(-0.5 * kernel.multiply(kernel.conjugate(zeta, n_gen), zeta, n_gen),
-                          n_gen)
-    return np.stack((n, -kernel.multiply(n, zeta, n_gen)), axis=1)

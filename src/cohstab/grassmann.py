@@ -249,20 +249,36 @@ def grade_involution(x: Multivector) -> Multivector:
     return x.grade_involution()
 
 
-def exponential(x: Multivector) -> Multivector:
-    """exp(x) = exp(body) * (terminating series in the nilpotent soul)."""
-    return Multivector(x.gens, _exponential_rows(x.coeffs[None], x.gens.n_generators)[0])
+def exponential(x):
+    """exp(x) = exp(body) * (terminating soul series); of each row of rows (R, dim)."""
+    if isinstance(x, Multivector):
+        return Multivector(x.gens, exponential(x.coeffs[None])[0])
+    # exp(body) as one scalar per row, which a vectorised exp need not match
+    scale = np.array([complex(np.exp(b)) for b in x[:, 0]], dtype=np.complex128)
+    return _soul_series(x, lambda t, k: t / k) * scale[:, None]
 
 
-def invert(x: Multivector) -> Multivector:
-    """Exact inverse via the geometric series on the nilpotent soul."""
-    return Multivector(x.gens, _invert_rows(x.coeffs[None], x.gens.n_generators)[0])
+def invert(x):
+    """Exact inverse by the geometric soul series; of each row of rows (R, dim)."""
+    if isinstance(x, Multivector):
+        return Multivector(x.gens, invert(x.coeffs[None])[0])
+    body = x[:, :1]
+    bad = ~(np.isfinite(body) & (body != 0.0))
+    if bad.any():
+        raise NotInvertible(f"element has body {complex(body[bad][0])}; an inverse "
+                            "needs a finite non-zero one")
+    return _soul_series(x / body, lambda t, k: t * (-1.0)) / body
 
 
-def _soul_series(x: np.ndarray, n_gen: int, step) -> np.ndarray:
+def _n_gen(x: np.ndarray) -> int:  # of coefficient rows (..., dim), dim = 2**n_gen
+    return x.shape[-1].bit_length() - 1
+
+
+def _soul_series(x: np.ndarray, step) -> np.ndarray:
     """Per row of x (R, dim): 1 + t_1 + t_2 + ..., t_k = step(t_(k-1) * soul,
     k), soul the row without its body. Each row stops at its own first
     all-zero term, which it does not add, and no later term reaches it."""
+    n_gen = _n_gen(x)
     soul = x.copy()
     soul[:, 0] = 0.0
     acc = np.zeros_like(soul)
@@ -278,23 +294,8 @@ def _soul_series(x: np.ndarray, n_gen: int, step) -> np.ndarray:
     return acc
 
 
-def _exponential_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
-    # exp(body) as one scalar per row, which a vectorised exp need not match
-    scale = np.array([complex(np.exp(b)) for b in x[:, 0]], dtype=np.complex128)
-    return _soul_series(x, n_gen, lambda t, k: t / k) * scale[:, None]
-
-
-def _invert_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
-    body = x[:, :1]
-    bad = ~(np.isfinite(body) & (body != 0.0))
-    if bad.any():
-        raise NotInvertible(f"element has body {complex(body[bad][0])}; an inverse "
-                            "needs a finite non-zero one")
-    return _soul_series(x / body, n_gen, lambda t, k: t * (-1.0)) / body
-
-
-def _odd_degree_one_rows(x: np.ndarray, n_gen: int) -> np.ndarray:
-    off = np.abs(x[:, tables.degrees(n_gen) != 1])
+def _odd_degree_one_rows(x: np.ndarray) -> np.ndarray:
+    off = np.abs(x[:, tables.degrees(_n_gen(x)) != 1])
     return off.max(axis=1, initial=0.0) <= PRUNE_TOL  # NaN: not odd degree-one
 
 
@@ -317,8 +318,8 @@ def berezin_pair(x: Multivector, pair: int | str) -> Multivector:
     return left_derivative(left_derivative(x, 2 * k), 2 * k + 1)
 
 
-def require_odd_degree_one(x: Multivector, what: str = "element") -> None:
-    if not _odd_degree_one_rows(x.coeffs[None], x.gens.n_generators)[0]:
+def require_odd_degree_one(x, what: str = "element") -> None:
+    if not _odd_degree_one_rows(x.coeffs[None] if isinstance(x, Multivector) else x).all():
         raise NotOddLinear(f"{what} must be odd of degree one, got {x!r}")
 
 

@@ -23,9 +23,7 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
     x and y are one array of shape (dim,) or a batch of shape (B, dim),
     dim = 2**n_gen; the result has their shape, and row b of a batch is the
     product of row b of x and row b of y, bit-identical to a single call.
-    A batch goes through the plan a block of rows at a time, as many as
-    fit TABLE_BYTES at 64 B (three intp indices and five float64 work
-    slots) per table pair of a row, 3**n_gen pairs.
+    A batch goes through the plan a block of rows at a time (row_blocks).
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     y = np.ascontiguousarray(y, dtype=np.complex128)
@@ -37,13 +35,21 @@ def multiply(x: np.ndarray, y: np.ndarray, n_gen: int) -> np.ndarray:
     if n_gen not in plans:  # x * y on blocks of one row
         plans[n_gen] = pyref.Plan(n_gen, (((0, 0, None, None), (1, 0, None, None), 0),),
                                   ((1, dim),) * 3)
-    a, b, step = x.reshape(-1, dim), y.reshape(-1, dim), max(1, TABLE_BYTES // (64 * 3**n_gen))
-    if 0 < len(a) <= step:  # one block, returned as the plan makes it
+    a, b = x.reshape(-1, dim), y.reshape(-1, dim)
+    blocks = row_blocks(len(a), n_gen)
+    if len(blocks) == 1:  # returned as the plan makes it
         return pyref.evaluate(plans[n_gen], a, b).reshape(x.shape)
     out = np.empty_like(a)
-    for i in range(0, len(a), step):
-        out[i:i + step] = pyref.evaluate(plans[n_gen], a[i:i + step], b[i:i + step])[:, 0]
+    for rows in blocks:
+        out[rows] = pyref.evaluate(plans[n_gen], a[rows], b[rows])[:, 0]
     return out.reshape(x.shape)
+
+
+def row_blocks(n_rows: int, n_gen: int) -> list[slice]:
+    """n_rows rows in blocks of as many as fit TABLE_BYTES at 64 B (three intp
+    indices, five float64 work slots) per table pair of a row, 3**n_gen pairs."""
+    step = max(1, TABLE_BYTES // (64 * 3**n_gen))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def bilinear_plan(n_gen: int, products, shapes) -> pyref.Plan:

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .boson import DEFAULT_NMAX
 from .coeffs import (
     CoefficientFn,
     ConstTerm,
@@ -29,7 +28,7 @@ from .coeffs import (
     complex_pair,
     zero_fn,
 )
-from .dynamics import HamiltonianSpec, IntegrationConfig, check_records
+from .dynamics import HamiltonianSpec, IntegrationConfig
 from .errors import ParseError, ValidationError
 from .grassmann import GeneratorSet, Multivector
 
@@ -181,11 +180,6 @@ class Scenario:
     config: IntegrationConfig
     out_path: str
     expect: str
-
-    def __post_init__(self):
-        m = len(self.generator_labels)  # a record: boson levels, or 2 x 4**m amplitudes
-        check_records(self.config.n_records,
-                      DEFAULT_NMAX + 1 if self.kind == "boson" else 2 * 4**m)
 
     def generator_set(self) -> GeneratorSet | None:
         if self.kind == "boson":

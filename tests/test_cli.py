@@ -209,6 +209,17 @@ def test_record_bound_is_validation_error_before_allocating(tmp_path, override, 
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_classify_ignores_the_record_bound(tmp_path, capsys):
+    # 10**5 records of 512 amplitudes are over the bound, but classifying
+    # records nothing
+    path = tmp_path / "over_bound.ini"
+    path.write_text(OVER_BOUND.replace("dt = 1e-7", "dt = 1e-5"))
+    assert main(["classify", str(path)]) == 0
+    assert "verdict: preserving" in capsys.readouterr().out
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert "record bound" in capsys.readouterr().err
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls of dynamics.<name>, wherever the package binds it."""
     calls = []

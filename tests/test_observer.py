@@ -8,12 +8,13 @@ product a one-row kernel call. Every output must match them as raw bits.
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohstab import dynamics
+from cohstab import dynamics, kernel
 from cohstab.coeffs import const_fn
 from cohstab.coherence import verify_trajectory
 from cohstab.dynamics import IntegrationConfig, _simpson_phase, evolve_grassmann_classical
@@ -247,11 +248,15 @@ def crafted_records(gens, rng):
 @pytest.mark.parametrize("n_pairs", [1, 2, 4])
 def test_observer_matches_per_record_loop_on_crafted_records(n_pairs, monkeypatch):
     gens = GeneratorSet.from_pairs(("zeta", "eta", "chi", "xi")[:n_pairs])
-    records = crafted_records(gens, np.random.default_rng(n_pairs))
+    rng = np.random.default_rng(n_pairs)
+    records = crafted_records(gens, rng)
     # the rows stop their invert series at different k
     stops = {ref_series(Multivector(gens, y[0]), Multivector(gens, y[0]).soul(),
                         lambda t, k: t)[1] for y in records[:n_pairs + 1]}
     assert len(stops) == n_pairs + 1
+    # enough of them for three blocks of records (kernel.row_blocks)
+    while len(kernel.row_blocks(len(records), gens.n_generators)) < 3:
+        records = np.concatenate((records, crafted_records(gens, rng)))
     monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: records.copy())
     spec = dynamics.HamiltonianSpec("fermion", const_fn(1.0))
     traj = dynamics.evolve_schrodinger_fermion(
@@ -282,3 +287,44 @@ def test_object_functions_match_references(n_pairs):
         want, want_res = ref_extract_eigenvalue(s, float(ref_inner_product(s, s).body.real))
         assert np.array_equal(bits(lam.coeffs), bits(want.coeffs))
         assert fbits(res) == fbits(want_res)
+
+
+# -- memory ------------------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_observer_memory_stays_at_one_block_of_records(monkeypatch):
+    # 4000 records at 16 coefficients take 2 MB, a block of them 26 KB; the
+    # observer on all records at once took 14 MB
+    gens = GeneratorSet.from_pairs(("zeta", "eta"))
+    records = awkward(np.random.default_rng(5), (4000, 2, gens.dim))
+    records[:, 0, 0] = 1.0
+    monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: records.copy())
+    spec = dynamics.HamiltonianSpec("fermion", const_fn(1.0))
+    traj, peak = _traced_peak(lambda: dynamics.evolve_schrodinger_fermion(
+        spec, FermionState.vacuum(gens), IntegrationConfig(len(records) - 1.0, 1.0, 1)))
+    assert np.isfinite(traj.residuals).all()
+    # what the trajectory keeps: the records' copy and the eigenvalues
+    assert peak < records.nbytes + traj.lams.nbytes + 2**21
+
+
+def test_verify_state_memory_stays_at_one_block_of_records():
+    # 1001 records at 16 coefficients; the law's path (zeta, phi) is as
+    # large as the amplitudes, and the reference states on all records at
+    # once took 2.3 MB
+    scenario = parse_scenario(ROOT / "scenarios" / "grassmann_forced.ini")
+    traj = dynamics.evolve_schrodinger_fermion(
+        scenario.hamiltonian_spec(), make_coherent(scenario.initial_zeta()),
+        IntegrationConfig(1.0, 1e-3, 1))
+    assert traj.gens.dim == 16 and len(traj.amplitudes) == 1001
+    report, peak = _traced_peak(lambda: verify_trajectory(traj, "grassmann"))
+    assert report.passed
+    assert peak < 2 * traj.amplitudes.nbytes + 2**19
