@@ -70,24 +70,16 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
     config = scenario.config
     try:
         if scenario.kind == "boson":
-            s0 = make_coherent_boson(scenario.z0, DEFAULT_NMAX)
-            traj = evolve_schrodinger_boson(spec, s0, config)
-            classification = classify_hamiltonian(spec, config)
-            verification = verify_trajectory(traj, "boson")
-        elif scenario.kind == "fermion":
-            s0 = make_coherent(scenario.initial_zeta())
-            traj = evolve_schrodinger_fermion(spec, s0, config)
-            classification = classify_hamiltonian(spec, config, trajectory=traj)
-            verification = (
-                verify_trajectory(traj, "fermion_free")
-                if classification.verdict == "preserving"
-                else None
-            )
+            traj = evolve_schrodinger_boson(
+                spec, make_coherent_boson(scenario.z0, DEFAULT_NMAX), config)
         else:
-            s0 = make_coherent(scenario.initial_zeta())
-            traj = evolve_schrodinger_fermion(spec, s0, config)
-            classification = classify_hamiltonian(spec, config)
-            verification = verify_trajectory(traj, "grassmann")
+            traj = evolve_schrodinger_fermion(
+                spec, make_coherent(scenario.initial_zeta()), config)
+        # boson and grassmann verdicts are static and always "preserving"
+        classification = classify_hamiltonian(spec, config, trajectory=traj)
+        law = "fermion_free" if scenario.kind == "fermion" else scenario.kind
+        verification = (verify_trajectory(traj, law)
+                        if classification.verdict == "preserving" else None)
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

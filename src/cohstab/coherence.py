@@ -157,11 +157,15 @@ class MultivectorPath:
             items.append((mask, fn))
         return cls(gens, tuple(sorted(items, key=lambda kv: kv[0])))
 
-    def __call__(self, t: float) -> Multivector:
-        coeffs = np.zeros(self.gens.dim, dtype=np.complex128)
+    def __call__(self, t):
+        """Coefficient rows (len(t), dim) at a 1-D array of times t; at a
+        scalar time, its one row as a Multivector."""
+        if np.ndim(t) == 0:
+            return Multivector(self.gens, self(np.array([t], dtype=float))[0], _copy=False)
+        rows = np.zeros((len(t), self.gens.dim), dtype=np.complex128)
         for mask, fn in self.components:
-            coeffs[mask] = fn(t)
-        return Multivector(self.gens, coeffs, _copy=False)
+            rows[:, mask] = fn(np.asarray(t, dtype=float))
+        return rows
 
     def derivative(self) -> "MultivectorPath":
         return MultivectorPath(
@@ -175,21 +179,28 @@ def reconstruct_forcing(zeta_path: MultivectorPath, omega: CoefficientFn,
     """Hamiltonian parameters (eta, delta) that drive the prescribed path.
 
     eta(t) = omega*zeta - i*zeta';  delta(t) = beta + omega*zeta*conj-pairing
-    - (i/2)(zeta* zeta' - zeta'* zeta). Returned as callables t -> Multivector.
+    - (i/2)(zeta* zeta' - zeta'* zeta). Returned as callables that, like the
+    path, give rows (len(t), dim) at a 1-D array of times t, with each
+    graded product one kernel.multiply, and a Multivector at a scalar time.
     Feeding them back into the classical integrator reproduces the path.
     """
+    gens, n_gen = zeta_path.gens, zeta_path.gens.n_generators
     zdot = zeta_path.derivative()
 
-    def eta(t: float) -> Multivector:
-        return omega(t) * zeta_path(t) - 1j * zdot(t)
+    def eta(t):
+        if np.ndim(t) == 0:
+            return Multivector(gens, eta(np.array([t], dtype=float))[0], _copy=False)
+        return omega(t)[:, None] * zeta_path(t) - 1j * zdot(t)
 
-    def delta(t: float) -> Multivector:
-        z = zeta_path(t)
-        zd = zdot(t)
-        zc = z.conjugate()
-        zdc = zd.conjugate()
-        out = omega(t) * (zc * z) - 0.5j * (zc * zd - zdc * z)
-        return out + complex(beta(t))
+    def delta(t):
+        if np.ndim(t) == 0:
+            return Multivector(gens, delta(np.array([t], dtype=float))[0], _copy=False)
+        z, zd = zeta_path(t), zdot(t)
+        zc, zdc = kernel.conjugate(z, n_gen), kernel.conjugate(zd, n_gen)
+        out = omega(t)[:, None] * kernel.multiply(zc, z, n_gen) - 0.5j * (
+            kernel.multiply(zc, zd, n_gen) - kernel.multiply(zdc, z, n_gen))
+        out[:, 0] += beta(t)
+        return out
 
     return eta, delta
 

@@ -28,6 +28,7 @@ from .errors import (
     GridTooCoarse,
     MismatchedGenerators,
     NotHermitian,
+    NotOddLinear,
     StepTooLarge,
     TruncationBreach,
     ValidationError,
@@ -687,23 +688,18 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
 # -- grassmann classical sector -----------------------------------------------
 
 
-def _as_coeff_array(value, gens: GeneratorSet) -> np.ndarray:
-    if isinstance(value, Multivector):
-        if value.gens != gens:
-            raise MismatchedGenerators("forcing over a foreign generator set")
-        return value.coeffs
-    arr = np.zeros(gens.dim, dtype=np.complex128)
-    arr[0] = value
-    return arr
-
-
 def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConfig,
                                record=None) -> GrassmannPath:
     """Integrate i zeta' = omega zeta - eta and the phase equation.
 
     `spec` is either a grassmann HamiltonianSpec or a triple
-    (omega_fn, eta_fn, delta_fn) with eta_fn/delta_fn mapping t to
-    Multivectors (odd degree-one and even self-conjugate respectively).
+    (omega_fn, eta_fn, delta_fn) of functions of a 1-D array of times ts:
+    omega_fn(ts) -> (len(ts),), and eta_fn(ts), delta_fn(ts) -> (len(ts),
+    dim) coefficient rows, odd degree-one and self-conjugate respectively.
+    Each chunk of a triple's rows is checked before it is integrated:
+    NotHermitian unless omega is real and delta self-conjugate within
+    HERMITIAN_TOL, NotOddLinear for an eta row that is not odd degree-one,
+    and MismatchedGenerators for rows that are not dim wide.
     The path holds the grid points `record` (every one by default).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
@@ -738,15 +734,20 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
             f = np.asarray(spec.forcing(ts), dtype=np.complex128)
             return np.stack((f, spec.scalar(ts), spec.omega(ts), np.conj(f)), axis=1)
     else:
-        omega_fn, eta_fn, delta_fn = spec
         fused, masks, eta_at, delta_at = False, (None, None), slice(None), slice(None)
 
         def coeffs(ts):
-            rows = np.array([(_as_coeff_array(eta_fn(t), gens),
-                              _as_coeff_array(delta_fn(t), gens),
-                              np.full(dim, omega_fn(t), dtype=np.complex128))
-                             for t in ts])
-            return np.concatenate((rows, kernel.conjugate(rows[:, :1], n_gen)), axis=1)
+            omega, eta, delta = (np.asarray(fn(ts), dtype=np.complex128) for fn in spec)
+            if eta.shape != (len(ts), dim) or delta.shape != eta.shape:
+                raise MismatchedGenerators(f"eta and delta rows must be {dim} wide")
+            if not _odd_degree_one_rows(eta).all():
+                raise NotOddLinear("eta must be odd of degree one")
+            if not np.max(np.abs(omega.imag)) <= HERMITIAN_TOL:
+                raise NotHermitian("omega must be real-valued")
+            if not np.max(np.abs(kernel.conjugate(delta, n_gen) - delta)) <= HERMITIAN_TOL:
+                raise NotHermitian("delta must be self-conjugate")
+            return np.stack((eta, delta, np.broadcast_to(omega[:, None], eta.shape),
+                             kernel.conjugate(eta, n_gen)), axis=1)
 
     # zeta* eta + eta* zeta, summed in one pass if eta and eta* are one
     # monomial each; the plan conjugates zeta as it gathers it
@@ -850,13 +851,12 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     return residuals
 
 
-def _fd_order_check(dt: float, span_steps: int = 16) -> None:
+def _fd_order_check(dt: float) -> None:
     """Verify O(dt^2) behaviour of the differencing on a known-exact case."""
     ratios = []
-    ref = None
     for scale in (1.0, 0.5):
         step = dt * scale
-        n = int(span_steps / scale)
+        n = int(16 / scale)
         ts = step * np.arange(n + 1)
         series = np.exp(1j * ts)
         approx = _fd_derivative(series, step)

@@ -13,7 +13,8 @@ import pytest
 
 from cohstab import dynamics, kernel
 from cohstab.boson import BosonState, make_coherent_boson
-from cohstab.coeffs import complex_pair, const_fn, cos_fn, sin_fn, zero_fn
+from cohstab.coeffs import complex_pair, const_fn, cos_fn, poly_fn, sin_fn, zero_fn
+from cohstab.coherence import MultivectorPath, reconstruct_forcing
 from cohstab.dynamics import (
     MAX_STEPS,
     STEP_TOL,
@@ -33,7 +34,9 @@ from cohstab.dynamics import (
 from cohstab.errors import (
     GeneratorCollision,
     GridTooCoarse,
+    MismatchedGenerators,
     NotHermitian,
+    NotOddLinear,
     StepTooLarge,
     TruncationBreach,
     ValidationError,
@@ -452,6 +455,35 @@ def test_generator_collision_rejected(gens2):
     with pytest.raises(GeneratorCollision):
         evolve_grassmann_classical(spec, gens2.gen("eta"),
                                    IntegrationConfig(1.0, 1e-3))
+
+
+def _triple(gens, omega=1.0, eta=None, delta=0.1):
+    """An (omega_fn, eta_fn, delta_fn) triple of constant rows over `gens`:
+    eta is 0.3 eta_g unless given as a body, delta a body."""
+    eta_row, delta_row = np.zeros((2, gens.dim), dtype=complex)
+    if eta is None:
+        eta_row[1 << gens.index("eta")] = 0.3
+    else:
+        eta_row[0] = eta
+    delta_row[0] = delta
+    return (lambda ts: np.full(len(ts), omega, dtype=complex),
+            lambda ts: np.tile(eta_row, (len(ts), 1)),
+            lambda ts: np.tile(delta_row, (len(ts), 1)))
+
+
+@pytest.mark.parametrize("params, error", [
+    (dict(omega=1 + 0.5j), NotHermitian),
+    (dict(omega=complex(1.0, np.nan)), NotHermitian),
+    (dict(delta=0.1j), NotHermitian),
+    (dict(delta=complex(np.nan, 0.0)), NotHermitian),
+    (dict(eta=0.3), NotOddLinear),
+    (dict(gens=GeneratorSet.from_pairs(("eta",))), MismatchedGenerators),
+], ids=["complex_omega", "nan_omega", "delta_not_self_conjugate", "nan_delta",
+        "eta_body", "rows_of_a_foreign_set"])
+def test_invalid_triple_is_refused(gens2, params, error):
+    triple = _triple(**{"gens": gens2, **params})
+    with pytest.raises(error):
+        evolve_grassmann_classical(triple, gens2.gen("zeta"), IntegrationConfig(0.1, 1e-2))
 
 
 # -- operator transport and the invariance condition -----------------------------------
@@ -1128,7 +1160,7 @@ def _oracle_case(kind, gens):
     def law(h):
         return lambda cfg: evolve_grassmann_classical(h, gens.zero(), cfg)
 
-    triple = (lambda t: 1.0, lambda t: 0.3 * gens.gen("eta"), lambda t: 0.1)
+    triple = _triple(gens)
     return {
         "fermion": (fermion(spec), compact),
         "grassmann": (fermion(spec), compact),
@@ -1192,3 +1224,95 @@ def test_each_rhs_stage_is_one_plan_evaluation(start, driver_runs, monkeypatch):
     assert calls["stage_multiply"] == 0
     if driver_runs[0].label == "grassmann classical":
         assert calls["conjugate"] == 0
+
+
+# -- reconstructed forcing on arrays of times against the per-time build -----------
+
+
+def per_time_path(path, t) -> Multivector:
+    """Order reference: MultivectorPath at one time, as it was before it took
+    arrays of times."""
+    coeffs = np.zeros(path.gens.dim, dtype=np.complex128)
+    for mask, fn in path.components:
+        coeffs[mask] = fn(t)
+    return Multivector(path.gens, coeffs, _copy=False)
+
+
+def per_time_forcing(path, omega, beta):
+    """Order reference: reconstruct_forcing's eta and delta at one time, built
+    from Multivectors as they were before they took arrays of times."""
+    zdot = path.derivative()
+
+    def eta(t):
+        return omega(t) * per_time_path(path, t) - 1j * per_time_path(zdot, t)
+
+    def delta(t):
+        z, zd = per_time_path(path, t), per_time_path(zdot, t)
+        zc, zdc = z.conjugate(), zd.conjugate()
+        out = omega(t) * (zc * z) - 0.5j * (zc * zd - zdc * z)
+        return out + complex(beta(t))
+
+    return eta, delta
+
+
+def per_time_table(omega, eta, delta, n_gen):
+    """Order reference: the triple's coefficient rows (eta, delta, omega,
+    eta*) as evolve_grassmann_classical built them one time at a time."""
+    def coeffs(ts):
+        rows = np.array([(eta(t).coeffs, delta(t).coeffs,
+                          np.full(1 << n_gen, omega(t), dtype=np.complex128))
+                         for t in ts])
+        return np.concatenate((rows, kernel.conjugate(rows[:, :1], n_gen)), axis=1)
+
+    return coeffs
+
+
+def _reconstruction_case(n_pairs):
+    """(path, omega, beta) over 1-3 generator pairs: non-constant omega and
+    beta, and a path with a component on a starred generator."""
+    gens = GeneratorSet.from_pairs(("zeta", "eta", "chi")[:n_pairs])
+    components = {"zeta": cos_fn(1.0, 1.0) + sin_fn(-1j, 1.0),
+                  "zeta*": poly_fn(0.2 - 0.1j, 2) + const_fn(-0.0)}
+    if n_pairs > 1:
+        components["eta"] = sin_fn(0.3, 1.0)
+    if n_pairs > 2:
+        components["chi*"] = cos_fn(0.25j, 2.0, 0.5) + poly_fn(-0.05, 3)
+    path = MultivectorPath.from_components(gens, components)
+    omega = const_fn(1.0) + sin_fn(0.5, 1.0) + poly_fn(0.1, 1)
+    beta = const_fn(0.1) + cos_fn(0.2, 2.0)
+    return path, omega, beta
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_reconstructed_rows_match_per_time_build_bitwise(n_pairs):
+    path, omega, beta = _reconstruction_case(n_pairs)
+    eta, delta = reconstruct_forcing(path, omega, beta)
+    ref_eta, ref_delta = per_time_forcing(path, omega, beta)
+    cfg = IntegrationConfig(0.3, 1e-2)
+    rng = np.random.default_rng(n_pairs)
+    stages, _ = dynamics._stage_times(cfg.times(), cfg.refined_times())
+    ts = np.concatenate((stages.reshape(-1), rng.uniform(-4.0, 4.0, 40), [-0.0]))
+    for fn, ref in ((path, lambda t: per_time_path(path, t)), (eta, ref_eta),
+                    (delta, ref_delta)):
+        want = bits(np.stack([ref(t).coeffs for t in ts]))
+        assert np.array_equal(bits(fn(ts)), want)
+        # a scalar time gives its one row as a Multivector
+        assert all(np.array_equal(bits(fn(t).coeffs), w) for t, w in zip(ts[::7], want[::7]))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_triple_law_matches_per_time_table_bitwise(n_pairs, monkeypatch):
+    path, omega, beta = _reconstruction_case(n_pairs)
+    eta, delta = reconstruct_forcing(path, omega, beta)
+    cfg = IntegrationConfig(0.2, 2e-3)
+    zeta0 = path(0.0)
+    got = evolve_grassmann_classical((omega, eta, delta), zeta0, cfg)
+
+    table = per_time_table(omega, *per_time_forcing(path, omega, beta),
+                           path.gens.n_generators)
+    integrate = dynamics._integrate
+    monkeypatch.setattr(dynamics, "_integrate",
+                        lambda rhs, _, *a, **kw: integrate(rhs, table, *a, **kw))
+    want = evolve_grassmann_classical((omega, eta, delta), zeta0, cfg)
+    assert np.array_equal(bits(got.zeta), bits(want.zeta))
+    assert np.array_equal(bits(got.phi), bits(want.phi))
