@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,10 @@ class IntegrationConfig:
             raise ValidationError(
                 f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}"
             )
+        try:
+            operator.index(self.stride)
+        except TypeError:
+            raise ValidationError(f"stride must be an integer, got {self.stride!r}") from None
         if self.stride < 1:
             raise ValidationError("stride must be at least 1")
 
@@ -354,11 +359,6 @@ class Trajectory:
 # -- RK4 driver ----------------------------------------------------------------
 
 
-#: Grid steps whose stage times the driver works out and tells apart at a
-#: time, which bounds that work's memory on long grids.
-LATTICE_STEPS = 512
-
-
 def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
                record=None, on_step=None) -> np.ndarray:
     """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
@@ -440,30 +440,25 @@ def _coeff_tables(coeffs, times: np.ndarray, fine: np.ndarray):
     `times`, chunk by chunk, each as (table, dts): a (K, 8) + row shape
     table in the column order of _stage_times, and the chunk's steps.
 
-    The stage times of up to LATTICE_STEPS grid steps at a time are told
-    apart by their bits; `coeffs` is then evaluated once per chunk, on the
-    chunk's distinct times, and one gather lays its rows out. The first
-    chunk is one step; its rows size the rest to fit TABLE_BYTES.
+    Each chunk tells its stage times apart by their bits, evaluates `coeffs`
+    once on the distinct ones and lays their rows out with one gather. The
+    first chunk is one step; its rows size the rest to fit TABLE_BYTES. The
+    stage times and their inverse index take 16 B per stage time, at most
+    half of a table row (32 B or more), so TABLE_BYTES bounds them too.
     """
-    chunk = 1
-    for a in range(0, times.size - 1, LATTICE_STEPS):
-        b = min(a + LATTICE_STEPS, times.size - 1)
+    a, chunk = 0, 1
+    while a < times.size - 1:
+        b = min(a + chunk, times.size - 1)
         lattice, dts = _stage_times(times[a:b + 1], fine[2 * a:2 * b + 1])
         bits, where = np.unique(lattice.reshape(-1).view(np.uint64),
                                 return_inverse=True)
-        distinct, where = bits.view(np.float64), where.reshape(lattice.shape)
-        i = 0
-        while i < b - a:
-            w = where[i:i + chunk]
-            lo = w.min()
-            values = np.asarray(coeffs(distinct[lo:w.max() + 1]),
-                                dtype=np.complex128)
-            table = values[w - lo]
-            del values  # while the driver steps, only the table is held
-            yield table, dts[i:i + chunk]
-            i += len(table)
-            chunk = max(1, TABLE_BYTES * len(table) // table.nbytes)
-            del table  # freed before the next chunk's rows are evaluated
+        values = np.asarray(coeffs(bits.view(np.float64)), dtype=np.complex128)
+        table = values[where.reshape(lattice.shape)]
+        del lattice, where, values  # while the driver steps, only the table is held
+        yield table, dts
+        a = b
+        chunk = max(1, TABLE_BYTES * len(table) // table.nbytes)
+        del table  # freed before the next chunk's rows are evaluated
 
 
 def _rk4_step(rhs, c, c_mid, c_next, dt, y):

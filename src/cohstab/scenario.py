@@ -289,8 +289,13 @@ def parse_scenario(source: str | Path) -> Scenario:
         lbl.strip() for lbl in get("system", "generators", "zeta").split(",")
         if lbl.strip()
     )
-    if kind != "boson" and not labels:
-        raise ValidationError("at least one generator pair must be declared")
+    if kind != "boson":
+        if not labels:
+            raise ValidationError("at least one generator pair must be declared")
+        try:
+            GeneratorSet.from_pairs(labels)
+        except ValueError as exc:
+            raise ValidationError(f"bad generators: {exc}") from exc
 
     expressions: dict[str, CoefficientFn] = {}
     omega_text = get("hamiltonian", "omega")

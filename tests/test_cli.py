@@ -151,6 +151,18 @@ def test_overflowing_grassmann_state_exits_three(tmp_path):
     assert not (tmp_path / "inf.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize("scenario", ["free_fermion", "grassmann_forced"])
+def test_repeated_generator_is_scenario_error(tmp_path, capsys, command, scenario):
+    text = (SCENARIOS / f"{scenario}.ini").read_text()
+    path = tmp_path / "repeated.ini"
+    path.write_text(text.replace("generators = zeta", "generators = zeta, zeta"))
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, str(path)] + out) == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_infinite_t_end_is_validation_error(tmp_path):
     assert main(["run", str(SCENARIOS / "free_fermion.ini"),
                  "--out", str(tmp_path), "--t-end", "inf"]) == 1

@@ -191,6 +191,29 @@ t_end = 1
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("kind,generators", [
+    ("fermion", "zeta, zeta"),
+    ("fermion", "zeta, zeta*"),
+    ("fermion", "a, b, c, d, e"),
+    ("grassmann", "zeta, eta, zeta"),
+])
+def test_malformed_generator_list_rejected(kind, generators):
+    text = f"""\
+[system]
+kind = {kind}
+generators = {generators}
+
+[hamiltonian]
+omega = 1
+{"eta_generator = eta" if kind == "grassmann" else ""}
+
+[integration]
+t_end = 1
+"""
+    with pytest.raises(ValidationError, match="generator"):
+        parse_scenario(text)
+
+
 def test_bad_initial_value_rejected():
     text = """\
 [system]
