@@ -121,42 +121,22 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario = parse_scenario(Path(args.scenario))
-    except (ParseError, ValidationError, OSError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+    scenario = parse_scenario(Path(args.scenario))
     if args.dt is not None or args.t_end is not None:
-        try:
-            scenario = dataclasses.replace(
-                scenario,
-                config=IntegrationConfig(
-                    t_end=args.t_end if args.t_end is not None else scenario.config.t_end,
-                    dt=args.dt if args.dt is not None else scenario.config.dt,
-                    stride=scenario.config.stride,
-                ),
-            )
-        except ValidationError as exc:
-            print(f"scenario error: {exc}", file=sys.stderr)
-            return 1
-    try:
-        return run_scenario(scenario, args.out)
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+        scenario = dataclasses.replace(
+            scenario,
+            config=IntegrationConfig(
+                t_end=args.t_end if args.t_end is not None else scenario.config.t_end,
+                dt=args.dt if args.dt is not None else scenario.config.dt,
+                stride=scenario.config.stride,
+            ),
+        )
+    return run_scenario(scenario, args.out)
 
 
 def _cmd_classify(args) -> int:
-    try:
-        scenario = parse_scenario(Path(args.scenario))
-    except (ParseError, ValidationError, OSError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = classify_hamiltonian(scenario.hamiltonian_spec(), scenario.config)
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    scenario = parse_scenario(Path(args.scenario))
+    result = classify_hamiltonian(scenario.hamiltonian_spec(), scenario.config)
     print(f"kind: {result.kind}")
     print(f"verdict: {result.verdict}")
     print(f"max |forcing| on grid: {result.max_forcing:.3e}")
@@ -317,6 +297,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (ParseError, ValidationError, OSError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    except NUMERIC_ERRORS as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except CohstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

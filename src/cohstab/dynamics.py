@@ -180,32 +180,53 @@ class HamiltonianSpec:
         if not self.scalar.max_imag_on(times) <= HERMITIAN_TOL:
             raise NotHermitian("the scalar term must be real-valued")
 
+    def slot_rows(self, ts: np.ndarray) -> np.ndarray:
+        """(len(ts), 4) coefficients over the slots (I, lower, raise, number):
+        scalar, conj(forcing) (negated for kind "grassmann"), forcing and
+        omega at each time."""
+        f = np.asarray(self.forcing(ts), dtype=np.complex128)
+        fc = -np.conj(f) if self.kind == "grassmann" else np.conj(f)
+        return np.stack((self.scalar(ts), fc, f, self.omega(ts)), axis=1)
+
+    def slot_masks(self, gens: GeneratorSet) -> tuple[int, int, int, int]:
+        """The one monomial over gens each slot of slot_rows sits at: the
+        body, but for kind "grassmann" the conjugate of the eta generator
+        (lower) and the eta generator (raise)."""
+        if self.kind != "grassmann":
+            return 0, 0, 0, 0
+        idx = gens.index(self.eta_generator)
+        return 0, 1 << (idx ^ 1), 1 << idx, 0
+
+
+def _check_spec(spec: HamiltonianSpec, kinds: tuple[str, ...], grid,
+                gens: GeneratorSet | None = None, records=(0, 0)) -> np.ndarray:
+    """The times grid() returns, once `spec` passes. Refuses, in this order:
+    a spec whose kind is not one of `kinds` (ValidationError), one over a
+    generator set other than `gens` (MismatchedGenerators), `records` =
+    (n_records, values each) over the record bound (see _check_records), and
+    one whose omega or scalar is not real at those times (NotHermitian);
+    grid is called only after the first three pass."""
+    if spec.kind not in kinds:
+        raise ValidationError(f"a {spec.kind} spec where a "
+                              f"{' or '.join(kinds)} spec is needed")
+    if gens is not None and spec.gens not in (None, gens):
+        raise MismatchedGenerators("spec and state generator sets differ")
+    _check_records(*records)
+    times = grid()
+    spec.validate_real_coefficients(times)
+    return times
+
 
 def hamiltonian_operator(spec: HamiltonianSpec, t: float,
                          gens: GeneratorSet) -> FermionOperator:
     """Build the family's fermion-sector operator at one time."""
-    c = _dense_slots(*_spec_slots(spec, gens), gens.dim)(np.array([t], dtype=float))
+    ts = np.array([t], dtype=float)
+    c = _dense_slots(*_fermion_coeff_source(spec, gens, lambda: ts)[:2], gens.dim)(ts)
     return FermionOperator(gens, *(Multivector(gens, row) for row in c[0]))
 
 
-def _spec_slots(spec: HamiltonianSpec, gens: GeneratorSet):
-    """(values, masks): values(ts) -> (len(ts), 4) coefficients over the
-    slots (I, b, b†, b†b), each zero off its one monomial in masks."""
-    if spec.kind not in ("fermion", "grassmann"):
-        raise ValidationError(f"no fermion-sector operator for kind {spec.kind!r}")
-    grassmann = spec.kind == "grassmann"
-    plus, minus = _forcing_masks(spec, gens)
-
-    def values(ts):
-        f = np.asarray(spec.forcing(ts), dtype=np.complex128)
-        cm = -np.conj(f) if grassmann else np.conj(f)
-        return np.stack((spec.scalar(ts), cm, f, spec.omega(ts)), axis=1)
-
-    return values, (0, minus, plus, 0)
-
-
 def _dense_slots(values, masks, dim: int):
-    """ts -> (len(ts), 4, dim) from the (values, masks) of _spec_slots, or
+    """ts -> (len(ts), 4, dim) from a spec's slot_rows and slot_masks, or
     values itself if masks is None."""
     def table(ts):
         c = np.zeros((len(ts), 4, dim), dtype=np.complex128)
@@ -213,16 +234,6 @@ def _dense_slots(values, masks, dim: int):
         return c
 
     return values if masks is None else table
-
-
-def _forcing_masks(spec: HamiltonianSpec, gens: GeneratorSet):
-    """(plus, minus): the monomials of the b† and b coefficients, which are
-    eta and -conj(eta) over the eta generator and its conjugate for kind
-    "grassmann" and the body otherwise."""
-    if spec.kind != "grassmann":
-        return 0, 0
-    idx = gens.index(spec.eta_generator)
-    return 1 << idx, 1 << (idx ^ 1)
 
 
 # -- invariants and auxiliary systems ----------------------------------------
@@ -472,34 +483,20 @@ def _rk4_step(rhs, c, c_mid, c_next, dt, y):
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _tabulate(*fns):
-    """ts -> (len(ts), len(fns), 1): every function at every time, as one
-    complex column each that broadcasts over a row of amplitudes."""
-    def table(ts):
-        return np.stack([np.asarray(fn(ts), dtype=np.complex128)
-                         for fn in fns], axis=1)[:, :, None]
-
-    return table
-
-
 # -- classical boson sector ---------------------------------------------------
 
 
 def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
                            config: IntegrationConfig) -> ClassicalBosonPath:
     """Integrate i z' = omega z + f and cross-validate with the closed form."""
-    if spec.kind != "boson":
-        raise ValidationError("classical boson evolution needs a boson spec")
-    times = config.times()
-    spec.validate_real_coefficients(times)
+    times = _check_spec(spec, ("boson",), config.times)
 
     def rhs(c, y):
-        w, f = c.swapaxes(0, 1)
+        _, _, f, w = c.T[:, :, None]
         return -1j * (w * y + f)
 
     y0 = np.array([z0], dtype=np.complex128)
-    series = _integrate(rhs, _tabulate(spec.omega, spec.forcing), y0, config,
-                        "classical boson")[:, 0]
+    series = _integrate(rhs, spec.slot_rows, y0, config, "classical boson")[:, 0]
     return ClassicalBosonPath(times, series, _boson_closed_form(spec, z0, times))
 
 
@@ -526,57 +523,47 @@ def _boson_closed_form(spec: HamiltonianSpec, z0: complex,
 
 def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
     """Invariant ladder series: (beta, gamma) for bosons, nu system for fermions."""
-    if spec.kind == "boson":
-        times = config.times()
-        spec.validate_real_coefficients(times)
-        phase, drive = _boson_integrals(spec, times)
-        return BosonInvariantPath(times, np.exp(1j * phase), 1j * drive)
     if spec.kind == "fermion":
         return evolve_nu_system(spec, config)
-    raise ValidationError("ladder invariants exist for boson and fermion kinds")
+    # "fermion" is listed so that a refusal names both kinds this takes
+    times = _check_spec(spec, ("boson", "fermion"), config.times)
+    phase, drive = _boson_integrals(spec, times)
+    return BosonInvariantPath(times, np.exp(1j * phase), 1j * drive)
 
 
 def evolve_nu_system(spec: HamiltonianSpec,
                      config: IntegrationConfig) -> FermionInvariantPath:
     """Auxiliary system for the forced-fermion invariant, from (1, 0, 0)."""
-    if spec.kind != "fermion":
-        raise ValidationError("the nu system belongs to the fermion kind")
-    times = config.times()
-    spec.validate_real_coefficients(times)
+    times = _check_spec(spec, ("fermion",), config.times)
 
     def rhs(c, y):
-        w, f = c.swapaxes(0, 1)
+        _, fc, f, w = c.T[:, :, None]
         nm, npl, n3 = np.split(y, 3, axis=1)
         return np.concatenate(
             (
-                1j * (nm * w - n3 * np.conj(f)),
+                1j * (nm * w - n3 * fc),
                 1j * (n3 * f - npl * w),
-                2j * (npl * np.conj(f) - nm * f),
+                2j * (npl * fc - nm * f),
             ),
             axis=1,
         )
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    coeffs = _tabulate(spec.omega, spec.forcing)
-    return FermionInvariantPath(times,
-                                _integrate(rhs, coeffs, y0, config, "nu system"))
+    return FermionInvariantPath(
+        times, _integrate(rhs, spec.slot_rows, y0, config, "nu system"))
 
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
 
 
-def _fermion_coeff_source(h, gens: GeneratorSet, times: np.ndarray):
+def _fermion_coeff_source(h, gens: GeneratorSet, grid):
     """Normalize a HamiltonianSpec or operator builder into (coeffs, masks,
-    kind): a spec's _spec_slots, or a builder's table ts -> (len(ts), 4,
-    dim), which calls and checks it once per time, and None."""
+    kind): a spec's slot_rows and slot_masks(gens), checked on the times
+    grid() returns, or a builder's table ts -> (len(ts), 4, dim), which
+    calls and checks it once per time, and None."""
     if isinstance(h, HamiltonianSpec):
-        if h.kind not in ("fermion", "grassmann"):
-            raise ValidationError("fermion-sector evolution needs a fermion or "
-                                  "grassmann spec")
-        if h.gens is not None and h.gens != gens:
-            raise MismatchedGenerators("spec and state generator sets differ")
-        h.validate_real_coefficients(times)
-        return *_spec_slots(h, gens), h.kind
+        _check_spec(h, ("fermion", "grassmann"), grid, gens)
+        return h.slot_rows, h.slot_masks(gens), h.kind
     if callable(h):
         def build(t):
             op = h(t)
@@ -601,8 +588,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     gens = s0.gens
     n_gen = gens.n_generators
     dim = gens.dim
-    times = config.times()
-    coeffs, masks, kind = _fermion_coeff_source(h, gens, times)
+    coeffs, masks, kind = _fermion_coeff_source(h, gens, config.times)
     # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
     # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
     # part of an amplitude passing b or b†. A spec's coefficients are one
@@ -644,21 +630,17 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
 def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
                              config: IntegrationConfig) -> Trajectory:
     """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g."""
-    if spec.kind != "boson":
-        raise ValidationError("boson evolution needs a boson spec")
-    _check_records(config.n_records, s0.amps.size)
-    times = config.times()
-    spec.validate_real_coefficients(times)
+    _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
     nlev = np.arange(s0.amps.size)
     sq = np.sqrt(np.arange(1, s0.amps.size))
 
     def rhs(c, y):
-        w, f, g = c.swapaxes(0, 1)
+        g, fc, f, w = c.T[:, :, None]
         up = np.zeros_like(y)
         up[:, 1:] = sq * y[:, :-1]
         down = np.zeros_like(y)
         down[:, :-1] = sq * y[:, 1:]
-        return -1j * (w * (nlev * y) + f * up + np.conj(f) * down + g * y)
+        return -1j * (w * (nlev * y) + f * up + fc * down + g * y)
 
     def tail_guard(t, y):
         nsq = float(np.sum(np.abs(y) ** 2))
@@ -669,9 +651,8 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
             )
 
     rec_idx = config.record_indices()
-    coeffs = _tabulate(spec.omega, spec.forcing, spec.scalar)
-    records = _integrate(rhs, coeffs, s0.amps, config, "boson Schrödinger", rec_idx,
-                         on_step=tail_guard)
+    records = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
+                         rec_idx, on_step=tail_guard)
 
     norm0 = s0.norm_sq()
     lams, residuals = zip(*(eigenvalue_lsq(BosonState(y, _copy=False)) for y in records))
@@ -709,13 +690,8 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
 
     # coefficient rows: eta(t), delta(t), omega(t) and eta(t)*
     if isinstance(spec, HamiltonianSpec):
-        if spec.kind != "grassmann":
-            raise ValidationError("grassmann classical evolution needs a "
-                                  "grassmann spec")
-        if spec.gens != gens:
-            raise MismatchedGenerators("spec and initial value generator sets differ")
-        spec.validate_real_coefficients(times)
-        bit, conj_bit = _forcing_masks(spec, gens)
+        _check_spec(spec, ("grassmann",), lambda: times, gens)
+        _, conj_bit, bit, _ = spec.slot_masks(gens)
         if any(mask & bit for mask in zeta0.terms):
             raise GeneratorCollision(
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
@@ -779,8 +755,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
     value is X(0). Sampled at every grid time.
     """
     gens = op0.gens
-    times = config.times()
-    coeffs = _dense_slots(*_fermion_coeff_source(h, gens, times)[:2], gens.dim)
+    coeffs = _dense_slots(*_fermion_coeff_source(h, gens, config.times)[:2], gens.dim)
     n_gen = gens.n_generators
 
     def rhs(hc, y):
@@ -817,6 +792,8 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     times = config.times()
     dt = times[1] - times[0]
     _fd_order_check(dt)
+    if times.size < 3:
+        raise ValidationError("the invariance residual needs a grid of 3 points or more")
     if isinstance(b_series, FermionInvariantPath):
         if gens is None:
             gens = h.gens if isinstance(h, HamiltonianSpec) and h.gens is not None \
@@ -832,7 +809,7 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
         b = np.array([[c.coeffs for c in op.coefficients()] for op in ops])
     if len(b) != times.size:
         raise ValidationError("operator series and grid lengths differ")
-    table = _dense_slots(*_fermion_coeff_source(h, gens, times)[:2], gens.dim)
+    table = _dense_slots(*_fermion_coeff_source(h, gens, lambda: times)[:2], gens.dim)
     dcoeff = _fd_derivative(b, dt)
     n_gen = gens.n_generators
     # the 12 slot-pair products of a block's times, both ways, fit in TABLE_BYTES

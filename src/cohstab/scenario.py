@@ -6,7 +6,7 @@ Expression grammar (whitespace-insensitive):
     term := NUM ['*' tail] | trig
     tail := 't' ['^' (1|2|3)] | trig
     trig := ('cos'|'sin') '(' NUM '*' 't' ['+' NUM] ')'
-    NUM  := decimal with optional sign (exponent notation accepted)
+    NUM  := finite decimal with optional sign (exponent notation accepted)
 
 Scenario layout: sections [system], [hamiltonian], [initial], [integration],
 [output]; unknown sections/keys and duplicates are hard errors.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +69,11 @@ class _Scanner:
         m = _NUM_RE.match(self.text, self.pos)
         if m is None:
             self.fail("expected NUM")
+        value = float(m.group())
+        if not math.isfinite(value):
+            self.fail("expected a finite NUM")
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def fail(self, expected: str):
         raise ParseError(expected, offset=self.pos)
@@ -327,6 +331,8 @@ def parse_scenario(source: str | Path) -> Scenario:
                          float(get("initial", "z0_im", "0")))
         except ValueError as exc:
             raise ValidationError(f"bad initial value: {exc}") from exc
+        if not math.isfinite(z0.real) or not math.isfinite(z0.imag):
+            raise ValidationError(f"bad initial value: z0 = {z0} is not finite")
     else:
         default_zeta = next(
             (lbl for lbl in labels if lbl != eta_generator), labels[0]

@@ -122,17 +122,34 @@ def test_truncation_breach_exits_three(tmp_path):
     assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
 
 
-def test_nan_initial_value_exits_three(tmp_path):
-    # NaN fails the tail guard and the dt/2 gate closed instead of
-    # writing an all-NaN trajectory
-    scenario = tmp_path / "nan.ini"
-    scenario.write_text(
-        "[system]\nkind = boson\n\n[hamiltonian]\nomega = 1\n\n"
-        "[initial]\nz0_re = nan\n\n[integration]\nt_end = 0.01\n\n"
-        "[output]\npath = nan.csv\n"
-    )
-    assert main(["run", str(scenario), "--out", str(tmp_path)]) == 3
-    assert not (tmp_path / "nan.csv").exists()
+NON_FINITE = {
+    "omega": "[system]\nkind = boson\n\n[hamiltonian]\nomega = 1e999\n\n"
+             "[integration]\nt_end = 0.01\n",
+    "z0_re": "[system]\nkind = boson\n\n[hamiltonian]\nomega = 1\n\n"
+             "[initial]\nz0_re = nan\n\n[integration]\nt_end = 0.01\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize("key", NON_FINITE)
+def test_non_finite_number_is_scenario_error(tmp_path, capsys, command, key):
+    # refused as it is read, before it can turn into a numeric failure or a
+    # verdict
+    path = tmp_path / "non_finite.ini"
+    path.write_text(NON_FINITE[key])
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, str(path)] + out) == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_unwritable_out_is_scenario_error(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main(["run", str(SCENARIOS / "free_fermion.ini"), "--t-end", "0.05",
+                 "--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -415,6 +415,16 @@ def test_truncation_breach():
                                  IntegrationConfig(10.0, 1e-3))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_boson_amplitude_fails_closed():
+    # the tail guard refuses NaN instead of recording an all-NaN trajectory
+    amps = make_coherent_boson(0.5, 16).amps.copy()
+    amps[3] = np.nan
+    with pytest.raises(TruncationBreach):
+        evolve_schrodinger_boson(HamiltonianSpec("boson", const_fn(1.0)), BosonState(amps),
+                                 IntegrationConfig(0.01, 1e-3))
+
+
 # -- grassmann classical -------------------------------------------------------------
 
 
@@ -569,6 +579,13 @@ def test_invariance_residual_scales_second_order():
     assert 3.0 < maxima[0] / maxima[1] < 5.0
 
 
+def test_invariant_residual_refuses_a_grid_under_3_points():
+    cfg = IntegrationConfig(0.1, 0.1)
+    ops = [FermionOperator.annihilator(GeneratorSet(())) for _ in cfg.times()]
+    with pytest.raises(ValidationError, match="3 points"):
+        invariant_residual(ops, HamiltonianSpec("fermion", const_fn(1.0)), cfg)
+
+
 def test_grid_too_coarse_calibration():
     spec = HamiltonianSpec("fermion", const_fn(1.0))
     g0 = GeneratorSet(())
@@ -606,6 +623,31 @@ EVOLUTIONS = {
         LOCK_FERMION, FermionOperator.annihilator(LOCK_G1), cfg),
 }
 EVOLUTION_IDS = [name.replace(" ", "_").replace("ö", "o") for name in EVOLUTIONS]
+
+# every entry point that takes a HamiltonianSpec, each given one of a kind it
+# does not take
+WRONG_KIND = {
+    "classical_boson": lambda cfg: evolve_classical_boson(LOCK_FERMION, 0.5, cfg),
+    "ladder_invariant": lambda cfg: build_ladder_invariant(LOCK_GRASSMANN, cfg),
+    "nu_system": lambda cfg: evolve_nu_system(LOCK_BOSON, cfg),
+    "fermion_schrodinger": lambda cfg: evolve_schrodinger_fermion(
+        LOCK_BOSON, make_coherent(LOCK_G1.gen("zeta")), cfg),
+    "boson_schrodinger": lambda cfg: evolve_schrodinger_boson(
+        LOCK_FERMION, make_coherent_boson(0.5, 16), cfg),
+    "grassmann_law": lambda cfg: evolve_grassmann_classical(
+        LOCK_FERMION, LOCK_G2.gen("zeta"), cfg),
+    "hamiltonian_operator": lambda cfg: hamiltonian_operator(LOCK_BOSON, 0.1, LOCK_G1),
+    "operator_transport": lambda cfg: evolve_operator_transport(
+        LOCK_BOSON, FermionOperator.annihilator(LOCK_G1), cfg),
+    "invariant_residual": lambda cfg: invariant_residual(
+        evolve_nu_system(LOCK_FERMION, cfg), LOCK_BOSON, cfg),
+}
+
+
+@pytest.mark.parametrize("start", WRONG_KIND.values(), ids=list(WRONG_KIND))
+def test_spec_of_a_wrong_kind_is_refused(start):
+    with pytest.raises(ValidationError, match="spec is needed"):
+        start(IntegrationConfig(0.3, 1e-2))
 
 
 def sequential_rk4(rhs, coeffs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
@@ -854,10 +896,8 @@ def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarr
     Schrödinger evolution and the grassmann law hold one entry per row, the
     coefficient of the one monomial the row may be non-zero at."""
     w, f, g = (complex(fn(t)) for fn in (spec.omega, spec.forcing, spec.scalar))
-    if label in ("classical boson", "nu system"):
-        return np.array([[w], [f]])
-    if label == "boson Schrödinger":
-        return np.array([[w], [f], [g]])
+    if label in ("classical boson", "nu system", "boson Schrödinger"):
+        return np.array([g, np.conj(f), f, w])
     plus = minus = 0
     if spec.kind == "grassmann":
         idx = gens.index(spec.eta_generator)

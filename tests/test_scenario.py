@@ -69,6 +69,8 @@ def test_grammar_cases(text, t, value):
         ("1 2", 2),
         ("sin(t)", 4),       # frequency is mandatory
         ("cos(2*t", 7),
+        ("1e999", 0),        # overflows to inf
+        ("1 + 2e400*t", 4),
     ],
 )
 def test_parse_errors(text, offset):
@@ -214,8 +216,9 @@ t_end = 1
         parse_scenario(text)
 
 
-def test_bad_initial_value_rejected():
-    text = """\
+@pytest.mark.parametrize("value", ["not_a_number", "nan", "inf", "1e999"])
+def test_bad_initial_value_rejected(value):
+    text = f"""\
 [system]
 kind = boson
 
@@ -223,7 +226,7 @@ kind = boson
 omega = 1
 
 [initial]
-z0_re = not_a_number
+z0_re = {value}
 
 [integration]
 t_end = 1
