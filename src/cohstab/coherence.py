@@ -223,7 +223,13 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     expected_law: "fermion_free" (phase-rotated initial eigenvalue),
     "grassmann" (classical forced law plus phase), or "boson" (closed-form
     classical eigenvalue). Passes iff deviations and residuals are <= 1e-6.
+    The boson law checks only boson trajectories, the others only fermion
+    and grassmann ones (ValidationError otherwise).
     """
+    if expected_law not in ("fermion_free", "grassmann", "boson"):
+        raise ValidationError(f"unknown law {expected_law!r}")
+    if (expected_law == "boson") != (traj.kind == "boson"):
+        raise ValidationError(f"the {expected_law} law cannot check a {traj.kind} trajectory")
     if np.isnan(traj.lams).all():
         raise MissingEigenvalues("trajectory has no eigenvalue records")
     if traj.spec is None:
@@ -248,12 +254,10 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
             reference = _amplitude_products(phase, make_coherent(path.zeta[rows]), n_gen)
             block_devs.append(np.max(np.abs(traj.amplitudes[rows] - reference)))
         state_dev = float(np.max(block_devs))
-    elif expected_law == "boson":
+    else:
         z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]),
                                       traj.config.times())
         max_dev = float(np.max(np.abs(traj.lams[:, 0] - z_closed[traj.record_indices])))
-    else:
-        raise ValidationError(f"unknown law {expected_law!r}")
 
     passed = max_dev <= VERIFY_TOL and max_res <= VERIFY_TOL
     if state_dev is not None:

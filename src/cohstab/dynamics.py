@@ -382,11 +382,13 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     stage its rows, so no RHS looks anything up by time.
 
     Returns the states at the grid indices `record` (every grid point by
-    default) along a new leading axis, refused first if _check_records
-    refuses them. `on_step(t, y)` sees every grid point of the dt run, the
-    start included. The dt/2 run keeps only its endpoint; unless that lies
-    within STEP_TOL of the dt endpoint (NaN never does) the evolution is
-    refused with StepTooLarge.
+    default) along a new leading axis. Before anything is allocated it
+    refuses (ValidationError) a `record` that is not strictly increasing
+    integers in 0..n_steps, and records _check_records refuses.
+    `on_step(t, y)` sees every grid point of the dt run, the start
+    included. The dt/2 run keeps only its endpoint; unless that lies within
+    STEP_TOL of the dt endpoint (NaN never does) the evolution is refused
+    with StepTooLarge.
 
     The two runs advance in lock step: per grid step, the dt step and the
     first dt/2 substep share each of their four RHS calls as a 2-row batch,
@@ -395,10 +397,17 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     that of a run on its own, so both runs are bit-identical to sequential
     ones.
     """
+    if record is not None:
+        record = np.asarray(record)
+        if not (record.ndim == 1 and record.dtype.kind in "iu"
+                and np.all(record[1:] > record[:-1])
+                and np.all((record >= 0) & (record <= config.n_steps))):
+            raise ValidationError("record must be strictly increasing grid indices "
+                                  f"in 0..{config.n_steps}")
     _check_records(config.n_steps + 1 if record is None else len(record), np.size(y0))
     times = config.times()
     fine = config.refined_times()
-    keep = range(times.size) if record is None else [int(i) for i in record]
+    keep = range(times.size) if record is None else record.tolist()
     slots = {i: k for k, i in enumerate(keep)}
     records = np.empty((len(slots),) + np.shape(y0), dtype=np.complex128)
 
@@ -676,6 +685,8 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     NotHermitian unless omega is real and delta self-conjugate within
     HERMITIAN_TOL, NotOddLinear for an eta row that is not odd degree-one,
     and MismatchedGenerators for rows that are not dim wide.
+    Both are read in the spec's slot layout: a spec's slot_rows at its
+    slot_masks, a triple as dim-wide rows (delta, -eta*, eta, omega).
     The path holds the grid points `record` (every one by default).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
@@ -688,26 +699,17 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     dim = gens.dim
     times = config.times()
 
-    # coefficient rows: eta(t), delta(t), omega(t) and eta(t)*
     if isinstance(spec, HamiltonianSpec):
         _check_spec(spec, ("grassmann",), lambda: times, gens)
-        _, conj_bit, bit, _ = spec.slot_masks(gens)
-        if any(mask & bit for mask in zeta0.terms):
+        coeffs, masks = spec.slot_rows, spec.slot_masks(gens)
+        if any(mask & masks[2] for mask in zeta0.terms):
             raise GeneratorCollision(
                 f"eta generator {spec.eta_generator!r} appears in the initial value"
             )
-        # eta, delta and eta* are zero off the eta generator, the body and
-        # its conjugate: a row holds each one's coefficient there
-        fused, masks = True, ((bit,), (conj_bit,))
-        eta_at, delta_at = slice(bit, bit + 1), slice(0, 1)
-
-        def coeffs(ts):
-            f = np.asarray(spec.forcing(ts), dtype=np.complex128)
-            return np.stack((f, spec.scalar(ts), spec.omega(ts), np.conj(f)), axis=1)
     else:
-        fused, masks, eta_at, delta_at = False, (None, None), slice(None), slice(None)
+        masks = None
 
-        def coeffs(ts):
+        def coeffs(ts):  # dim-wide rows in slot order: delta, -eta*, eta, omega
             omega, eta, delta = (np.asarray(fn(ts), dtype=np.complex128) for fn in spec)
             if eta.shape != (len(ts), dim) or delta.shape != eta.shape:
                 raise MismatchedGenerators(f"eta and delta rows must be {dim} wide")
@@ -717,25 +719,29 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
                 raise NotHermitian("omega must be real-valued")
             if not np.max(np.abs(kernel.conjugate(delta, n_gen) - delta)) <= HERMITIAN_TOL:
                 raise NotHermitian("delta must be self-conjugate")
-            return np.stack((eta, delta, np.broadcast_to(omega[:, None], eta.shape),
-                             kernel.conjugate(eta, n_gen)), axis=1)
+            return np.stack((delta, -kernel.conjugate(eta, n_gen), eta,
+                             np.broadcast_to(omega[:, None], eta.shape)), axis=1)
 
-    # zeta* eta + eta* zeta, summed in one pass if eta and eta* are one
-    # monomial each; the plan conjugates zeta as it gathers it
+    # zeta* eta + eta* zeta, summed in one pass if each slot is one monomial
+    # (a spec's row then holds its coefficient there); the plan conjugates
+    # zeta as it gathers it and negates the lower slot back to eta*
+    fused = masks is not None
+    at = [slice(m, m + 1) for m in masks] if fused else [slice(None)] * 4
     plan = kernel.bilinear_plan(n_gen, (
-        ((0, 0, None, "conj"), (1, 0, masks[0], None), 0),
-        ((1, 3, masks[1], None), (0, 0, None, None), 0 if fused else 1)),
+        ((0, 0, None, "conj"), (1, 2, (masks[2],) if fused else None, None), 0),
+        ((1, 1, (masks[1],) if fused else None, "neg"), (0, 0, None, None),
+         0 if fused else 1)),
         ((2, dim), (4, 1 if fused else dim), (1 if fused else 2, dim)))
 
     def rhs(c, y):
-        eta, delta, omega, _ = c.reshape(len(c), 4, -1).swapaxes(0, 1)
+        delta, _, eta, omega = c.reshape(len(c), 4, -1).swapaxes(0, 1)
         prod = kernel.bilinear(plan, y, c)
         out = np.empty_like(y)
         drift = omega * y[:, 0]
-        drift[:, eta_at] -= eta
+        drift[:, at[2]] -= eta
         np.multiply(-1j, drift, out=out[:, 0])
         np.multiply(0.5, prod[:, 0] if fused else prod[:, 0] + prod[:, 1], out=out[:, 1])
-        out[:, 1, delta_at] -= delta
+        out[:, 1, at[0]] -= delta
         return out
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))

@@ -271,7 +271,11 @@ def invert(x):
 
 
 def _n_gen(x: np.ndarray) -> int:  # of coefficient rows (..., dim), dim = 2**n_gen
-    return x.shape[-1].bit_length() - 1
+    n_gen = x.shape[-1].bit_length() - 1
+    if not 0 <= n_gen <= tables.MAX_GENERATORS or x.shape[-1] != 1 << n_gen:
+        raise ValueError(f"rows of width {x.shape[-1]} are not 2**n wide, "
+                         f"n <= {tables.MAX_GENERATORS}")
+    return n_gen
 
 
 def _soul_series(x: np.ndarray, step) -> np.ndarray:

@@ -28,7 +28,7 @@ def _block_pairs(n_gen: int, products, shapes):
     graded products x*y of `products` (x, y, row of out), each in table
     order. A factor is (operand, row, masks, op): a row of a (operand 0) or
     b (1), the masks it may be non-zero at (None: any; pairs off them are
-    skipped), and op None, "gi" (grade involution) or "conj" (a only).
+    skipped), and op None, "gi" (grade involution), "neg" or "conj" (a only).
     `shapes` holds the (rows, width) of a block of a, b and out; a row of
     width 1 holds the coefficient of its factor's one mask."""
     left, right, target, sign = tables.mul_table(n_gen)
@@ -47,6 +47,8 @@ def _block_pairs(n_gen: int, products, shapes):
         for mask, (operand, frow, _, op) in ((left[keep], x), (right[keep], y)):
             if op == "gi":
                 re, im = (s * tables.parity_signs(n_gen)[mask] for s in (re, im))
+            elif op == "neg":
+                re, im = -re, -im
             elif op == "conj":  # conj(f)[m] = conj_sign[m] * conj(f[inv[m]])
                 inv, conj_sign = tables.conj_gather(n_gen)
                 re, im, mask = re * conj_sign[mask], -im * conj_sign[mask], inv[mask]

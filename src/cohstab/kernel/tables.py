@@ -2,7 +2,8 @@
 
 Monomials over 2m generators are encoded as bitmasks with generators in
 ascending index order; index 2k is a generator, index 2k+1 its conjugate.
-All tables are cached per generator count.
+All tables are cached per generator count, which must lie in
+0..MAX_GENERATORS (ValueError otherwise).
 """
 
 from functools import lru_cache
@@ -10,6 +11,11 @@ from functools import lru_cache
 import numpy as np
 
 MAX_GENERATORS = 8
+
+
+def _check(n_gen: int) -> None:  # run once per n_gen, when a table is first built
+    if not 0 <= n_gen <= MAX_GENERATORS:
+        raise ValueError(f"{n_gen} generators; tables are built for 0..{MAX_GENERATORS}")
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -29,6 +35,7 @@ def _reorder_sign(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def mul_table(n_gen: int):
     """Flat (left, right, target, sign) arrays over all non-overlapping mask pairs."""
+    _check(n_gen)
     dim = 1 << n_gen
     left, right, target, sign = [], [], [], []
     for a in range(dim):
@@ -54,6 +61,7 @@ def conj_table(n_gen: int):
     A monomial g_{i1}..g_{ik} (ascending) maps to g*_{ik}..g*_{i1}; the sign
     is the parity of sorting the image sequence back to canonical order.
     """
+    _check(n_gen)
     dim = 1 << n_gen
     perm = np.zeros(dim, dtype=np.int64)
     sign = np.zeros(dim, dtype=np.float64)
@@ -83,6 +91,7 @@ def conj_gather(n_gen: int):
 @lru_cache(maxsize=None)
 def degrees(n_gen: int):
     """Monomial degree (popcount) per mask."""
+    _check(n_gen)
     masks = np.arange(1 << n_gen)
     deg = np.zeros_like(masks)
     for i in range(n_gen):

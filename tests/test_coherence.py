@@ -20,7 +20,7 @@ from cohstab.dynamics import (
     evolve_schrodinger_boson,
     evolve_schrodinger_fermion,
 )
-from cohstab.errors import MissingEigenvalues, NotDegreeOne
+from cohstab.errors import MissingEigenvalues, NotDegreeOne, ValidationError
 from cohstab.fermion import (
     FermionOperator,
     FermionState,
@@ -228,6 +228,20 @@ def test_verify_boson_run():
                                     IntegrationConfig(np.pi, 1e-3))
     report = verify_trajectory(traj, "boson")
     assert report.passed
+
+
+@pytest.mark.parametrize("kind, law", [("fermion", "boson"), ("boson", "grassmann"),
+                                       ("boson", "fermion_free")])
+def test_verify_refuses_a_law_of_another_sector(gens1, kind, law):
+    cfg = IntegrationConfig(0.1, 1e-2)
+    if kind == "boson":
+        traj = evolve_schrodinger_boson(HamiltonianSpec("boson", const_fn(1.0)),
+                                        make_coherent_boson(0.5, 16), cfg)
+    else:
+        traj = evolve_schrodinger_fermion(HamiltonianSpec("fermion", const_fn(1.0)),
+                                          make_coherent(gens1.gen("zeta")), cfg)
+    with pytest.raises(ValidationError):
+        verify_trajectory(traj, law)
 
 
 def test_verify_requires_eigenvalues(gens1):

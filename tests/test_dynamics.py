@@ -477,6 +477,24 @@ def test_generator_collision_rejected(gens2):
                                    IntegrationConfig(1.0, 1e-3))
 
 
+class _Integrated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("record", [[0, -1], [0, 5, 5], [0, 50], [0, 2.5]],
+                         ids=["negative", "repeated", "past_the_end", "not_integer"])
+def test_bad_record_indices_refused_before_integrating(gens2, record, monkeypatch):
+    def tables(*args):
+        raise _Integrated
+
+    monkeypatch.setattr(dynamics, "_coeff_tables", tables)
+    spec = HamiltonianSpec("grassmann", const_fn(1.0), const_fn(0.1), zero_fn(),
+                           gens=gens2, eta_generator="eta")
+    with pytest.raises(ValidationError):
+        evolve_grassmann_classical(spec, gens2.gen("zeta"), IntegrationConfig(0.01, 1e-3),
+                                   record=record)
+
+
 def _triple(gens, omega=1.0, eta=None, delta=0.1):
     """An (omega_fn, eta_fn, delta_fn) triple of constant rows over `gens`:
     eta is 0.3 eta_g unless given as a body, delta a body."""
@@ -893,8 +911,8 @@ def _coeffs_of(start, cfg, monkeypatch):
 def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarray:
     """One evolution's coefficient rows at the scalar time t, every function
     evaluated at t alone, in the layout of the driver's table: the fermion
-    Schrödinger evolution and the grassmann law hold one entry per row, the
-    coefficient of the one monomial the row may be non-zero at."""
+    Schrödinger evolution and the grassmann law hold one entry per slot, the
+    coefficient of the one monomial the slot may be non-zero at."""
     w, f, g = (complex(fn(t)) for fn in (spec.omega, spec.forcing, spec.scalar))
     if label in ("classical boson", "nu system", "boson Schrödinger"):
         return np.array([g, np.conj(f), f, w])
@@ -902,14 +920,14 @@ def per_time_rows(label: str, spec: HamiltonianSpec, gens, t: float) -> np.ndarr
     if spec.kind == "grassmann":
         idx = gens.index(spec.eta_generator)
         plus, minus = 1 << idx, 1 << (idx ^ 1)
-    if label == "grassmann classical":
-        return np.array([f, g, w, np.conj(f)])
     c = np.zeros((4, gens.dim), dtype=np.complex128)
     c[0, 0] = g
     c[1, minus] = -np.conj(f) if spec.kind == "grassmann" else np.conj(f)
     c[2, plus] = f
     c[3, 0] = w
-    return c[range(4), (0, minus, plus, 0)] if label == "fermion Schrödinger" else c
+    if label in ("fermion Schrödinger", "grassmann classical"):
+        return c[range(4), (0, minus, plus, 0)]
+    return c
 
 
 @pytest.mark.parametrize("name, spec, cfg", TABLE_CASES,
@@ -933,6 +951,18 @@ def test_coefficient_tables_match_per_time_evaluation(name, spec, cfg, monkeypat
             got = np.stack([c.coeffs for c in op.coefficients()])
             want = per_time_rows("operator transport", spec, gens, t)
             assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("name", ["grassmann_forced", "grassmann_wide_0"])
+def test_trajectory_and_law_tabulate_one_layout(name, monkeypatch):
+    _, spec, cfg = next(case for case in TABLE_CASES if case[0] == name)
+    times, fine = cfg.times(), cfg.refined_times()
+    evolutions = _evolutions_of(spec)
+    trajectory, law = (
+        np.concatenate([rows for rows, _ in dynamics._coeff_tables(
+            _coeffs_of(evolutions[label], cfg, monkeypatch), times, fine)])
+        for label in ("fermion Schrödinger", "grassmann classical"))
+    assert np.array_equal(bits(trajectory), bits(law))
 
 
 def _chunk_spy(monkeypatch, seen):
@@ -1192,16 +1222,17 @@ def _oracle_case(kind, gens):
         c = awkward(rng, (rows, 4, dim))
         return c, c[:, [0, 0, 1, 3, 2]]
 
-    def law_rows(rng, rows):  # eta, delta, omega and eta*, one entry each
+    def law_rows(rng, rows):  # delta, -eta*, eta and omega, one entry each
         c = awkward(rng, (rows, 4))
-        c[:, 3] = np.conj(c[:, 0])
+        c[:, 1] = -np.conj(c[:, 2])
         dense = np.zeros((rows, 3, dim), dtype=np.complex128)
-        dense[:, 0, 1], dense[:, 1, 0], dense[:, 2] = c[:, 0], c[:, 1], c[:, 2:3]
+        dense[:, 0, 1], dense[:, 1, 0], dense[:, 2] = c[:, 2], c[:, 0], c[:, 3:]
         return c, dense
 
     def triple_rows(rng, rows):
         dense = awkward(rng, (rows, 3, dim))
-        return np.concatenate((dense, kernel.conjugate(dense[:, :1], n_gen)), axis=1), dense
+        eta, delta, omega = dense.swapaxes(0, 1)
+        return np.stack((delta, -kernel.conjugate(eta, n_gen), eta, omega), axis=1), dense
 
     def fermion(h):
         return lambda cfg: evolve_schrodinger_fermion(h, FermionState.vacuum(gens), cfg)
@@ -1305,13 +1336,14 @@ def per_time_forcing(path, omega, beta):
 
 
 def per_time_table(omega, eta, delta, n_gen):
-    """Order reference: the triple's coefficient rows (eta, delta, omega,
-    eta*) as evolve_grassmann_classical built them one time at a time."""
+    """Order reference: the triple's coefficient rows in slot order (delta,
+    -eta*, eta, omega), eta, delta and omega built one time at a time."""
     def coeffs(ts):
         rows = np.array([(eta(t).coeffs, delta(t).coeffs,
                           np.full(1 << n_gen, omega(t), dtype=np.complex128))
                          for t in ts])
-        return np.concatenate((rows, kernel.conjugate(rows[:, :1], n_gen)), axis=1)
+        return np.stack((rows[:, 1], -kernel.conjugate(rows[:, 0], n_gen), rows[:, 0],
+                         rows[:, 2]), axis=1)
 
     return coeffs
 

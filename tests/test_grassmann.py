@@ -8,6 +8,7 @@ import pytest
 
 from cohstab import kernel
 from cohstab.errors import MismatchedGenerators, NotInvertible, UnknownPair
+from cohstab.fermion import make_coherent
 from cohstab.grassmann import (
     GeneratorSet,
     Multivector,
@@ -20,6 +21,7 @@ from cohstab.grassmann import (
     multiply,
     random_multivector,
 )
+from cohstab.kernel import tables
 
 TOL = 1e-13
 
@@ -313,8 +315,6 @@ def test_concurrent_evolutions_match_serial_runs():
         IntegrationConfig,
         evolve_schrodinger_fermion,
     )
-    from cohstab.fermion import make_coherent
-
     gens = GeneratorSet.from_pairs(("zeta", "eta", "chi"))
     spec = HamiltonianSpec("grassmann", const_fn(1.0), sin_fn(0.3, 1.0),
                            const_fn(0.2), gens=gens, eta_generator="eta")
@@ -522,6 +522,18 @@ def test_terms_view_prunes_zeros(gens1, zeta):
 def test_generator_cap():
     with pytest.raises(ValueError):
         GeneratorSet.from_pairs(("a", "b", "c", "d", "e"))
+
+
+def test_algebra_size_bounded_at_row_and_kernel_entry_points():
+    with pytest.raises(ValueError):
+        exponential(np.zeros((1, 512)))
+    with pytest.raises(ValueError):
+        make_coherent(np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        kernel.multiply(np.zeros(512), np.zeros(512), 9)
+    for build in (tables.mul_table, tables.conj_table, tables.degrees):
+        with pytest.raises(ValueError):
+            build(9)
 
 
 def test_immutability(gens1, zeta):
