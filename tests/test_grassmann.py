@@ -315,6 +315,8 @@ def test_concurrent_evolutions_match_serial_runs():
         IntegrationConfig,
         evolve_schrodinger_fermion,
     )
+    from cohstab.fermion import make_coherent
+
     gens = GeneratorSet.from_pairs(("zeta", "eta", "chi"))
     spec = HamiltonianSpec("grassmann", const_fn(1.0), sin_fn(0.3, 1.0),
                            const_fn(0.2), gens=gens, eta_generator="eta")
