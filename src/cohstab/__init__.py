@@ -37,6 +37,7 @@ from .coherence import (
 from .dynamics import (
     BosonInvariantPath,
     ClassicalBosonPath,
+    DenseHamiltonian,
     FermionInvariantPath,
     GrassmannPath,
     HamiltonianSpec,

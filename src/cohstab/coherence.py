@@ -3,7 +3,7 @@
 check_eigenstate certifies a single state; classify_hamiltonian gives the
 static preserving/non-preserving verdict, with a dynamic witness trajectory
 for the fermion kind; reconstruct_forcing inverts a prescribed eigenvalue
-path into Hamiltonian parameters; verify_trajectory compares an evolved
+path into a Hamiltonian; verify_trajectory compares an evolved
 trajectory against the classical law: the closed form for the boson and
 free-fermion laws, an independent integration for the grassmann law.
 """
@@ -19,6 +19,7 @@ from . import kernel
 from .boson import BosonState, eigenvalue_lsq
 from .coeffs import CoefficientFn
 from .dynamics import (
+    DenseHamiltonian,
     HamiltonianSpec,
     IntegrationConfig,
     Trajectory,
@@ -175,34 +176,32 @@ class MultivectorPath:
 
 
 def reconstruct_forcing(zeta_path: MultivectorPath, omega: CoefficientFn,
-                        beta: CoefficientFn):
-    """Hamiltonian parameters (eta, delta) that drive the prescribed path.
+                        beta: CoefficientFn) -> DenseHamiltonian:
+    """The grassmann Hamiltonian that drives the prescribed path.
 
     eta(t) = omega*zeta - i*zeta';  delta(t) = beta + omega*zeta*conj-pairing
-    - (i/2)(zeta* zeta' - zeta'* zeta). Returned as callables that, like the
-    path, give rows (len(t), dim) at a 1-D array of times t, with each
-    graded product one kernel.multiply, and a Multivector at a scalar time.
-    Feeding them back into the classical integrator reproduces the path.
+    - (i/2)(zeta* zeta' - zeta'* zeta). Returned as a DenseHamiltonian whose
+    rows (delta, -eta*, eta, omega at the body) at a 1-D array of times
+    evaluate the path, its derivative, omega and beta once each, with each
+    graded product one kernel.multiply. Feeding it back into the classical
+    integrator reproduces the path.
     """
     gens, n_gen = zeta_path.gens, zeta_path.gens.n_generators
     zdot = zeta_path.derivative()
 
-    def eta(t):
-        if np.ndim(t) == 0:
-            return Multivector(gens, eta(np.array([t], dtype=float))[0], _copy=False)
-        return omega(t)[:, None] * zeta_path(t) - 1j * zdot(t)
-
-    def delta(t):
-        if np.ndim(t) == 0:
-            return Multivector(gens, delta(np.array([t], dtype=float))[0], _copy=False)
-        z, zd = zeta_path(t), zdot(t)
+    def rows(ts):
+        z, zd, w = zeta_path(ts), zdot(ts), omega(ts)
         zc, zdc = kernel.conjugate(z, n_gen), kernel.conjugate(zd, n_gen)
-        out = omega(t)[:, None] * kernel.multiply(zc, z, n_gen) - 0.5j * (
+        c = np.zeros((len(ts), 4, gens.dim), dtype=np.complex128)
+        eta = w[:, None] * z - 1j * zd
+        c[:, 1], c[:, 2] = -kernel.conjugate(eta, n_gen), eta
+        c[:, 0] = w[:, None] * kernel.multiply(zc, z, n_gen) - 0.5j * (
             kernel.multiply(zc, zd, n_gen) - kernel.multiply(zdc, z, n_gen))
-        out[:, 0] += beta(t)
-        return out
+        c[:, 0, 0] += beta(ts)
+        c[:, 3, 0] = w
+        return c
 
-    return eta, delta
+    return DenseHamiltonian("grassmann", gens, rows)
 
 
 # -- trajectory verification ------------------------------------------------------
@@ -232,7 +231,7 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         raise ValidationError(f"the {expected_law} law cannot check a {traj.kind} trajectory")
     if np.isnan(traj.lams).all():
         raise MissingEigenvalues("trajectory has no eigenvalue records")
-    if traj.spec is None:
+    if not isinstance(traj.spec, HamiltonianSpec):
         raise ValidationError("trajectory carries no HamiltonianSpec to verify against")
 
     max_res = traj.max_residual

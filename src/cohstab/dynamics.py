@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ STEP_TOL = 1e-8
 #: Tail-mass threshold for truncated boson evolution.
 BREACH_TOL = 1e-6
 
-#: Hermiticity tolerance for Hamiltonian builders.
+#: Hermiticity tolerance for a spec's real coefficients and dense rows.
 HERMITIAN_TOL = 1e-12
 
 #: Largest grid an IntegrationConfig accepts, checked before anything is
@@ -172,7 +173,8 @@ class HamiltonianSpec:
                 raise ValidationError(
                     "grassmann kind needs a generator set and an eta generator"
                 )
-            self.gens.index(self.eta_generator)  # raises KeyError if undeclared
+            if self.eta_generator not in self.gens.names:
+                raise ValidationError(f"eta generator {self.eta_generator!r} is undeclared")
 
     def validate_real_coefficients(self, times: np.ndarray) -> None:
         if not self.omega.max_imag_on(times) <= HERMITIAN_TOL:
@@ -198,14 +200,54 @@ class HamiltonianSpec:
         return 0, 1 << (idx ^ 1), 1 << idx, 0
 
 
-def _check_spec(spec: HamiltonianSpec, kinds: tuple[str, ...], grid,
-                gens: GeneratorSet | None = None, records=(0, 0)) -> np.ndarray:
+@dataclass(frozen=True)
+class DenseHamiltonian:
+    """A fermion or grassmann Hamiltonian by its dense coefficients: rows(ts)
+    -> (len(ts), 4, gens.dim) over the slots (I, b, b†, b†b) at a 1-D array
+    of times. It has HamiltonianSpec's slot interface, with no masks."""
+
+    kind: str
+    gens: GeneratorSet
+    rows: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if self.kind not in ("fermion", "grassmann"):
+            raise ValidationError(f"a dense Hamiltonian of kind {self.kind!r}")
+
+    def slot_rows(self, ts: np.ndarray) -> np.ndarray:
+        """rows(ts), refused unless dim wide (MismatchedGenerators), for kind
+        "grassmann" unless b† is odd degree-one and b†b a body (NotOddLinear),
+        and unless self-adjoint within HERMITIAN_TOL (NotHermitian, NaN too)."""
+        c = np.asarray(self.rows(ts), dtype=np.complex128)
+        n_gen = self.gens.n_generators
+        if c.shape != (len(ts), 4, self.gens.dim):
+            raise MismatchedGenerators(f"rows of shape {c.shape} over {n_gen} generators")
+        if self.kind == "grassmann" and (c[:, 3, 1:].any()
+                                         or not _odd_degree_one_rows(c[:, 2]).all()):
+            raise NotOddLinear("b† must be odd of degree one and b†b a body")
+        adjoint = c[:, [0, 2, 1, 3]]  # conjugate(gi(c)) with b and b† swapped
+        adjoint[:, 1:3] *= kernel.grade_signs(n_gen)
+        if not np.max(np.abs(kernel.conjugate(adjoint, n_gen) - c)) <= HERMITIAN_TOL:
+            raise NotHermitian("H(t) is not self-adjoint")
+        return c
+
+    def slot_masks(self, gens: GeneratorSet) -> None:
+        return None
+
+
+def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = None,
+                records=(0, 0)) -> np.ndarray:
     """The times grid() returns, once `spec` passes. Refuses, in this order:
-    a spec whose kind is not one of `kinds` (ValidationError), one over a
-    generator set other than `gens` (MismatchedGenerators), `records` =
-    (n_records, values each) over the record bound (see _check_records), and
-    one whose omega or scalar is not real at those times (NotHermitian);
-    grid is called only after the first three pass."""
+    anything but a HamiltonianSpec or, given `gens`, a DenseHamiltonian, a
+    kind not in `kinds` (both ValidationError), a set other than `gens`
+    (MismatchedGenerators), `records` = (n_records, values each) over the
+    record bound (see _check_records), and a spec's omega or scalar that is
+    not real at those times (NotHermitian; dense rows are checked as they
+    are tabulated). grid is called only after the first four pass."""
+    types = (HamiltonianSpec,) if gens is None else (HamiltonianSpec, DenseHamiltonian)
+    if not isinstance(spec, types):
+        raise ValidationError(f"a {type(spec).__name__} where a "
+                              f"{' or a '.join(t.__name__ for t in types)} is needed")
     if spec.kind not in kinds:
         raise ValidationError(f"a {spec.kind} spec where a "
                               f"{' or '.join(kinds)} spec is needed")
@@ -213,15 +255,16 @@ def _check_spec(spec: HamiltonianSpec, kinds: tuple[str, ...], grid,
         raise MismatchedGenerators("spec and state generator sets differ")
     _check_records(*records)
     times = grid()
-    spec.validate_real_coefficients(times)
+    if isinstance(spec, HamiltonianSpec):
+        spec.validate_real_coefficients(times)
     return times
 
 
-def hamiltonian_operator(spec: HamiltonianSpec, t: float,
-                         gens: GeneratorSet) -> FermionOperator:
-    """Build the family's fermion-sector operator at one time."""
+def hamiltonian_operator(spec, t: float, gens: GeneratorSet) -> FermionOperator:
+    """The fermion-sector operator of a spec or DenseHamiltonian at one time."""
     ts = np.array([t], dtype=float)
-    c = _dense_slots(*_fermion_coeff_source(spec, gens, lambda: ts)[:2], gens.dim)(ts)
+    _check_spec(spec, ("fermion", "grassmann"), lambda: ts, gens)
+    c = _dense_slots(spec.slot_rows, spec.slot_masks(gens), gens.dim)(ts)
     return FermionOperator(gens, *(Multivector(gens, row) for row in c[0]))
 
 
@@ -323,7 +366,7 @@ class Trajectory:
     lams: np.ndarray
     residuals: np.ndarray
     norm_dev: np.ndarray
-    spec: HamiltonianSpec | None = None
+    spec: HamiltonianSpec | DenseHamiltonian | None = None
     gens: GeneratorSet | None = None
 
     @property
@@ -532,7 +575,7 @@ def _boson_closed_form(spec: HamiltonianSpec, z0: complex,
 
 def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
     """Invariant ladder series: (beta, gamma) for bosons, nu system for fermions."""
-    if spec.kind == "fermion":
+    if getattr(spec, "kind", None) == "fermion":
         return evolve_nu_system(spec, config)
     # "fermion" is listed so that a refusal names both kinds this takes
     times = _check_spec(spec, ("boson", "fermion"), config.times)
@@ -565,44 +608,21 @@ def evolve_nu_system(spec: HamiltonianSpec,
 # -- fermion / grassmann Schrödinger evolution --------------------------------
 
 
-def _fermion_coeff_source(h, gens: GeneratorSet, grid):
-    """Normalize a HamiltonianSpec or operator builder into (coeffs, masks,
-    kind): a spec's slot_rows and slot_masks(gens), checked on the times
-    grid() returns, or a builder's table ts -> (len(ts), 4, dim), which
-    calls and checks it once per time, and None."""
-    if isinstance(h, HamiltonianSpec):
-        _check_spec(h, ("fermion", "grassmann"), grid, gens)
-        return h.slot_rows, h.slot_masks(gens), h.kind
-    if callable(h):
-        def build(t):
-            op = h(t)
-            if op.gens != gens:
-                raise MismatchedGenerators("operator builder uses a foreign set")
-            if not op.is_selfadjoint(HERMITIAN_TOL):
-                raise NotHermitian(f"H(t) is not self-adjoint at t={t:.6g}")
-            return [c.coeffs for c in op.coefficients()]
-
-        def table(ts):
-            return np.array([build(t) for t in ts], dtype=np.complex128)
-
-        return table, None, "fermion"
-    raise ValidationError("h must be a HamiltonianSpec or a callable t -> operator")
-
-
 def evolve_schrodinger_fermion(h, s0: FermionState,
                                config: IntegrationConfig) -> Trajectory:
-    """RK4 on the amplitude coefficients of i d/dt psi = H(t) psi."""
+    """RK4 on the amplitude coefficients of i d/dt psi = H(t) psi, H a fermion
+    or grassmann HamiltonianSpec or DenseHamiltonian."""
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
-    _check_records(config.n_records, y0.size)
     gens = s0.gens
     n_gen = gens.n_generators
     dim = gens.dim
-    coeffs, masks, kind = _fermion_coeff_source(h, gens, config.times)
+    _check_spec(h, ("fermion", "grassmann"), config.times, gens, (config.n_records, y0.size))
+    masks = h.slot_masks(gens)
     # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
     # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
     # part of an amplitude passing b or b†. A spec's coefficients are one
     # monomial each, so each row is one sum of the plan (see kernel.bilinear);
-    # a builder's products keep their own sums, added after in this order.
+    # dense products keep their own sums, added after in this order.
     terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
              (2, 0, "gi", 1))
     fused = masks is not None
@@ -620,7 +640,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         return out
 
     rec_idx = config.record_indices()
-    records = _integrate(rhs, coeffs, y0, config, "fermion Schrödinger", rec_idx)
+    records = _integrate(rhs, h.slot_rows, y0, config, "fermion Schrödinger", rec_idx)
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
     # conserved for parity-even Hamiltonians. Record 0 is s0.
@@ -629,8 +649,8 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     lams, residuals = np.empty(records.shape[::2], dtype=complex), np.empty(len(records))
     for rows in kernel.row_blocks(len(records), n_gen):
         lams[rows], residuals[rows] = extract_eigenvalue(records[rows])
-    return Trajectory(kind, config, rec_idx, records, lams, residuals, norm_dev,
-                      spec=h if isinstance(h, HamiltonianSpec) else None, gens=gens)
+    return Trajectory(h.kind, config, rec_idx, records, lams, residuals, norm_dev,
+                      spec=h, gens=gens)
 
 
 # -- boson Schrödinger evolution ----------------------------------------------
@@ -677,17 +697,11 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
                                record=None) -> GrassmannPath:
     """Integrate i zeta' = omega zeta - eta and the phase equation.
 
-    `spec` is either a grassmann HamiltonianSpec or a triple
-    (omega_fn, eta_fn, delta_fn) of functions of a 1-D array of times ts:
-    omega_fn(ts) -> (len(ts),), and eta_fn(ts), delta_fn(ts) -> (len(ts),
-    dim) coefficient rows, odd degree-one and self-conjugate respectively.
-    Each chunk of a triple's rows is checked before it is integrated:
-    NotHermitian unless omega is real and delta self-conjugate within
-    HERMITIAN_TOL, NotOddLinear for an eta row that is not odd degree-one,
-    and MismatchedGenerators for rows that are not dim wide.
-    Both are read in the spec's slot layout: a spec's slot_rows at its
-    slot_masks, a triple as dim-wide rows (delta, -eta*, eta, omega).
-    The path holds the grid points `record` (every one by default).
+    `spec` is a grassmann HamiltonianSpec or DenseHamiltonian, read in its
+    slot layout (delta, -eta*, eta, omega): a spec's slot_rows at its
+    slot_masks, a DenseHamiltonian's dim-wide rows with omega the body of
+    the b†b slot. The path holds the grid points `record` (every one by
+    default).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
     which is what makes exp(i phi(t)) |zeta(t)> solve the Schrödinger equation
@@ -698,34 +712,16 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     n_gen = gens.n_generators
     dim = gens.dim
     times = config.times()
-
-    if isinstance(spec, HamiltonianSpec):
-        _check_spec(spec, ("grassmann",), lambda: times, gens)
-        coeffs, masks = spec.slot_rows, spec.slot_masks(gens)
-        if any(mask & masks[2] for mask in zeta0.terms):
-            raise GeneratorCollision(
-                f"eta generator {spec.eta_generator!r} appears in the initial value"
-            )
-    else:
-        masks = None
-
-        def coeffs(ts):  # dim-wide rows in slot order: delta, -eta*, eta, omega
-            omega, eta, delta = (np.asarray(fn(ts), dtype=np.complex128) for fn in spec)
-            if eta.shape != (len(ts), dim) or delta.shape != eta.shape:
-                raise MismatchedGenerators(f"eta and delta rows must be {dim} wide")
-            if not _odd_degree_one_rows(eta).all():
-                raise NotOddLinear("eta must be odd of degree one")
-            if not np.max(np.abs(omega.imag)) <= HERMITIAN_TOL:
-                raise NotHermitian("omega must be real-valued")
-            if not np.max(np.abs(kernel.conjugate(delta, n_gen) - delta)) <= HERMITIAN_TOL:
-                raise NotHermitian("delta must be self-conjugate")
-            return np.stack((delta, -kernel.conjugate(eta, n_gen), eta,
-                             np.broadcast_to(omega[:, None], eta.shape)), axis=1)
+    _check_spec(spec, ("grassmann",), lambda: times, gens)
+    masks = spec.slot_masks(gens)
+    fused = masks is not None
+    if fused and any(mask & masks[2] for mask in zeta0.terms):
+        raise GeneratorCollision(f"eta generator {spec.eta_generator!r} appears in the "
+                                 "initial value")
 
     # zeta* eta + eta* zeta, summed in one pass if each slot is one monomial
     # (a spec's row then holds its coefficient there); the plan conjugates
     # zeta as it gathers it and negates the lower slot back to eta*
-    fused = masks is not None
     at = [slice(m, m + 1) for m in masks] if fused else [slice(None)] * 4
     plan = kernel.bilinear_plan(n_gen, (
         ((0, 0, None, "conj"), (1, 2, (masks[2],) if fused else None, None), 0),
@@ -737,7 +733,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
         delta, _, eta, omega = c.reshape(len(c), 4, -1).swapaxes(0, 1)
         prod = kernel.bilinear(plan, y, c)
         out = np.empty_like(y)
-        drift = omega * y[:, 0]
+        drift = (omega if fused else omega[:, :1]) * y[:, 0]  # the number slot's body
         drift[:, at[2]] -= eta
         np.multiply(-1j, drift, out=out[:, 0])
         np.multiply(0.5, prod[:, 0] if fused else prod[:, 0] + prod[:, 1], out=out[:, 1])
@@ -745,7 +741,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
         return out
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
-    series = _integrate(rhs, coeffs, y0, config, "grassmann classical", record)
+    series = _integrate(rhs, spec.slot_rows, y0, config, "grassmann classical", record)
     return GrassmannPath(gens, times if record is None else times[record],
                          series[:, 0], series[:, 1])
 
@@ -761,7 +757,8 @@ def evolve_operator_transport(h, op0: FermionOperator,
     value is X(0). Sampled at every grid time.
     """
     gens = op0.gens
-    coeffs = _dense_slots(*_fermion_coeff_source(h, gens, config.times)[:2], gens.dim)
+    _check_spec(h, ("fermion", "grassmann"), config.times, gens)
+    coeffs = _dense_slots(h.slot_rows, h.slot_masks(gens), gens.dim)
     n_gen = gens.n_generators
 
     def rhs(hc, y):
@@ -801,21 +798,23 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     if times.size < 3:
         raise ValidationError("the invariance residual needs a grid of 3 points or more")
     if isinstance(b_series, FermionInvariantPath):
-        if gens is None:
-            gens = h.gens if isinstance(h, HamiltonianSpec) and h.gens is not None \
-                else GeneratorSet(())
-        b = np.zeros((len(b_series.nu), 4, gens.dim), dtype=np.complex128)
-        b[:, :, 0] = _nu_slots(b_series.nu)
+        n = len(b_series.nu)
+        gens = gens or getattr(h, "gens", None) or GeneratorSet(())
     else:
         ops = list(b_series)
-        if gens is None:
-            gens = ops[0].gens
+        n = len(ops)
+        gens = gens or ops[0].gens
         if any(op.gens != gens for op in ops):
             raise MismatchedGenerators("operator series over a foreign set")
-        b = np.array([[c.coeffs for c in op.coefficients()] for op in ops])
-    if len(b) != times.size:
+    if n != times.size:
         raise ValidationError("operator series and grid lengths differ")
-    table = _dense_slots(*_fermion_coeff_source(h, gens, lambda: times)[:2], gens.dim)
+    _check_spec(h, ("fermion", "grassmann"), lambda: times, gens, (times.size, 4 * gens.dim))
+    if isinstance(b_series, FermionInvariantPath):
+        b = np.zeros((n, 4, gens.dim), dtype=np.complex128)
+        b[:, :, 0] = _nu_slots(b_series.nu)
+    else:
+        b = np.array([[c.coeffs for c in op.coefficients()] for op in ops])
+    table = _dense_slots(h.slot_rows, h.slot_masks(gens), gens.dim)
     dcoeff = _fd_derivative(b, dt)
     n_gen = gens.n_generators
     # the 12 slot-pair products of a block's times, both ways, fit in TABLE_BYTES

@@ -342,8 +342,8 @@ def test_criterion_08_grassmann_sector(ggens, grassmann_runs):
                 "eta": sin_fn(0.3, 1.0)}
     )
     omega, beta = const_fn(1.0), const_fn(0.1)
-    eta_fn, delta_fn = reconstruct_forcing(path, omega, beta)
-    evolved = evolve_grassmann_classical((omega, eta_fn, delta_fn), path(0.0), cfg)
+    evolved = evolve_grassmann_classical(reconstruct_forcing(path, omega, beta),
+                                         path(0.0), cfg)
     round_dev = max(
         (evolved.zeta_at(i) - path(evolved.times[i])).sup_norm()
         for i in range(0, len(evolved.times), 100)

@@ -13,12 +13,14 @@ from cohstab.coherence import (
     verify_trajectory,
 )
 from cohstab.dynamics import (
+    DenseHamiltonian,
     HamiltonianSpec,
     IntegrationConfig,
     evolve_grassmann_classical,
     evolve_nu_system,
     evolve_schrodinger_boson,
     evolve_schrodinger_fermion,
+    hamiltonian_operator,
 )
 from cohstab.errors import MissingEigenvalues, NotDegreeOne, ValidationError
 from cohstab.fermion import (
@@ -139,10 +141,11 @@ def test_free_path_reconstructs_to_zero_forcing(gens2):
     path = MultivectorPath.from_components(
         gens2, {"zeta": cos_fn(1.0, 1.0) + sin_fn(-1j, 1.0)}
     )
-    eta, delta = reconstruct_forcing(path, const_fn(1.0), const_fn(0.1))
+    h = reconstruct_forcing(path, const_fn(1.0), const_fn(0.1))
     for t in (0.0, 0.7, 1.9):
-        assert eta(t).sup_norm() < 1e-15
-        d = delta(t)
+        op = hamiltonian_operator(h, t, gens2)
+        assert op.c_plus.sup_norm() < 1e-15
+        d = op.c_i
         assert abs(d.body - 0.1) < 1e-15
         assert d.soul().sup_norm() < 1e-15
 
@@ -151,20 +154,21 @@ def test_constant_path_reconstruction(gens2):
     # zeta constant: eta = omega zeta, delta = beta + omega zeta* zeta
     zeta = gens2.gen("zeta")
     path = MultivectorPath.from_components(gens2, {"zeta": const_fn(1.0)})
-    eta, delta = reconstruct_forcing(path, const_fn(0.8), const_fn(0.2))
-    assert eta(1.3).isclose(0.8 * zeta, 1e-15)
+    op = hamiltonian_operator(reconstruct_forcing(path, const_fn(0.8), const_fn(0.2)),
+                              1.3, gens2)
+    assert op.c_plus.isclose(0.8 * zeta, 1e-15)
     want = 0.2 + 0.8 * (zeta.conjugate() * zeta)
-    assert delta(1.3).isclose(want, 1e-15)
+    assert op.c_i.isclose(want, 1e-15)
 
 
 def test_linear_drive_path_reconstruction(gens2):
     # zeta(t) = i h t eta_g with omega = 0 requires eta = h eta_g
     h = 0.25
     path = MultivectorPath.from_components(gens2, {"eta": poly_fn(1j * h, 1)})
-    eta, delta = reconstruct_forcing(path, zero_fn(), zero_fn())
+    forced = reconstruct_forcing(path, zero_fn(), zero_fn())
     want = h * gens2.gen("eta")
     for t in (0.0, 0.5, 2.0):
-        assert eta(t).isclose(want, 1e-15)
+        assert hamiltonian_operator(forced, t, gens2).c_plus.isclose(want, 1e-15)
 
 
 def test_reconstruction_round_trip(gens2):
@@ -176,9 +180,9 @@ def test_reconstruction_round_trip(gens2):
         },
     )
     omega, beta = const_fn(1.0), const_fn(0.1)
-    eta, delta = reconstruct_forcing(path, omega, beta)
     cfg = IntegrationConfig(2.0, 1e-3)
-    evolved = evolve_grassmann_classical((omega, eta, delta), path(0.0), cfg)
+    evolved = evolve_grassmann_classical(reconstruct_forcing(path, omega, beta),
+                                         path(0.0), cfg)
     for i in range(0, len(evolved.times), 200):
         assert (evolved.zeta_at(i) - path(evolved.times[i])).sup_norm() < 1e-8
 
@@ -251,6 +255,20 @@ def test_verify_requires_eigenvalues(gens1):
     traj.lams[:] = complex(np.nan, np.nan)
     with pytest.raises(MissingEigenvalues):
         verify_trajectory(traj, "fermion_free")
+
+
+@pytest.mark.parametrize("law", ["fermion_free", "grassmann"])
+def test_verify_refuses_a_dense_trajectory(gens1, law):
+    def rows(ts):  # omega = 1 at the body of b†b
+        c = np.zeros((len(ts), 4, gens1.dim), dtype=complex)
+        c[:, 3, 0] = 1.0
+        return c
+
+    traj = evolve_schrodinger_fermion(DenseHamiltonian("fermion", gens1, rows),
+                                      make_coherent(gens1.gen("zeta")),
+                                      IntegrationConfig(0.1, 1e-2))
+    with pytest.raises(ValidationError, match="no HamiltonianSpec"):
+        verify_trajectory(traj, law)
 
 
 def test_phase_consistency_free_fermion(gens1):

@@ -13,11 +13,20 @@ import pytest
 
 from cohstab import dynamics, kernel
 from cohstab.boson import BosonState, make_coherent_boson
-from cohstab.coeffs import complex_pair, const_fn, cos_fn, poly_fn, sin_fn, zero_fn
+from cohstab.coeffs import (
+    CoefficientFn,
+    complex_pair,
+    const_fn,
+    cos_fn,
+    poly_fn,
+    sin_fn,
+    zero_fn,
+)
 from cohstab.coherence import MultivectorPath, reconstruct_forcing
 from cohstab.dynamics import (
     MAX_STEPS,
     STEP_TOL,
+    DenseHamiltonian,
     HamiltonianSpec,
     IntegrationConfig,
     build_ladder_invariant,
@@ -336,6 +345,13 @@ def test_nan_imaginary_part_is_not_hermitian():
             .validate_real_coefficients(times)
 
 
+def dense_of(builder, gens, kind="fermion") -> DenseHamiltonian:
+    """An operator builder t -> FermionOperator as a DenseHamiltonian, by the
+    README's migration: its table, built one time at a time."""
+    return DenseHamiltonian(kind, gens, lambda ts: np.array(
+        [[c.coeffs for c in builder(t).coefficients()] for t in ts]))
+
+
 def test_not_hermitian_builder_rejected(gens1):
     b = FermionOperator.annihilator(gens1)
 
@@ -343,7 +359,8 @@ def test_not_hermitian_builder_rejected(gens1):
         return 1.0 * b  # not self-adjoint
 
     with pytest.raises(NotHermitian):
-        evolve_schrodinger_fermion(builder, make_coherent(gens1.gen("zeta")),
+        evolve_schrodinger_fermion(dense_of(builder, gens1),
+                                   make_coherent(gens1.gen("zeta")),
                                    IntegrationConfig(0.1, 1e-2))
 
 
@@ -352,8 +369,33 @@ def test_nan_builder_rejected(gens1):
     z = gens1.zero()
     nan_op = FermionOperator(gens1, z, z, z, gens1.scalar(complex(np.nan, 0.0)))
     with pytest.raises(NotHermitian):
-        evolve_schrodinger_fermion(lambda t: nan_op, make_coherent(gens1.gen("zeta")),
+        evolve_schrodinger_fermion(dense_of(lambda t: nan_op, gens1),
+                                   make_coherent(gens1.gen("zeta")),
                                    IntegrationConfig(0.1, 1e-2))
+
+
+@pytest.mark.parametrize("start", [
+    lambda h, cfg: evolve_schrodinger_fermion(h, make_coherent(LOCK_G1.gen("zeta")), cfg),
+    lambda h, cfg: evolve_grassmann_classical(h, LOCK_G1.gen("zeta"), cfg),
+    lambda h, cfg: evolve_operator_transport(h, FermionOperator.annihilator(LOCK_G1), cfg),
+    lambda h, cfg: invariant_residual(evolve_nu_system(LOCK_FERMION, cfg), h, cfg),
+    lambda h, cfg: hamiltonian_operator(h, 0.1, LOCK_G1),
+], ids=["fermion_schrodinger", "grassmann_law", "operator_transport", "invariant_residual",
+        "hamiltonian_operator"])
+@pytest.mark.parametrize("h", [
+    lambda t: hamiltonian_operator(LOCK_FERMION, t, LOCK_G1),
+    (const_fn(1.0), lambda ts: np.zeros((len(ts), 4)), lambda ts: np.zeros((len(ts), 4))),
+], ids=["callable_builder", "tuple_triple"])
+def test_builder_and_triple_refused_naming_dense_hamiltonian(h, start):
+    with pytest.raises(ValidationError, match="DenseHamiltonian"):
+        start(h, IntegrationConfig(0.1, 1e-2))
+
+
+def test_undeclared_names_and_kinds_are_validation_errors(gens2):
+    with pytest.raises(ValidationError, match="'chi'"):
+        HamiltonianSpec("grassmann", const_fn(1.0), gens=gens2, eta_generator="chi")
+    with pytest.raises(ValidationError, match="'boson'"):
+        DenseHamiltonian("boson", gens2, lambda ts: np.zeros((len(ts), 4, gens2.dim)))
 
 
 def test_phase_factors_computed_when_first_read(gens1):
@@ -376,7 +418,7 @@ def test_operator_builder_path_matches_spec(gens1):
 
     s0 = make_coherent(gens1.gen("zeta"))
     t1 = evolve_schrodinger_fermion(spec, s0, cfg)
-    t2 = evolve_schrodinger_fermion(builder, s0, cfg)
+    t2 = evolve_schrodinger_fermion(dense_of(builder, gens1), s0, cfg)
     assert t1.states[-1].isclose(t2.states[-1], 1e-13)
 
 
@@ -495,18 +537,19 @@ def test_bad_record_indices_refused_before_integrating(gens2, record, monkeypatc
                                    record=record)
 
 
-def _triple(gens, omega=1.0, eta=None, delta=0.1):
-    """An (omega_fn, eta_fn, delta_fn) triple of constant rows over `gens`:
-    eta is 0.3 eta_g unless given as a body, delta a body."""
-    eta_row, delta_row = np.zeros((2, gens.dim), dtype=complex)
+def _triple(gens, omega=1.0, eta=None, delta=0.1, omega_soul=0.0):
+    """Constant dense grassmann rows (delta, -eta*, eta, omega) over `gens`,
+    as the law's old (omega_fn, eta_fn, delta_fn) triple gave them: eta is
+    0.3 eta_g unless given as a body, delta and omega bodies, omega with
+    omega_soul on eta_g* eta_g."""
+    c = np.zeros((4, gens.dim), dtype=complex)
     if eta is None:
-        eta_row[1 << gens.index("eta")] = 0.3
+        c[2, 1 << gens.index("eta")] = 0.3
     else:
-        eta_row[0] = eta
-    delta_row[0] = delta
-    return (lambda ts: np.full(len(ts), omega, dtype=complex),
-            lambda ts: np.tile(eta_row, (len(ts), 1)),
-            lambda ts: np.tile(delta_row, (len(ts), 1)))
+        c[2, 0] = eta
+    c[1] = -kernel.conjugate(c[2], gens.n_generators)
+    c[0, 0], c[3, 0], c[3, 3 << gens.index("eta")] = delta, omega, omega_soul
+    return lambda ts: np.tile(c, (len(ts), 1, 1))
 
 
 @pytest.mark.parametrize("params, error", [
@@ -516,12 +559,13 @@ def _triple(gens, omega=1.0, eta=None, delta=0.1):
     (dict(delta=complex(np.nan, 0.0)), NotHermitian),
     (dict(eta=0.3), NotOddLinear),
     (dict(gens=GeneratorSet.from_pairs(("eta",))), MismatchedGenerators),
+    (dict(omega_soul=0.2), NotOddLinear),
 ], ids=["complex_omega", "nan_omega", "delta_not_self_conjugate", "nan_delta",
-        "eta_body", "rows_of_a_foreign_set"])
+        "eta_body", "rows_of_a_foreign_set", "number_slot_soul"])
 def test_invalid_triple_is_refused(gens2, params, error):
-    triple = _triple(**{"gens": gens2, **params})
+    h = DenseHamiltonian("grassmann", gens2, _triple(**{"gens": gens2, **params}))
     with pytest.raises(error):
-        evolve_grassmann_classical(triple, gens2.gen("zeta"), IntegrationConfig(0.1, 1e-2))
+        evolve_grassmann_classical(h, gens2.gen("zeta"), IntegrationConfig(0.1, 1e-2))
 
 
 # -- operator transport and the invariance condition -----------------------------------
@@ -604,6 +648,31 @@ def test_invariant_residual_refuses_a_grid_under_3_points():
         invariant_residual(ops, HamiltonianSpec("fermion", const_fn(1.0)), cfg)
 
 
+def test_invariant_residual_compares_lengths_before_allocating():
+    # a 2,001-point nu path against an 11-point grid at 256 coefficients:
+    # its (n, 4, dim) rows would take 33 MB
+    cfg = IntegrationConfig(0.1, 1e-2)
+    nu = dynamics.FermionInvariantPath(np.zeros(2001), np.zeros((2001, 3), dtype=complex))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="lengths differ"):
+            invariant_residual(nu, LOCK_FERMION, cfg, gens=WIDE_GENS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_invariant_residual_refuses_records_over_the_bound(monkeypatch):
+    cfg = IntegrationConfig(0.1, 1e-2)
+    nu = dynamics.FermionInvariantPath(cfg.times(), np.zeros((11, 3), dtype=complex))
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 11 * 4 * 16 - 2)
+    with pytest.raises(ValidationError, match="record bound"):
+        invariant_residual(nu, LOCK_FERMION, cfg, gens=LOCK_G2)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 11 * 4 * 16 - 1)
+    assert invariant_residual(nu, LOCK_FERMION, cfg, gens=LOCK_G2).shape == (11,)
+
+
 def test_grid_too_coarse_calibration():
     spec = HamiltonianSpec("fermion", const_fn(1.0))
     g0 = GeneratorSet(())
@@ -626,7 +695,11 @@ LOCK_GRASSMANN = HamiltonianSpec("grassmann", const_fn(1.0) + cos_fn(0.2, 2.0),
 LOCK_BOSON = HamiltonianSpec("boson", const_fn(1.0) + sin_fn(0.3, 1.0),
                              LOCK_FORCING, const_fn(0.2))
 
-# keyed by the label each evolution passes to the driver
+LOCK_DENSE = dense_of(lambda t: hamiltonian_operator(LOCK_GRASSMANN, t, LOCK_G2), LOCK_G2,
+                      "grassmann")
+
+# keyed by the label each evolution passes to the driver, "dense " in front
+# for LOCK_GRASSMANN given as a DenseHamiltonian
 EVOLUTIONS = {
     "classical boson":
         lambda cfg: evolve_classical_boson(LOCK_BOSON, 0.5 + 0.2j, cfg),
@@ -639,6 +712,10 @@ EVOLUTIONS = {
         LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
     "operator transport": lambda cfg: evolve_operator_transport(
         LOCK_FERMION, FermionOperator.annihilator(LOCK_G1), cfg),
+    "dense fermion Schrödinger": lambda cfg: evolve_schrodinger_fermion(
+        LOCK_DENSE, make_coherent(LOCK_G2.gen("zeta")), cfg),
+    "dense grassmann classical": lambda cfg: evolve_grassmann_classical(
+        LOCK_DENSE, LOCK_G2.gen("zeta"), cfg),
 }
 EVOLUTION_IDS = [name.replace(" ", "_").replace("ö", "o") for name in EVOLUTIONS]
 
@@ -666,6 +743,20 @@ WRONG_KIND = {
 def test_spec_of_a_wrong_kind_is_refused(start):
     with pytest.raises(ValidationError, match="spec is needed"):
         start(IntegrationConfig(0.3, 1e-2))
+
+
+@pytest.mark.parametrize("start", [
+    evolve_nu_system, build_ladder_invariant,
+    lambda h, cfg: evolve_classical_boson(h, 0.5, cfg),
+    lambda h, cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
+], ids=["nu_system", "ladder_invariant", "classical_boson", "boson_schrodinger"])
+@pytest.mark.parametrize("h", [
+    lambda t: hamiltonian_operator(LOCK_FERMION, t, LOCK_G1),
+    dense_of(lambda t: hamiltonian_operator(LOCK_FERMION, t, LOCK_G1), LOCK_G1),
+], ids=["callable_builder", "dense"])
+def test_evolutions_without_generators_need_a_spec(h, start):
+    with pytest.raises(ValidationError, match="where a HamiltonianSpec is needed"):
+        start(h, IntegrationConfig(0.1, 1e-2))
 
 
 def sequential_rk4(rhs, coeffs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
@@ -733,7 +824,7 @@ def test_lock_step_records_match_sequential_run(name, driver_runs):
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    assert run.label == name
+    assert run.label == name.removeprefix("dense ")
     # 8 RHS calls per grid step: 4 paired stages, then 4 of the second dt/2 substep
     assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
     stages, half_stages = [], []
@@ -769,7 +860,7 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs):
     half_end = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.refined_times())[-1]
     diff = float(np.max(np.abs(half_end - end)))
     assert str(caught.value) == \
-        f"{name}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
+        f"{run.label}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
 
 
 @pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
@@ -1029,17 +1120,12 @@ def _residual_reference(b_series, h, config, gens):
                                                for c in (-0.5 * n3, nm, npl, n3))))
     else:
         ops = list(b_series)
-    if isinstance(h, HamiltonianSpec):
-        def h_at(t):
-            return hamiltonian_operator(h, t, gens)
-    else:
-        h_at = h
     coeff_stack = np.stack([np.stack([c.coeffs for c in op.coefficients()])
                             for op in ops])
     dcoeff = dynamics._fd_derivative(coeff_stack, times[1] - times[0])
     residuals = np.zeros(times.size)
     for i, t in enumerate(times):
-        h_op = h_at(t)
+        h_op = hamiltonian_operator(h, t, gens)
         comm = ops[i] * h_op - h_op * ops[i]
         residuals[i] = max(float(np.max(np.abs(dcoeff[i, k] - 1j * c.coeffs)))
                            for k, c in enumerate(comm.coefficients()))
@@ -1052,12 +1138,8 @@ def _phase_invariant_ops(cfg):
             for t in cfg.times()]
 
 
-def _grassmann_builder(t):
-    return hamiltonian_operator(LOCK_GRASSMANN, t, LOCK_G2)
-
-
 # (B series, h, config, gens): an ops list, nu paths, transport at 4 and 16
-# coefficients, and an operator builder; the grids span several blocks
+# coefficients, and a builder's DenseHamiltonian; the grids span several blocks
 RESIDUAL_CASES = {
     "ops": lambda: (_phase_invariant_ops(IntegrationConfig(2.0, 1e-3)), LOCK_FERMION,
                     IntegrationConfig(2.0, 1e-3), GeneratorSet(())),
@@ -1076,7 +1158,7 @@ RESIDUAL_CASES = {
     "builder_16": lambda: (
         evolve_operator_transport(LOCK_GRASSMANN, FermionOperator.annihilator(LOCK_G2),
                                   IntegrationConfig(0.5, 1e-2)),
-        _grassmann_builder, IntegrationConfig(0.5, 1e-2), LOCK_G2),
+        LOCK_DENSE, IntegrationConfig(0.5, 1e-2), LOCK_G2),
 }
 
 
@@ -1218,7 +1300,7 @@ def _oracle_case(kind, gens):
             dense[:, k, masks[k]] = c[:, slot]
         return c, dense
 
-    def builder_rows(rng, rows):
+    def builder_rows(rng, rows):  # dense slot rows
         c = awkward(rng, (rows, 4, dim))
         return c, c[:, [0, 0, 1, 3, 2]]
 
@@ -1229,10 +1311,14 @@ def _oracle_case(kind, gens):
         dense[:, 0, 1], dense[:, 1, 0], dense[:, 2] = c[:, 2], c[:, 0], c[:, 3:]
         return c, dense
 
-    def triple_rows(rng, rows):
+    def triple_rows(rng, rows):  # dense slot rows, omega at the body
         dense = awkward(rng, (rows, 3, dim))
+        dense[:, 2] = dense[:, 2, :1]  # the two-stage RHS repeats omega
         eta, delta, omega = dense.swapaxes(0, 1)
-        return np.stack((delta, -kernel.conjugate(eta, n_gen), eta, omega), axis=1), dense
+        c = np.zeros((rows, 4, dim), dtype=np.complex128)
+        c[:, 0], c[:, 1], c[:, 2], c[:, 3, 0] = \
+            delta, -kernel.conjugate(eta, n_gen), eta, omega[:, 0]
+        return c, dense
 
     def fermion(h):
         return lambda cfg: evolve_schrodinger_fermion(h, FermionState.vacuum(gens), cfg)
@@ -1240,13 +1326,13 @@ def _oracle_case(kind, gens):
     def law(h):
         return lambda cfg: evolve_grassmann_classical(h, gens.zero(), cfg)
 
-    triple = _triple(gens)
     return {
         "fermion": (fermion(spec), compact),
         "grassmann": (fermion(spec), compact),
-        "builder": (fermion(lambda t: hamiltonian_operator(spec, t, gens)), builder_rows),
+        "builder": (fermion(dense_of(lambda t: hamiltonian_operator(spec, t, gens), gens,
+                                     "grassmann")), builder_rows),
         "law": (law(spec), law_rows),
-        "triple": (law(triple), triple_rows),
+        "triple": (law(DenseHamiltonian("grassmann", gens, _triple(gens))), triple_rows),
     }[kind]
 
 
@@ -1275,8 +1361,7 @@ def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
     lambda cfg: evolve_schrodinger_fermion(
         LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg),
     lambda cfg: evolve_schrodinger_fermion(
-        lambda t: hamiltonian_operator(LOCK_GRASSMANN, t, LOCK_G2),
-        make_coherent(LOCK_G2.gen("zeta")), cfg),
+        LOCK_DENSE, make_coherent(LOCK_G2.gen("zeta")), cfg),
     lambda cfg: evolve_grassmann_classical(LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
 ], ids=["fermion_spec", "fermion_builder", "grassmann_law"])
 def test_each_rhs_stage_is_one_plan_evaluation(start, driver_runs, monkeypatch):
@@ -1336,14 +1421,16 @@ def per_time_forcing(path, omega, beta):
 
 
 def per_time_table(omega, eta, delta, n_gen):
-    """Order reference: the triple's coefficient rows in slot order (delta,
-    -eta*, eta, omega), eta, delta and omega built one time at a time."""
+    """Order reference: the reconstructed dense rows in slot order (delta,
+    -eta*, eta, omega at the body), eta, delta and omega built one time at a
+    time."""
     def coeffs(ts):
-        rows = np.array([(eta(t).coeffs, delta(t).coeffs,
-                          np.full(1 << n_gen, omega(t), dtype=np.complex128))
-                         for t in ts])
-        return np.stack((rows[:, 1], -kernel.conjugate(rows[:, 0], n_gen), rows[:, 0],
-                         rows[:, 2]), axis=1)
+        rows = np.array([(eta(t).coeffs, delta(t).coeffs) for t in ts])
+        c = np.zeros((len(ts), 4, 1 << n_gen), dtype=np.complex128)
+        c[:, 0], c[:, 1], c[:, 2] = \
+            rows[:, 1], -kernel.conjugate(rows[:, 0], n_gen), rows[:, 0]
+        c[:, 3, 0] = [omega(t) for t in ts]
+        return c
 
     return coeffs
 
@@ -1367,33 +1454,63 @@ def _reconstruction_case(n_pairs):
 @pytest.mark.parametrize("n_pairs", [1, 2, 3])
 def test_reconstructed_rows_match_per_time_build_bitwise(n_pairs):
     path, omega, beta = _reconstruction_case(n_pairs)
-    eta, delta = reconstruct_forcing(path, omega, beta)
+    h = reconstruct_forcing(path, omega, beta)
     ref_eta, ref_delta = per_time_forcing(path, omega, beta)
     cfg = IntegrationConfig(0.3, 1e-2)
     rng = np.random.default_rng(n_pairs)
     stages, _ = dynamics._stage_times(cfg.times(), cfg.refined_times())
     ts = np.concatenate((stages.reshape(-1), rng.uniform(-4.0, 4.0, 40), [-0.0]))
-    for fn, ref in ((path, lambda t: per_time_path(path, t)), (eta, ref_eta),
-                    (delta, ref_delta)):
+    rows = h.slot_rows(ts)
+    # eta is the b† slot and delta the I slot; a scalar time gives them as
+    # the coefficients of hamiltonian_operator
+    for got, at, ref in ((path(ts), None, lambda t: per_time_path(path, t)),
+                         (rows[:, 2], "c_plus", ref_eta), (rows[:, 0], "c_i", ref_delta)):
         want = bits(np.stack([ref(t).coeffs for t in ts]))
-        assert np.array_equal(bits(fn(ts)), want)
-        # a scalar time gives its one row as a Multivector
-        assert all(np.array_equal(bits(fn(t).coeffs), w) for t, w in zip(ts[::7], want[::7]))
+        assert np.array_equal(bits(got), want)
+        for t, w in zip(ts[::7], want[::7]):
+            one = path(t) if at is None else \
+                getattr(hamiltonian_operator(h, t, path.gens), at)
+            assert np.array_equal(bits(one.coeffs), w)
+
+
+def test_reconstructed_rows_evaluate_each_input_once_per_chunk(monkeypatch):
+    path, omega, beta = _reconstruction_case(2)
+    h, zeta0 = reconstruct_forcing(path, omega, beta), path(0.0)
+    calls = Counter()
+    path_call, fn_call = MultivectorPath.__call__, CoefficientFn.__call__
+
+    def count_path(self, t):
+        calls["zeta_path" if self is path else "zdot"] += 1
+        return path_call(self, t)
+
+    def count_fn(self, t):
+        calls.update([name for name, fn in (("omega", omega), ("beta", beta)) if self is fn])
+        return fn_call(self, t)
+
+    monkeypatch.setattr(MultivectorPath, "__call__", count_path)
+    monkeypatch.setattr(CoefficientFn, "__call__", count_fn)
+    tables = []
+    _chunk_spy(monkeypatch, tables)
+    # 3 grid steps per chunk: 8 stage rows each, of 4 x 16 coefficients
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * 4 * 16 * 16)
+    evolve_grassmann_classical(h, zeta0, IntegrationConfig(0.3, 1e-2))
+    assert len(tables) == 11
+    assert calls == {name: len(tables) for name in ("zeta_path", "zdot", "omega", "beta")}
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 3])
 def test_triple_law_matches_per_time_table_bitwise(n_pairs, monkeypatch):
     path, omega, beta = _reconstruction_case(n_pairs)
-    eta, delta = reconstruct_forcing(path, omega, beta)
+    h = reconstruct_forcing(path, omega, beta)
     cfg = IntegrationConfig(0.2, 2e-3)
     zeta0 = path(0.0)
-    got = evolve_grassmann_classical((omega, eta, delta), zeta0, cfg)
+    got = evolve_grassmann_classical(h, zeta0, cfg)
 
     table = per_time_table(omega, *per_time_forcing(path, omega, beta),
                            path.gens.n_generators)
     integrate = dynamics._integrate
     monkeypatch.setattr(dynamics, "_integrate",
                         lambda rhs, _, *a, **kw: integrate(rhs, table, *a, **kw))
-    want = evolve_grassmann_classical((omega, eta, delta), zeta0, cfg)
+    want = evolve_grassmann_classical(h, zeta0, cfg)
     assert np.array_equal(bits(got.zeta), bits(want.zeta))
     assert np.array_equal(bits(got.phi), bits(want.phi))
