@@ -211,8 +211,8 @@ class DenseHamiltonian:
     rows: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.kind not in ("fermion", "grassmann"):
-            raise ValidationError(f"a dense Hamiltonian of kind {self.kind!r}")
+        if self.kind not in ("fermion", "grassmann") or not isinstance(self.gens, GeneratorSet):
+            raise ValidationError(f"a dense Hamiltonian of kind {self.kind!r} over {self.gens!r}")
 
     def slot_rows(self, ts: np.ndarray) -> np.ndarray:
         """rows(ts), refused unless dim wide (MismatchedGenerators), for kind

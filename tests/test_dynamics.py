@@ -396,6 +396,8 @@ def test_undeclared_names_and_kinds_are_validation_errors(gens2):
         HamiltonianSpec("grassmann", const_fn(1.0), gens=gens2, eta_generator="chi")
     with pytest.raises(ValidationError, match="'boson'"):
         DenseHamiltonian("boson", gens2, lambda ts: np.zeros((len(ts), 4, gens2.dim)))
+    with pytest.raises(ValidationError, match="over None"):
+        DenseHamiltonian("fermion", None, lambda ts: np.zeros((len(ts), 4, 1)))
 
 
 def test_phase_factors_computed_when_first_read(gens1):
