@@ -12,7 +12,13 @@ stage" (microseconds per call of the evolution's own RHS on 1 and 2 rows,
 the driver's batch sizes), "one RK4 step" (four RHS stages and the update
 on one state) and "the dt vs dt/2 self-check" (one grid step of the driver:
 the dt step and the two dt/2 substeps that check it), the last two in
-microseconds of CPU time and RHS calls per grid step. Then "coefficient
+microseconds of CPU time and RHS calls per grid step. A tree whose
+trajectory carries its Grassmann law integrates the law in these fermion
+Schrödinger cases too. Then "a grassmann run" at 4, 16 and 256
+coefficients: the trajectory and its Grassmann law as `coherence run` makes
+them (the evolution, then verify_trajectory against the law), in
+microseconds of CPU time and RHS calls per grid step, wherever each tree
+integrates the law. Then "coefficient
 evaluation per grid step" for the boson Schrödinger evolution on 64 levels
 and the fermion Schrödinger evolution at 4, 16 and 256 coefficients: the
 wall time spent evaluating the Hamiltonian's coefficients over one
@@ -271,6 +277,43 @@ def bench_steps(packages: dict) -> dict:
             for col, table in _alternate(cases).items()}
 
 
+def bench_grassmann_runs(packages: dict) -> dict:
+    """A grassmann run per size: the fermion Schrödinger evolution of the
+    step layers (see _evolutions), then verify_trajectory against the
+    Grassmann law, so the law's integration counts wherever a tree makes
+    it. Reported are the CPU time of this process and the RHS calls of
+    every driver loop, per grid step."""
+    n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
+
+    def timed(dynamics, verify, evolve):
+        integrate, count = dynamics._integrate, [0]
+
+        def counting(rhs, *args, **kw):
+            def counted(*a):
+                count[0] += 1
+                return rhs(*a)
+
+            return integrate(counted, *args, **kw)
+
+        dynamics._integrate = counting
+        try:
+            t0 = time.process_time()
+            verify(evolve(), "grassmann")
+            spent = time.process_time() - t0
+        finally:
+            dynamics._integrate = integrate
+        return {"step_us": spent / n_steps * 1e6, "rhs_calls_per_step": count[0] / n_steps}
+
+    cases = {col: {name.replace("fermion_schrodinger", "grassmann_run"): functools.partial(
+                       timed, _module(pkg, "dynamics"),
+                       _module(pkg, "coherence").verify_trajectory, evolve)
+                   for name, evolve in _evolutions(pkg).items()
+                   if name.startswith("fermion")}
+             for col, pkg in packages.items()}
+    return {col: {case: _median_each(runs) for case, runs in table.items()}
+            for col, table in _alternate(cases).items()}
+
+
 def _timed_coefficients(dynamics, coeffs, spent: list, calls: list):
     """Patch one tree so that its coefficient tables add the wall time
     spent building them to spent[0] and its CoefficientFn calls to
@@ -331,15 +374,21 @@ def bench_observer(packages: dict) -> dict:
     """The per-record observer of the fermion Schrödinger evolution, per size.
 
     Each case evolves the step layers' spec and start (see _evolutions) on
-    OBSERVER_GRID once and keeps its records; then the evolution runs with
-    its driver replaced by one that returns those records, all of them or
-    the first alone. Reported is the difference of the two wall times per
+    OBSERVER_GRID once and keeps its records and the gaps its driver
+    reports; then the evolution runs with its driver replaced by one that
+    returns those records, all of them or the first alone, and the gaps. Reported is the difference of the two wall times per
     extra record, so what the evolution does once (plan, coefficient
     checks) cancels.
     """
-    def run(dynamics, evolve, cfg, records):
+    def run(dynamics, evolve, cfg, records, kept_gaps):
         integrate = dynamics._integrate
-        dynamics._integrate = lambda *args, **kw: records.copy()
+
+        def replay(*args, gaps=None, **kw):  # the kept run's records and gaps
+            if gaps is not None:
+                gaps.extend(kept_gaps)
+            return records.copy()
+
+        dynamics._integrate = replay
         try:
             t0 = time.perf_counter()
             evolve(cfg)
@@ -347,9 +396,10 @@ def bench_observer(packages: dict) -> dict:
         finally:
             dynamics._integrate = integrate
 
-    def timed(dynamics, evolve, cfg, records):
-        extra = (run(dynamics, evolve, cfg, records)
-                 - run(dynamics, evolve, cfg, records[:1]))
+    def timed(dynamics, evolve, cfg, kept):
+        records, gaps = kept
+        extra = (run(dynamics, evolve, cfg, records, gaps)
+                 - run(dynamics, evolve, cfg, records[:1], gaps))
         return {"us": extra / (len(records) - 1) * 1e6}
 
     cases = {col: {} for col in packages}
@@ -362,8 +412,8 @@ def bench_observer(packages: dict) -> dict:
             integrate, kept = dynamics._integrate, []
 
             def keep(*args, integrate=integrate, **kw):
-                kept.append(integrate(*args, **kw))
-                return kept[-1]
+                kept.append((integrate(*args, **kw), list(kw.get("gaps", ()))))
+                return kept[-1][0]
 
             dynamics._integrate = keep
             try:
@@ -462,6 +512,9 @@ def _print_column(name: str, data: dict) -> None:
         print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
               f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
               f"{row['self_check_step_us']:9.1f} us ({row['self_check_step_rhs_calls']:g})")
+    for case, row in data["grassmann_runs"].items():
+        print(f"  {case:<26} grassmann run per grid step {row['step_us']:9.1f} us "
+              f"({row['rhs_calls_per_step']:g} RHS calls)")
     for case, row in data["coefficients"].items():
         print(f"  {case:<26} coefficient evaluation per grid step "
               f"{row['coeff_us_per_step']:9.1f} us "
@@ -495,6 +548,7 @@ def main() -> None:
                 "us_per_product": bench_products(packages),
                 "rhs_stage_us": bench_rhs(packages),
                 "steps": bench_steps(packages),
+                "grassmann_runs": bench_grassmann_runs(packages),
                 "coefficients": bench_coefficients(packages),
                 "observer_us_per_record": bench_observer(packages),
                 "evolution_s": bench_evolution(packages),

@@ -5,7 +5,9 @@ static preserving/non-preserving verdict, with a dynamic witness trajectory
 for the fermion kind; reconstruct_forcing inverts a prescribed eigenvalue
 path into a Hamiltonian; verify_trajectory compares an evolved
 trajectory against the classical law: the closed form for the boson and
-free-fermion laws, an independent integration for the grassmann law.
+free-fermion laws, an independent integration for the grassmann law, the
+one a grassmann spec's trajectory carries (its own rows of the same driver
+loop, which no trajectory row reaches).
 """
 
 from __future__ import annotations
@@ -220,7 +222,9 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     """Compare recorded eigenvalues (and, for grassmann, states) with the law.
 
     expected_law: "fermion_free" (phase-rotated initial eigenvalue),
-    "grassmann" (classical forced law plus phase), or "boson" (closed-form
+    "grassmann" (classical forced law plus phase: the path traj.law, gated
+    here by its dt vs dt/2 gap, or if the run carries none, a law
+    integrated from record 0's eigenvalue), or "boson" (closed-form
     classical eigenvalue). Passes iff deviations and residuals are <= 1e-6.
     The boson law checks only boson trajectories, the others only fermion
     and grassmann ones (ValidationError otherwise).
@@ -244,8 +248,11 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         max_dev = float(np.max(np.abs(traj.lams - rotation[:, None] * traj.lams[0])))
     elif expected_law == "grassmann":
         n_gen = traj.gens.n_generators
-        path = evolve_grassmann_classical(traj.spec, Multivector(traj.gens, traj.lams[0]),
-                                          traj.config, traj.record_indices)
+        path = traj.law
+        if path is None:  # a run that cannot carry its law: refused as the law refuses it
+            path = evolve_grassmann_classical(traj.spec, Multivector(traj.gens, traj.lams[0]),
+                                              traj.config, traj.record_indices)
+        path.gate()
         max_dev = float(np.max(np.abs(traj.lams - path.zeta)))
         block_devs = []  # the law's states, rebuilt a block of records at a time
         for rows in kernel.row_blocks(len(path.zeta), n_gen):

@@ -7,7 +7,10 @@ lock step, so every right-hand side takes a batch of rows: rhs(c, Y) with Y
 of shape (R,) + the state's shape and c the coefficient rows of their stage
 times. Each evolution hands the driver one vectorised coefficient function;
 the driver tabulates it once per chunk of grid steps on the distinct stage
-times, bit-identical to evaluating it at each time alone.
+times, bit-identical to evaluating it at each time alone. A state may stack
+systems whose rows never mix, each with its own endpoint gap: a grassmann
+spec's trajectory carries its Grassmann law in its own driver loop, one
+plan per stage serving both.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -334,12 +337,18 @@ class ClassicalBosonPath:
 
 @dataclass(frozen=True)
 class GrassmannPath:
-    """Classical eigenvalue and phase of the Grassmann-forced oscillator."""
+    """Classical eigenvalue and phase of the Grassmann-forced oscillator, and
+    the dt vs dt/2 endpoint gap of the integration that made them."""
 
     gens: GeneratorSet
     times: np.ndarray
     zeta: np.ndarray  # (n_times, dim)
     phi: np.ndarray   # (n_times, dim)
+    gap: float
+
+    def gate(self) -> None:
+        """Refuse (StepTooLarge) the path as its integration's gate does."""
+        _gate(LAW_LABEL, self.gap)
 
     def zeta_at(self, i: int) -> Multivector:
         return Multivector(self.gens, self.zeta[i])
@@ -356,7 +365,8 @@ class Trajectory:
     """Stride-sampled records of one Schrödinger evolution, a row each: the
     amplitudes (n_rec, 2, dim) or a boson's (n_rec, levels); the eigenvalues
     lams (n_rec, dim) or a boson's (n_rec, 1), all NaN where a record has
-    none (residual inf); residuals and norm_dev. states, eigenvalues and
+    none (residual inf); residuals and norm_dev; the Grassmann law at the
+    same records, if the run carried it. states, eigenvalues and
     phase_factors are their objects, built when first read."""
 
     kind: str
@@ -368,6 +378,7 @@ class Trajectory:
     norm_dev: np.ndarray
     spec: HamiltonianSpec | DenseHamiltonian | None = None
     gens: GeneratorSet | None = None
+    law: GrassmannPath | None = None  # a grassmann spec's, see evolve_schrodinger_fermion
 
     @property
     def times(self) -> np.ndarray:
@@ -413,8 +424,16 @@ class Trajectory:
 # -- RK4 driver ----------------------------------------------------------------
 
 
-def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
-               record=None, on_step=None) -> np.ndarray:
+def _gate(label: str, gap: float) -> None:
+    """Refuse (StepTooLarge) a dt vs dt/2 endpoint gap over STEP_TOL; NaN is."""
+    if not gap <= STEP_TOL:
+        raise StepTooLarge(
+            f"{label}: halving dt changes endpoint by {gap:.3e} (> {STEP_TOL})"
+        )
+
+
+def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
+               record=None, on_step=None, gaps=None) -> np.ndarray:
     """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
 
     `coeffs(ts)` evaluates the evolution's coefficients at a 1-D array of
@@ -433,6 +452,12 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
     STEP_TOL of the dt endpoint (NaN never does) the evolution is refused
     with StepTooLarge.
 
+    `label` names the system, or is a tuple of labels of systems stacked
+    in equal parts along y0's leading axis, whose rows the rhs keeps apart.
+    Each system has its own endpoint gap. The first is gated as above; the
+    others are left for the caller to gate. Each gap, in order, is
+    appended to `gaps` if given. The record bound counts one system.
+
     The two runs advance in lock step: per grid step, the dt step and the
     first dt/2 substep share each of their four RHS calls as a 2-row batch,
     and the second substep follows on 1 row, so a grid step makes 8 calls,
@@ -447,7 +472,9 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
                 and np.all((record >= 0) & (record <= config.n_steps))):
             raise ValidationError("record must be strictly increasing grid indices "
                                   f"in 0..{config.n_steps}")
-    _check_records(config.n_steps + 1 if record is None else len(record), np.size(y0))
+    labels = (label,) if isinstance(label, str) else label
+    _check_records(config.n_steps + 1 if record is None else len(record),
+                   np.size(y0) // len(labels))
     times = config.times()
     fine = config.refined_times()
     keep = range(times.size) if record is None else record.tolist()
@@ -472,11 +499,11 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label: str,
             observe(i, pair[0])
         del table, c  # frees this chunk's table before the next is built
 
-    diff = float(np.max(np.abs(pair[1] - pair[0])))
-    if not diff <= STEP_TOL:
-        raise StepTooLarge(
-            f"{label}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
-        )
+    ends = pair.reshape(2, len(labels), -1)  # each run's endpoint, a row per system
+    diffs = [float(np.max(np.abs(half - end))) for end, half in zip(*ends)]
+    _gate(labels[0], diffs[0])
+    if gaps is not None:
+        gaps.extend(diffs)
     return records
 
 
@@ -607,50 +634,78 @@ def evolve_nu_system(spec: HamiltonianSpec,
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
 
+# (coefficient slot, state row, op, row of the sum) of the amplitude products
+# ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the
+# odd part of an amplitude passing b or b†
+_AMPLITUDE_TERMS = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
+                    (2, 0, "gi", 1))
+
 
 def evolve_schrodinger_fermion(h, s0: FermionState,
                                config: IntegrationConfig) -> Trajectory:
     """RK4 on the amplitude coefficients of i d/dt psi = H(t) psi, H a fermion
-    or grassmann HamiltonianSpec or DenseHamiltonian."""
+    or grassmann HamiltonianSpec or DenseHamiltonian.
+
+    A grassmann spec's trajectory carries its Grassmann law (see
+    evolve_grassmann_classical) from its record-0 eigenvalue, unless that
+    is not odd degree-one or holds the eta generator: the law's (zeta, phi)
+    are rows 2-3 of the driver's state, their products ride in each
+    stage's plan, and their dt vs dt/2 gap is gated when the trajectory is
+    verified. No row reads another system's, so the law stays an
+    independent check of the trajectory.
+    """
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     gens = s0.gens
     n_gen = gens.n_generators
     dim = gens.dim
-    _check_spec(h, ("fermion", "grassmann"), config.times, gens, (config.n_records, y0.size))
+    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
+                        (config.n_records, y0.size))
     masks = h.slot_masks(gens)
-    # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
-    # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
-    # part of an amplitude passing b or b†. A spec's coefficients are one
-    # monomial each, so each row is one sum of the plan (see kernel.bilinear);
-    # dense products keep their own sums, added after in this order.
-    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
-             (2, 0, "gi", 1))
+    # A spec's coefficients are one monomial each, so each row is one sum of
+    # the plan (see kernel.bilinear); dense products keep their own sums,
+    # added after in this order.
     fused = masks is not None
-    plan = kernel.bilinear_plan(n_gen, tuple(
+    products = tuple(
         ((1, slot, (masks[slot],) if fused else None, None), (0, row, None, op),
-         out if fused else k) for k, (slot, row, op, out) in enumerate(terms)),
-        ((2, dim), (4, 1 if fused else dim), (2 if fused else 5, dim)))
+         out if fused else k) for k, (slot, row, op, out) in enumerate(_AMPLITUDE_TERMS))
+    law = None
+    if h.kind == "grassmann" and fused:
+        zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
+        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(zeta0, masks):
+            law_products, law = _grassmann_law(masks, 2)
+            products += law_products
+            y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(dim, dtype=np.complex128)]))
+    plan = kernel.bilinear_plan(n_gen, products, (
+        (len(y0), dim), (4, 1 if fused else dim), (1 + max(p[2] for p in products), dim)))
 
     def rhs(c, y):
         prod = kernel.bilinear(plan, y, c)
         out = prod if fused else prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ...
         if not fused:
             out[:, 1] += prod[:, 4]  # ci*p1 + cn*p1 + cp*gi(p0)
-        out *= -1j
+        out[:, :2] *= -1j
+        if law is not None:
+            law(c, y, out)
         return out
 
     rec_idx = config.record_indices()
-    records = _integrate(rhs, h.slot_rows, y0, config, "fermion Schrödinger", rec_idx)
+    gaps = []
+    records = _integrate(rhs, h.slot_rows, y0, config,
+                         "fermion Schrödinger" if law is None
+                         else ("fermion Schrödinger", LAW_LABEL), rec_idx, gaps=gaps)
+    amplitudes = records[:, :2]
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
     # conserved for parity-even Hamiltonians. Record 0 is s0.
-    norm = _norm_bodies(records)
+    norm = _norm_bodies(amplitudes)
     norm_dev = np.array([abs(complex(n) - complex(norm[0])) for n in norm])
-    lams, residuals = np.empty(records.shape[::2], dtype=complex), np.empty(len(records))
+    lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
     for rows in kernel.row_blocks(len(records), n_gen):
-        lams[rows], residuals[rows] = extract_eigenvalue(records[rows])
-    return Trajectory(h.kind, config, rec_idx, records, lams, residuals, norm_dev,
-                      spec=h, gens=gens)
+        lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
+    path = None if law is None else GrassmannPath(gens, times[rec_idx], records[:, 2],
+                                                  records[:, 3], gaps[1])
+    return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev,
+                      spec=h, gens=gens, law=path)
 
 
 # -- boson Schrödinger evolution ----------------------------------------------
@@ -692,6 +747,46 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
 
 # -- grassmann classical sector -----------------------------------------------
 
+LAW_LABEL = "grassmann classical"
+
+
+def _holds_eta(zeta0: Multivector, masks) -> bool:
+    """Whether zeta0 has a term on the eta generator of a spec's slot masks."""
+    return any(mask & masks[2] for mask in zeta0.terms)
+
+
+def _grassmann_law(masks, row: int):
+    """The Grassmann law's share of an RHS plan whose state holds (zeta, phi)
+    at rows `row` and `row` + 1: its plan products, and law(c, y, out),
+    which turns those rows of the plan's out into (zeta', phi'), given the
+    coefficient rows c and the states y.
+
+    The products are zeta* eta + eta* zeta, summed into plan row `row` + 1
+    if each slot is one monomial (masks; a spec's row then holds its
+    coefficient there), else into rows `row` + 1 and `row` + 2, added
+    after; nothing is summed into row `row`. The plan conjugates zeta as it
+    gathers it and negates the lower slot back to eta*.
+    """
+    fused = masks is not None
+    at = [slice(m, m + 1) for m in masks] if fused else [slice(None)] * 4
+    products = (
+        ((0, row, None, "conj"), (1, 2, (masks[2],) if fused else None, None), row + 1),
+        ((1, 1, (masks[1],) if fused else None, "neg"), (0, row, None, None),
+         row + 1 if fused else row + 2))
+
+    def law(c, y, out):
+        c = c.reshape(len(c), 4, -1)  # slots delta, -eta*, eta, omega
+        zeta, phi = out[:, row], out[:, row + 1]
+        np.multiply(c[:, 3, :1], y[:, row], out=zeta)  # omega is the number slot's body
+        zeta[:, at[2]] -= c[:, 2]
+        zeta *= -1j
+        if not fused:
+            phi += out[:, row + 2]
+        phi *= 0.5
+        phi[:, at[0]] -= c[:, 0]
+
+    return products, law
+
 
 def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConfig,
                                record=None) -> GrassmannPath:
@@ -701,7 +796,8 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     slot layout (delta, -eta*, eta, omega): a spec's slot_rows at its
     slot_masks, a DenseHamiltonian's dim-wide rows with omega the body of
     the b†b slot. The path holds the grid points `record` (every one by
-    default).
+    default). A grassmann spec's trajectory integrates the same law in its
+    own driver loop (see evolve_schrodinger_fermion).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
     which is what makes exp(i phi(t)) |zeta(t)> solve the Schrödinger equation
@@ -711,39 +807,26 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
     dim = gens.dim
-    times = config.times()
-    _check_spec(spec, ("grassmann",), lambda: times, gens)
+    times = _check_spec(spec, ("grassmann",), config.times, gens)
     masks = spec.slot_masks(gens)
     fused = masks is not None
-    if fused and any(mask & masks[2] for mask in zeta0.terms):
+    if fused and _holds_eta(zeta0, masks):
         raise GeneratorCollision(f"eta generator {spec.eta_generator!r} appears in the "
                                  "initial value")
-
-    # zeta* eta + eta* zeta, summed in one pass if each slot is one monomial
-    # (a spec's row then holds its coefficient there); the plan conjugates
-    # zeta as it gathers it and negates the lower slot back to eta*
-    at = [slice(m, m + 1) for m in masks] if fused else [slice(None)] * 4
-    plan = kernel.bilinear_plan(n_gen, (
-        ((0, 0, None, "conj"), (1, 2, (masks[2],) if fused else None, None), 0),
-        ((1, 1, (masks[1],) if fused else None, "neg"), (0, 0, None, None),
-         0 if fused else 1)),
-        ((2, dim), (4, 1 if fused else dim), (1 if fused else 2, dim)))
+    products, law = _grassmann_law(masks, 0)
+    plan = kernel.bilinear_plan(n_gen, products,
+                                ((2, dim), (4, 1 if fused else dim), (2 if fused else 3, dim)))
 
     def rhs(c, y):
-        delta, _, eta, omega = c.reshape(len(c), 4, -1).swapaxes(0, 1)
-        prod = kernel.bilinear(plan, y, c)
-        out = np.empty_like(y)
-        drift = (omega if fused else omega[:, :1]) * y[:, 0]  # the number slot's body
-        drift[:, at[2]] -= eta
-        np.multiply(-1j, drift, out=out[:, 0])
-        np.multiply(0.5, prod[:, 0] if fused else prod[:, 0] + prod[:, 1], out=out[:, 1])
-        out[:, 1, at[0]] -= delta
-        return out
+        out = kernel.bilinear(plan, y, c)
+        law(c, y, out)
+        return out[:, :2]
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
-    series = _integrate(rhs, spec.slot_rows, y0, config, "grassmann classical", record)
+    gaps = []
+    series = _integrate(rhs, spec.slot_rows, y0, config, LAW_LABEL, record, gaps=gaps)
     return GrassmannPath(gens, times if record is None else times[record],
-                         series[:, 0], series[:, 1])
+                         series[:, 0], series[:, 1], gaps[0])
 
 
 # -- operator transport ---------------------------------------------------------

@@ -265,19 +265,22 @@ def _count_calls(monkeypatch, name):
 
 
 def test_one_law_integration_per_run(tmp_path, monkeypatch):
-    # the grassmann law is integrated once; the boson law is read from its
-    # closed form, so its integration never runs
-    for name, law_name, expected in (
-        ("grassmann_forced", "evolve_grassmann_classical", 1),
-        ("boson_forced", "evolve_classical_boson", 0),
+    # one driver loop per run: the grassmann law rides in the trajectory's,
+    # so its own integration never runs, and the boson law is read from its
+    # closed form
+    for name, law_name in (
+        ("grassmann_forced", "evolve_grassmann_classical"),
+        ("boson_forced", "evolve_classical_boson"),
     ):
         calls = _count_calls(monkeypatch, law_name)
+        loops = _count_calls(monkeypatch, "_integrate")
         scenario = parse_scenario(SCENARIOS / f"{name}.ini")
         scenario = dataclasses.replace(
             scenario, config=dataclasses.replace(scenario.config, t_end=0.2)
         )
         assert cli.run_scenario(scenario, str(tmp_path)) == 0, name
-        assert len(calls) == expected, name
+        assert len(calls) == 0, name
+        assert len(loops) == 1, name
 
 
 def test_overrides_change_grid(tmp_path):

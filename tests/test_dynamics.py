@@ -22,7 +22,7 @@ from cohstab.coeffs import (
     sin_fn,
     zero_fn,
 )
-from cohstab.coherence import MultivectorPath, reconstruct_forcing
+from cohstab.coherence import MultivectorPath, reconstruct_forcing, verify_trajectory
 from cohstab.dynamics import (
     MAX_STEPS,
     STEP_TOL,
@@ -798,7 +798,7 @@ def driver_runs(monkeypatch):
     runs = []
     integrate = dynamics._integrate
 
-    def spy(rhs, coeffs, y0, config, label, record=None, on_step=None):
+    def spy(rhs, coeffs, y0, config, label, record=None, on_step=None, **kw):
         run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, config=config,
                               label=label, record=record, calls=Counter(),
                               stages=[], coeff_times=[], records=None)
@@ -814,19 +814,38 @@ def driver_runs(monkeypatch):
             return coeffs(ts)
 
         run.records = integrate(counted, tabulated, y0, config, label, record,
-                                on_step)
+                                on_step, **kw)
         return run.records
 
     monkeypatch.setattr(dynamics, "_integrate", spy)
     return runs
 
 
+def _own_systems(run, monkeypatch):
+    """(label, rhs, coeffs, y0) of each system of a driver run: the run's
+    own, or for a trajectory that carries its Grassmann law, the RHS that
+    the trajectory has without one and the law's standalone RHS."""
+    if isinstance(run.label, str):
+        return [(run.label, run.rhs, run.coeffs, run.y0)]
+    assert run.label == ("fermion Schrödinger", "grassmann classical")
+    # an initial eigenvalue on the eta generator carries no law
+    rhs, coeffs, _ = _rhs_of(lambda cfg: evolve_schrodinger_fermion(
+        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("eta")), cfg), run.config, monkeypatch)
+    # the law starts from record 0's eigenvalue
+    law_rhs, law_coeffs, law_y0 = _rhs_of(lambda cfg: evolve_grassmann_classical(
+        LOCK_GRASSMANN, Multivector(LOCK_G2, run.y0[2]), cfg), run.config, monkeypatch)
+    assert np.array_equal(bits(law_y0), bits(run.y0[2:]))
+    return [("fermion Schrödinger", rhs, coeffs, run.y0[:2]),
+            ("grassmann classical", law_rhs, law_coeffs, law_y0)]
+
+
 @pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
-def test_lock_step_records_match_sequential_run(name, driver_runs):
+def test_lock_step_records_match_sequential_run(name, driver_runs, monkeypatch):
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    assert run.label == name.removeprefix("dense ")
+    systems = _own_systems(run, monkeypatch)
+    assert systems[0][0] == name.removeprefix("dense ")
     # 8 RHS calls per grid step: 4 paired stages, then 4 of the second dt/2 substep
     assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
     stages, half_stages = [], []
@@ -835,6 +854,15 @@ def test_lock_step_records_match_sequential_run(name, driver_runs):
     if run.record is not None:
         ref = ref[run.record]
     assert np.array_equal(bits(run.records), bits(ref))
+    # each system's rows are those of its own RHS run on its own
+    at = 0
+    for _, rhs, coeffs, y0 in systems:
+        own = sequential_rk4(rhs, coeffs, y0, cfg.times())
+        if run.record is not None:
+            own = own[run.record]
+        assert np.array_equal(bits(run.records[:, at:at + len(y0)]), bits(own))
+        at += len(y0)
+    assert at == len(run.y0)
     # the driver tabulates the coefficients at the stage times of the two
     # sequential runs, bit for bit, and at no other time
     got_times = np.concatenate(run.coeff_times)
@@ -852,30 +880,48 @@ def test_lock_step_records_match_sequential_run(name, driver_runs):
             assert np.array_equal(bits(y), bits(y_ref))
 
 
+def _sequential_gap(rhs, coeffs, y0, cfg) -> float:
+    end = sequential_rk4(rhs, coeffs, y0, cfg.times())[-1]
+    half_end = sequential_rk4(rhs, coeffs, y0, cfg.refined_times())[-1]
+    return float(np.max(np.abs(half_end - end)))
+
+
 @pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
-def test_lock_step_gate_reports_sequential_gap(name, driver_runs):
+def test_lock_step_gate_reports_sequential_gap(name, driver_runs, monkeypatch):
     cfg = IntegrationConfig(1.0, 0.1)
     with pytest.raises(StepTooLarge) as caught:
         EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    end = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.times())[-1]
-    half_end = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.refined_times())[-1]
-    diff = float(np.max(np.abs(half_end - end)))
+    systems = _own_systems(run, monkeypatch)
+    gaps = [_sequential_gap(*system[1:], cfg) for system in systems]
+    # the first system's gate refuses the evolution, whatever the others'
     assert str(caught.value) == \
-        f"{run.label}: halving dt changes endpoint by {diff:.3e} (> {STEP_TOL})"
+        f"{systems[0][0]}: halving dt changes endpoint by {gaps[0]:.3e} (> {STEP_TOL})"
+    if len(systems) == 1:
+        return
+    # a carried law keeps its own gap, and verify_trajectory gates it
+    assert gaps[1] > STEP_TOL
+    monkeypatch.setattr(dynamics, "STEP_TOL", gaps[0])
+    traj = EVOLUTIONS[name](cfg)
+    assert traj.law.gap == gaps[1]
+    monkeypatch.setattr(dynamics, "STEP_TOL", gaps[1] / 2)
+    with pytest.raises(StepTooLarge) as caught:
+        verify_trajectory(traj, "grassmann")
+    assert str(caught.value) == ("grassmann classical: halving dt changes endpoint by "
+                                 f"{gaps[1]:.3e} (> {gaps[1] / 2})")
 
 
 @pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
 def test_lock_step_gate_fails_closed_on_half_run_nan(name, monkeypatch):
     integrate = dynamics._integrate
 
-    def poisoned(rhs, coeffs, y0, config, label, record=None, on_step=None):
+    def poisoned(rhs, coeffs, y0, config, label, record=None, on_step=None, **kw):
         def half_run_nan(c, y):
             k = rhs(c, y)
             k[-1] = np.nan  # the last row of every call is the dt/2 run's
             return k
 
-        return integrate(half_run_nan, coeffs, y0, config, label, record, on_step)
+        return integrate(half_run_nan, coeffs, y0, config, label, record, on_step, **kw)
 
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="by nan"):
@@ -1056,6 +1102,79 @@ def test_trajectory_and_law_tabulate_one_layout(name, monkeypatch):
             _coeffs_of(evolutions[label], cfg, monkeypatch), times, fine)])
         for label in ("fermion Schrödinger", "grassmann classical"))
     assert np.array_equal(bits(trajectory), bits(law))
+
+
+def _grassmann_start(name):
+    """(spec, s0, config) of the shipped grassmann_forced scenario or of the
+    benchmark's grassmann_wide at seed 0."""
+    if name == "grassmann_forced":
+        sc = parse_scenario(ROOT / "scenarios" / "grassmann_forced.ini")
+    else:
+        inputs = _load_workload_inputs()
+        sc = parse_scenario(inputs.grassmann_wide_text(0, inputs.T_END["grassmann_wide"]["full"]))
+    return sc.hamiltonian_spec(), make_coherent(sc.initial_zeta()), sc.config
+
+
+@pytest.mark.parametrize("name", ["grassmann_forced", "grassmann_wide_0"])
+def test_carried_law_matches_its_own_integration(name):
+    spec, s0, cfg = _grassmann_start(name)
+    traj = evolve_schrodinger_fermion(spec, s0, cfg)
+    path = evolve_grassmann_classical(spec, Multivector(s0.gens, traj.lams[0]), cfg,
+                                      traj.record_indices)
+    for field in ("times", "zeta", "phi", "gap"):
+        got, want = (np.asarray(getattr(p, field)) for p in (traj.law, path))
+        assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), field
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_in_the_law_rows_leaves_the_trajectory(monkeypatch):
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    s0 = make_coherent(LOCK_G2.gen("zeta"))
+    clean = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    integrate = dynamics._integrate
+
+    def poisoned(rhs, *args, **kw):
+        def law_nan(c, y):
+            k = rhs(c, y)
+            k[:, 2:] = np.nan  # the law's rows of every call
+            return k
+
+        return integrate(law_nan, *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_integrate", poisoned)
+    traj = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    assert np.isnan(traj.law.zeta[1:]).all() and np.isnan(traj.law.gap)
+    for field in ("amplitudes", "lams", "residuals", "norm_dev"):
+        assert np.array_equal(bits(getattr(traj, field)), bits(getattr(clean, field))), field
+    with pytest.raises(StepTooLarge,
+                       match="^grassmann classical: halving dt changes endpoint by nan"):
+        verify_trajectory(traj, "grassmann")
+
+
+def test_carried_law_keeps_the_record_bound(monkeypatch):
+    # the bound counts the trajectory's 2 x 16 values per record, as it did
+    # before the law rode along
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    s0 = make_coherent(LOCK_G2.gen("zeta"))
+    values = cfg.n_records * 2 * LOCK_G2.dim
+    monkeypatch.setattr(dynamics, "MAX_STEPS", values - 2)
+    with pytest.raises(ValidationError, match="record bound"):
+        evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", values - 1)
+    traj = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    assert traj.law.zeta.shape == (cfg.n_records, LOCK_G2.dim)
+
+
+def test_law_refuses_a_wrong_kind_before_building_the_grid():
+    cfg = IntegrationConfig(1.0, 1e-7)  # 10**7 steps: the times alone take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="spec is needed"):
+            evolve_grassmann_classical(LOCK_FERMION, LOCK_G2.gen("zeta"), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _chunk_spy(monkeypatch, seen):
@@ -1269,11 +1388,11 @@ def awkward(rng, shape) -> np.ndarray:
 
 
 def _rhs_of(start, cfg, monkeypatch):
-    """The RHS and coefficient function an evolution hands the driver."""
+    """The RHS, coefficient function and start an evolution hands the driver."""
     got = []
 
-    def capture(rhs, coeffs, *args, **kw):
-        got.append((rhs, coeffs))
+    def capture(rhs, coeffs, y0, *args, **kw):
+        got.append((rhs, coeffs, y0))
         raise _Captured
 
     monkeypatch.setattr(dynamics, "_integrate", capture)
@@ -1351,12 +1470,21 @@ def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
     start, draw = _oracle_case(kind, gens)
     two_stage = two_stage_law_rhs if kind in ("law", "triple") else two_stage_fermion_rhs
     reference = two_stage(gens.n_generators)
-    rhs, _ = _rhs_of(start, IntegrationConfig(0.01, 1e-3), monkeypatch)
+    rhs, _, y0 = _rhs_of(start, IntegrationConfig(0.01, 1e-3), monkeypatch)
+    # a grassmann spec's trajectory carries its law as rows 2-3 of its state
+    assert len(y0) == (4 if kind == "grassmann" else 2)
+    law_draw, law_reference = _oracle_case("law", gens)[1], two_stage_law_rhs(gens.n_generators)
     for rows in (1, 2):
         for _ in range(20 if n_pairs < 4 else 3):
-            y = awkward(rng, (rows, 2, gens.dim))
+            y = awkward(rng, (rows, len(y0), gens.dim))
             c, dense = draw(rng, rows)
-            assert np.array_equal(bits(rhs(c, y)), bits(reference(dense, y))), rows
+            # each system's rows against its own two-stage RHS on its own rows
+            assert np.array_equal(bits(rhs(c, y)[:, :2]),
+                                  bits(reference(dense, y[:, :2].copy()))), rows
+            if kind == "grassmann":  # the law reads -eta* from the lower slot
+                c, dense = law_draw(rng, rows)
+                assert np.array_equal(bits(rhs(c, y)[:, 2:]),
+                                      bits(law_reference(dense, y[:, 2:].copy()))), rows
 
 
 @pytest.mark.parametrize("start", [
