@@ -348,7 +348,7 @@ class GrassmannPath:
 
     def gate(self) -> None:
         """Refuse (StepTooLarge) the path as its integration's gate does."""
-        _gate(LAW_LABEL, self.gap)
+        _gate(_LAW_LABEL, self.gap)
 
     def zeta_at(self, i: int) -> Multivector:
         return Multivector(self.gens, self.zeta[i])
@@ -634,12 +634,6 @@ def evolve_nu_system(spec: HamiltonianSpec,
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
 
-# (coefficient slot, state row, op, row of the sum) of the amplitude products
-# ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the
-# odd part of an amplitude passing b or b†
-_AMPLITUDE_TERMS = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
-                    (2, 0, "gi", 1))
-
 
 def evolve_schrodinger_fermion(h, s0: FermionState,
                                config: IntegrationConfig) -> Trajectory:
@@ -661,15 +655,21 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
                         (config.n_records, y0.size))
     masks = h.slot_masks(gens)
-    # A spec's coefficients are one monomial each, so each row is one sum of
-    # the plan (see kernel.bilinear); dense products keep their own sums,
-    # added after in this order.
+    # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
+    # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
+    # part of an amplitude passing b or b†. A spec's coefficients are one
+    # monomial each, so each row is one sum of the plan (see kernel.bilinear);
+    # dense products keep their own sums, added after in this order.
+    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
+             (2, 0, "gi", 1))
     fused = masks is not None
     products = tuple(
         ((1, slot, (masks[slot],) if fused else None, None), (0, row, None, op),
-         out if fused else k) for k, (slot, row, op, out) in enumerate(_AMPLITUDE_TERMS))
+         out if fused else k) for k, (slot, row, op, out) in enumerate(terms))
     law = None
-    if h.kind == "grassmann" and fused:
+    # a non-finite start carries no law, so the driver's gate refuses it, not
+    # the inverse inside the eigenvalue
+    if h.kind == "grassmann" and fused and np.isfinite(y0).all():
         zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
         if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(zeta0, masks):
             law_products, law = _grassmann_law(masks, 2)
@@ -692,7 +692,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     gaps = []
     records = _integrate(rhs, h.slot_rows, y0, config,
                          "fermion Schrödinger" if law is None
-                         else ("fermion Schrödinger", LAW_LABEL), rec_idx, gaps=gaps)
+                         else ("fermion Schrödinger", _LAW_LABEL), rec_idx, gaps=gaps)
     amplitudes = records[:, :2]
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
@@ -747,7 +747,7 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
 
 # -- grassmann classical sector -----------------------------------------------
 
-LAW_LABEL = "grassmann classical"
+_LAW_LABEL = "grassmann classical"
 
 
 def _holds_eta(zeta0: Multivector, masks) -> bool:
@@ -824,7 +824,7 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
     gaps = []
-    series = _integrate(rhs, spec.slot_rows, y0, config, LAW_LABEL, record, gaps=gaps)
+    series = _integrate(rhs, spec.slot_rows, y0, config, _LAW_LABEL, record, gaps=gaps)
     return GrassmannPath(gens, times if record is None else times[record],
                          series[:, 0], series[:, 1], gaps[0])
 

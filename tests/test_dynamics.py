@@ -950,6 +950,19 @@ def test_non_finite_initial_amplitude_fails_closed(spec, mask, value):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+@pytest.mark.parametrize("mask", [0, 3, 255])
+def test_non_finite_vacuum_amplitude_fails_closed(mask, value):
+    # the trajectory's gate refuses it, before any law it might carry
+    s0 = make_coherent(WIDE_GENS.gen("zeta"))
+    psi0 = s0.psi0.coeffs.copy()
+    psi0[mask] = value
+    s0 = FermionState(WIDE_GENS, Multivector(WIDE_GENS, psi0), s0.psi1)
+    with pytest.raises(StepTooLarge, match="^fermion Schrödinger: "):
+        evolve_schrodinger_fermion(WIDE_GRASSMANN, s0, IntegrationConfig(0.05, 1e-2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, complex(0.0, -np.inf), np.nan])
 @pytest.mark.parametrize("label", ["zeta", "zeta*", "xi"])
 def test_non_finite_law_eigenvalue_fails_closed(label, value):
