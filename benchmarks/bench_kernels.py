@@ -376,9 +376,9 @@ def bench_observer(packages: dict) -> dict:
     Each case evolves the step layers' spec and start (see _evolutions) on
     OBSERVER_GRID once and keeps its records and the gaps its driver
     reports; then the evolution runs with its driver replaced by one that
-    returns those records, all of them or the first alone, and the gaps. Reported is the difference of the two wall times per
-    extra record, so what the evolution does once (plan, coefficient
-    checks) cancels.
+    returns those records, all of them or the first alone, and the gaps.
+    Reported is the difference of the two wall times per extra record, so
+    what the evolution does once (plan, coefficient checks) cancels.
     """
     def run(dynamics, evolve, cfg, records, kept_gaps):
         integrate = dynamics._integrate
