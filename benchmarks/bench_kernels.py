@@ -12,13 +12,17 @@ stage" (microseconds per call of the evolution's own RHS on 1 and 2 rows,
 the driver's batch sizes), "one RK4 step" (four RHS stages and the update
 on one state) and "the dt vs dt/2 self-check" (one grid step of the driver:
 the dt step and the two dt/2 substeps that check it), the last two in
-microseconds of CPU time and RHS calls per grid step. A tree whose
+microseconds of CPU time and RHS calls per grid step. These two count the
+RHS calls, so they run the driver's numpy loop. A tree whose
 trajectory carries its Grassmann law integrates the law in these fermion
-Schrödinger cases too. Then "a grassmann run" at 4, 16 and 256
+Schrödinger cases too. Then "the driver's loop" for the same cases: the
+microseconds of CPU time per grid step of the driver run as the evolution
+runs it, and of its numpy loop, where a tree has a compiled loop (see
+cohstab/kernel/compiled.py). Then "a grassmann run" at 4, 16 and 256
 coefficients: the trajectory and its Grassmann law as `coherence run` makes
 them (the evolution, then verify_trajectory against the law), in
-microseconds of CPU time and RHS calls per grid step, wherever each tree
-integrates the law. Then "coefficient
+microseconds of CPU time and Python RHS calls per grid step (none where
+a compiled loop runs), wherever each tree integrates the law. Then "coefficient
 evaluation per grid step" for the boson Schrödinger evolution on 64 levels
 and the fermion Schrödinger evolution at 4, 16 and 256 coefficients: the
 wall time spent evaluating the Hamiltonian's coefficients over one
@@ -37,7 +41,8 @@ untimed pass of every case, so first-use setup is not timed; then the
 columns alternate run by run, which keeps this machine's drift in speed out
 of their comparison, and each number is the median over STEP_RUNS runs.
 The JSON holds one column per tree: "change" (this checkout) and, with
---baseline, "parent" (REV).
+--baseline, "parent" (REV), each naming the backend its kernel and RK4
+loop ran on.
 """
 
 import argparse
@@ -69,7 +74,6 @@ STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
 STEP_RUNS = 10
 RHS_CALLS = 1000
 OBSERVER_GRID = (0.2, 1e-3, 1)  # t_end, dt and stride: 201 records
-BACKEND = "numpy (cohstab/kernel/pyref.py)"
 
 
 def _alternate(cases: dict) -> dict:
@@ -277,12 +281,36 @@ def bench_steps(packages: dict) -> dict:
             for col, table in _alternate(cases).items()}
 
 
+def bench_loops(packages: dict) -> dict:
+    """The driver's loop per fermion-sector evolution and size: the CPU
+    time of this process per grid step of _integrate with the evolution's
+    own RHS ("driver": compiled where the tree can) and with that RHS
+    wrapped, which runs the numpy loop ("numpy"); and whether the driver's
+    run was compiled."""
+    def timed(integrate, cfg, rhs, one, y0, args, kw):
+        out = {}
+        for key, step in (("driver_us", rhs), ("numpy_us", lambda c, y: rhs(c, y))):
+            t0 = time.process_time()
+            integrate(step, *args, **kw)
+            out[key] = (time.process_time() - t0) / cfg.n_steps * 1e6
+        out["compiled"] = float(getattr(rhs, "program", None) is not None
+                                and rhs.program.runner() is not None)
+        return out
+
+    cases = {col: {name: functools.partial(timed, *case)
+                   for name, case in _step_cases(pkg).items()}
+             for col, pkg in packages.items()}
+    return {col: {case: _median_each(runs) for case, runs in table.items()}
+            for col, table in _alternate(cases).items()}
+
+
 def bench_grassmann_runs(packages: dict) -> dict:
     """A grassmann run per size: the fermion Schrödinger evolution of the
     step layers (see _evolutions), then verify_trajectory against the
     Grassmann law, so the law's integration counts wherever a tree makes
-    it. Reported are the CPU time of this process and the RHS calls of
-    every driver loop, per grid step."""
+    it. Reported are the CPU time of this process and the Python RHS calls
+    of every driver loop, per grid step. The counted RHS keeps the RHS's
+    compiled program, so the driver runs the loop it would run unwatched."""
     n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
 
     def timed(dynamics, verify, evolve):
@@ -293,6 +321,8 @@ def bench_grassmann_runs(packages: dict) -> dict:
                 count[0] += 1
                 return rhs(*a)
 
+            if hasattr(rhs, "program"):
+                counted.program = rhs.program
             return integrate(counted, *args, **kw)
 
         dynamics._integrate = counting
@@ -497,6 +527,17 @@ def _packages(tmp: Path, rev: str | None) -> dict:
     return {col: f"cohstab_{col}" for col in trees}
 
 
+def _backend(package: str) -> str:
+    """The graded-product kernel and the RK4 loop of fermion and Grassmann
+    specs that `package` runs on."""
+    kernel = "numpy kernel (cohstab/kernel/pyref.py)"
+    try:
+        compiled = _module(package, "kernel.compiled")
+    except ImportError:
+        return f"{kernel}, numpy RK4 loop"
+    return f"{kernel}, RK4 loop of fermion and Grassmann specs: {compiled.status()}"
+
+
 def _print_column(name: str, data: dict) -> None:
     print(f"[{name}] {data['source']}, backend: {data['backend']}")
     table = data["us_per_product"]
@@ -512,6 +553,10 @@ def _print_column(name: str, data: dict) -> None:
         print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
               f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
               f"{row['self_check_step_us']:9.1f} us ({row['self_check_step_rhs_calls']:g})")
+    for case, row in data["loops"].items():
+        print(f"  {case:<26} driver loop per grid step {row['driver_us']:9.1f} us "
+              f"({'compiled' if row['compiled'] else 'numpy'}), numpy loop "
+              f"{row['numpy_us']:9.1f} us")
     for case, row in data["grassmann_runs"].items():
         print(f"  {case:<26} grassmann run per grid step {row['step_us']:9.1f} us "
               f"({row['rhs_calls_per_step']:g} RHS calls)")
@@ -548,15 +593,17 @@ def main() -> None:
                 "us_per_product": bench_products(packages),
                 "rhs_stage_us": bench_rhs(packages),
                 "steps": bench_steps(packages),
+                "loops": bench_loops(packages),
                 "grassmann_runs": bench_grassmann_runs(packages),
                 "coefficients": bench_coefficients(packages),
                 "observer_us_per_record": bench_observer(packages),
                 "evolution_s": bench_evolution(packages),
                 "scenarios": bench_scenarios(packages),
             }
+            backends = {col: _backend(pkg) for col, pkg in packages.items()}
         finally:
             sys.path.remove(str(Path(tmp) / "pkgs"))
-    columns = {col: {"source": sources[col], "backend": BACKEND,
+    columns = {col: {"source": sources[col], "backend": backends[col],
                      **{key: layer[col] for key, layer in layers.items()}}
                for col in packages}
     for col, data in columns.items():

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .boson import DEFAULT_NMAX, make_coherent_boson
 from .coherence import classify_hamiltonian, verify_trajectory
 from .dynamics import (
@@ -158,6 +159,8 @@ def _cmd_selftest(_args) -> int:
             print(f"FAIL - {name}: {exc}")
         else:
             print(f"ok   - {name}")
+    # the fermion law above ran through the driver's loop for spec plans
+    print(f"RK4 loop of fermion and Grassmann specs: {kernel.compiled.status()}")
     if failures:
         print(f"{failures} self-test(s) failed")
         return 2

@@ -10,7 +10,9 @@ the driver tabulates it once per chunk of grid steps on the distinct stage
 times, bit-identical to evaluating it at each time alone. A state may stack
 systems whose rows never mix, each with its own endpoint gap: a grassmann
 spec's trajectory carries its Grassmann law in its own driver loop, one
-plan per stage serving both.
+plan per stage serving both. For a spec's fused plans that loop runs in
+compiled C (kernel/rk4.c), a chunk of grid steps per call; the numpy loop
+stays as its oracle and fallback.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -464,6 +466,12 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     the length of the dt/2 run's chain of stages. Each row's arithmetic is
     that of a run on its own, so both runs are bit-identical to sequential
     ones.
+
+    An RHS that carries a `program` (a kernel.compiled.Program: one fused
+    plan and its post-ops) runs in compiled C instead, one call per chunk
+    of the coefficient table, with the same arithmetic bit for bit, unless
+    `on_step` is given or no library could be loaded. An RHS a caller
+    wraps carries none, so the wrapper runs in the numpy loop.
     """
     if record is not None:
         record = np.asarray(record)
@@ -477,9 +485,11 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
                    np.size(y0) // len(labels))
     times = config.times()
     fine = config.refined_times()
-    keep = range(times.size) if record is None else record.tolist()
-    slots = {i: k for k, i in enumerate(keep)}
-    records = np.empty((len(slots),) + np.shape(y0), dtype=np.complex128)
+    keep = np.arange(times.size) if record is None else record.astype(np.int64)
+    records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
+    program = getattr(rhs, "program", None)
+    run_chunk = None if program is None or on_step is not None else program.runner()
+    slots = dict(zip(keep.tolist(), range(len(keep))))
 
     def observe(i, y):
         if on_step is not None:
@@ -492,12 +502,18 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     observe(0, pair[0])
     i = 0
     for table, dts in _coeff_tables(coeffs, times, fine):
-        for c, dt in zip(table, dts):  # columns as _stage_times orders them
-            pair = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
-            pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
-            i += 1
-            observe(i, pair[0])
-        del table, c  # frees this chunk's table before the next is built
+        if run_chunk is not None:  # grid steps i + 1 .. i + len(dts) in one call
+            lo, hi = np.searchsorted(keep, (i + 1, i + len(dts) + 1))
+            run_chunk(table, dts, pair, keep[lo:hi] - i, records[lo:hi])
+            i += len(dts)
+        else:
+            for c, dt in zip(table, dts):  # columns as _stage_times orders them
+                pair = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
+                pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
+                i += 1
+                observe(i, pair[0])
+            del c  # a view of the table
+        del table  # frees this chunk's table before the next is built
 
     ends = pair.reshape(2, len(labels), -1)  # each run's endpoint, a row per system
     diffs = [float(np.max(np.abs(half - end))) for end, half in zip(*ends)]
@@ -688,6 +704,9 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
             law(c, y, out)
         return out
 
+    if fused:  # the driver may run it all in C (see _integrate)
+        rhs.program = kernel.compiled.Program(
+            plan, 2, None if law is None else (2, masks[2], masks[0]))
     rec_idx = config.record_indices()
     gaps = []
     records = _integrate(rhs, h.slot_rows, y0, config,
@@ -821,6 +840,9 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
         out = kernel.bilinear(plan, y, c)
         law(c, y, out)
         return out[:, :2]
+
+    if fused:  # the driver may run it all in C (see _integrate)
+        rhs.program = kernel.compiled.Program(plan, 0, (0, masks[2], masks[0]))
 
     y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
     gaps = []

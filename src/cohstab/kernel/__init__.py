@@ -1,14 +1,16 @@
 """Graded-product kernel: one batched numpy implementation (see pyref).
 
 Products run the table-driven scatter-add of tables.mul_table in table
-order, so results are bit-identical whatever the batch size.
+order, so results are bit-identical whatever the batch size. The RK4
+driver runs a fused plan's whole loop in compiled C where it can (see
+compiled and rk4.c), with the same arithmetic.
 """
 
 import threading
 
 import numpy as np
 
-from . import pyref, tables
+from . import compiled, pyref, tables
 
 #: Byte budget of one block of work: of rows in multiply, of grid steps in
 #: the RK4 driver's coefficient tables, of grid times in invariant_residual.

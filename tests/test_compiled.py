@@ -1,0 +1,368 @@
+"""The driver's compiled RK4 loop (kernel/rk4.c) against its numpy loop."""
+
+import math
+import os
+import platform
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_dynamics import LOCK_FORCING, LOCK_G2, LOCK_GRASSMANN, awkward, bits
+
+from cohstab import dynamics, kernel
+from cohstab.cli import main
+from cohstab.coeffs import const_fn, cos_fn
+from cohstab.coherence import verify_trajectory
+from cohstab.dynamics import (
+    HamiltonianSpec,
+    IntegrationConfig,
+    evolve_grassmann_classical,
+    evolve_schrodinger_fermion,
+)
+from cohstab.errors import StepTooLarge
+from cohstab.fermion import FermionState, make_coherent
+from cohstab.grassmann import GeneratorSet, Multivector
+from cohstab.kernel import compiled
+
+ROOT = Path(__file__).resolve().parent.parent
+FERMION_SCENARIOS = ("free_fermion", "forced_fermion", "grassmann_forced")
+HAS_COMPILER = shutil.which(compiled.COMPILER) is not None
+NUMPY_LOOP = "the numpy loop, chosen by a test"  # a reason, as compiled._chosen holds it
+
+
+class _Captured(Exception):
+    pass
+
+
+def _driver_call(start, cfg):
+    """The (rhs, coeffs, y0, config, label, record) an evolution hands the
+    driver, which is not run."""
+    integrate, got = dynamics._integrate, []
+
+    def capture(*args, **kw):
+        got.append(args)
+        raise _Captured
+
+    dynamics._integrate = capture
+    try:
+        start(cfg)
+    except _Captured:
+        pass
+    finally:
+        dynamics._integrate = integrate
+    return got[0]
+
+
+def _start(kind, n_pairs):
+    """An evolution over n_pairs generator pairs, eta first, whose RHS is a
+    fused plan: a fermion spec's trajectory, a grassmann spec's trajectory
+    carrying its law, or the standalone law."""
+    gens = GeneratorSet.from_pairs(("eta", "zeta", "chi", "xi")[:n_pairs])
+    spec = HamiltonianSpec("grassmann", const_fn(1.0) + cos_fn(0.2, 2.0), LOCK_FORCING,
+                           const_fn(0.1), gens=gens, eta_generator="eta")
+    if kind == "fermion":
+        spec = HamiltonianSpec("fermion", const_fn(1.0), LOCK_FORCING, const_fn(0.1))
+    if kind == "law":
+        return lambda cfg: evolve_grassmann_classical(spec, gens.zero(), cfg)
+    # eta*, not eta, so that a grassmann trajectory carries its law
+    return lambda cfg: evolve_schrodinger_fermion(spec, make_coherent(gens.gen("eta*")), cfg)
+
+
+def _awkward_rows(omega_real: bool):
+    """Coefficient rows drawn by awkward(), the same at the same times."""
+    def coeffs(ts):
+        rows = awkward(np.random.default_rng(bits(ts).tolist()), (len(ts), 4))
+        if omega_real:
+            rows[:, 3].imag = 0.0
+        return rows
+
+    return coeffs
+
+
+def lock_step_mismatches(kind, n_pairs, omega_real, seed=0) -> int:
+    """Raw bits in which the compiled and numpy loops disagree on one
+    awkward evolution: its records at every grid point and its gaps. Needs
+    a STEP_TOL the awkward gaps pass."""
+    cfg = IntegrationConfig(0.05, 1e-2)
+    rhs, _, y0, _, label, _ = _driver_call(_start(kind, n_pairs), cfg)
+    assert hasattr(rhs, "program")
+    y0 = awkward(np.random.default_rng(seed), np.shape(y0))
+    coeffs = _awkward_rows(omega_real)
+    runs = []
+    for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
+        gaps = []
+        runs.append((dynamics._integrate(step, coeffs, y0, cfg, label, gaps=gaps),
+                     np.array(gaps)))
+    (a, a_gaps), (b, b_gaps) = runs
+    return int(np.sum(bits(a) != bits(b)) + np.sum(bits(a_gaps) != bits(b_gaps)))
+
+
+@pytest.fixture
+def bilinear_calls(monkeypatch):
+    """The kernel.bilinear calls of the test: the numpy loop makes them,
+    the compiled one none."""
+    calls = []
+    bilinear = kernel.bilinear
+    monkeypatch.setattr(kernel, "bilinear", lambda *a: (calls.append(1), bilinear(*a))[1])
+    return calls
+
+
+ORACLE_CASES = [(kind, n_pairs, omega_real) for kind in ("fermion", "grassmann", "law")
+                for n_pairs in (1, 2, 4) for omega_real in (True, False)]
+
+
+@pytest.mark.parametrize("kind, n_pairs, omega_real", ORACLE_CASES, ids=[
+    f"{kind}_c{4 ** n}_{'real' if real else 'complex'}_omega"
+    for kind, n, real in ORACLE_CASES])
+def test_compiled_loop_matches_numpy_loop_bitwise(kind, n_pairs, omega_real,
+                                                  bilinear_calls, monkeypatch):
+    monkeypatch.setattr(dynamics, "STEP_TOL", math.inf)
+    for seed in range(3 if n_pairs < 4 else 1):
+        assert lock_step_mismatches(kind, n_pairs, omega_real, seed) == 0
+    # with a compiler the program ran in C: only the numpy runs made plan calls
+    numpy_runs = (3 if n_pairs < 4 else 1) * 5 * 8
+    assert len(bilinear_calls) == (numpy_runs if HAS_COMPILER else 2 * numpy_runs)
+
+
+def test_compiled_loop_matches_numpy_loop_without_avx_loops():
+    # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
+    # fused: with the latter off, the library must pick its plain spelling
+    off = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+    dispatch = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in off if f in dispatch),
+               PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
+    code = ("import math\nfrom cohstab import dynamics\nfrom cohstab.kernel import compiled\n"
+            "import test_compiled as t\ndynamics.STEP_TOL = math.inf\n"
+            "print(t.lock_step_mismatches('grassmann', 2, False))\n"
+            "print(compiled.status())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mismatches, status = proc.stdout.splitlines()
+    assert mismatches == "0"
+    if not HAS_COMPILER:
+        assert status.startswith("numpy loop")
+    elif platform.machine() in ("x86_64", "AMD64"):
+        assert status.endswith("plain complex-multiply spelling")
+
+
+def test_compiled_records_across_chunks_match_numpy_loop(monkeypatch):
+    # 3 grid steps per chunk (a table row is 4 complex values); records every
+    # 3rd step, or at grid points that skip the start, fall on chunk edges
+    # and inside chunks
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    zeta = LOCK_G2.gen("zeta")
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * 4 * 16)
+
+    def runs():
+        traj = evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(zeta), cfg)
+        law = evolve_grassmann_classical(LOCK_GRASSMANN, zeta, cfg, np.array([2, 3, 17, 30]))
+        return [traj.amplitudes, *(getattr(path, field) for path in (traj.law, law)
+                                   for field in ("zeta", "phi", "gap"))]
+
+    fast = runs()
+    monkeypatch.setattr(compiled, "_chosen", NUMPY_LOOP)
+    for got, want in zip(fast, runs(), strict=True):
+        assert np.array_equal(bits(np.asarray(got)), bits(np.asarray(want)))
+
+
+# -- gates through the compiled loop -----------------------------------------
+
+
+def _refusal(start) -> str:
+    with pytest.raises(StepTooLarge) as caught:
+        start()
+    return str(caught.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", [0, 1])
+def test_nan_start_is_refused_as_by_the_numpy_loop(row, bilinear_calls, monkeypatch):
+    s0 = make_coherent(LOCK_G2.gen("zeta"))
+    amps = [s0.psi0.coeffs.copy(), s0.psi1.coeffs.copy()]
+    amps[row][3] = np.nan
+    s0 = FermionState(LOCK_G2, *(Multivector(LOCK_G2, a) for a in amps))
+    cfg = IntegrationConfig(0.05, 1e-2)
+    fast = _refusal(lambda: evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg))
+    assert not bilinear_calls or not HAS_COMPILER
+    monkeypatch.setattr(compiled, "_chosen", NUMPY_LOOP)
+    slow = _refusal(lambda: evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg))
+    assert fast == slow == "fermion Schrödinger: halving dt changes endpoint by nan (> 1e-08)"
+
+
+@pytest.mark.parametrize("start", [
+    lambda cfg: evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")),
+                                           cfg),
+    lambda cfg: evolve_grassmann_classical(LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
+], ids=["trajectory", "law"])
+def test_large_dt_is_refused_as_by_the_numpy_loop(start, monkeypatch):
+    cfg = IntegrationConfig(1.0, 0.1)
+    fast = _refusal(lambda: start(cfg))
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(compiled, "_chosen", NUMPY_LOOP)
+        slow = _refusal(lambda: start(cfg))
+    assert fast == slow and "halving dt changes endpoint by" in fast
+
+
+def test_carried_law_gap_reaches_its_path_as_in_the_numpy_loop(monkeypatch):
+    cfg = IntegrationConfig(1.0, 0.1)
+    s0 = make_coherent(LOCK_G2.gen("zeta"))
+    monkeypatch.setattr(dynamics, "STEP_TOL", 1.0)  # the trajectory passes
+    fast = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(compiled, "_chosen", NUMPY_LOOP)
+        slow = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
+    assert bits(np.array(fast.law.gap)) == bits(np.array(slow.law.gap))
+    monkeypatch.setattr(dynamics, "STEP_TOL", fast.law.gap / 2)
+    messages = {_refusal(lambda: verify_trajectory(traj, "grassmann")) for traj in (fast, slow)}
+    assert messages == {f"grassmann classical: halving dt changes endpoint by "
+                        f"{fast.law.gap:.3e} (> {fast.law.gap / 2})"}
+
+
+# -- fallback and build hygiene ------------------------------------------------
+
+
+def _golden_runs(tmp_path, names=FERMION_SCENARIOS) -> dict:
+    """Whether `coherence run` writes each scenario's golden files byte for byte."""
+    same = {}
+    for name in names:
+        out = tmp_path / name
+        assert main(["run", str(ROOT / "scenarios" / f"{name}.ini"), "--out", str(out)]) == 0
+        for produced in sorted(out.glob("*.csv")):
+            same[produced.name] = (produced.read_bytes()
+                                   == (ROOT / "tests" / "golden" / produced.name).read_bytes())
+    return same
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """An empty library cache, and no library loaded yet."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(compiled, "CACHE", cache)
+    monkeypatch.setattr(compiled, "_chosen", None)
+    return cache
+
+
+def test_missing_compiler_runs_numpy_loop_with_identical_goldens(fresh_cache, tmp_path,
+                                                                 bilinear_calls, monkeypatch):
+    monkeypatch.setattr(compiled, "COMPILER", "no-such-cc-for-cohstab")
+    same = _golden_runs(tmp_path)
+    assert len(same) == 6 and all(same.values()), same
+    assert bilinear_calls  # the numpy loop ran
+    assert compiled.status() == ("numpy loop: no compiled library (no C compiler "
+                                 "'no-such-cc-for-cohstab' on PATH)")
+    assert not fresh_cache.exists()
+
+
+def test_failed_build_runs_numpy_loop_quietly(fresh_cache, tmp_path, capfd, monkeypatch):
+    broken = tmp_path / "rk4.c"
+    broken.write_text(compiled.SOURCE.read_text() + "\nthis is not C;\n")
+    monkeypatch.setattr(compiled, "SOURCE", broken)
+    status = compiled.status()
+    out, err = capfd.readouterr()
+    assert out == err == ""  # the compiler's complaints stay captured
+    assert status.startswith("numpy loop: no compiled library")
+    if HAS_COMPILER:
+        assert f"{compiled.COMPILER} exited" in status
+        assert list(fresh_cache.iterdir()) == []  # no temp file is left
+    same = _golden_runs(tmp_path, ("grassmann_forced",))
+    assert len(same) == 2 and all(same.values()), same
+
+
+def test_build_timeout_runs_numpy_loop(fresh_cache, monkeypatch):
+    monkeypatch.setattr(compiled, "BUILD_TIMEOUT", 1e-6)
+    assert compiled.status().startswith("numpy loop: no compiled library")
+    assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []
+
+
+def test_cache_holds_one_library_per_source_hash(fresh_cache, capfd, monkeypatch):
+    fresh_cache.mkdir()
+    (fresh_cache / "rk4-0000000000000000.so").write_bytes(b"a library of an older source")
+    status = compiled.status()
+    out, err = capfd.readouterr()
+    assert out == err == ""
+    if not HAS_COMPILER:
+        assert status.startswith("numpy loop")
+        return
+    assert status.startswith("compiled C loop (rk4.c), ")
+    (lib,) = fresh_cache.iterdir()  # the stale library is gone, no temp file left
+    assert lib.name.startswith("rk4-") and lib.suffix == ".so"
+    built = lib.stat().st_mtime_ns
+    # a cached library loads without a compiler, and is not rebuilt
+    monkeypatch.setattr(compiled, "_chosen", None)
+    monkeypatch.setattr(compiled, "COMPILER", "no-such-cc-for-cohstab")
+    assert compiled.status() == status
+    assert list(fresh_cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built
+
+
+def test_spelling_probe_tells_the_spellings_apart():
+    if not HAS_COMPILER:
+        assert compiled.status().startswith("numpy loop")
+        return
+    import ctypes
+
+    lib = ctypes.CDLL(str(compiled._build()))
+    a, b = compiled._spelling_probe()
+    got = {}
+    for spelling in ("plain", "fma") if lib.cohstab_has_fma() else ("plain",):
+        out = np.empty_like(a)
+        getattr(lib, f"cohstab_cmul_{spelling}")(ctypes.c_int64(len(a)), *(
+            ctypes.c_void_p(x.ctypes.data) for x in (a, b, out)))
+        got[spelling] = bits(out)
+    if len(got) == 2:
+        assert not np.array_equal(got["plain"], got["fma"])
+    assert any(np.array_equal(g, bits(a * b)) for g in got.values())
+
+
+def _runner():
+    rhs = _driver_call(_start("grassmann", 2), IntegrationConfig(0.05, 1e-2))[0]
+    return rhs.program.runner(), rhs.program
+
+
+def test_runner_checks_every_array_before_the_call():
+    run, program = _runner()
+    if run is None:
+        assert not HAS_COMPILER
+        return
+    state = (program.rows, program.dim)
+    good = dict(table=np.zeros((3, 8, 4), complex), dts=np.full((3, 3), 0.01),
+                pair=np.zeros((2,) + state, complex), rec_step=np.array([1, 3]),
+                rec_out=np.zeros((2,) + state, complex))
+    run(**good)
+    bad = {
+        "table": [np.zeros((3, 8, 4), np.complex64), np.zeros((3, 8, 5), complex),
+                  np.zeros((3, 8, 8), complex)[:, :, ::2], np.zeros((2, 8, 4), complex)],
+        "dts": [np.full((3, 3), 1, np.int64), np.full((3, 2), 0.01),
+                np.full((3, 6), 0.01)[:, ::2]],
+        "pair": [np.zeros((2,) + state, np.float64), np.zeros((1,) + state, complex),
+                 np.zeros((2, program.rows, 2 * program.dim), complex)[..., ::2]],
+        "rec_step": [np.array([1, 3], np.int32), np.array([[1, 3]]), [1, 3]],
+        "rec_out": [np.zeros((3,) + state, complex), np.zeros((2,) + state, np.complex64)],
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                run(**{**good, name: value})
+    frozen = good["pair"].copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        run(**{**good, "pair": frozen})
+
+
+def test_program_refuses_a_dense_plan():
+    plan = kernel.bilinear_plan(2, (((1, 0, None, None), (0, 0, None, None), 0),),
+                                ((1, 4), (4, 4), (1, 4)))
+    with pytest.raises(ValueError, match="not one rk4.c can run"):
+        compiled.Program(plan, 1)
+
+
+def test_selftest_names_the_loop(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines if line.startswith("RK4 loop")]
+    assert line.endswith(compiled.status())
+    if HAS_COMPILER:
+        assert "compiled C loop" in line
