@@ -7,8 +7,8 @@ Usage:
 Measures, on the numpy kernel, microseconds per graded product at 2, 4 and
 8 generators in batches of 1, 2 and 5 rows, one kernel.multiply call per
 batch. Then three layers of the RK4 driver, for the fermion Schrödinger
-evolution and the Grassmann law at 4, 16 and 256 coefficients: "one RHS
-stage" (microseconds per call of the evolution's own RHS on 1 and 2 rows,
+evolution and the Grassmann law at 4, 16 and 256 coefficients and the boson
+Schrödinger evolution on 64 levels: "one RHS stage" (microseconds per call of the evolution's own RHS on 1 and 2 rows,
 the driver's batch sizes), "one RK4 step" (four RHS stages and the update
 on one state) and "the dt vs dt/2 self-check" (one grid step of the driver:
 the dt step and the two dt/2 substeps that check it), the last two in
@@ -42,7 +42,7 @@ columns alternate run by run, which keeps this machine's drift in speed out
 of their comparison, and each number is the median over STEP_RUNS runs.
 The JSON holds one column per tree: "change" (this checkout) and, with
 --baseline, "parent" (REV), each naming the backend its kernel and RK4
-loop ran on.
+loops ran on.
 """
 
 import argparse
@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = ("free_fermion", "forced_fermion", "grassmann_forced")
+SCENARIOS = ("free_fermion", "forced_fermion", "grassmann_forced", "boson_forced")
 N_GENS = (2, 4, 8)
 BATCHES = (1, 2, 5)
 PRODUCT_CALLS = 2000  # per timed block at 2 and 4 generators, a tenth at 8
@@ -197,35 +197,36 @@ def _evolutions(package: str) -> dict:
     return out
 
 
+def _driver_args(dynamics, evolve):
+    """(rhs, args, kw) of the first _integrate call that evolve() makes,
+    which runs as usual."""
+    integrate, captured = dynamics._integrate, []
+
+    def capture(rhs, *args, **kw):
+        captured.append((rhs, args, kw))
+        return integrate(rhs, *args, **kw)
+
+    dynamics._integrate = capture
+    try:
+        evolve()
+    finally:
+        dynamics._integrate = integrate
+    return captured[0]
+
+
 def _step_cases(package: str) -> dict:
-    """Per fermion-sector evolution and size: `package`'s _integrate, the
-    grid, the RHS, the RHS on one state, the start, and the arguments that
-    the evolution passes to _integrate after the RHS."""
+    """Per evolution and size: `package`'s _integrate, the grid, the RHS,
+    the RHS on one state, the start, and the arguments that the evolution
+    passes to _integrate after the RHS."""
     dynamics = _module(package, "dynamics")
-    integrate = dynamics._integrate
     cfg = dynamics.IntegrationConfig(*STEP_GRID)
     cases = {}
     for name, evolve in _evolutions(package).items():
-        if name.startswith("boson"):
-            continue
-        captured = []
-
-        def capture(rhs, *args, **kw):
-            captured.append((rhs, args, kw))
-            return integrate(rhs, *args, **kw)
-
-        dynamics._integrate = capture
-        try:
-            evolve()
-        finally:
-            dynamics._integrate = integrate
-        rhs, args, kw = captured[0]
+        rhs, args, kw = _driver_args(dynamics, evolve)
         coeffs, y0 = args[0], args[1]
-        cases[name] = (integrate, cfg, rhs, _one_row(rhs, coeffs, cfg.times()), y0,
+        cases[name] = (dynamics._integrate, cfg, rhs, _one_row(rhs, coeffs, cfg.times()), y0,
                        args, kw)
     return cases
-
-
 
 
 def bench_rhs(packages: dict) -> dict:
@@ -282,7 +283,7 @@ def bench_steps(packages: dict) -> dict:
 
 
 def bench_loops(packages: dict) -> dict:
-    """The driver's loop per fermion-sector evolution and size: the CPU
+    """The driver's loop per evolution and size: the CPU
     time of this process per grid step of _integrate with the evolution's
     own RHS ("driver": compiled where the tree can) and with that RHS
     wrapped, which runs the numpy loop ("numpy"); and whether the driver's
@@ -528,14 +529,18 @@ def _packages(tmp: Path, rev: str | None) -> dict:
 
 
 def _backend(package: str) -> str:
-    """The graded-product kernel and the RK4 loop of fermion and Grassmann
-    specs that `package` runs on."""
+    """The graded-product kernel and the RK4 loops of fermion and Grassmann
+    specs and of the boson Schrödinger evolution that `package` runs on."""
     kernel = "numpy kernel (cohstab/kernel/pyref.py)"
     try:
         compiled = _module(package, "kernel.compiled")
     except ImportError:
         return f"{kernel}, numpy RK4 loop"
-    return f"{kernel}, RK4 loop of fermion and Grassmann specs: {compiled.status()}"
+    boson, _, _ = _driver_args(_module(package, "dynamics"),
+                               _evolutions(package)["boson_schrodinger_l64"])
+    boson_loop = compiled.status() if hasattr(boson, "program") else "numpy loop"
+    return (f"{kernel}, RK4 loop of fermion and Grassmann specs: {compiled.status()}; "
+            f"of the boson Schrödinger evolution: {boson_loop}")
 
 
 def _print_column(name: str, data: dict) -> None:

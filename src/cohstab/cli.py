@@ -36,25 +36,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+#: Values per block of trajectory CSV text.
+CSV_BLOCK_VALUES = 4096
+
+
 def _trajectory_rows(traj: Trajectory):
-    """Header and rows of a trajectory CSV: t, the re and im parts of each
+    """Header and text of a trajectory CSV: t, the re and im parts of each
     eigenvalue coefficient (nan where a record has none), residual and
-    norm_dev, each written as repr of its float, one row at a time."""
+    norm_dev, each written as repr of its float, comma-separated, one
+    string per block of rows. These are the bytes csv.writer writes for
+    them: no float's repr needs quoting."""
     labels = (["z"] if traj.kind == "boson"
               else [traj.gens.monomial_label(mask) for mask in range(traj.gens.dim)])
     header = (["t"] + [f"{part}[{label}]" for label in labels for part in ("re", "im")]
               + ["residual", "norm_dev"])
     table = np.column_stack((traj.times, traj.lams.view(np.float64),
                              traj.residuals, traj.norm_dev))
-    return header, (list(map(repr, row.tolist())) for row in table)
+    row = ",".join(["%r"] * len(header)) + "\n"
+    step = max(1, CSV_BLOCK_VALUES // len(header))
+    return header, ((row * len(block)) % tuple(block.ravel().tolist())
+                    for block in (table[a:a + step] for a in range(0, len(table), step)))
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows=(), text=()) -> None:
+    """The header and `rows` through csv.writer, then the strings of `text`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
 def _resolve_out(out_dir: str | None, out_path: str) -> Path:
@@ -86,8 +97,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
         return 3
 
     out_path = _resolve_out(out_dir, scenario.out_path)
-    header, rows = _trajectory_rows(traj)
-    _write_csv(out_path, header, rows)
+    header, text = _trajectory_rows(traj)
+    _write_csv(out_path, header, text=text)
 
     if scenario.expect == "non_preserving":
         ok = classification.verdict == "non_preserving" and bool(classification.agrees)
@@ -160,7 +171,8 @@ def _cmd_selftest(_args) -> int:
         else:
             print(f"ok   - {name}")
     # the fermion law above ran through the driver's loop for spec plans
-    print(f"RK4 loop of fermion and Grassmann specs: {kernel.compiled.status()}")
+    print("RK4 loop of fermion and Grassmann specs and of the boson Schrödinger "
+          f"evolution: {kernel.compiled.status()}")
     if failures:
         print(f"{failures} self-test(s) failed")
         return 2

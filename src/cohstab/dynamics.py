@@ -10,9 +10,11 @@ the driver tabulates it once per chunk of grid steps on the distinct stage
 times, bit-identical to evaluating it at each time alone. A state may stack
 systems whose rows never mix, each with its own endpoint gap: a grassmann
 spec's trajectory carries its Grassmann law in its own driver loop, one
-plan per stage serving both. For a spec's fused plans that loop runs in
-compiled C (kernel/rk4.c), a chunk of grid steps per call; the numpy loop
-stays as its oracle and fallback.
+plan per stage serving both. For a spec's fused plans and the boson
+Schrödinger ladder that loop runs in compiled C (kernel/rk4.c), a chunk
+of grid steps per call; the numpy loop stays as its oracle and fallback.
+A check on the states, such as the boson tail guard, sees them a block of
+grid points at a time, whichever loop runs.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -58,6 +60,9 @@ STEP_TOL = 1e-8
 
 #: Tail-mass threshold for truncated boson evolution.
 BREACH_TOL = 1e-6
+
+#: Byte budget of the block of dt-run states the RK4 driver hands its check.
+CHECK_BYTES = 64 * 1024
 
 #: Hermiticity tolerance for a spec's real coefficients and dense rows.
 HERMITIAN_TOL = 1e-12
@@ -435,7 +440,7 @@ def _gate(label: str, gap: float) -> None:
 
 
 def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
-               record=None, on_step=None, gaps=None) -> np.ndarray:
+               record=None, check=None, gaps=None) -> np.ndarray:
     """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
 
     `coeffs(ts)` evaluates the evolution's coefficients at a 1-D array of
@@ -449,10 +454,13 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     default) along a new leading axis. Before anything is allocated it
     refuses (ValidationError) a `record` that is not strictly increasing
     integers in 0..n_steps, and records _check_records refuses.
-    `on_step(t, y)` sees every grid point of the dt run, the start
-    included. The dt/2 run keeps only its endpoint; unless that lies within
-    STEP_TOL of the dt endpoint (NaN never does) the evolution is refused
-    with StepTooLarge.
+    `check(ts, states)` sees every grid point of the dt run a block at a
+    time: first the start on its own, then each chunk's grid steps in
+    blocks of as many states as fit CHECK_BYTES, with their times, in a
+    buffer that the next block reuses. The
+    dt/2 run keeps only its endpoint; unless that lies within STEP_TOL of
+    the dt endpoint (NaN never does) the evolution is refused with
+    StepTooLarge.
 
     `label` names the system, or is a tuple of labels of systems stacked
     in equal parts along y0's leading axis, whose rows the rhs keeps apart.
@@ -468,10 +476,11 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     ones.
 
     An RHS that carries a `program` (a kernel.compiled.Program: one fused
-    plan and its post-ops) runs in compiled C instead, one call per chunk
-    of the coefficient table, with the same arithmetic bit for bit, unless
-    `on_step` is given or no library could be loaded. An RHS a caller
-    wraps carries none, so the wrapper runs in the numpy loop.
+    plan and its post-ops, or the boson ladder) runs in compiled C instead,
+    one call per chunk of the coefficient table, or per check block, with
+    the same arithmetic bit for bit, unless no library could be loaded.
+    An RHS a caller wraps carries none, so the wrapper runs in the numpy
+    loop. Both loops call `check` on the same blocks.
     """
     if record is not None:
         record = np.asarray(record)
@@ -488,31 +497,32 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     keep = np.arange(times.size) if record is None else record.astype(np.int64)
     records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
     program = getattr(rhs, "program", None)
-    run_chunk = None if program is None or on_step is not None else program.runner()
-    slots = dict(zip(keep.tolist(), range(len(keep))))
-
-    def observe(i, y):
-        if on_step is not None:
-            on_step(times[i], y)
-        if i in slots:
-            records[slots[i]] = y
+    run = None if program is None else program.runner()
+    if run is None:
+        run = functools.partial(_numpy_chunk, rhs)
 
     y = np.array(y0, dtype=np.complex128)
     pair = np.stack((y, y))  # rows: the dt run, the dt/2 run
-    observe(0, pair[0])
+    if check is not None:
+        check(times[:1], pair[:1])
+        block = max(1, CHECK_BYTES // y.nbytes)
+        states = np.empty((block,) + y.shape, dtype=np.complex128)  # a block's, every step
+        every = np.arange(1, block + 1)
+    if keep.size and keep[0] == 0:
+        records[0] = y
     i = 0
     for table, dts in _coeff_tables(coeffs, times, fine):
-        if run_chunk is not None:  # grid steps i + 1 .. i + len(dts) in one call
-            lo, hi = np.searchsorted(keep, (i + 1, i + len(dts) + 1))
-            run_chunk(table, dts, pair, keep[lo:hi] - i, records[lo:hi])
-            i += len(dts)
-        else:
-            for c, dt in zip(table, dts):  # columns as _stage_times orders them
-                pair = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
-                pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
-                i += 1
-                observe(i, pair[0])
-            del c  # a view of the table
+        step = len(dts) if check is None else block
+        for a in range(0, len(dts), step):  # grid steps i + 1 .. i + n
+            n = min(step, len(dts) - a)
+            lo, hi = np.searchsorted(keep, (i + 1, i + n + 1))
+            if check is None:
+                run(table[a:a + n], dts[a:a + n], pair, keep[lo:hi] - i, records[lo:hi])
+            else:
+                run(table[a:a + n], dts[a:a + n], pair, every[:n], states[:n])
+                check(times[i + 1:i + n + 1], states[:n])
+                records[lo:hi] = states[keep[lo:hi] - i - 1]
+            i += n
         del table  # frees this chunk's table before the next is built
 
     ends = pair.reshape(2, len(labels), -1)  # each run's endpoint, a row per system
@@ -521,6 +531,20 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     if gaps is not None:
         gaps.extend(diffs)
     return records
+
+
+def _numpy_chunk(rhs, table, dts, pair, rec_step, rec_out) -> None:
+    """The numpy loop over one chunk, as a Program's runner runs it in C:
+    grid steps 1..len(dts) of the table, pair (2,) + the state's shape
+    updated in place, and pair[0] after grid step rec_step[r] copied to
+    rec_out[r]."""
+    r = 0
+    for j, (c, dt) in enumerate(zip(table, dts), 1):  # columns as _stage_times orders them
+        pair[:] = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
+        pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
+        if r < len(rec_step) and rec_step[r] == j:
+            rec_out[r] = pair[0]
+            r += 1
 
 
 def _stage_times(times: np.ndarray, fine: np.ndarray):
@@ -732,7 +756,9 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
 
 def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
                              config: IntegrationConfig) -> Trajectory:
-    """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g."""
+    """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g,
+    refused (TruncationBreach) at the first grid point whose tail mass
+    exceeds BREACH_TOL or is NaN."""
     _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
     nlev = np.arange(s0.amps.size)
     sq = np.sqrt(np.arange(1, s0.amps.size))
@@ -745,23 +771,40 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
         down[:, :-1] = sq * y[:, 1:]
         return -1j * (w * (nlev * y) + f * up + fc * down + g * y)
 
-    def tail_guard(t, y):
-        nsq = float(np.sum(np.abs(y) ** 2))
-        tail = float((np.abs(y[-1]) ** 2 + np.abs(y[-2]) ** 2) / nsq)
-        if not tail <= BREACH_TOL:
-            raise TruncationBreach(
-                f"tail mass {tail:.3e} at t={t:.6g} exceeds {BREACH_TOL}"
-            )
-
+    rhs.program = kernel.compiled.Program.ladder(sq)  # the driver may run it in C
     rec_idx = config.record_indices()
     records = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
-                         rec_idx, on_step=tail_guard)
+                         rec_idx, check=_tail_guard)
 
     norm0 = s0.norm_sq()
     lams, residuals = zip(*(eigenvalue_lsq(BosonState(y, _copy=False)) for y in records))
     norm_dev = [abs(float(np.sum(np.abs(y) ** 2)) - norm0) for y in records]
     return Trajectory("boson", config, rec_idx, records, np.array(lams)[:, None],
                       np.array(residuals), np.array(norm_dev), spec)
+
+
+def _tail_mass(states: np.ndarray) -> np.ndarray:
+    """Per state (a row of levels), the mass of its top two levels over its
+    norm squared, bit for bit as float((abs(y[-1]) ** 2 + abs(y[-2]) ** 2)
+    / np.sum(abs(y) ** 2)) per state: np.float_power squares a scalar's way
+    (pow), where an array's ** 2 multiplies, which rounds differently in
+    about one value in a thousand."""
+    mass = np.abs(states) ** 2
+    top = np.abs(states[:, -2:])
+    return ((np.float_power(top[:, 1], 2) + np.float_power(top[:, 0], 2))
+            / np.sum(mass, axis=1))
+
+
+def _tail_guard(ts: np.ndarray, states: np.ndarray) -> None:
+    """Refuse (TruncationBreach) the first of the states at times ts whose
+    tail mass exceeds BREACH_TOL; NaN does."""
+    tail = _tail_mass(states)
+    breach = np.flatnonzero(~(tail <= BREACH_TOL))
+    if breach.size:
+        k = breach[0]
+        raise TruncationBreach(
+            f"tail mass {float(tail[k]):.3e} at t={ts[k]:.6g} exceeds {BREACH_TOL}"
+        )
 
 
 # -- grassmann classical sector -----------------------------------------------

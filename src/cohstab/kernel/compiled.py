@@ -40,11 +40,11 @@ class _Program(ctypes.Structure):  # rk4.c's program
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "dim", "n_pairs")] + [
         (name, _P) for name in ("left", "right", "target", "re_sign", "im_sign")] + [
         (name, ctypes.c_int64) for name in ("turn_rows", "law_row", "eta_mask",
-                                            "delta_mask")]
+                                            "delta_mask")] + [("sq", _P)]
 
 
 _lock = threading.Lock()
-_chosen = None  # (chunk function, spelling), or why the numpy loop runs
+_chosen = None  # ({RHS kind: chunk function}, spelling), or why the numpy loop runs
 
 
 def _build() -> Path:
@@ -97,7 +97,7 @@ def _spelling_probe():
 
 
 def _load():
-    """(chunk function, spelling), or the reason there is none."""
+    """({RHS kind: chunk function}, spelling), or the reason there is none."""
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as exc:
@@ -112,11 +112,13 @@ def _load():
         getattr(lib, f"cohstab_cmul_{spelling}")(len(a), a.ctypes.data, b.ctypes.data,
                                                   got.ctypes.data)
         if np.array_equal(got.view(np.uint64), want.view(np.uint64)):
-            run = getattr(lib, f"cohstab_rk4_chunk_{spelling}")
-            run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P,
-                            ctypes.c_int64, _P, _P, _P]
-            run.restype = None
-            return run, spelling
+            runs = {"plan": getattr(lib, f"cohstab_rk4_chunk_{spelling}"),
+                    "ladder": getattr(lib, f"cohstab_rk4_ladder_{spelling}")}
+            for run in runs.values():
+                run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P,
+                                ctypes.c_int64, _P, _P, _P]
+                run.restype = None
+            return runs, spelling
     return "numpy's complex multiply matches neither compiled spelling"
 
 
@@ -138,10 +140,13 @@ def status() -> str:
 
 
 class Program:
-    """A fused plan's RHS as rk4.c runs it: the plan over a state of as many
-    rows as its out, the first `turn_rows` rows multiplied by -1j, and with
-    `law` = (row, eta mask, delta mask) the Grassmann law's post-ops on
-    rows row, row + 1. The plan's indices are checked here, once."""
+    """An RHS as rk4.c runs it, its indices and sizes checked here, once.
+
+    Program(plan, turn_rows, law) is a fused plan's: the plan over a state
+    of as many rows as its out, the first `turn_rows` rows multiplied by
+    -1j, and with `law` = (row, eta mask, delta mask) the Grassmann law's
+    post-ops on rows row, row + 1. Program.ladder(sq) is the boson
+    Schrödinger RHS."""
 
     def __init__(self, plan, turn_rows: int, law=None):
         rows, dim = plan.out_shape
@@ -156,10 +161,23 @@ class Program:
                 and all(((i >= 0) & (i < size)).all()
                         for i, size in ((left, n), (right, 4), (target, n)))):
             raise ValueError("the plan is not one rk4.c can run")
-        self.rows, self.dim = rows, dim
+        self.kind, self.state = "plan", (rows, dim)
         self.struct = _Program(rows, dim, len(left),
                                *(a.ctypes.data for a in self._arrays),
-                               turn_rows, law_row, eta_mask, delta_mask)
+                               turn_rows, law_row, eta_mask, delta_mask, None)
+
+    @classmethod
+    def ladder(cls, sq):
+        """The boson Schrödinger RHS on len(sq) + 1 levels, sq the float64
+        np.sqrt(np.arange(1, levels)) that the numpy RHS multiplies by."""
+        if not (isinstance(sq, np.ndarray) and sq.dtype == _F64 and sq.ndim == 1):
+            raise ValueError("sq is not a 1-D float64 array")
+        self = cls.__new__(cls)
+        self._arrays = (np.ascontiguousarray(sq),)  # the struct points into it
+        self.kind, self.state = "ladder", (len(sq) + 1,)
+        self.struct = _Program(1, len(sq) + 1, 0, None, None, None, None, None, 0, -1, 0, 0,
+                               self._arrays[0].ctypes.data)
+        return self
 
     def runner(self):
         """run(table, dts, pair, rec_step, rec_out) over one chunk, or None
@@ -167,16 +185,15 @@ class Program:
         chosen = _library()
         if isinstance(chosen, str):
             return None
-        fn, _ = chosen
-        state = (self.rows, self.dim)
+        fn, state = chosen[0][self.kind], self.state
         work = np.empty((5,) + state, dtype=np.complex128)
         ref = ctypes.byref(self.struct)
 
         def run(table, dts, pair, rec_step, rec_out):
             """One chunk of grid steps: table (K, 8, 4) and dts (K, 3) as
-            dynamics._coeff_tables yields them, pair (2, rows, dim) updated
-            in place, and pair[0] after grid step rec_step[r] (1..K,
-            ascending) copied to rec_out[r]."""
+            dynamics._coeff_tables yields them, pair (2,) + the state's
+            shape updated in place, and pair[0] after grid step rec_step[r]
+            (1..K, ascending) copied to rec_out[r]."""
             steps = len(dts)
             for name, a, dtype, shape in (
                     ("table", table, _C128, (steps, 8, 4)), ("dts", dts, _F64, (steps, 3)),

@@ -1,7 +1,9 @@
 """CLI behaviour: golden CSVs, exit codes, determinism."""
 
+import csv
 import dataclasses
 import importlib.util
+import io
 import pathlib
 import sys
 import tracemalloc
@@ -63,8 +65,9 @@ def test_record_without_eigenvalue_writes_nan(gens1):
         residuals=np.array([0.0, np.inf, 1e-3]), norm_dev=np.array([0.0, 0.25, -0.0]),
         gens=gens1)
     assert traj.eigenvalues[1] is None
-    header, rows = cli._trajectory_rows(traj)
-    rows = list(rows)
+    header, text = cli._trajectory_rows(traj)
+    rows = [line.split(",") for line in "".join(text).split("\n")]
+    assert rows.pop() == [""]  # every row ends in a newline
     assert header == ["t", "re[1]", "im[1]", "re[zeta]", "im[zeta]", "re[zeta*]",
                       "im[zeta*]", "re[zeta zeta*]", "im[zeta zeta*]",
                       "residual", "norm_dev"]
@@ -73,6 +76,27 @@ def test_record_without_eigenvalue_writes_nan(gens1):
     assert rows[1] == ["0.5"] + ["nan"] * 8 + ["inf", "0.25"]
     negated = ["-0.0", "-0.0"]  # signed zeros survive
     assert rows[2] == ["1.0"] + negated + ["-0.5", "-0.0"] + negated * 2 + ["0.001", "-0.0"]
+
+
+def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch):
+    # rows of 11 values, 2 to a block of text: 7 rows make 4 blocks, the last
+    # short; the values take every form repr gives a float
+    cfg = dynamics.IntegrationConfig(6.0, 1.0, stride=1)
+    rng = np.random.default_rng(5)
+    lams = rng.standard_normal((7, 2 * gens1.dim)) * 10.0 ** rng.integers(-320, 300, (7, 1))
+    lams.flat[::5] = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, 1e16, 123456.0, -1e-5, 0.1,
+                      2.0**60, -7.0][:len(lams.flat[::5])]
+    traj = dynamics.Trajectory(
+        "fermion", cfg, cfg.record_indices(), np.zeros((7, 2, gens1.dim), dtype=complex),
+        lams=lams.view(complex), residuals=rng.random(7), norm_dev=-rng.random(7), gens=gens1)
+    monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 23)
+    header, text = cli._trajectory_rows(traj)
+    blocks = list(text)
+    assert len(blocks) == 4
+    want = io.StringIO(newline="")
+    table = np.column_stack((traj.times, lams, traj.residuals, traj.norm_dev))
+    csv.writer(want, lineterminator="\n").writerows(list(map(repr, r)) for r in table.tolist())
+    assert "".join(blocks) == want.getvalue()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -7,28 +7,41 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from test_dynamics import LOCK_FORCING, LOCK_G2, LOCK_GRASSMANN, awkward, bits
+from test_dynamics import (
+    LOCK_BOSON,
+    LOCK_FORCING,
+    LOCK_G2,
+    LOCK_GRASSMANN,
+    awkward,
+    bits,
+    sequential_rk4,
+)
 
 from cohstab import dynamics, kernel
+from cohstab.boson import make_coherent_boson
 from cohstab.cli import main
 from cohstab.coeffs import const_fn, cos_fn
 from cohstab.coherence import verify_trajectory
 from cohstab.dynamics import (
+    BREACH_TOL,
     HamiltonianSpec,
     IntegrationConfig,
     evolve_grassmann_classical,
+    evolve_schrodinger_boson,
     evolve_schrodinger_fermion,
 )
-from cohstab.errors import StepTooLarge
+from cohstab.errors import StepTooLarge, TruncationBreach
 from cohstab.fermion import FermionState, make_coherent
 from cohstab.grassmann import GeneratorSet, Multivector
 from cohstab.kernel import compiled
 
 ROOT = Path(__file__).resolve().parent.parent
-FERMION_SCENARIOS = ("free_fermion", "forced_fermion", "grassmann_forced")
+SCENARIOS = tuple(path.stem for path in sorted((ROOT / "scenarios").glob("*.ini")))
+LADDER_LEVELS = (16, 32, 64)
 HAS_COMPILER = shutil.which(compiled.COMPILER) is not None
 NUMPY_LOOP = "the numpy loop, chosen by a test"  # a reason, as compiled._chosen holds it
 
@@ -100,6 +113,37 @@ def lock_step_mismatches(kind, n_pairs, omega_real, seed=0) -> int:
     return int(np.sum(bits(a) != bits(b)) + np.sum(bits(a_gaps) != bits(b_gaps)))
 
 
+def _boson_start(levels):
+    return lambda cfg: evolve_schrodinger_boson(LOCK_BOSON, make_coherent_boson(0.5, levels),
+                                                cfg)
+
+
+def ladder_mismatches(levels, omega_real, seed=0) -> int:
+    """Raw bits in which the compiled and numpy loops disagree on one
+    awkward boson evolution on `levels` levels: its records every 4th grid
+    step, the times and states of every block its check sees, and its gap.
+    Tables of 7 grid steps and check blocks of 3 states put records at the
+    edges of both and inside them. Needs a STEP_TOL the awkward gap
+    passes."""
+    cfg = IntegrationConfig(0.3, 1e-2, stride=4)
+    rhs, _, y0, _, label, record = _driver_call(_boson_start(levels), cfg)
+    assert hasattr(rhs, "program")
+    y0 = awkward(np.random.default_rng(seed), np.shape(y0))
+    coeffs = _awkward_rows(omega_real)
+    runs = []
+    with mock.patch.multiple(dynamics, TABLE_BYTES=7 * 8 * 4 * 16, CHECK_BYTES=3 * y0.nbytes):
+        for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
+            seen, gaps = [], []
+            records = dynamics._integrate(
+                step, coeffs, y0, cfg, label, record,
+                lambda ts, states: seen.extend((ts.copy(), states.copy())), gaps)
+            runs.append([records, np.array(gaps), *seen])
+    (a, b) = runs
+    # the start, then chunks of 1, 7, 7, 7, 7 and 1 grid steps in 1 + 4 * 3 + 1 blocks
+    assert len(a) == len(b) == 2 + 2 * (1 + 14)
+    return sum(int(np.sum(bits(x) != bits(y))) for x, y in zip(a, b, strict=True))
+
+
 @pytest.fixture
 def bilinear_calls(monkeypatch):
     """The kernel.bilinear calls of the test: the numpy loop makes them,
@@ -127,6 +171,24 @@ def test_compiled_loop_matches_numpy_loop_bitwise(kind, n_pairs, omega_real,
     assert len(bilinear_calls) == (numpy_runs if HAS_COMPILER else 2 * numpy_runs)
 
 
+LADDER_CASES = [(levels, omega_real) for levels in LADDER_LEVELS
+                for omega_real in (True, False)]
+
+
+@pytest.mark.parametrize("levels, omega_real", LADDER_CASES, ids=[
+    f"l{levels}_{'real' if real else 'complex'}_omega" for levels, real in LADDER_CASES])
+def test_compiled_ladder_matches_numpy_loop_bitwise(levels, omega_real, monkeypatch):
+    monkeypatch.setattr(dynamics, "STEP_TOL", math.inf)
+    numpy_chunks = []
+    numpy_chunk = dynamics._numpy_chunk
+    monkeypatch.setattr(dynamics, "_numpy_chunk",
+                        lambda *a: (numpy_chunks.append(1), numpy_chunk(*a))[1])
+    for seed in range(3):
+        assert ladder_mismatches(levels, omega_real, seed) == 0
+    # with a compiler the program ran in C: only the numpy runs took the numpy loop
+    assert len(numpy_chunks) == 3 * 14 * (1 if HAS_COMPILER else 2)
+
+
 def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
     # fused: with the latter off, the library must pick its plain spelling
@@ -137,12 +199,13 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     code = ("import math\nfrom cohstab import dynamics\nfrom cohstab.kernel import compiled\n"
             "import test_compiled as t\ndynamics.STEP_TOL = math.inf\n"
             "print(t.lock_step_mismatches('grassmann', 2, False))\n"
+            "print(t.ladder_mismatches(64, False))\n"
             "print(compiled.status())\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    mismatches, status = proc.stdout.splitlines()
-    assert mismatches == "0"
+    plan, ladder, status = proc.stdout.splitlines()
+    assert plan == ladder == "0"
     if not HAS_COMPILER:
         assert status.startswith("numpy loop")
     elif platform.machine() in ("x86_64", "AMD64"):
@@ -222,10 +285,87 @@ def test_carried_law_gap_reaches_its_path_as_in_the_numpy_loop(monkeypatch):
                         f"{fast.law.gap:.3e} (> {fast.law.gap / 2})"}
 
 
+# -- the boson tail guard, a block at a time ----------------------------------
+
+
+def _breach(start) -> str:
+    with pytest.raises(TruncationBreach) as caught:
+        start()
+    return str(caught.value)
+
+
+def _per_point_tail(y) -> float:
+    """The tail guard's formula on one state, as it ran once per grid point."""
+    nsq = float(np.sum(np.abs(y) ** 2))
+    return float((np.abs(y[-1]) ** 2 + np.abs(y[-2]) ** 2) / nsq)
+
+
+@pytest.mark.parametrize("levels", LADDER_LEVELS)
+def test_mid_block_breach_is_refused_as_by_the_numpy_loop(levels, monkeypatch):
+    spec = HamiltonianSpec("boson", const_fn(1.0), const_fn(5.0))
+    s0 = make_coherent_boson(0.5, levels)
+    cfg = IntegrationConfig(2.0, 1e-2)
+    guard, blocks = dynamics._tail_guard, []
+
+    def seen(ts, states):
+        blocks.append(ts.copy())
+        guard(ts, states)
+
+    monkeypatch.setattr(dynamics, "_tail_guard", seen)
+    fast = _breach(lambda: evolve_schrodinger_boson(spec, s0, cfg))
+    fast_blocks = blocks[:]
+    blocks.clear()
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(compiled, "_chosen", NUMPY_LOOP)
+        slow = _breach(lambda: evolve_schrodinger_boson(spec, s0, cfg))
+    # the per-point reference: a run on its own, the formula at every grid point
+    rhs, coeffs, y0, *_ = _driver_call(lambda c: evolve_schrodinger_boson(spec, s0, c), cfg)
+    tails = [_per_point_tail(y) for y in sequential_rk4(rhs, coeffs, y0, cfg.times())]
+    k = next(i for i, tail in enumerate(tails) if not tail <= BREACH_TOL)
+    t = cfg.times()[k]
+    assert fast == slow == f"tail mass {tails[k]:.3e} at t={t:.6g} exceeds {BREACH_TOL}"
+    # both loops checked the same blocks, the last of which holds the breach
+    # before its end
+    assert len(fast_blocks) == len(blocks)
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(fast_blocks, blocks))
+    assert t in fast_blocks[-1][:-1] and t not in np.concatenate(fast_blocks[:-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("levels", LADDER_LEVELS)
+def test_vectorised_tail_matches_per_point_formula(levels):
+    rng = np.random.default_rng(levels)
+    states = awkward(rng, (3000, levels)) * np.exp(rng.uniform(-320.0, 320.0, (3000, 1)))
+    states[:1000, -2:] *= 1e-4  # tails near BREACH_TOL
+    states[1000] = 0.0  # 0 / 0
+    for row, level, value in ((1001, -1, np.nan), (1002, 3, np.nan), (1003, -2, np.inf),
+                              (1004, 0, complex(0.0, -np.inf)), (1005, -1, 1e300)):
+        states[row, level] = value
+    got = dynamics._tail_mass(states)
+    want = np.array([_per_point_tail(y) for y in states])
+    assert np.array_equal(bits(got), bits(want))
+    assert np.isnan(want[1000:1004]).all() and np.isfinite(want).sum() > 2900
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tail_guard_names_the_first_failing_point():
+    states = np.zeros((6, 16), dtype=np.complex128)
+    states[:, 0] = 1.0
+    states[4, 5] = np.nan
+    states[2, -1] = 2e-3  # tail mass 4e-6
+    states[5, -2] = 1.0
+    ts = np.linspace(0.0, 0.5, 6)
+    with pytest.raises(TruncationBreach, match=r"^tail mass 4\.000e-06 at t=0\.2 exceeds"):
+        dynamics._tail_guard(ts, states)
+    with pytest.raises(TruncationBreach, match=r"^tail mass nan at t=0\.4 exceeds"):
+        dynamics._tail_guard(ts[3:], states[3:])
+    dynamics._tail_guard(ts[:2], states[:2])
+
+
 # -- fallback and build hygiene ------------------------------------------------
 
 
-def _golden_runs(tmp_path, names=FERMION_SCENARIOS) -> dict:
+def _golden_runs(tmp_path, names=SCENARIOS) -> dict:
     """Whether `coherence run` writes each scenario's golden files byte for byte."""
     same = {}
     for name in names:
@@ -250,7 +390,7 @@ def test_missing_compiler_runs_numpy_loop_with_identical_goldens(fresh_cache, tm
                                                                  bilinear_calls, monkeypatch):
     monkeypatch.setattr(compiled, "COMPILER", "no-such-cc-for-cohstab")
     same = _golden_runs(tmp_path)
-    assert len(same) == 6 and all(same.values()), same
+    assert len(same) == 8 and all(same.values()), same
     assert bilinear_calls  # the numpy loop ran
     assert compiled.status() == ("numpy loop: no compiled library (no C compiler "
                                  "'no-such-cc-for-cohstab' on PATH)")
@@ -317,17 +457,15 @@ def test_spelling_probe_tells_the_spellings_apart():
     assert any(np.array_equal(g, bits(a * b)) for g in got.values())
 
 
-def _runner():
-    rhs = _driver_call(_start("grassmann", 2), IntegrationConfig(0.05, 1e-2))[0]
-    return rhs.program.runner(), rhs.program
-
-
-def test_runner_checks_every_array_before_the_call():
-    run, program = _runner()
+@pytest.mark.parametrize("start", [_start("grassmann", 2), _boson_start(16)],
+                         ids=["plan", "ladder"])
+def test_runner_checks_every_array_before_the_call(start):
+    program = _driver_call(start, IntegrationConfig(0.05, 1e-2))[0].program
+    run = program.runner()
     if run is None:
         assert not HAS_COMPILER
         return
-    state = (program.rows, program.dim)
+    state = program.state
     good = dict(table=np.zeros((3, 8, 4), complex), dts=np.full((3, 3), 0.01),
                 pair=np.zeros((2,) + state, complex), rec_step=np.array([1, 3]),
                 rec_out=np.zeros((2,) + state, complex))
@@ -338,7 +476,7 @@ def test_runner_checks_every_array_before_the_call():
         "dts": [np.full((3, 3), 1, np.int64), np.full((3, 2), 0.01),
                 np.full((3, 6), 0.01)[:, ::2]],
         "pair": [np.zeros((2,) + state, np.float64), np.zeros((1,) + state, complex),
-                 np.zeros((2, program.rows, 2 * program.dim), complex)[..., ::2]],
+                 np.zeros((2,) + state[:-1] + (2 * state[-1],), complex)[..., ::2]],
         "rec_step": [np.array([1, 3], np.int32), np.array([[1, 3]]), [1, 3]],
         "rec_out": [np.zeros((3,) + state, complex), np.zeros((2,) + state, np.complex64)],
     }
@@ -357,6 +495,14 @@ def test_program_refuses_a_dense_plan():
                                 ((1, 4), (4, 4), (1, 4)))
     with pytest.raises(ValueError, match="not one rk4.c can run"):
         compiled.Program(plan, 1)
+
+
+@pytest.mark.parametrize("sq", [np.sqrt(np.arange(1, 16, dtype=np.float32)),
+                                np.sqrt(np.arange(1, 17)).reshape(4, 4), list(range(15))],
+                         ids=["float32", "2d", "list"])
+def test_ladder_program_refuses_a_wrong_sq(sq):
+    with pytest.raises(ValueError, match="sq is not a 1-D float64 array"):
+        compiled.Program.ladder(sq)
 
 
 def test_selftest_names_the_loop(capsys):

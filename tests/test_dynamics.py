@@ -798,7 +798,7 @@ def driver_runs(monkeypatch):
     runs = []
     integrate = dynamics._integrate
 
-    def spy(rhs, coeffs, y0, config, label, record=None, on_step=None, **kw):
+    def spy(rhs, coeffs, y0, config, label, record=None, check=None, **kw):
         run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, config=config,
                               label=label, record=record, calls=Counter(),
                               stages=[], coeff_times=[], records=None)
@@ -814,7 +814,7 @@ def driver_runs(monkeypatch):
             return coeffs(ts)
 
         run.records = integrate(counted, tabulated, y0, config, label, record,
-                                on_step, **kw)
+                                check, **kw)
         return run.records
 
     monkeypatch.setattr(dynamics, "_integrate", spy)
@@ -915,13 +915,13 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs, monkeypatch):
 def test_lock_step_gate_fails_closed_on_half_run_nan(name, monkeypatch):
     integrate = dynamics._integrate
 
-    def poisoned(rhs, coeffs, y0, config, label, record=None, on_step=None, **kw):
+    def poisoned(rhs, coeffs, y0, config, label, record=None, check=None, **kw):
         def half_run_nan(c, y):
             k = rhs(c, y)
             k[-1] = np.nan  # the last row of every call is the dt/2 run's
             return k
 
-        return integrate(half_run_nan, coeffs, y0, config, label, record, on_step, **kw)
+        return integrate(half_run_nan, coeffs, y0, config, label, record, check, **kw)
 
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="by nan"):
