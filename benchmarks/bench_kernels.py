@@ -8,10 +8,11 @@ Measures, on the numpy kernel, microseconds per graded product at 2, 4 and
 8 generators in batches of 1, 2 and 5 rows, one kernel.multiply call per
 batch. Then three layers of the RK4 driver, for the fermion Schrödinger
 evolution and the Grassmann law at 4, 16 and 256 coefficients and the boson
-Schrödinger evolution on 64 levels: "one RHS stage" (microseconds per call of the evolution's own RHS on 1 and 2 rows,
-the driver's batch sizes), "one RK4 step" (four RHS stages and the update
-on one state) and "the dt vs dt/2 self-check" (one grid step of the driver:
-the dt step and the two dt/2 substeps that check it), the last two in
+Schrödinger evolution on 64 levels: "one RHS stage" (microseconds per call
+of the evolution's own RHS on 1 and 2 rows, the driver's batch sizes), "one
+RK4 step" (four RHS stages and the update on one state) and "the dt vs dt/2
+self-check" (one grid step of the driver: the dt step and the two dt/2
+substeps that check it), the last two in
 microseconds of CPU time and RHS calls per grid step. These two count the
 RHS calls, so they run the driver's numpy loop. A tree whose
 trajectory carries its Grassmann law integrates the law in these fermion
@@ -31,7 +32,7 @@ observer" of the fermion Schrödinger evolution at 4, 16 and 256
 coefficients: microseconds per record of what the evolution computes from
 its records (<psi|psi> and norm_dev, the eigenvalue and its residual).
 Then the wall time of a coherent-state evolution (the criterion-3 shape)
-and of each shipped scenario, run as `coherence run` runs it, with a byte
+and of each file in scenarios/, run as `coherence run` runs it, with a byte
 check of its trajectory against tests/golden/.
 
 Every measurement runs the same way. This checkout's src/cohstab, and with
@@ -224,8 +225,8 @@ def _step_cases(package: str) -> dict:
     for name, evolve in _evolutions(package).items():
         rhs, args, kw = _driver_args(dynamics, evolve)
         coeffs, y0 = args[0], args[1]
-        cases[name] = (dynamics._integrate, cfg, rhs, _one_row(rhs, coeffs, cfg.times()), y0,
-                       args, kw)
+        cases[name] = (dynamics._integrate, cfg, rhs, _one_row(rhs, coeffs, cfg.times()),
+                       y0, args, kw)
     return cases
 
 
