@@ -144,11 +144,15 @@ class MultivectorPath:
     components: tuple[tuple[int, CoefficientFn], ...]
 
     def __post_init__(self):
+        seen = set()
         for mask, _ in self.components:
             if mask == 0 or mask & (mask - 1):
                 raise NotDegreeOne(f"mask {mask} is not a single generator")
             if mask >= self.gens.dim:
                 raise NotDegreeOne(f"mask {mask} outside the algebra")
+            if mask in seen:
+                raise ValidationError(f"mask {mask} has more than one component")
+            seen.add(mask)
 
     @classmethod
     def from_components(cls, gens: GeneratorSet,

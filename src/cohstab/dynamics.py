@@ -10,11 +10,11 @@ the driver tabulates it once per chunk of grid steps on the distinct stage
 times, bit-identical to evaluating it at each time alone. A state may stack
 systems whose rows never mix, each with its own endpoint gap: a grassmann
 spec's trajectory carries its Grassmann law in its own driver loop, one
-plan per stage serving both. For a spec's fused plans and the boson
-Schrödinger ladder that loop runs in compiled C (kernel/rk4.c), a chunk
-of grid steps per call; the numpy loop stays as its oracle and fallback.
-A check on the states, such as the boson tail guard, sees them a block of
-grid points at a time, whichever loop runs.
+plan per stage serving both. Either loop fills a block of the dt run's
+states per call, from which the driver copies the records and which a
+check, such as the boson tail guard, sees whole. For a spec's fused plans
+and the boson Schrödinger ladder the loop runs in compiled C
+(kernel/rk4.c); the numpy loop stays as its oracle and fallback.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -61,7 +61,7 @@ STEP_TOL = 1e-8
 #: Tail-mass threshold for truncated boson evolution.
 BREACH_TOL = 1e-6
 
-#: Byte budget of the block of dt-run states the RK4 driver hands its check.
+#: Byte budget of the block of dt-run states each RK4 loop call fills.
 CHECK_BYTES = 64 * 1024
 
 #: Hermiticity tolerance for a spec's real coefficients and dense rows.
@@ -370,11 +370,12 @@ class GrassmannPath:
 @dataclass
 class Trajectory:
     """Stride-sampled records of one Schrödinger evolution, a row each: the
-    amplitudes (n_rec, 2, dim) or a boson's (n_rec, levels); the eigenvalues
-    lams (n_rec, dim) or a boson's (n_rec, 1), all NaN where a record has
-    none (residual inf); residuals and norm_dev; the Grassmann law at the
-    same records, if the run carried it. states, eigenvalues and
-    phase_factors are their objects, built when first read."""
+    amplitudes (n_records, 2, dim) or a boson's (n_records, levels); the
+    eigenvalues lams (n_records, dim) or a boson's (n_records, 1), all NaN
+    where a record has none (residual inf); residuals and norm_dev; the
+    Grassmann law at the same records, if the run carried it. states,
+    eigenvalues and phase_factors are their objects, built when first
+    read."""
 
     kind: str
     config: IntegrationConfig
@@ -453,14 +454,14 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     Returns the states at the grid indices `record` (every grid point by
     default) along a new leading axis. Before anything is allocated it
     refuses (ValidationError) a `record` that is not strictly increasing
-    integers in 0..n_steps, and records _check_records refuses.
-    `check(ts, states)` sees every grid point of the dt run a block at a
-    time: first the start on its own, then each chunk's grid steps in
-    blocks of as many states as fit CHECK_BYTES, with their times, in a
-    buffer that the next block reuses. The
-    dt/2 run keeps only its endpoint; unless that lies within STEP_TOL of
-    the dt endpoint (NaN never does) the evolution is refused with
-    StepTooLarge.
+    integers in 0..n_steps, and records _check_records refuses. The loop
+    runs each chunk's grid steps in blocks of as many states as fit
+    CHECK_BYTES, writing the dt run's states into a buffer that the next
+    block reuses; the records are copied out of it. `check(ts, states)`
+    sees every grid point of the dt run: first the start on its own, then
+    each block, with its times. The dt/2 run keeps only its endpoint;
+    unless that lies within STEP_TOL of the dt endpoint (NaN never does)
+    the evolution is refused with StepTooLarge.
 
     `label` names the system, or is a tuple of labels of systems stacked
     in equal parts along y0's leading axis, whose rows the rhs keeps apart.
@@ -477,8 +478,8 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
 
     An RHS that carries a `program` (a kernel.compiled.Program: one fused
     plan and its post-ops, or the boson ladder) runs in compiled C instead,
-    one call per chunk of the coefficient table, or per check block, with
-    the same arithmetic bit for bit, unless no library could be loaded.
+    one call per block, with the same arithmetic bit for bit, unless no
+    library could be loaded.
     An RHS a caller wraps carries none, so the wrapper runs in the numpy
     loop. Both loops call `check` on the same blocks.
     """
@@ -503,25 +504,21 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
 
     y = np.array(y0, dtype=np.complex128)
     pair = np.stack((y, y))  # rows: the dt run, the dt/2 run
+    block = max(1, CHECK_BYTES // y.nbytes)
+    states = np.empty((block,) + y.shape, dtype=np.complex128)  # a block's dt-run states
     if check is not None:
         check(times[:1], pair[:1])
-        block = max(1, CHECK_BYTES // y.nbytes)
-        states = np.empty((block,) + y.shape, dtype=np.complex128)  # a block's, every step
-        every = np.arange(1, block + 1)
     if keep.size and keep[0] == 0:
         records[0] = y
     i = 0
     for table, dts in _coeff_tables(coeffs, times, fine):
-        step = len(dts) if check is None else block
-        for a in range(0, len(dts), step):  # grid steps i + 1 .. i + n
-            n = min(step, len(dts) - a)
-            lo, hi = np.searchsorted(keep, (i + 1, i + n + 1))
-            if check is None:
-                run(table[a:a + n], dts[a:a + n], pair, keep[lo:hi] - i, records[lo:hi])
-            else:
-                run(table[a:a + n], dts[a:a + n], pair, every[:n], states[:n])
+        for a in range(0, len(dts), block):  # grid steps i + 1 .. i + n
+            n = min(block, len(dts) - a)
+            run(table[a:a + n], dts[a:a + n], pair, states[:n])
+            if check is not None:
                 check(times[i + 1:i + n + 1], states[:n])
-                records[lo:hi] = states[keep[lo:hi] - i - 1]
+            lo, hi = np.searchsorted(keep, (i + 1, i + n + 1))
+            records[lo:hi] = states[keep[lo:hi] - i - 1]
             i += n
         del table  # frees this chunk's table before the next is built
 
@@ -533,18 +530,15 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     return records
 
 
-def _numpy_chunk(rhs, table, dts, pair, rec_step, rec_out) -> None:
-    """The numpy loop over one chunk, as a Program's runner runs it in C:
+def _numpy_chunk(rhs, table, dts, pair, states) -> None:
+    """The numpy loop over one block, as a Program's runner runs it in C:
     grid steps 1..len(dts) of the table, pair (2,) + the state's shape
-    updated in place, and pair[0] after grid step rec_step[r] copied to
-    rec_out[r]."""
-    r = 0
-    for j, (c, dt) in enumerate(zip(table, dts), 1):  # columns as _stage_times orders them
+    updated in place, and pair[0] after grid step j + 1 copied to
+    states[j]."""
+    for j, (c, dt) in enumerate(zip(table, dts)):  # columns as _stage_times orders them
         pair[:] = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
         pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
-        if r < len(rec_step) and rec_step[r] == j:
-            rec_out[r] = pair[0]
-            r += 1
+        states[j] = pair[0]
 
 
 def _stage_times(times: np.ndarray, fine: np.ndarray):
@@ -951,7 +945,7 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     else:
         ops = list(b_series)
         n = len(ops)
-        gens = gens or ops[0].gens
+        gens = gens or (ops[0].gens if ops else None)  # an empty series fails the length check
         if any(op.gens != gens for op in ops):
             raise MismatchedGenerators("operator series over a foreign set")
     if n != times.size:

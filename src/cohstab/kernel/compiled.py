@@ -32,7 +32,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-tree-vectorize", "-
          "-fPIC")
 BUILD_TIMEOUT = 60  # seconds
 
-_I64, _F64, _C128 = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.complex128)
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 _P = ctypes.c_void_p
 
 
@@ -115,8 +115,7 @@ def _load():
             runs = {"plan": getattr(lib, f"cohstab_rk4_chunk_{spelling}"),
                     "ladder": getattr(lib, f"cohstab_rk4_ladder_{spelling}")}
             for run in runs.values():
-                run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P,
-                                ctypes.c_int64, _P, _P, _P]
+                run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P, _P, _P]
                 run.restype = None
             return runs, spelling
     return "numpy's complex multiply matches neither compiled spelling"
@@ -180,8 +179,8 @@ class Program:
         return self
 
     def runner(self):
-        """run(table, dts, pair, rec_step, rec_out) over one chunk, or None
-        if the driver runs its numpy loop."""
+        """run(table, dts, pair, states) over one block of grid steps, or
+        None if the driver runs its numpy loop."""
         chosen = _library()
         if isinstance(chosen, str):
             return None
@@ -189,24 +188,23 @@ class Program:
         work = np.empty((5,) + state, dtype=np.complex128)
         ref = ctypes.byref(self.struct)
 
-        def run(table, dts, pair, rec_step, rec_out):
-            """One chunk of grid steps: table (K, 8, 4) and dts (K, 3) as
+        def run(table, dts, pair, states):
+            """K grid steps: table (K, 8, 4) and dts (K, 3) as
             dynamics._coeff_tables yields them, pair (2,) + the state's
-            shape updated in place, and pair[0] after grid step rec_step[r]
-            (1..K, ascending) copied to rec_out[r]."""
+            shape updated in place, and pair[0] after grid step j + 1
+            copied to states[j], of shape (K,) + the state's."""
             steps = len(dts)
             for name, a, dtype, shape in (
                     ("table", table, _C128, (steps, 8, 4)), ("dts", dts, _F64, (steps, 3)),
                     ("pair", pair, _C128, (2,) + state),
-                    ("rec_step", rec_step, _I64, (len(rec_step),)),
-                    ("rec_out", rec_out, _C128, (len(rec_step),) + state)):
+                    ("states", states, _C128, (steps,) + state)):
                 if not (isinstance(a, np.ndarray) and a.dtype == dtype
                         and a.flags.c_contiguous and a.shape == shape):
                     raise ValueError(f"{name} is not a C-contiguous {dtype} array "
                                      f"of shape {shape}")
-            if not pair.flags.writeable or not rec_out.flags.writeable:
-                raise ValueError("pair and rec_out must be writeable")
+            if not pair.flags.writeable or not states.flags.writeable:
+                raise ValueError("pair and states must be writeable")
             fn(ref, steps, table.ctypes.data, dts.ctypes.data, pair.ctypes.data,
-               len(rec_step), rec_step.ctypes.data, rec_out.ctypes.data, work.ctypes.data)
+               states.ctypes.data, work.ctypes.data)
 
         return run

@@ -1,7 +1,8 @@
-/* One chunk of the lock-step RK4 loop of cohstab.dynamics._integrate, for
- * an RHS of one of two kinds: a plan, one fused bilinear plan
- * (kernel.bilinear) plus the post-ops of the fermion Schrödinger evolution
- * and the Grassmann law; or the ladder of the boson Schrödinger evolution.
+/* One block of grid steps of the lock-step RK4 loop of
+ * cohstab.dynamics._integrate, for an RHS of one of two kinds: a plan, one
+ * fused bilinear plan (kernel.bilinear) plus the post-ops of the fermion
+ * Schrödinger evolution and the Grassmann law; or the ladder of the boson
+ * Schrödinger evolution.
  *
  * Per grid step it does what the numpy loop does, op for op: the dt step on
  * pair[0], then the two dt/2 substeps on pair[1], each a classical RK4 step
@@ -18,8 +19,8 @@
  *     out[n] = -1j * (((w * (n * y[n]) + f * up[n]) + fc * down[n]) + g * y[n]),
  *     up[n] = sq[n - 1] * y[n - 1], down[n] = sq[n] * y[n + 1],
  *   with up[0] and down[dim - 1] +0.0 and still multiplied by f and fc;
- * then the update y + (dt/6) * ((k1 + 2 * (k2 + k3)) + k4), after which a
- * recorded grid step copies pair[0] out.
+ * then the update y + (dt/6) * ((k1 + 2 * (k2 + k3)) + k4). After each grid
+ * step the dt run's state is copied to the block of states.
  *
  * Every complex multiply is numpy's, in numpy's operand order (the ladder's
  * -1j is the left operand, the plan's the right), with a real or integer
@@ -176,16 +177,14 @@ rk4_step(const program *p, cplx *y, const cplx *c0, const cplx *c_mid,
 /* `steps` grid steps: table holds each step's 8 stage rows in the column
  * order of dynamics._stage_times, dts its 3 steps (dt run, two dt/2
  * substeps). pair holds the dt run's state, then the dt/2 run's. After
- * step j the dt run's state is copied to rec_out[r] if rec_step[r] == j + 1,
- * for ascending rec_step. work holds five states. */
+ * step j the dt run's state is copied to states[j]. work holds five
+ * states. */
 static inline __attribute__((always_inline)) void
 chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
-      cplx *pair, int64_t n_rec, const int64_t *rec_step, cplx *rec_out,
-      cplx *work, int fused, int is_ladder)
+      cplx *pair, cplx *states, cplx *work, int fused, int is_ladder)
 {
     const int64_t n = p->rows * p->dim;
     cplx *full = pair, *halved = pair + n;
-    int64_t r = 0;
     for (int64_t j = 0; j < steps; j++) {
         const cplx *c = table + j * 8 * SLOTS;
         const double *dt = dts + j * 3;
@@ -194,21 +193,16 @@ chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
                  is_ladder);
         rk4_step(p, halved, c + 5 * SLOTS, c + 6 * SLOTS, c + 7 * SLOTS, dt[2], work, fused,
                  is_ladder);
-        if (r < n_rec && rec_step[r] == j + 1) {
-            memcpy(rec_out + r * n, full, n * sizeof(cplx));
-            r++;
-        }
+        memcpy(states + j * n, full, n * sizeof(cplx));
     }
 }
 
 /* The chunk entry points, one per RHS kind and spelling. */
-#define ENTRY(name, attr, fused, is_ladder)                                     \
-    attr void name(const program *p, int64_t steps, const cplx *table,          \
-                   const double *dts, cplx *pair, int64_t n_rec,                \
-                   const int64_t *rec_step, cplx *rec_out, cplx *work)          \
-    {                                                                           \
-        chunk(p, steps, table, dts, pair, n_rec, rec_step, rec_out, work, fused, \
-              is_ladder);                                                       \
+#define ENTRY(name, attr, fused, is_ladder)                                  \
+    attr void name(const program *p, int64_t steps, const cplx *table,       \
+                   const double *dts, cplx *pair, cplx *states, cplx *work)  \
+    {                                                                        \
+        chunk(p, steps, table, dts, pair, states, work, fused, is_ladder);   \
     }
 ENTRY(cohstab_rk4_chunk_plain, , 0, 0)
 ENTRY(cohstab_rk4_chunk_fma, __attribute__((target("fma"))), 1, 0)

@@ -192,6 +192,14 @@ def test_path_must_be_degree_one(gens2):
         MultivectorPath(gens2, ((0b0011, const_fn(1.0)),))
 
 
+def test_path_refuses_a_repeated_mask(gens2):
+    zeta = 1 << gens2.index("zeta")
+    with pytest.raises(ValidationError, match=f"mask {zeta} has more than one component"):
+        MultivectorPath.from_components(gens2, {"zeta": const_fn(1.0), zeta: const_fn(2.0)})
+    with pytest.raises(ValidationError, match="mask 1 has more than one component"):
+        MultivectorPath(gens2, ((1, const_fn(1.0)), (1, const_fn(2.0))))
+
+
 # -- trajectory verification -----------------------------------------------------------
 
 

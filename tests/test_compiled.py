@@ -122,7 +122,7 @@ def ladder_mismatches(levels, omega_real, seed=0) -> int:
     """Raw bits in which the compiled and numpy loops disagree on one
     awkward boson evolution on `levels` levels: its records every 4th grid
     step, the times and states of every block its check sees, and its gap.
-    Tables of 7 grid steps and check blocks of 3 states put records at the
+    Tables of 7 grid steps and blocks of 3 states put records at the
     edges of both and inside them. Needs a STEP_TOL the awkward gap
     passes."""
     cfg = IntegrationConfig(0.3, 1e-2, stride=4)
@@ -212,17 +212,29 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
         assert status.endswith("plain complex-multiply spelling")
 
 
-def test_compiled_records_across_chunks_match_numpy_loop(monkeypatch):
+@pytest.mark.parametrize("two_state_blocks", [False, True],
+                         ids=["check_bytes_blocks", "two_state_blocks"])
+def test_compiled_records_across_chunks_match_numpy_loop(two_state_blocks, monkeypatch):
     # 3 grid steps per chunk (a table row is 4 complex values); records every
     # 3rd step, or at grid points that skip the start, fall on chunk edges
-    # and inside chunks
+    # and inside chunks, and with blocks of 2 states, which cut the chunks,
+    # on block edges too
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     zeta = LOCK_G2.gen("zeta")
     monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * 4 * 16)
+    starts = (
+        lambda c: evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(zeta), c),
+        lambda c: evolve_grassmann_classical(LOCK_GRASSMANN, zeta, c, np.array([2, 3, 17, 30])),
+    )
+
+    def run(start):
+        if two_state_blocks:
+            y0 = np.asarray(_driver_call(start, cfg)[2], dtype=complex)
+            monkeypatch.setattr(dynamics, "CHECK_BYTES", 2 * y0.nbytes)
+        return start(cfg)
 
     def runs():
-        traj = evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(zeta), cfg)
-        law = evolve_grassmann_classical(LOCK_GRASSMANN, zeta, cfg, np.array([2, 3, 17, 30]))
+        traj, law = (run(start) for start in starts)
         return [traj.amplitudes, *(getattr(path, field) for path in (traj.law, law)
                                    for field in ("zeta", "phi", "gap"))]
 
@@ -469,8 +481,7 @@ def _check_runner(program):
         return
     state = program.state
     good = dict(table=np.zeros((3, 8, 4), complex), dts=np.full((3, 3), 0.01),
-                pair=np.zeros((2,) + state, complex), rec_step=np.array([1, 3]),
-                rec_out=np.zeros((2,) + state, complex))
+                pair=np.zeros((2,) + state, complex), states=np.zeros((3,) + state, complex))
     run(**good)
     bad = {
         "table": [np.zeros((3, 8, 4), np.complex64), np.zeros((3, 8, 5), complex),
@@ -479,17 +490,19 @@ def _check_runner(program):
                 np.full((3, 6), 0.01)[:, ::2]],
         "pair": [np.zeros((2,) + state, np.float64), np.zeros((1,) + state, complex),
                  np.zeros((2,) + state[:-1] + (2 * state[-1],), complex)[..., ::2]],
-        "rec_step": [np.array([1, 3], np.int32), np.array([[1, 3]]), [1, 3]],
-        "rec_out": [np.zeros((3,) + state, complex), np.zeros((2,) + state, np.complex64)],
+        "states": [np.zeros((2,) + state, complex), np.zeros((4,) + state, complex),
+                   np.zeros((3,) + state, np.complex64),
+                   np.zeros((3,) + state[:-1] + (2 * state[-1],), complex)[..., ::2]],
     }
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=name):
                 run(**{**good, name: value})
-    frozen = good["pair"].copy()
-    frozen.flags.writeable = False
-    with pytest.raises(ValueError, match="writeable"):
-        run(**{**good, "pair": frozen})
+    for name in ("pair", "states"):
+        frozen = good[name].copy()
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            run(**{**good, name: frozen})
 
 
 def test_program_refuses_a_dense_plan():

@@ -650,6 +650,13 @@ def test_invariant_residual_refuses_a_grid_under_3_points():
         invariant_residual(ops, HamiltonianSpec("fermion", const_fn(1.0)), cfg)
 
 
+def test_invariant_residual_refuses_an_empty_series():
+    spec = HamiltonianSpec("fermion", const_fn(1.0))
+    for gens in (None, GeneratorSet(())):
+        with pytest.raises(ValidationError, match="lengths differ"):
+            invariant_residual([], spec, IntegrationConfig(0.1, 1e-2), gens)
+
+
 def test_invariant_residual_compares_lengths_before_allocating():
     # a 2,001-point nu path against an 11-point grid at 256 coefficients:
     # its (n, 4, dim) rows would take 33 MB
