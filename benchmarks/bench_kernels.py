@@ -4,9 +4,9 @@ Usage:
     PYTHONPATH=src python benchmarks/bench_kernels.py [--json PATH]
     python benchmarks/bench_kernels.py --baseline REV --json PATH
 
-Measures, on the numpy kernel, microseconds per graded product at 2, 4 and
-8 generators in batches of 1, 2 and 5 rows, one kernel.multiply call per
-batch. Then three layers of the RK4 driver, for the fermion Schrödinger
+Measures microseconds per graded product at 2, 4 and 8 generators in
+batches of 1, 2 and 5 rows, one kernel.multiply call per batch, on the
+product the tree runs (compiled C where its library loads, else numpy). Then three layers of the RK4 driver, for the fermion Schrödinger
 evolution and the Grassmann law at 4, 16 and 256 coefficients and the boson
 Schrödinger evolution on 64 levels: "one RHS stage" (microseconds per call
 of the evolution's own RHS on 1 and 2 rows, the driver's batch sizes), "one
@@ -530,13 +530,16 @@ def _packages(tmp: Path, rev: str | None) -> dict:
 
 
 def _backend(package: str) -> str:
-    """The graded-product kernel and the RK4 loops of fermion and Grassmann
-    specs and of the boson Schrödinger evolution that `package` runs on."""
+    """The graded product of kernel.multiply and the RK4 loops of fermion
+    and Grassmann specs and of the boson Schrödinger evolution that
+    `package` runs on."""
     kernel = "numpy kernel (cohstab/kernel/pyref.py)"
     try:
         compiled = _module(package, "kernel.compiled")
     except ImportError:
         return f"{kernel}, numpy RK4 loop"
+    if hasattr(compiled, "product_status"):
+        kernel = f"graded product: {compiled.product_status()}"
     boson, _, _ = _driver_args(_module(package, "dynamics"),
                                _evolutions(package)["boson_schrodinger_l64"])
     boson_loop = compiled.status() if hasattr(boson, "program") else "numpy loop"

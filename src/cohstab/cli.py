@@ -98,6 +98,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
 
     out_path = _resolve_out(out_dir, scenario.out_path)
     header, text = _trajectory_rows(traj)
+    max_residual = traj.max_residual
+    # the text formats a table of its own: the records, a carried law's
+    # included, are freed before the write
+    del traj
     _write_csv(out_path, header, text=text)
 
     if scenario.expect == "non_preserving":
@@ -119,14 +123,14 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
             scenario.kind,
             classification.verdict,
             scenario.expect,
-            _fmt(traj.max_residual),
+            _fmt(max_residual),
             _fmt(verification.max_eigenvalue_deviation) if verification else _fmt(np.nan),
             str(int(ok)),
         ]],
     )
 
     print(f"{scenario.name}: verdict={classification.verdict} "
-          f"expected={scenario.expect} max_residual={traj.max_residual:.3e} "
+          f"expected={scenario.expect} max_residual={max_residual:.3e} "
           f"-> {'ok' if ok else 'FAILED'}")
     print(f"wrote {out_path} and {verdict_path}")
     return 0 if ok else 2
@@ -173,6 +177,7 @@ def _cmd_selftest(_args) -> int:
     # the fermion law above ran through the driver's loop for spec plans
     print("RK4 loop of fermion and Grassmann specs and of the boson Schrödinger "
           f"evolution: {kernel.compiled.status()}")
+    print(f"graded product of kernel.multiply: {kernel.compiled.product_status()}")
     if failures:
         print(f"{failures} self-test(s) failed")
         return 2

@@ -36,7 +36,13 @@ from .errors import (
     ValidationError,
     VacuumAmplitudeZero,
 )
-from .fermion import FermionState, _amplitude_products, extract_eigenvalue, make_coherent
+from .fermion import (
+    FermionState,
+    _amplitude_products,
+    _record_blocks,
+    extract_eigenvalue,
+    make_coherent,
+)
 from .grassmann import GeneratorSet, Multivector, exponential
 
 #: Residual below which a fermion-sector state counts as coherent (exact sector).
@@ -259,7 +265,7 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
         path.gate()
         max_dev = float(np.max(np.abs(traj.lams - path.zeta)))
         block_devs = []  # the law's states, rebuilt a block of records at a time
-        for rows in kernel.row_blocks(len(path.zeta), n_gen):
+        for rows in _record_blocks(traj.amplitudes):
             phase = np.repeat(exponential(1j * path.phi[rows])[:, None], 2, axis=1)
             reference = _amplitude_products(phase, make_coherent(path.zeta[rows]), n_gen)
             block_devs.append(np.max(np.abs(traj.amplitudes[rows] - reference)))

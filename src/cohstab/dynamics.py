@@ -47,6 +47,7 @@ from .fermion import (
     FermionState,
     _compose_coeff_arrays,
     _norm_bodies,
+    _record_blocks,
     _state,
     extract_eigenvalue,
     make_coherent,
@@ -737,7 +738,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     norm = _norm_bodies(amplitudes)
     norm_dev = np.array([abs(complex(n) - complex(norm[0])) for n in norm])
     lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
-    for rows in kernel.row_blocks(len(records), n_gen):
+    for rows in _record_blocks(amplitudes):
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
     path = None if law is None else GrassmannPath(gens, times[rec_idx], records[:, 2],
                                                   records[:, 3], gaps[1])

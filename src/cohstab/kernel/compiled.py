@@ -1,15 +1,17 @@
-"""The RK4 driver's compiled loop: rk4.c, built on first use, loaded with ctypes.
+"""The RK4 driver's compiled loop and kernel.multiply's compiled graded
+product: rk4.c, built on first use, loaded with ctypes.
 
-Nothing is built at import. The first `Program.runner()` or `status()`
-builds rk4.c with COMPILER and FLAGS into CACHE as
+Nothing is built at import. The first `Program.runner()`, `product()` or
+`status()` builds rk4.c with COMPILER and FLAGS into CACHE as
 rk4-<checksums of the source and flags>.so, through a temp file and os.replace,
 and removes the libraries of other keys, so the cache holds one. The
 compiler's output is captured and the build has a timeout. A cached library
 is loaded without a compiler. Then the first use picks the library's
 complex-multiply spelling that matches np.multiply on this host (see
 rk4.c). Without a compiler, with a failed build or load, or if numpy
-matches neither spelling, `runner()` returns None and the driver runs its
-numpy loop; `status()` says which it is.
+matches neither spelling, `runner()` and `product()` return None, and the
+driver runs its numpy loop and kernel.multiply its numpy product;
+`status()` and `product_status()` say which it is.
 """
 
 import ctypes
@@ -44,7 +46,7 @@ class _Program(ctypes.Structure):  # rk4.c's program
 
 
 _lock = threading.Lock()
-_chosen = None  # ({RHS kind: chunk function}, spelling), or why the numpy loop runs
+_chosen = None  # ({RHS kind: chunk function}, spelling, product), or why numpy runs
 
 
 def _build() -> Path:
@@ -97,7 +99,8 @@ def _spelling_probe():
 
 
 def _load():
-    """({RHS kind: chunk function}, spelling), or the reason there is none."""
+    """({RHS kind: chunk function}, spelling, product), or the reason there
+    is none."""
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as exc:
@@ -117,7 +120,9 @@ def _load():
             for run in runs.values():
                 run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P, _P, _P]
                 run.restype = None
-            return runs, spelling
+            lib.cohstab_multiply.argtypes = [ctypes.c_int64, ctypes.c_int64, _P, _P, _P, _P]
+            lib.cohstab_multiply.restype = None
+            return runs, spelling, lib.cohstab_multiply
     return "numpy's complex multiply matches neither compiled spelling"
 
 
@@ -136,6 +141,22 @@ def status() -> str:
     if isinstance(chosen, str):
         return f"numpy loop: {chosen}"
     return f"compiled C loop ({SOURCE.name}), {chosen[1]} complex-multiply spelling"
+
+
+def product_status() -> str:
+    """Which graded product kernel.multiply runs, loading the library if no
+    run has yet."""
+    chosen = _library()
+    if isinstance(chosen, str):
+        return f"numpy (pyref.py): {chosen}"
+    return f"compiled C ({SOURCE.name})"
+
+
+def product():
+    """rk4.c's cohstab_multiply(n_gen, rows, sign, a, b, out), which checks
+    nothing, or None if kernel.multiply runs its numpy product."""
+    chosen = _chosen if _chosen is not None else _library()
+    return None if isinstance(chosen, str) else chosen[2]
 
 
 class Program:

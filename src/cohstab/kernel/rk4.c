@@ -2,7 +2,9 @@
  * cohstab.dynamics._integrate, for an RHS of one of two kinds: a plan, one
  * fused bilinear plan (kernel.bilinear) plus the post-ops of the fermion
  * Schrödinger evolution and the Grassmann law; or the ladder of the boson
- * Schrödinger evolution.
+ * Schrödinger evolution. And, at the end, the graded product of
+ * kernel.multiply (cohstab_multiply), which has no complex multiply, so it
+ * needs no spelling.
  *
  * Per grid step it does what the numpy loop does, op for op: the dt step on
  * pair[0], then the two dt/2 substeps on pair[1], each a classical RK4 step
@@ -33,7 +35,7 @@
  *
  * No bounds are checked here: the caller checks every array's dtype,
  * contiguity and shape, and the plan's indices and the ladder's size once
- * per program.
+ * per program; kernel.multiply checks the product's operands and n_gen.
  */
 
 #include <math.h>
@@ -208,6 +210,48 @@ ENTRY(cohstab_rk4_chunk_plain, , 0, 0)
 ENTRY(cohstab_rk4_chunk_fma, __attribute__((target("fma"))), 1, 0)
 ENTRY(cohstab_rk4_ladder_plain, , 0, 1)
 ENTRY(cohstab_rk4_ladder_fma, __attribute__((target("fma"))), 1, 1)
+
+/* The graded product of rows a and b over n_gen generators, row by row,
+ * bit for bit kernel.multiply's numpy path: per target, its pairs' products
+ * summed from +0.0 in the order of tables.mul_table, each product
+ * s*c - q*d, s*d + q*c with s, q the parts of a's coefficient times the
+ * table's sign and c, d the parts of b's. The loops walk the table's own
+ * order: left masks m ascending, and for each the submasks of ~m
+ * ascending. A left coefficient that is +-0 in both parts is skipped when
+ * b's row is all finite: each of its products is then +-0, and adding +-0
+ * to a sum that started at +0.0 (so is never -0.0) changes no bit. Of an op
+ * on two NaNs, whose sign and payload come out is the compiler's choice
+ * here and the loop's in numpy (its SIMD body and scalar tail differ), so
+ * only which values are NaN is pinned. */
+void
+cohstab_multiply(int64_t n_gen, int64_t rows, const double *sign, const cplx *a,
+                 const cplx *b, cplx *out)
+{
+    const int64_t dim = (int64_t)1 << n_gen;
+    for (int64_t r = 0; r < rows; r++, a += dim, b += dim, out += dim) {
+        int finite = 1;
+        for (int64_t m = 0; m < dim; m++) {
+            finite &= isfinite(b[m].re) && isfinite(b[m].im);
+            out[m] = real(0.0);
+        }
+        int64_t k = 0;
+        for (int64_t m = 0; m < dim; m++) {
+            const int64_t comp = (dim - 1) & ~m;
+            if (finite && a[m].re == 0.0 && a[m].im == 0.0) {
+                k += (int64_t)1 << __builtin_popcountll((unsigned long long)comp);
+                continue;
+            }
+            int64_t bm = 0;
+            do {
+                const double s = a[m].re * sign[k], q = a[m].im * sign[k];
+                out[m | bm].re += s * b[bm].re - q * b[bm].im;
+                out[m | bm].im += s * b[bm].im + q * b[bm].re;
+                k++;
+                bm = (bm - comp) & comp;
+            } while (bm != 0);
+        }
+    }
+}
 
 /* out[i] = a[i] * b[i] in each spelling, to tell which one numpy uses. */
 void

@@ -169,6 +169,10 @@ _KIND_FORBIDDEN = {
 
 _EXPECTS = ("preserving", "non_preserving")
 
+#: Largest |z0| a boson scenario may start from: |z0|**2, the coherent
+#: state's mean number, must stay well inside the float64 range.
+MAX_Z0 = 1e150
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -333,6 +337,9 @@ def parse_scenario(source: str | Path) -> Scenario:
             raise ValidationError(f"bad initial value: {exc}") from exc
         if not math.isfinite(z0.real) or not math.isfinite(z0.imag):
             raise ValidationError(f"bad initial value: z0 = {z0} is not finite")
+        size = math.hypot(z0.real, z0.imag)
+        if size > MAX_Z0:
+            raise ValidationError(f"bad initial value: |z0| = {size:.3g} exceeds {MAX_Z0:g}")
     else:
         default_zeta = next(
             (lbl for lbl in labels if lbl != eta_generator), labels[0]

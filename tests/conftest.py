@@ -5,6 +5,7 @@ import pytest
 
 from cohstab.cli import main
 from cohstab.grassmann import GeneratorSet
+from cohstab.kernel import compiled
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -17,6 +18,17 @@ def gens1():
 @pytest.fixture
 def gens2():
     return GeneratorSet.from_pairs(("zeta", "eta"))
+
+
+@pytest.fixture
+def numpy_product(monkeypatch, tmp_path):
+    """kernel.multiply on its numpy plans (and the RK4 driver on its numpy
+    loop), as on a host without a C compiler: an empty library cache and no
+    compiler."""
+    monkeypatch.setattr(compiled, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(compiled, "_chosen", None)
+    monkeypatch.setattr(compiled, "COMPILER", "no-such-cc-for-cohstab")
+    assert compiled.product() is None
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import io
 import pathlib
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -165,6 +166,40 @@ def test_non_finite_number_is_scenario_error(tmp_path, capsys, command, key):
     assert main([command, str(path)] + out) == 1
     assert "scenario error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("z0", ["z0_im = 1e200", "z0_re = -2e154\nz0_im = 2e154"],
+                         ids=["im_1e200", "both_2e154"])
+def test_unbounded_z0_is_scenario_error(tmp_path, capsys, z0):
+    # abs(z0) ** 2 once overflowed in the tail-mass guard, and the run died
+    # with a traceback
+    path = tmp_path / "far.ini"
+    path.write_text("[system]\nkind = boson\n\n[hamiltonian]\nomega = 1\n\n"
+                    f"[initial]\n{z0}\n\n[integration]\nt_end = 0.01\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "exceeds 1e+150" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_run_frees_the_carried_law_before_the_csv_write(tmp_path, monkeypatch):
+    # the CSV holds no law: its records go once verify_trajectory has read them
+    records, freed = [], []
+
+    def evolve(*args):
+        traj = dynamics.evolve_schrodinger_fermion(*args)
+        records.append(weakref.ref(traj.law.zeta.base))  # the driver's records
+        return traj
+
+    write = cli._write_csv
+    monkeypatch.setattr(cli, "evolve_schrodinger_fermion", evolve)
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda *a, **kw: (freed.append(records[0]() is None), write(*a, **kw)))
+    scenario = parse_scenario(SCENARIOS / "grassmann_forced.ini")
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    assert freed == [True, True]
+    assert (tmp_path / scenario.out_path).read_bytes() == (
+        GOLDEN / "grassmann_forced.csv").read_bytes()
 
 
 def test_unwritable_out_is_scenario_error(tmp_path, capsys):

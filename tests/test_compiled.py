@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_dynamics import (
     LOCK_BOSON,
     LOCK_FORCING,
@@ -37,7 +39,7 @@ from cohstab.dynamics import (
 from cohstab.errors import StepTooLarge, TruncationBreach
 from cohstab.fermion import FermionState, make_coherent
 from cohstab.grassmann import GeneratorSet, Multivector
-from cohstab.kernel import compiled
+from cohstab.kernel import compiled, pyref
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = tuple(path.stem for path in sorted((ROOT / "scenarios").glob("*.ini")))
@@ -191,7 +193,8 @@ def test_compiled_ladder_matches_numpy_loop_bitwise(levels, omega_real, monkeypa
 
 def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
-    # fused: with the latter off, the library must pick its plain spelling
+    # fused: with the latter off, the library must pick its plain spelling,
+    # and its graded product, which has no complex multiply, still match
     off = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
     dispatch = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in off if f in dispatch),
@@ -200,12 +203,13 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
             "import test_compiled as t\ndynamics.STEP_TOL = math.inf\n"
             "print(t.lock_step_mismatches('grassmann', 2, False))\n"
             "print(t.ladder_mismatches(64, False))\n"
+            "print(t.product_mismatches(t.product_sweep()))\n"
             "print(compiled.status())\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    plan, ladder, status = proc.stdout.splitlines()
-    assert plan == ladder == "0"
+    plan, ladder, product, status = proc.stdout.splitlines()
+    assert plan == ladder == product == "0"
     if not HAS_COMPILER:
         assert status.startswith("numpy loop")
     elif platform.machine() in ("x86_64", "AMD64"):
@@ -374,6 +378,91 @@ def test_tail_guard_names_the_first_failing_point():
     dynamics._tail_guard(ts[:2], states[:2])
 
 
+# -- the graded product of kernel.multiply ------------------------------------
+
+#: Parts the compiled product must carry as numpy's does, bit for bit.
+SPECIAL_PARTS = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.nan, -np.nan, np.inf, -np.inf])
+PRODUCT_ROWS = (None, 1, 3, 7)  # None: one product of (dim,) operands
+
+
+def pyref_product(x, y, n_gen):
+    """kernel.multiply's numpy product: every row through one plan."""
+    dim = 1 << n_gen
+    plan = pyref.Plan(n_gen, (((0, 0, None, None), (1, 0, None, None), 0),), ((1, dim),) * 3)
+    return pyref.evaluate(plan, x.reshape(-1, dim), y.reshape(-1, dim)).reshape(x.shape)
+
+
+def product_operands(n_gen, rows, seed, share, zero_rows, zero_meets_non_finite):
+    """x and y: awkward() values (normal, +-0.0, subnormal) with each part
+    replaced by one of SPECIAL_PARTS with probability `share`; with
+    zero_rows, x's first row and y's last row all zero; with
+    zero_meets_non_finite, +-0 coefficients of x's last row facing a y row
+    that holds inf or NaN."""
+    rng = np.random.default_rng(seed)
+    shape = (rows or 1, 1 << n_gen)
+    x, y = awkward(rng, shape), awkward(rng, shape)
+    for z in (x, y):
+        parts = z.view(np.float64)
+        hit = rng.random(parts.shape) < share
+        parts[hit] = rng.choice(SPECIAL_PARTS, hit.sum())
+    if zero_rows:
+        x[0] = complex(-0.0, 0.0)
+        y[-1] = 0.0
+    if zero_meets_non_finite:
+        x[-1, rng.random(shape[1]) < 0.5] = complex(0.0, -0.0)
+        y[-1, rng.integers(shape[1])] = complex(rng.choice(SPECIAL_PARTS[4:]), 1.0)
+    return (x[0], y[0]) if rows is None else (x, y)
+
+
+def nan_blind_bits(a) -> np.ndarray:
+    """Raw bits, every NaN as one pattern. Of an op on two NaNs, numpy's
+    SIMD loops and scalar tails return different ones, so its own rows
+    differ in NaN sign by where they sit in a batch."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return np.where(np.isnan(parts), np.uint64(0x7FF8000000000000), parts.view(np.uint64))
+
+
+def product_mismatches(cases) -> int:
+    """Raw bits, NaNs aside, in which kernel.multiply and pyref_product
+    disagree over cases of product_operands' arguments."""
+    wrong = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n_gen, *args in cases:
+            x, y = product_operands(n_gen, *args)
+            wrong += int(np.sum(nan_blind_bits(kernel.multiply(x, y, n_gen))
+                                != nan_blind_bits(pyref_product(x, y, n_gen))))
+    return wrong
+
+
+def product_sweep():
+    """Every generator count and batch shape, with special parts rare and
+    common, zero rows and zeros facing a non-finite row."""
+    return [(n_gen, rows, seed, share, seed % 2 == 0, seed % 3 == 0)
+            for n_gen in range(kernel.tables.MAX_GENERATORS + 1) for rows in PRODUCT_ROWS
+            for seed, share in enumerate((0.0, 0.05, 0.5))]
+
+
+@pytest.mark.parametrize("n_gen", range(kernel.tables.MAX_GENERATORS + 1))
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(rows=st.sampled_from(PRODUCT_ROWS), seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from((0.0, 0.02, 0.2, 1.0)), zero_rows=st.booleans(),
+       zero_meets_non_finite=st.booleans())
+def test_compiled_product_matches_numpy_product_bitwise(n_gen, rows, seed, share, zero_rows,
+                                                        zero_meets_non_finite):
+    assert (compiled.product() is not None) == HAS_COMPILER
+    assert product_mismatches([(n_gen, rows, seed, share, zero_rows,
+                                zero_meets_non_finite)]) == 0
+
+
+def test_zero_skip_keeps_nan_of_zero_times_inf():
+    # a +-0 coefficient facing inf is not skipped: 0 * inf is NaN
+    x = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    y = np.array([1.0, np.inf, 1.0, 1.0], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        got, want = kernel.multiply(x, y, 2), pyref_product(x, y, 2)
+    assert np.isnan(got[1].real) and np.array_equal(nan_blind_bits(got), nan_blind_bits(want))
+
+
 # -- fallback and build hygiene ------------------------------------------------
 
 
@@ -520,10 +609,32 @@ def test_ladder_program_refuses_a_wrong_sq(sq):
         compiled.Program.ladder(sq)
 
 
-def test_selftest_names_the_loop(capsys):
+def _selftest_backends(capsys) -> tuple[str, str]:
+    """The lines of `coherence selftest` that name the RK4 loop and the
+    graded product."""
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    (line,) = [line for line in lines if line.startswith("RK4 loop")]
-    assert line.endswith(compiled.status())
+    (loop,) = [line for line in lines if line.startswith("RK4 loop")]
+    (product,) = [line for line in lines if line.startswith("graded product")]
+    return loop, product
+
+
+def test_selftest_names_the_loop(capsys):
+    loop, product = _selftest_backends(capsys)
+    assert loop.endswith(compiled.status())
+    assert product.endswith(": " + compiled.product_status())
     if HAS_COMPILER:
-        assert "compiled C loop" in line
+        assert "compiled C loop" in loop
+        assert product == "graded product of kernel.multiply: compiled C (rk4.c)"
+
+
+def test_selftest_names_a_failed_build(fresh_cache, tmp_path, capsys, monkeypatch):
+    broken = tmp_path / "rk4.c"
+    broken.write_text(compiled.SOURCE.read_text() + "\nthis is not C;\n")
+    monkeypatch.setattr(compiled, "SOURCE", broken)
+    loop, product = _selftest_backends(capsys)
+    reason = loop.partition(": numpy loop: ")[2]
+    assert reason.startswith("no compiled library (")
+    assert product == f"graded product of kernel.multiply: numpy (pyref.py): {reason}"
+    if HAS_COMPILER:
+        assert f"{compiled.COMPILER} exited 1: " in reason

@@ -1328,7 +1328,7 @@ def test_invariant_residual_propagates_nan():
     assert np.isfinite(np.delete(res, [49, 50, 51])).all()
 
 
-def test_invariant_residual_kernel_plan_holds_one_block():
+def test_invariant_residual_kernel_plan_holds_one_block(numpy_product):  # numpy plans only
     # the kernel keeps each plan at the largest batch it has seen, so the
     # residual of a long grid must reach it a block of times at a time
     cfg = IntegrationConfig(2.0, 1e-3)

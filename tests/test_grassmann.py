@@ -273,7 +273,7 @@ def test_restricted_plan_on_one_array():
     assert np.array_equal(_bits(got), _scalar_oracle(x, y, 4))
 
 
-def test_restricted_and_full_plans_never_share_a_slot():
+def test_restricted_and_full_plans_never_share_a_slot(numpy_product):  # plans: numpy only
     rng = np.random.default_rng(6)
     n_gen = 4
     support = _support(rng, n_gen)

@@ -21,6 +21,7 @@ from cohstab.dynamics import IntegrationConfig, _simpson_phase, evolve_grassmann
 from cohstab.errors import VacuumAmplitudeZero
 from cohstab.fermion import (
     FermionState,
+    _record_blocks,
     extract_eigenvalue,
     inner_product,
     make_coherent,
@@ -254,8 +255,9 @@ def test_observer_matches_per_record_loop_on_crafted_records(n_pairs, monkeypatc
     stops = {ref_series(Multivector(gens, y[0]), Multivector(gens, y[0]).soul(),
                         lambda t, k: t)[1] for y in records[:n_pairs + 1]}
     assert len(stops) == n_pairs + 1
-    # enough of them for three blocks of records (kernel.row_blocks)
-    while len(kernel.row_blocks(len(records), gens.n_generators)) < 3:
+    # enough of them for three blocks of records, of a few records each
+    monkeypatch.setattr(kernel, "TABLE_BYTES", 4096)
+    while len(_record_blocks(records)) < 3:
         records = np.concatenate((records, crafted_records(gens, rng)))
     monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: records.copy())
     spec = dynamics.HamiltonianSpec("fermion", const_fn(1.0))
@@ -301,9 +303,19 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_observer_memory_stays_at_one_block_of_records(monkeypatch):
-    # 4000 records at 16 coefficients take 2 MB, a block of them 26 KB; the
+PRODUCTS = ["compiled", "numpy"]  # kernel.multiply's, numpy forced by a fixture
+
+
+def _use(product, request):
+    if product == "numpy":
+        request.getfixturevalue("numpy_product")
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_observer_memory_stays_at_one_block_of_records(product, request, monkeypatch):
+    # 4000 records at 16 coefficients take 2 MB, a block of them 51 KB; the
     # observer on all records at once took 14 MB
+    _use(product, request)
     gens = GeneratorSet.from_pairs(("zeta", "eta"))
     records = awkward(np.random.default_rng(5), (4000, 2, gens.dim))
     records[:, 0, 0] = 1.0
@@ -316,10 +328,12 @@ def test_observer_memory_stays_at_one_block_of_records(monkeypatch):
     assert peak < records.nbytes + traj.lams.nbytes + 2**21
 
 
-def test_verify_state_memory_stays_at_one_block_of_records():
+@pytest.mark.parametrize("product", PRODUCTS)
+def test_verify_state_memory_stays_at_one_block_of_records(product, request):
     # 1001 records at 16 coefficients; the law's path (zeta, phi) is as
     # large as the amplitudes, and the reference states on all records at
     # once took 2.3 MB
+    _use(product, request)
     scenario = parse_scenario(ROOT / "scenarios" / "grassmann_forced.ini")
     traj = dynamics.evolve_schrodinger_fermion(
         scenario.hamiltonian_spec(), make_coherent(scenario.initial_zeta()),

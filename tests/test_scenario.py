@@ -216,7 +216,7 @@ t_end = 1
         parse_scenario(text)
 
 
-@pytest.mark.parametrize("value", ["not_a_number", "nan", "inf", "1e999"])
+@pytest.mark.parametrize("value", ["not_a_number", "nan", "inf", "1e999", "1e200"])
 def test_bad_initial_value_rejected(value):
     text = f"""\
 [system]
