@@ -29,8 +29,9 @@ and the fermion Schrödinger evolution at 4, 16 and 256 coefficients: the
 wall time spent evaluating the Hamiltonian's coefficients over one
 evolution, and the CoefficientFn calls, per grid step. Then "the per-record
 observer" of the fermion Schrödinger evolution at 4, 16 and 256
-coefficients: microseconds per record of what the evolution computes from
-its records (<psi|psi> and norm_dev, the eigenvalue and its residual).
+coefficients and of the boson Schrödinger evolution on 64 levels:
+microseconds per record of what the evolution computes from its records
+(<psi|psi> and norm_dev, the eigenvalue and its residual).
 Then the wall time of a coherent-state evolution (the criterion-3 shape)
 and of each file in scenarios/, run as `coherence run` runs it, with a byte
 check of its trajectory against tests/golden/.
@@ -177,8 +178,8 @@ def _evolutions(package: str) -> dict:
     boson_spec = dynamics.HamiltonianSpec(
         "boson", coeffs.const_fn(1.0) + coeffs.sin_fn(0.5, 1.0), forcing,
         coeffs.const_fn(0.2))
-    out = {"boson_schrodinger_l64": lambda: dynamics.evolve_schrodinger_boson(
-        boson_spec, boson.make_coherent_boson(0.5, 64), cfg)}
+    out = {"boson_schrodinger_l64": lambda config=cfg: dynamics.evolve_schrodinger_boson(
+        boson_spec, boson.make_coherent_boson(0.5, 64), config)}
     for n_pairs in STEP_PAIRS:
         gens = grassmann.GeneratorSet.from_pairs(
             ("eta",) + tuple(f"zeta{k}" for k in range(1, n_pairs)))
@@ -403,7 +404,8 @@ def bench_coefficients(packages: dict) -> dict:
 
 
 def bench_observer(packages: dict) -> dict:
-    """The per-record observer of the fermion Schrödinger evolution, per size.
+    """The per-record observer of the fermion and boson Schrödinger
+    evolutions, per size.
 
     Each case evolves the step layers' spec and start (see _evolutions) on
     OBSERVER_GRID once and keeps its records and the gaps its driver
@@ -439,7 +441,7 @@ def bench_observer(packages: dict) -> dict:
         dynamics = _module(pkg, "dynamics")
         cfg = dynamics.IntegrationConfig(*OBSERVER_GRID)
         for name, evolve in _evolutions(pkg).items():
-            if not name.startswith("fermion"):
+            if "schrodinger" not in name:
                 continue
             integrate, kept = dynamics._integrate, []
 

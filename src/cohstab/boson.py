@@ -115,10 +115,10 @@ def make_coherent_boson(z: complex, nmax: int = DEFAULT_NMAX) -> BosonState:
 
 
 def _lower(amps: np.ndarray) -> np.ndarray:
-    # a: c_n <- sqrt(n+1) c_{n+1}
+    # a: c_n <- sqrt(n+1) c_{n+1}, along the last axis
     out = np.zeros_like(amps)
-    n = np.arange(1, amps.size)
-    out[:-1] = np.sqrt(n) * amps[1:]
+    n = np.arange(1, amps.shape[-1])
+    out[..., :-1] = np.sqrt(n) * amps[..., 1:]
     return out
 
 
@@ -173,12 +173,17 @@ def expectation_number(s: BosonState) -> float:
 
 def expectation_lowering(s: BosonState) -> complex:
     """<a> = <psi|a psi> / <psi|psi>."""
-    num = np.vdot(s.amps, _lower(s.amps))
-    return complex(num / s.norm_sq())
+    return eigenvalue_lsq(s)[0]
 
 
-def eigenvalue_lsq(s: BosonState) -> tuple[complex, float]:
-    """Least-squares annihilation eigenvalue and relative residual."""
-    lam = expectation_lowering(s)
-    resid = _lower(s.amps) - lam * s.amps
-    return lam, float(np.linalg.norm(resid) / s.norm())
+def eigenvalue_lsq(s):
+    """Least-squares annihilation eigenvalue <a> and relative residual; on
+    amplitude rows (R, levels), those of each row as arrays (R,), bit for bit
+    as its BosonState alone: np.vdot and np.linalg.norm run a row at a time."""
+    rows = s.amps[None] if isinstance(s, BosonState) else s
+    norm_sq, low = np.sum(np.abs(rows) ** 2, axis=-1), _lower(rows)
+    lam = np.array([np.vdot(a, b) for a, b in zip(rows, low)]) / norm_sq
+    res = np.array([np.linalg.norm(r) for r in low - lam[:, None] * rows]) / np.sqrt(norm_sq)
+    if isinstance(s, BosonState):
+        return complex(lam[0]), float(res[0])
+    return lam, res

@@ -6,7 +6,7 @@ on disagreement or NaN). The driver advances the dt run and the dt/2 run in
 lock step, so every right-hand side takes a batch of rows: rhs(c, Y) with Y
 of shape (R,) + the state's shape and c the coefficient rows of their stage
 times. Each evolution hands the driver one vectorised coefficient function;
-the driver tabulates it once per chunk of grid steps on the distinct stage
+the driver tabulates it once per chunk of grid steps on all of its stage
 times, bit-identical to evaluating it at each time alone. A state may stack
 systems whose rows never mix, each with its own endpoint gap: a grassmann
 spec's trajectory carries its Grassmann law in its own driver loop, one
@@ -449,7 +449,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     times, one row per time; `rhs(c, Y)` takes a batch of states Y of shape
     (R,) + the state's shape and the coefficient rows c of their stage
     times. The driver tabulates `coeffs` once per chunk of grid steps, on
-    the chunk's distinct stage times (see _coeff_tables), and hands each
+    all of the chunk's stage times (see _coeff_tables), and hands each
     stage its rows, so no RHS looks anything up by time.
 
     Returns the states at the grid indices `record` (every grid point by
@@ -565,25 +565,20 @@ def _coeff_tables(coeffs, times: np.ndarray, fine: np.ndarray):
     `times`, chunk by chunk, each as (table, dts): a (K, 8) + row shape
     table in the column order of _stage_times, and the chunk's steps.
 
-    Each chunk tells its stage times apart by their bits, evaluates `coeffs`
-    once on the distinct ones and lays their rows out with one gather. The
-    first chunk is one step; its rows size the rest to fit TABLE_BYTES. The
-    stage times and their inverse index take 16 B per stage time, at most
-    half of a table row (32 B or more), so TABLE_BYTES bounds them too.
+    Each chunk evaluates `coeffs` once on all of its stage times, a time that
+    recurs at each place it holds, and reshapes the rows into the table. The
+    first chunk is one step; its rows size the rest to fit TABLE_BYTES.
     """
     a, chunk = 0, 1
     while a < times.size - 1:
         b = min(a + chunk, times.size - 1)
         lattice, dts = _stage_times(times[a:b + 1], fine[2 * a:2 * b + 1])
-        bits, where = np.unique(lattice.reshape(-1).view(np.uint64),
-                                return_inverse=True)
-        values = np.asarray(coeffs(bits.view(np.float64)), dtype=np.complex128)
-        table = values[where.reshape(lattice.shape)]
-        del lattice, where, values  # while the driver steps, only the table is held
-        yield table, dts
+        values = np.asarray(coeffs(lattice.reshape(-1)), dtype=np.complex128)
+        del lattice  # while the driver steps, only the table (a view of values) is held
+        yield values.reshape(dts.shape[:1] + (8,) + values.shape[1:]), dts
         a = b
-        chunk = max(1, TABLE_BYTES * len(table) // table.nbytes)
-        del table  # freed before the next chunk's rows are evaluated
+        chunk = max(1, TABLE_BYTES * len(dts) // values.nbytes)
+        del values  # freed before the next chunk's rows are evaluated
 
 
 def _rk4_step(rhs, c, c_mid, c_next, dt, y):
@@ -771,11 +766,11 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     records = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
                          rec_idx, check=_tail_guard)
 
-    norm0 = s0.norm_sq()
-    lams, residuals = zip(*(eigenvalue_lsq(BosonState(y, _copy=False)) for y in records))
-    norm_dev = [abs(float(np.sum(np.abs(y) ** 2)) - norm0) for y in records]
-    return Trajectory("boson", config, rec_idx, records, np.array(lams)[:, None],
-                      np.array(residuals), np.array(norm_dev), spec)
+    lams, residuals, norm_dev = (np.empty(len(records), dtype=t) for t in (complex, float, float))
+    for rows in _record_blocks(records):
+        lams[rows], residuals[rows] = eigenvalue_lsq(records[rows])
+        norm_dev[rows] = np.abs(np.sum(np.abs(records[rows]) ** 2, axis=-1) - s0.norm_sq())
+    return Trajectory("boson", config, rec_idx, records, lams[:, None], residuals, norm_dev, spec)
 
 
 def _tail_mass(states: np.ndarray) -> np.ndarray:

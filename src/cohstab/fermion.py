@@ -414,11 +414,10 @@ def _amplitude_products(a: np.ndarray, b: np.ndarray, n_gen: int) -> np.ndarray:
 
 
 def _record_blocks(psi: np.ndarray) -> list[slice]:
-    """Blocks of amplitude rows psi (R, 2, dim), R >= 1, for the per-record
-    observers: as many rows as fit kernel.TABLE_BYTES at five times a row's
-    bytes, about what extract_eigenvalue or a block of reference states
-    holds per row at once (4.0-5.1 times, measured on blocks of 64 rows and
-    more)."""
+    """Blocks of amplitude rows psi, (R, 2, dim) or a boson's (R, levels),
+    R >= 1, for the per-record observers: as many rows as fit TABLE_BYTES at
+    five times a row's bytes, about what extract_eigenvalue or a block of
+    reference states holds per row at once (4.0-5.1, measured from 64 rows)."""
     return kernel.row_blocks(len(psi), 5 * psi[0].nbytes)
 
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_compiled import nan_blind_bits
 
 from cohstab.boson import (
     BosonLadderInvariant,
@@ -89,6 +92,70 @@ def test_eigenstate_residual_decreases_with_nmax():
         _, res = eigenvalue_lsq(BosonState(amps))
         residuals.append(res)
     assert residuals[0] > residuals[1] > residuals[2]
+
+
+# -- the rows form of eigenvalue_lsq against the single-state formula ---------
+
+
+def lsq_oracle(a: np.ndarray) -> tuple[complex, float]:
+    """The single-state formula on one amplitude vector a: lam =
+    vdot(a, lower(a)) / sum(|a|^2), residual = norm(lower(a) - lam a) /
+    sqrt(sum(|a|^2))."""
+    low = np.zeros_like(a)
+    low[:-1] = np.sqrt(np.arange(1, a.size)) * a[1:]
+    norm_sq = float(np.sum(np.abs(a) ** 2))
+    lam = complex(np.vdot(a, low) / norm_sq)
+    return lam, float(np.linalg.norm(low - lam * a) / float(np.sqrt(norm_sq)))
+
+
+def observer_rows(levels: int, batch: int, seed: int, zero_share: float) -> np.ndarray:
+    """(batch, levels) amplitudes, each row at its own magnitude between
+    1e-150 and 1e150, with about zero_share of the parts exact zeros."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-150, 150, (batch, 1, 1))
+    parts = rng.standard_normal((batch, levels, 2)) * scale
+    parts[rng.random(parts.shape) < zero_share] = 0.0
+    return parts.view(np.complex128)[..., 0]
+
+
+def observer_mismatches(cases) -> int:
+    """Raw bits, NaNs aside, in which eigenvalue_lsq on rows and lsq_oracle
+    on each row disagree over cases of observer_rows' arguments."""
+    wrong = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for case in cases:
+            rows = observer_rows(*case)
+            lam, res = eigenvalue_lsq(rows)
+            want_lam, want_res = zip(*map(lsq_oracle, rows))
+            wrong += int(np.sum(nan_blind_bits(lam) != nan_blind_bits(want_lam)))
+            wrong += int(np.sum(nan_blind_bits(res) != nan_blind_bits(want_res)))
+    return wrong
+
+
+def observer_sweep():
+    """Level counts on and off numpy's SIMD widths, every batch size, parts
+    zero never, often and always."""
+    return [(levels, batch, seed, share) for levels in (2, 3, 8, 17, 64, 65)
+            for batch in (1, 3, 7) for seed, share in enumerate((0.0, 0.2, 1.0))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(levels=st.integers(2, 65), batch=st.sampled_from((1, 3, 7)),
+       seed=st.integers(0, 2**32 - 1), zero_share=st.sampled_from((0.0, 0.2, 0.6, 1.0)))
+def test_rows_observer_matches_single_state_formula(levels, batch, seed, zero_share):
+    assert observer_mismatches([(levels, batch, seed, zero_share)]) == 0
+
+
+def test_observer_sweep_matches_single_state_formula():
+    assert observer_mismatches(observer_sweep()) == 0
+
+
+def test_state_observer_is_its_one_row():
+    s = make_coherent_boson(0.4 - 0.7j, 32)
+    lam, res = eigenvalue_lsq(s)
+    assert type(lam) is complex and type(res) is float
+    assert (lam, res) == lsq_oracle(s.amps)
+    assert expectation_lowering(s) == lam
 
 
 def test_displace_plain_ladder_matches_coherent():

@@ -1,16 +1,20 @@
 """CLI behaviour: golden CSVs, exit codes, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import importlib.util
 import io
 import pathlib
 import sys
+import tempfile
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohstab import cli, coherence, dynamics
 from cohstab.cli import main
@@ -367,3 +371,69 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all self-tests passed" in out
     assert "FAIL" not in out
+
+
+# -- the exit-code contract on mutated scenarios ------------------------------
+
+
+def _shipped_entries(name: str) -> list:
+    """(section, key, value) of a shipped scenario, in file order."""
+    entries, section = [], None
+    for line in (SCENARIOS / f"{name}.ini").read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries.append((section, key, value))
+    return entries
+
+
+_BAD = st.one_of(
+    st.sampled_from(["1e200", "-1e300", "1.7e308", "1e309", "nan", "-inf", "inf", "NaN"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12),
+)
+_SMALL = st.floats(1e-3, 0.05).map(repr)
+_VALUES = {  # with dt >= 1e-3 and t_end <= 0.05, a grid has at most 50 steps
+    "t_end": st.one_of(_SMALL, _SMALL, st.floats(-1.0, 0.0).map(repr), _BAD),
+    "dt": st.one_of(st.floats(1e-3, 1.0).map(repr), st.floats(-1.0, 0.0).map(repr), _BAD),
+    "stride": st.one_of(st.integers(-3, 1000).map(str), _BAD),
+}
+_ANY = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), _BAD)
+
+
+@st.composite
+def _mutated(draw, name: str) -> str:
+    """A shipped scenario with at most one key dropped and two values
+    replaced by drawn finite, huge, non-finite or garbage ones. Its t_end
+    is always drawn, so that any grid it runs on is small; its output path
+    is never replaced, so the run writes only into its --out."""
+    entries = _shipped_entries(name)
+    keys = [key for _, key, _ in entries]
+    dropped = draw(st.sets(st.sampled_from(keys), max_size=1))
+    replaced = draw(st.sets(st.sampled_from([k for k in keys if k != "path"]), max_size=2))
+    lines, section = [], None
+    for sec, key, value in entries:
+        if key in dropped:
+            continue
+        if key == "t_end" or key in replaced:
+            value = draw(_VALUES.get(key, _ANY))
+        if sec != section:
+            lines.append(f"[{sec}]")
+            section = sec
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", BUNDLED)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_exits_with_a_contract_code(name, data):
+    text = data.draw(_mutated(name), label="scenario")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / f"{name}.ini"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", str(path), "--out", tmp])
+    assert code in (0, 1, 2, 3)

@@ -194,7 +194,9 @@ def test_compiled_ladder_matches_numpy_loop_bitwise(levels, omega_real, monkeypa
 def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
     # fused: with the latter off, the library must pick its plain spelling,
-    # and its graded product, which has no complex multiply, still match
+    # and its graded product, which has no complex multiply, still match;
+    # coefficient functions still give a time's bits wherever it sits in
+    # a table, and the boson observer's rows those of each row alone
     off = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
     dispatch = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in off if f in dispatch),
@@ -204,12 +206,17 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
             "print(t.lock_step_mismatches('grassmann', 2, False))\n"
             "print(t.ladder_mismatches(64, False))\n"
             "print(t.product_mismatches(t.product_sweep()))\n"
+            "import test_dynamics as d\n"
+            "print(sum(sum(d.table_mismatches(spec, cfg).values())\n"
+            "          for _, spec, cfg in d.TABLE_CASES))\n"
+            "import test_boson as b\n"
+            "print(b.observer_mismatches(b.observer_sweep()))\n"
             "print(compiled.status())\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    plan, ladder, product, status = proc.stdout.splitlines()
-    assert plan == ladder == product == "0"
+    plan, ladder, product, tables, observer, status = proc.stdout.splitlines()
+    assert plan == ladder == product == tables == observer == "0"
     if not HAS_COMPILER:
         assert status.startswith("numpy loop")
     elif platform.machine() in ("x86_64", "AMD64"):
