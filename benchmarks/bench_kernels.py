@@ -6,20 +6,19 @@ Usage:
 
 Measures microseconds per graded product at 2, 4 and 8 generators in
 batches of 1, 2 and 5 rows, one kernel.multiply call per batch, on the
-product the tree runs (compiled C where its library loads, else numpy). Then three layers of the RK4 driver, for the fermion Schrödinger
-evolution and the Grassmann law at 4, 16 and 256 coefficients and the boson
-Schrödinger evolution on 64 levels: "one RHS stage" (microseconds per call
-of the evolution's own RHS on 1 and 2 rows, the driver's batch sizes), "one
-RK4 step" (four RHS stages and the update on one state) and "the dt vs dt/2
-self-check" (one grid step of the driver: the dt step and the two dt/2
-substeps that check it), the last two in
-microseconds of CPU time and RHS calls per grid step. These two count the
-RHS calls, so they run the driver's numpy loop. A tree whose
-trajectory carries its Grassmann law integrates the law in these fermion
-Schrödinger cases too. Then "the driver's loop" for the same cases: the
-microseconds of CPU time per grid step of the driver run as the evolution
-runs it, and of its numpy loop, where a tree has a compiled loop (see
-cohstab/kernel/compiled.py). Then "a grassmann run" at 4, 16 and 256
+product the tree runs (compiled C where its library loads, else numpy). Then
+three layers of the RK4 driver, for the fermion Schrödinger evolution and
+the Grassmann law at 4, 16 and 256 coefficients and the boson Schrödinger
+evolution on 64 levels: "one RHS stage" (microseconds per call of the
+evolution's own RHS on 1 and 2 rows, the driver's batch sizes), "one RK4
+step" (microseconds of CPU time per call of the driver's own
+dynamics._rk4_step on one state: four RHS stages and the update) and "the
+driver's loop" (microseconds of CPU time per grid step of the driver, run
+as the evolution runs it, compiled where the tree can, see
+cohstab/kernel/compiled.py, and in its numpy loop, whose grid step is the
+dt step and the two dt/2 substeps that check it). A tree whose trajectory
+carries its Grassmann law integrates the law in these fermion Schrödinger
+cases too. Then "a grassmann run" at 4, 16 and 256
 coefficients: the trajectory and its Grassmann law as `coherence run` makes
 them (the evolution, then verify_trajectory against the law), in
 microseconds of CPU time and Python RHS calls per grid step (none where
@@ -31,10 +30,9 @@ evolution, and the CoefficientFn calls, per grid step. Then "the per-record
 observer" of the fermion Schrödinger evolution at 4, 16 and 256
 coefficients and of the boson Schrödinger evolution on 64 levels:
 microseconds per record of what the evolution computes from its records
-(<psi|psi> and norm_dev, the eigenvalue and its residual).
-Then the wall time of a coherent-state evolution (the criterion-3 shape)
-and of each file in scenarios/, run as `coherence run` runs it, with a byte
-check of its trajectory against tests/golden/.
+(<psi|psi> and norm_dev, the eigenvalue and its residual). Then the wall
+time of each file in scenarios/, run as `coherence run` runs it, with a
+byte check of its trajectory against tests/golden/.
 
 Every measurement runs the same way. This checkout's src/cohstab, and with
 --baseline a `git archive` of REV's, are copied under distinct package
@@ -137,32 +135,6 @@ def bench_products(packages: dict) -> dict:
             for col, table in _alternate(cases).items()}
 
 
-def _one_row(rhs, coeffs, grid):
-    """The driver's RHS as f(t, y) on one state, on `grid`.
-
-    The driver calls rhs(c, Y) over rows, with the rows c of `coeffs` at the
-    stage times; here they are tabulated once for every stage time of
-    `grid`, before any timing, and looked up per stage.
-    """
-    t, t_next = grid[:-1], grid[1:]
-    stages = np.concatenate((t, t + 0.5 * (t_next - t), t_next))
-    rows = dict(zip(stages.tolist(), coeffs(stages)))
-    return lambda t, y: rhs(rows[t][None], y[None])[0]
-
-
-def _rk4_run(f, y0, grid: np.ndarray) -> np.ndarray:
-    y = np.array(y0, dtype=np.complex128)
-    for i in range(grid.size - 1):
-        t = grid[i]
-        dt = grid[i + 1] - t
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-        k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-        k4 = f(grid[i + 1], y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return y
-
-
 def _evolutions(package: str) -> dict:
     """Per evolution and size, a call that runs it on `package` over the
     step layers' grid: the fermion Schrödinger evolution and the Grassmann
@@ -217,18 +189,13 @@ def _driver_args(dynamics, evolve):
 
 
 def _step_cases(package: str) -> dict:
-    """Per evolution and size: `package`'s _integrate, the grid, the RHS,
-    the RHS on one state, the start, and the arguments that the evolution
-    passes to _integrate after the RHS."""
+    """Per evolution and size: `package`'s dynamics, the grid, the RHS and
+    the arguments that the evolution passes to _integrate after the RHS
+    (the coefficients and the start first)."""
     dynamics = _module(package, "dynamics")
     cfg = dynamics.IntegrationConfig(*STEP_GRID)
-    cases = {}
-    for name, evolve in _evolutions(package).items():
-        rhs, args, kw = _driver_args(dynamics, evolve)
-        coeffs, y0 = args[0], args[1]
-        cases[name] = (dynamics._integrate, cfg, rhs, _one_row(rhs, coeffs, cfg.times()),
-                       y0, args, kw)
-    return cases
+    return {name: (dynamics, cfg, *_driver_args(dynamics, evolve))
+            for name, evolve in _evolutions(package).items()}
 
 
 def bench_rhs(packages: dict) -> dict:
@@ -249,52 +216,50 @@ def bench_rhs(packages: dict) -> dict:
 
     cases = {col: {} for col in packages}
     for col, pkg in packages.items():
-        for name, (_, cfg, rhs, _, y0, args, _) in _step_cases(pkg).items():
+        for name, (_, cfg, rhs, (coeffs, y0, *_), _) in _step_cases(pkg).items():
             for rows in (1, 2):
-                c = np.asarray(args[0](cfg.times()[:rows]), dtype=np.complex128)
+                c = np.asarray(coeffs(cfg.times()[:rows]), dtype=np.complex128)
                 y = np.stack([np.asarray(y0, dtype=np.complex128)] * rows)
                 cases[col][f"{name}_r{rows}"] = functools.partial(timed, rhs, c, y)
     return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
             for col, table in _alternate(cases).items()}
 
 
-def bench_steps(packages: dict) -> dict:
-    """One RK4 step and one self-checked grid step, per evolution and size:
-    the CPU time of this process and the RHS calls, per grid step."""
-    def timed(integrate, cfg, rhs, one, y0, args, kw):
-        count = [0]
-
-        def counted(*a):
-            count[0] += 1
-            return rhs(*a)
-
+def bench_rk4_step(packages: dict) -> dict:
+    """One RK4 step per evolution and size: the CPU time of this process
+    per call of the tree's dynamics._rk4_step on the evolution's start as
+    one row, stepped over the grid with the dt run's coefficient rows, as
+    the driver's numpy loop hands them. The tables are built before the
+    timing."""
+    def timed(dynamics, cfg, rhs, y0, tables):
+        y = np.asarray(y0, dtype=np.complex128)[None]
         t0 = time.process_time()
-        _rk4_run(one, y0, cfg.times())
-        t1 = time.process_time()
-        integrate(counted, *args, **kw)
-        t2 = time.process_time()
-        return {"rk4_step_us": (t1 - t0) / cfg.n_steps * 1e6, "rk4_step_rhs_calls": 4,
-                "self_check_step_us": (t2 - t1) / cfg.n_steps * 1e6,
-                "self_check_step_rhs_calls": count[0] / cfg.n_steps}
+        for table, dts in tables:
+            for c, dt in zip(table, dts):
+                y = dynamics._rk4_step(rhs, c[0:1], c[2:3], c[4:5], dt[:1], y)
+        return {"us": (time.process_time() - t0) / cfg.n_steps * 1e6}
 
-    cases = {col: {name: functools.partial(timed, *case)
-                   for name, case in _step_cases(pkg).items()}
-             for col, pkg in packages.items()}
-    return {col: {case: _median_each(runs) for case, runs in table.items()}
+    cases = {col: {} for col in packages}
+    for col, pkg in packages.items():
+        for name, (dynamics, cfg, rhs, (coeffs, y0, *_), _) in _step_cases(pkg).items():
+            tables = list(dynamics._coeff_tables(coeffs, cfg.times(), cfg.refined_times()))
+            cases[col][name] = functools.partial(timed, dynamics, cfg, rhs, y0, tables)
+    return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
             for col, table in _alternate(cases).items()}
 
 
 def bench_loops(packages: dict) -> dict:
-    """The driver's loop per evolution and size: the CPU
-    time of this process per grid step of _integrate with the evolution's
-    own RHS ("driver": compiled where the tree can) and with that RHS
-    wrapped, which runs the numpy loop ("numpy"); and whether the driver's
-    run was compiled."""
-    def timed(integrate, cfg, rhs, one, y0, args, kw):
+    """The driver's loop per evolution and size: the CPU time of this
+    process per grid step of _integrate with the evolution's own RHS
+    ("driver": compiled where the tree can) and with that RHS wrapped,
+    which runs the numpy loop ("numpy", the self-checked grid step: the dt
+    step and its two dt/2 substeps); and whether the driver's run was
+    compiled."""
+    def timed(dynamics, cfg, rhs, args, kw):
         out = {}
         for key, step in (("driver_us", rhs), ("numpy_us", lambda c, y: rhs(c, y))):
             t0 = time.process_time()
-            integrate(step, *args, **kw)
+            dynamics._integrate(step, *args, **kw)
             out[key] = (time.process_time() - t0) / cfg.n_steps * 1e6
         out["compiled"] = float(getattr(rhs, "program", None) is not None
                                 and rhs.program.runner() is not None)
@@ -460,27 +425,6 @@ def bench_observer(packages: dict) -> dict:
             for col, table in _alternate(cases).items()}
 
 
-def bench_evolution(packages: dict) -> dict:
-    """Wall time of one coherent-state evolution at 16 coefficients."""
-    def timed(dynamics, spec, s0, cfg):
-        t0 = time.perf_counter()
-        dynamics.evolve_schrodinger_fermion(spec, s0, cfg)
-        return {"s": time.perf_counter() - t0}
-
-    cases = {}
-    for col, pkg in packages.items():
-        dynamics, coeffs = _module(pkg, "dynamics"), _module(pkg, "coeffs")
-        gens = _module(pkg, "grassmann").GeneratorSet.from_pairs(("zeta", "eta"))
-        spec = dynamics.HamiltonianSpec(
-            "grassmann", coeffs.const_fn(1.0) + coeffs.sin_fn(0.5, 1.0),
-            coeffs.const_fn(0.4), coeffs.const_fn(0.2), gens=gens, eta_generator="eta")
-        s0 = _module(pkg, "fermion").make_coherent(gens.gen("zeta"))
-        cfg = dynamics.IntegrationConfig(t_end=1.0, dt=1e-3, stride=100)
-        cases[col] = {"evolution": functools.partial(timed, dynamics, spec, s0, cfg)}
-    return {col: statistics.median(table["evolution"]["s"])
-            for col, table in _alternate(cases).items()}
-
-
 def bench_scenarios(packages: dict) -> dict:
     """Wall time of parse + run of each shipped scenario, with the highest
     exit code over the runs and whether every run's trajectory matched its
@@ -556,14 +500,12 @@ def _print_column(name: str, data: dict) -> None:
         row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
         print(f"  {1 << n_gen:>3} coefficients, us/product at batch "
               f"{'/'.join(map(str, BATCHES))}:{row}")
-    for case in data["steps"]:
+    for case in data["rk4_step_us"]:
         calls = [data["rhs_stage_us"][f"{case}_r{rows}"] for rows in (1, 2)]
         print(f"  {case:<26} one RHS stage {calls[0]:9.1f} us on 1 row, "
               f"{calls[1]:9.1f} us on 2 rows")
-    for case, row in data["steps"].items():
-        print(f"  {case:<26} one RK4 step {row['rk4_step_us']:9.1f} us "
-              f"({row['rk4_step_rhs_calls']:g} RHS calls), self-checked grid step "
-              f"{row['self_check_step_us']:9.1f} us ({row['self_check_step_rhs_calls']:g})")
+    for case, us in data["rk4_step_us"].items():
+        print(f"  {case:<26} one RK4 step {us:9.1f} us")
     for case, row in data["loops"].items():
         print(f"  {case:<26} driver loop per grid step {row['driver_us']:9.1f} us "
               f"({'compiled' if row['compiled'] else 'numpy'}), numpy loop "
@@ -577,7 +519,6 @@ def _print_column(name: str, data: dict) -> None:
               f"({row['coeff_fn_calls_per_step']:g} CoefficientFn calls)")
     for case, us in data["observer_us_per_record"].items():
         print(f"  {case:<26} per-record observer {us:9.1f} us per record")
-    print(f"  grassmann evolution, t=1: {data['evolution_s']:.2f} s")
     for scen, res in data["scenarios"].items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
               f"golden {'match' if res['golden_match'] else 'DIFFERS'}")
@@ -603,12 +544,11 @@ def main() -> None:
             layers = {
                 "us_per_product": bench_products(packages),
                 "rhs_stage_us": bench_rhs(packages),
-                "steps": bench_steps(packages),
+                "rk4_step_us": bench_rk4_step(packages),
                 "loops": bench_loops(packages),
                 "grassmann_runs": bench_grassmann_runs(packages),
                 "coefficients": bench_coefficients(packages),
                 "observer_us_per_record": bench_observer(packages),
-                "evolution_s": bench_evolution(packages),
                 "scenarios": bench_scenarios(packages),
             }
             backends = {col: _backend(pkg) for col, pkg in packages.items()}

@@ -7,6 +7,7 @@ direct power series so it also works for ladder invariants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,25 @@ def make_coherent_boson(z: complex, nmax: int = DEFAULT_NMAX) -> BosonState:
     return BosonState(amps, _copy=False)
 
 
+@functools.lru_cache
+def _ladder_sqrt(levels: int) -> np.ndarray:
+    """The ladder's read-only float64 factors sqrt(1..levels-1), rk4.c's too."""
+    sq = np.sqrt(np.arange(1, levels))
+    sq.flags.writeable = False
+    return sq
+
+
 def _lower(amps: np.ndarray) -> np.ndarray:
     # a: c_n <- sqrt(n+1) c_{n+1}, along the last axis
     out = np.zeros_like(amps)
-    n = np.arange(1, amps.shape[-1])
-    out[..., :-1] = np.sqrt(n) * amps[..., 1:]
+    out[..., :-1] = _ladder_sqrt(amps.shape[-1]) * amps[..., 1:]
     return out
 
 
 def _raise(amps: np.ndarray) -> np.ndarray:
-    # a†: c_n <- sqrt(n) c_{n-1}; the would-be |nmax+1> component is dropped
+    # a†: c_n <- sqrt(n) c_{n-1}, along the last axis; |nmax+1> is dropped
     out = np.zeros_like(amps)
-    n = np.arange(1, amps.size)
-    out[1:] = np.sqrt(n) * amps[:-1]
+    out[..., 1:] = _ladder_sqrt(amps.shape[-1]) * amps[..., :-1]
     return out
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .boson import BosonState, eigenvalue_lsq
+from .boson import BosonLadderInvariant, BosonState, _ladder_sqrt, _lower, _raise, eigenvalue_lsq
 from .coeffs import CoefficientFn, zero_fn
 from .errors import (
     GeneratorCollision,
@@ -45,6 +45,7 @@ from .errors import (
 from .fermion import (
     FermionOperator,
     FermionState,
+    _adjoint_rows,
     _compose_coeff_arrays,
     _norm_bodies,
     _record_blocks,
@@ -236,9 +237,7 @@ class DenseHamiltonian:
         if self.kind == "grassmann" and (c[:, 3, 1:].any()
                                          or not _odd_degree_one_rows(c[:, 2]).all()):
             raise NotOddLinear("b† must be odd of degree one and b†b a body")
-        adjoint = c[:, [0, 2, 1, 3]]  # conjugate(gi(c)) with b and b† swapped
-        adjoint[:, 1:3] *= kernel.grade_signs(n_gen)
-        if not np.max(np.abs(kernel.conjugate(adjoint, n_gen) - c)) <= HERMITIAN_TOL:
+        if not np.max(np.abs(_adjoint_rows(c) - c)) <= HERMITIAN_TOL:
             raise NotHermitian("H(t) is not self-adjoint")
         return c
 
@@ -324,9 +323,7 @@ class BosonInvariantPath:
     beta: np.ndarray
     gamma: np.ndarray
 
-    def at(self, i: int):
-        from .boson import BosonLadderInvariant
-
+    def at(self, i: int) -> BosonLadderInvariant:
         return BosonLadderInvariant(complex(self.beta[i]), complex(self.gamma[i]))
 
 
@@ -750,18 +747,13 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     refused (TruncationBreach) at the first grid point whose tail mass
     exceeds BREACH_TOL or is NaN."""
     _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
-    nlev = np.arange(s0.amps.size)
-    sq = np.sqrt(np.arange(1, s0.amps.size))
+    n = np.arange(s0.amps.size)
 
     def rhs(c, y):
         g, fc, f, w = c.T[:, :, None]
-        up = np.zeros_like(y)
-        up[:, 1:] = sq * y[:, :-1]
-        down = np.zeros_like(y)
-        down[:, :-1] = sq * y[:, 1:]
-        return -1j * (w * (nlev * y) + f * up + fc * down + g * y)
+        return -1j * (w * (n * y) + f * _raise(y) + fc * _lower(y) + g * y)
 
-    rhs.program = kernel.compiled.Program.ladder(sq)  # the driver may run it in C
+    rhs.program = kernel.compiled.Program.ladder(_ladder_sqrt(n.size))  # C where it can
     rec_idx = config.record_indices()
     records = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
                          rec_idx, check=_tail_guard)

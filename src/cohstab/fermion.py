@@ -47,9 +47,6 @@ _BASIS_MUL = {
     (_NUM, _NUM): ((_NUM, 1),),
 }
 
-_ADJOINT_SLOT = (_ID, _CRE, _ANN, _NUM)
-
-
 class FermionOperator:
     """Left-coefficient operator over {I, b, b†, b†b}."""
 
@@ -149,12 +146,8 @@ class FermionOperator:
         return NotImplemented
 
     def adjoint(self) -> "FermionOperator":
-        out = [self.gens.zero()] * 4
-        for slot, c in enumerate(self.coefficients()):
-            target = _ADJOINT_SLOT[slot]
-            cc = c.grade_involution() if _PARITY[slot] else c
-            out[target] = out[target] + cc.conjugate()
-        return FermionOperator(self.gens, *out)
+        rows = _adjoint_rows(np.stack([c.coeffs for c in self.coefficients()]))
+        return FermionOperator(self.gens, *(Multivector(self.gens, r, _copy=False) for r in rows))
 
     def is_selfadjoint(self, tol: float = 1e-12) -> bool:
         d = self.adjoint() - self
@@ -264,6 +257,13 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     for k, slot, add in _PAIR_SCATTER:
         add(slots[:, slot], prod[:, k], out=slots[:, slot])
     return out
+
+
+def _adjoint_rows(c: np.ndarray) -> np.ndarray:
+    """Adjoint slot rows (..., 4, dim): b, b† swapped and grade-involuted; conjugated; +0.0."""
+    swapped = c[..., [_ID, _CRE, _ANN, _NUM], :]
+    swapped[..., 1:3, :] *= kernel.grade_signs(_n_gen(c))
+    return 0.0 + kernel.conjugate(swapped, _n_gen(c))
 
 
 def compose(o1: FermionOperator, o2: FermionOperator) -> FermionOperator:

@@ -189,7 +189,7 @@ class Program:
     @classmethod
     def ladder(cls, sq):
         """The boson Schrödinger RHS on len(sq) + 1 levels, sq the float64
-        np.sqrt(np.arange(1, levels)) that the numpy RHS multiplies by."""
+        ladder table boson._ladder_sqrt(levels) that the numpy RHS reads."""
         if not (isinstance(sq, np.ndarray) and sq.dtype == _F64 and sq.ndim == 1):
             raise ValueError("sq is not a 1-D float64 array")
         self = cls.__new__(cls)

@@ -243,6 +243,17 @@ def test_repeated_generator_is_scenario_error(tmp_path, capsys, command, scenari
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_eta_in_the_initial_value_is_refused_by_verify(tmp_path, capsys):
+    # a trajectory whose start holds eta carries no law, so verify_trajectory
+    # integrates the law itself, which refuses that start
+    path = tmp_path / "grassmann_forced.ini"
+    text = (SCENARIOS / "grassmann_forced.ini").read_text()
+    path.write_text(text.replace("zeta0 = zeta\n", "zeta0 = eta\n"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: eta generator 'eta' appears in the initial value\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_infinite_t_end_is_validation_error(tmp_path):
     assert main(["run", str(SCENARIOS / "free_fermion.ini"),
                  "--out", str(tmp_path), "--t-end", "inf"]) == 1

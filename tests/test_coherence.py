@@ -1,5 +1,7 @@
 """Stability theorems as executable checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,21 @@ def test_verify_grassmann_run_with_phase(gens2):
     report = verify_trajectory(traj, "grassmann")
     assert report.passed
     assert report.max_state_deviation < 1e-8
+
+
+def test_verify_without_a_carried_law_integrates_the_same_law(gens2):
+    forcing = complex_pair(cos_fn(0.4, 1.0), sin_fn(-0.4, 1.0))
+    spec = HamiltonianSpec("grassmann", const_fn(1.0), forcing, const_fn(0.1),
+                           gens=gens2, eta_generator="eta")
+    traj = evolve_schrodinger_fermion(spec, make_coherent(gens2.gen("zeta")),
+                                      IntegrationConfig(0.5, 1e-3, stride=7))
+    assert traj.law is not None
+    carried = verify_trajectory(traj, "grassmann")
+    integrated = verify_trajectory(dataclasses.replace(traj, law=None), "grassmann")
+    assert carried.passed and integrated == carried
+    fields = ("max_eigenvalue_deviation", "max_residual", "max_state_deviation")
+    got, want = (np.array([getattr(r, f) for f in fields]) for r in (integrated, carried))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_verify_boson_run():

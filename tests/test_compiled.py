@@ -191,6 +191,23 @@ def test_compiled_ladder_matches_numpy_loop_bitwise(levels, omega_real, monkeypa
     assert len(numpy_chunks) == 3 * 14 * (1 if HAS_COMPILER else 2)
 
 
+# Drawn seeds, sizes and omega for the two oracles above, on the same grids;
+# a coherent start on fewer than 7 levels breaches the tail bound.
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(kind=st.sampled_from(("fermion", "grassmann", "law")), n_pairs=st.sampled_from((1, 2, 4)),
+       omega_real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_loop_matches_numpy_loop_on_drawn_states(kind, n_pairs, omega_real, seed):
+    with mock.patch.object(dynamics, "STEP_TOL", math.inf):
+        assert lock_step_mismatches(kind, n_pairs, omega_real, seed) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(levels=st.integers(7, 64), omega_real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_ladder_matches_numpy_loop_on_drawn_states(levels, omega_real, seed):
+    with mock.patch.object(dynamics, "STEP_TOL", math.inf):
+        assert ladder_mismatches(levels, omega_real, seed) == 0
+
+
 def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
     # fused: with the latter off, the library must pick its plain spelling,

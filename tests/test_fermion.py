@@ -27,7 +27,7 @@ from cohstab.fermion import (
     make_coherent,
     make_displacement,
 )
-from cohstab.grassmann import berezin_pair, random_multivector
+from cohstab.grassmann import GeneratorSet, Multivector, berezin_pair, random_multivector
 
 
 @pytest.fixture
@@ -397,4 +397,31 @@ def test_compose_coeff_arrays_matches_row_loop_bitwise(n_gen, batch):
         got = _compose_coeff_arrays(c1, c2, n_gen)
         want = _compose_reference(c1, c2, n_gen)
         assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# -- the rows adjoint against the per-slot loop -------------------------------------
+
+
+def _adjoint_reference(op):
+    """The adjoint's coefficients slot by slot: each slot's coefficient,
+    grade-involuted if its basis element is odd, conjugated and added to
+    the zero of the slot it moves to (b and b† swap)."""
+    out = [op.gens.zero()] * 4
+    for slot, c in enumerate(op.coefficients()):
+        target = (0, 2, 1, 3)[slot]
+        cc = c.grade_involution() if _PARITY[slot] else c
+        out[target] = out[target] + cc.conjugate()
+    return out
+
+
+@pytest.mark.parametrize("pairs", [(), ("zeta",), ("zeta", "eta")])
+def test_adjoint_matches_slot_loop_bitwise(pairs):
+    gens = GeneratorSet.from_pairs(pairs)
+    rng = np.random.default_rng(len(pairs))
+    for _ in range(20):
+        op = FermionOperator(gens, *(Multivector(gens, row) for row in
+                                     _signed_zero_coeffs(rng, (4, gens.dim))))
+        got = np.stack([c.coeffs for c in op.adjoint().coefficients()])
+        want = np.stack([c.coeffs for c in _adjoint_reference(op)])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohstab.errors import ParseError, ValidationError
 from cohstab.scenario import (
@@ -312,3 +314,64 @@ path = out.csv
     again = parse_scenario(serialize_scenario(s))
     again = type(again)(**{**again.__dict__, "name": s.name})
     assert again == s
+
+
+# -- drawn whole scenarios ---------------------------------------------------------
+
+# finite numbers, spelled as repr, in exponent form or to 3 digits (which
+# would round values near the float64 limit to inf, so none are drawn)
+_NUM = st.builds(lambda spell, x: spell(x),
+                 st.sampled_from((repr, "{:e}".format, "{:.3g}".format)), st.floats(-1e300, 1e300))
+_TRIG = st.builds("{}({}*t{})".format, st.sampled_from(("cos", "sin")), _NUM,
+                  st.one_of(st.just(""), _NUM.map(" + {}".format)))
+_TERM = st.one_of(_NUM, st.builds("{}*t{}".format, _NUM, st.sampled_from(("", "^1", "^2", "^3"))),
+                  _TRIG, st.builds("{}*{}".format, _NUM, _TRIG))
+_EXPR = st.lists(_TERM, min_size=1, max_size=3).map(" + ".join)
+_LABEL = st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True)
+_OPTIONAL = {"boson": ("f_re", "f_im", "g"), "fermion": ("f_re", "f_im", "g"),
+             "grassmann": ("eta_re", "eta_im", "delta")}
+
+
+@st.composite
+def _scenario_text(draw, kind: str) -> str:
+    """A valid scenario of `kind`: drawn expressions for omega and any of
+    its kind's optional coefficients, generators, start, grid and output,
+    each optional key present or left to its default."""
+    def some(key, strategy):
+        return [f"{key} = {draw(strategy)}"] if draw(st.booleans()) else []
+
+    system, hamiltonian, initial = [f"kind = {kind}"], [f"omega = {draw(_EXPR)}"], []
+    for key in _OPTIONAL[kind]:
+        hamiltonian += some(key, _EXPR)
+    if kind == "boson":
+        initial += some("z0_re", st.floats(-1e100, 1e100).map(repr))
+        initial += some("z0_im", st.floats(-1e100, 1e100).map(repr))
+    else:
+        labels = draw(st.lists(_LABEL, min_size=2 if kind == "grassmann" else 1, max_size=3,
+                               unique=True))
+        system.append(f"generators = {', '.join(labels)}")
+        if kind == "grassmann":
+            hamiltonian.append(f"eta_generator = {draw(st.sampled_from(labels))}")
+        one = st.one_of(st.sampled_from(labels),
+                        st.builds("{}*{}".format, _NUM, st.sampled_from(labels)))
+        initial += some("zeta0", st.lists(one, min_size=1, max_size=3).map(" + ".join))
+    # dt <= t_end and t_end / dt <= 5e6, within MAX_STEPS; the default dt is 1e-3
+    t_end = draw(st.floats(1e-3, 1e3))
+    integration = [f"t_end = {t_end!r}"] + some("dt", st.floats(2e-7, 1.0).map(
+        lambda frac: repr(t_end * frac))) + some("stride", st.integers(1, 10**6).map(str))
+    output = some("path", st.from_regex(r"[a-z][a-z0-9_]{0,8}\.csv", fullmatch=True))
+    output += some("expect", st.sampled_from(("preserving", "non_preserving")))
+    sections = (("system", system), ("hamiltonian", hamiltonian), ("initial", initial),
+                ("integration", integration), ("output", output))
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) + "\n"
+                   for name, lines in sections if lines)
+
+
+@pytest.mark.parametrize("kind", ["boson", "fermion", "grassmann"])
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_parse_serialize_parse_is_a_fixpoint(kind, data):
+    s = parse_scenario(data.draw(_scenario_text(kind), label="scenario"))
+    again = parse_scenario(serialize_scenario(s))
+    assert again == s
+    assert serialize_scenario(again) == serialize_scenario(s)
