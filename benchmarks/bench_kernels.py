@@ -230,7 +230,8 @@ def bench_rk4_step(packages: dict) -> dict:
     per call of the tree's dynamics._rk4_step on the evolution's start as
     one row, stepped over the grid with the dt run's coefficient rows, as
     the driver's numpy loop hands them. The tables are built before the
-    timing."""
+    timing. Columns 0, 2 and 4 of a table hold the dt run's rows in both
+    layouts, a step's 5 stage times or the 8 of a tree before them."""
     def timed(dynamics, cfg, rhs, y0, tables):
         y = np.asarray(y0, dtype=np.complex128)[None]
         t0 = time.process_time()
@@ -242,7 +243,9 @@ def bench_rk4_step(packages: dict) -> dict:
     cases = {col: {} for col in packages}
     for col, pkg in packages.items():
         for name, (dynamics, cfg, rhs, (coeffs, y0, *_), _) in _step_cases(pkg).items():
-            tables = list(dynamics._coeff_tables(coeffs, cfg.times(), cfg.refined_times()))
+            # a tree whose dt/2 run has a grid of its own takes that grid too
+            fine = (cfg.refined_times(),) if hasattr(cfg, "refined_times") else ()
+            tables = list(dynamics._coeff_tables(coeffs, cfg.times(), *fine))
             cases[col][name] = functools.partial(timed, dynamics, cfg, rhs, y0, tables)
     return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
             for col, table in _alternate(cases).items()}

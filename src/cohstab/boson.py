@@ -20,6 +20,9 @@ DEFAULT_NMAX = 64
 #: Acceptable coherent-state tail mass beyond the cutoff.
 TAIL_TOL = 1e-9
 
+#: `displace` stops at a term below DISPLACE_TERM_TOL or fails after DISPLACE_MAX_TERMS.
+DISPLACE_TERM_TOL, DISPLACE_MAX_TERMS = 1e-14, 500
+
 
 @dataclass(frozen=True)
 class BosonLadderInvariant:
@@ -148,8 +151,7 @@ def apply_ladder(which: str, s: BosonState) -> BosonState:
     raise ValueError(f"unknown ladder {which!r}; expected 'a', 'adag' or 'n'")
 
 
-def displace(inv: BosonLadderInvariant, z: complex, s: BosonState,
-             term_tol: float = 1e-14, max_terms: int = 500) -> BosonState:
+def displace(inv: BosonLadderInvariant, z: complex, s: BosonState) -> BosonState:
     """exp(A†z - z*A) with A = beta*a + gamma, by direct power series."""
     beta, gamma = inv.beta, inv.gamma
     scalar = z * np.conj(gamma) - np.conj(z) * gamma
@@ -161,16 +163,16 @@ def displace(inv: BosonLadderInvariant, z: complex, s: BosonState,
 
     acc = s.amps.copy()
     term = s.amps.copy()
-    for k in range(1, max_terms + 1):
+    for k in range(1, DISPLACE_MAX_TERMS + 1):
         term = x_apply(term) / k
         size = np.max(np.abs(term))
         # bail out well before float overflow would poison the next product
         if not np.isfinite(size) or size > 1e150:
             raise SeriesStalled(f"displacement series diverged at term {k}")
         acc = acc + term
-        if size < term_tol:
+        if size < DISPLACE_TERM_TOL:
             return BosonState(acc, _copy=False)
-    raise SeriesStalled(f"displacement series not converged after {max_terms} terms")
+    raise SeriesStalled(f"displacement series not converged after {DISPLACE_MAX_TERMS} terms")
 
 
 def expectation_number(s: BosonState) -> float:

@@ -24,6 +24,7 @@ from .coherence import classify_hamiltonian, verify_trajectory
 from .dynamics import (
     IntegrationConfig,
     Trajectory,
+    _refuse_eta,
     evolve_schrodinger_boson,
     evolve_schrodinger_fermion,
 )
@@ -85,8 +86,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
             traj = evolve_schrodinger_boson(
                 spec, make_coherent_boson(scenario.z0, DEFAULT_NMAX), config)
         else:
-            traj = evolve_schrodinger_fermion(
-                spec, make_coherent(scenario.initial_zeta()), config)
+            zeta0 = scenario.initial_zeta()
+            if scenario.kind == "grassmann":  # verify's law refuses it, so before evolving
+                _refuse_eta(spec, zeta0)
+            traj = evolve_schrodinger_fermion(spec, make_coherent(zeta0), config)
         # boson and grassmann verdicts are static and always "preserving"
         classification = classify_hamiltonian(spec, config, trajectory=traj)
         law = "fermion_free" if scenario.kind == "fermion" else scenario.kind
@@ -138,15 +141,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(Path(args.scenario))
-    if args.dt is not None or args.t_end is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            config=IntegrationConfig(
-                t_end=args.t_end if args.t_end is not None else scenario.config.t_end,
-                dt=args.dt if args.dt is not None else scenario.config.dt,
-                stride=scenario.config.stride,
-            ),
-        )
+    overrides = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
+    if overrides:
+        config = dataclasses.replace(scenario.config, **overrides)
+        scenario = dataclasses.replace(scenario, config=config)
     return run_scenario(scenario, args.out)
 
 
@@ -186,8 +184,6 @@ def _cmd_selftest(_args) -> int:
 
 
 def _selftest_battery():
-    import numpy as np
-
     from .coeffs import const_fn
     from .dynamics import (
         HamiltonianSpec,

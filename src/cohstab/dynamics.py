@@ -112,9 +112,6 @@ class IntegrationConfig:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
-    def refined_times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, 2 * self.n_steps + 1)
-
     @property
     def n_records(self) -> int:  # len(record_indices()), without building it
         return -(-self.n_steps // self.stride) + 1
@@ -467,12 +464,12 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     others are left for the caller to gate. Each gap, in order, is
     appended to `gaps` if given. The record bound counts one system.
 
-    The two runs advance in lock step: per grid step, the dt step and the
-    first dt/2 substep share each of their four RHS calls as a 2-row batch,
-    and the second substep follows on 1 row, so a grid step makes 8 calls,
-    the length of the dt/2 run's chain of stages. Each row's arithmetic is
-    that of a run on its own, so both runs are bit-identical to sequential
-    ones.
+    The dt/2 run steps on the grid's nodes and midpoints, in lock step with
+    the dt run: per grid step, the dt step and the first dt/2 substep share
+    each of their four RHS calls as a 2-row batch, and the second substep
+    follows on 1 row, so a grid step makes 8 calls on 5 stage times. Each
+    row's arithmetic is that of a run on its own, so both runs are
+    bit-identical to sequential ones.
 
     An RHS that carries a `program` (a kernel.compiled.Program: one fused
     plan and its post-ops, or the boson ladder) runs in compiled C instead,
@@ -492,7 +489,6 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     _check_records(config.n_steps + 1 if record is None else len(record),
                    np.size(y0) // len(labels))
     times = config.times()
-    fine = config.refined_times()
     keep = np.arange(times.size) if record is None else record.astype(np.int64)
     records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
     program = getattr(rhs, "program", None)
@@ -509,7 +505,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     if keep.size and keep[0] == 0:
         records[0] = y
     i = 0
-    for table, dts in _coeff_tables(coeffs, times, fine):
+    for table, dts in _coeff_tables(coeffs, times):
         for a in range(0, len(dts), block):  # grid steps i + 1 .. i + n
             n = min(block, len(dts) - a)
             run(table[a:a + n], dts[a:a + n], pair, states[:n])
@@ -532,34 +528,34 @@ def _numpy_chunk(rhs, table, dts, pair, states) -> None:
     """The numpy loop over one block, as a Program's runner runs it in C:
     grid steps 1..len(dts) of the table, pair (2,) + the state's shape
     updated in place, and pair[0] after grid step j + 1 copied to
-    states[j]."""
-    for j, (c, dt) in enumerate(zip(table, dts)):  # columns as _stage_times orders them
-        pair[:] = _rk4_step(rhs, c[0:2], c[2:4], c[4:6], dt[:2], pair)
-        pair[1:] = _rk4_step(rhs, c[5:6], c[6:7], c[7:8], dt[2:], pair[1:])
+    states[j]. The table's columns are as _stage_times orders them."""
+    paired = table[:, [[0, 0], [2, 1], [4, 2]]]  # start, mid, next of dt step and substep 1
+    for j, (c, rows, dt) in enumerate(zip(table, paired, dts)):
+        pair[:] = _rk4_step(rhs, *rows, dt[:2], pair)
+        pair[1:] = _rk4_step(rhs, c[2:3], c[3:4], c[4:5], dt[2:], pair[1:])
         states[j] = pair[0]
 
 
-def _stage_times(times: np.ndarray, fine: np.ndarray):
+def _stage_times(times: np.ndarray):
     """Stage times and steps of the lock-step grid steps over `times`.
 
-    `fine` is the dt/2 grid over the same span. Returns the (K, 8) stage
-    times: t, mid and next of the paired stages (dt run, first dt/2
-    substep), then mid and next of the second dt/2 substep, whose t is
-    column 5; and the (K, 3) steps of the dt run and the two substeps. Each
-    midpoint is t + 0.5 * (t_next - t), as a sequential RK4 step computes
-    it, so every entry is bitwise the time that step would see.
+    The dt/2 run steps on the grid's nodes and midpoints m = t + 0.5 *
+    (t_next - t). Returns the (K, 5) stage times t, t + 0.5 * (m - t), m,
+    m + 0.5 * (t_next - m), t_next (the dt step reads columns 0, 2, 4, the
+    dt/2 substeps 0, 1, 2 and 2, 3, 4) and the (K, 3) steps t_next - t,
+    m - t, t_next - m. Each midpoint is t + 0.5 * step, as a sequential RK4
+    step computes it, so every entry is bitwise the time it would see.
     """
     t, t_next = times[:-1], times[1:]
-    h0, h1, h2 = fine[:-2:2], fine[1:-1:2], fine[2::2]
-    dts = np.stack((t_next - t, h1 - h0, h2 - h1), axis=1)
-    lattice = np.stack((t, h0, t + 0.5 * dts[:, 0], h0 + 0.5 * dts[:, 1],
-                        t_next, h1, h1 + 0.5 * dts[:, 2], h2), axis=1)
+    m = t + 0.5 * (t_next - t)
+    dts = np.stack((t_next - t, m - t, t_next - m), axis=1)
+    lattice = np.stack((t, t + 0.5 * dts[:, 1], m, m + 0.5 * dts[:, 2], t_next), axis=1)
     return lattice, dts
 
 
-def _coeff_tables(coeffs, times: np.ndarray, fine: np.ndarray):
+def _coeff_tables(coeffs, times: np.ndarray):
     """Yield the coefficient rows of every stage of the grid steps over
-    `times`, chunk by chunk, each as (table, dts): a (K, 8) + row shape
+    `times`, chunk by chunk, each as (table, dts): a (K, 5) + row shape
     table in the column order of _stage_times, and the chunk's steps.
 
     Each chunk evaluates `coeffs` once on all of its stage times, a time that
@@ -569,10 +565,10 @@ def _coeff_tables(coeffs, times: np.ndarray, fine: np.ndarray):
     a, chunk = 0, 1
     while a < times.size - 1:
         b = min(a + chunk, times.size - 1)
-        lattice, dts = _stage_times(times[a:b + 1], fine[2 * a:2 * b + 1])
+        lattice, dts = _stage_times(times[a:b + 1])
         values = np.asarray(coeffs(lattice.reshape(-1)), dtype=np.complex128)
         del lattice  # while the driver steps, only the table (a view of values) is held
-        yield values.reshape(dts.shape[:1] + (8,) + values.shape[1:]), dts
+        yield values.reshape(dts.shape[:1] + (5,) + values.shape[1:]), dts
         a = b
         chunk = max(1, TABLE_BYTES * len(dts) // values.nbytes)
         del values  # freed before the next chunk's rows are evaluated
@@ -698,7 +694,8 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     # the inverse inside the eigenvalue
     if h.kind == "grassmann" and fused and np.isfinite(y0).all():
         zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
-        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(zeta0, masks):
+        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not any(
+                mask & masks[2] for mask in zeta0.terms):  # eta's: the law refuses it
             law_products, law = _grassmann_law(masks, 2)
             products += law_products
             y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(dim, dtype=np.complex128)]))
@@ -794,9 +791,12 @@ def _tail_guard(ts: np.ndarray, states: np.ndarray) -> None:
 _LAW_LABEL = "grassmann classical"
 
 
-def _holds_eta(zeta0: Multivector, masks) -> bool:
-    """Whether zeta0 has a term on the eta generator of a spec's slot masks."""
-    return any(mask & masks[2] for mask in zeta0.terms)
+def _refuse_eta(spec, zeta0: Multivector) -> None:
+    """Refuse (GeneratorCollision) a Grassmann law's start on a spec's eta generator."""
+    masks = spec.slot_masks(zeta0.gens)  # a DenseHamiltonian's are None: it names none
+    if masks is not None and any(mask & masks[2] for mask in zeta0.terms):
+        raise GeneratorCollision(f"eta generator {spec.eta_generator!r} appears in the "
+                                 "initial value")
 
 
 def _grassmann_law(masks, row: int):
@@ -852,11 +852,9 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     n_gen = gens.n_generators
     dim = gens.dim
     times = _check_spec(spec, ("grassmann",), config.times, gens)
+    _refuse_eta(spec, zeta0)
     masks = spec.slot_masks(gens)
     fused = masks is not None
-    if fused and _holds_eta(zeta0, masks):
-        raise GeneratorCollision(f"eta generator {spec.eta_generator!r} appears in the "
-                                 "initial value")
     products, law = _grassmann_law(masks, 0)
     plan = kernel.bilinear_plan(n_gen, products,
                                 ((2, dim), (4, 1 if fused else dim), (2 if fused else 3, dim)))

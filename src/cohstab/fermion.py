@@ -27,6 +27,10 @@ from .grassmann import (
     require_odd_degree_one,
 )
 
+#: Largest body, per unit of an operator's size, exp_operator reads as nilpotent,
+#: and make_displacement's bound on a ladder's algebra.
+EXP_BODY_TOL, LADDER_TOL = 1e-13, 1e-10
+
 # Basis slots: identity, b, b†, b†b.
 _ID, _ANN, _CRE, _NUM = 0, 1, 2, 3
 _PARITY = (0, 1, 1, 0)
@@ -301,7 +305,7 @@ def apply(o: FermionOperator, s: FermionState) -> FermionState:
     return FermionState(s.gens, psi0, psi1)
 
 
-def exp_operator(o: FermionOperator, body_tol: float = 1e-13) -> FermionOperator:
+def exp_operator(o: FermionOperator) -> FermionOperator:
     """Finite power series exp(o); the scalar part of c_i splits off exactly.
 
     Requires every remaining coefficient to be nilpotent (zero body), which
@@ -312,7 +316,7 @@ def exp_operator(o: FermionOperator, body_tol: float = 1e-13) -> FermionOperator
     rest = o - FermionOperator.scaled_identity(gens.scalar(scalar))
     scale = max(1.0, rest.sup_norm())
     for name, c in zip(("c_i", "c_minus", "c_plus", "c_n"), rest.coefficients()):
-        if not abs(c.body) <= body_tol * scale:
+        if not abs(c.body) <= EXP_BODY_TOL * scale:
             raise NonTerminatingSeries(
                 f"{name} has nonzero body {c.body}; series would not terminate"
             )
@@ -340,8 +344,7 @@ def make_coherent(zeta):
     return np.stack((n, -kernel.multiply(n, zeta, n_gen)), axis=1)
 
 
-def make_displacement(zeta: Multivector, ladder: FermionOperator,
-                      ladder_tol: float = 1e-10) -> FermionOperator:
+def make_displacement(zeta: Multivector, ladder: FermionOperator) -> FermionOperator:
     """exp(L†ζ - ζ*L) for any operator satisfying the ladder algebra.
 
     With L = U b U† the evolved ladder, exp(L†ζ - ζ*L) U|0> = U|ζ> only when
@@ -354,9 +357,9 @@ def make_displacement(zeta: Multivector, ladder: FermionOperator,
     gens = ladder.gens
     ident = FermionOperator.identity(gens)
     lad_dag = ladder.adjoint()
-    if not (anticommutator(ladder, lad_dag) - ident).sup_norm() <= ladder_tol:
+    if not (anticommutator(ladder, lad_dag) - ident).sup_norm() <= LADDER_TOL:
         raise NotALadder("anticommutator {L, L+} deviates from the identity")
-    if not compose(ladder, ladder).sup_norm() <= ladder_tol:
+    if not compose(ladder, ladder).sup_norm() <= LADDER_TOL:
         raise NotALadder("L^2 deviates from zero")
     zeta_op = FermionOperator.scaled_identity(zeta)
     zconj_op = FermionOperator.scaled_identity(zeta.conjugate())

@@ -210,13 +210,13 @@ class Program:
         ref = ctypes.byref(self.struct)
 
         def run(table, dts, pair, states):
-            """K grid steps: table (K, 8, 4) and dts (K, 3) as
+            """K grid steps: table (K, 5, 4) and dts (K, 3) as
             dynamics._coeff_tables yields them, pair (2,) + the state's
             shape updated in place, and pair[0] after grid step j + 1
             copied to states[j], of shape (K,) + the state's."""
             steps = len(dts)
             for name, a, dtype, shape in (
-                    ("table", table, _C128, (steps, 8, 4)), ("dts", dts, _F64, (steps, 3)),
+                    ("table", table, _C128, (steps, 5, 4)), ("dts", dts, _F64, (steps, 3)),
                     ("pair", pair, _C128, (2,) + state),
                     ("states", states, _C128, (steps,) + state)):
                 if not (isinstance(a, np.ndarray) and a.dtype == dtype

@@ -7,8 +7,8 @@
  * needs no spelling.
  *
  * Per grid step it does what the numpy loop does, op for op: the dt step on
- * pair[0], then the two dt/2 substeps on pair[1], each a classical RK4 step
- * whose stages evaluate, for a plan,
+ * pair[0], then on pair[1] the two dt/2 substeps that split it at its
+ * midpoint, each a classical RK4 step whose stages evaluate, for a plan,
  *   - the plan: per target, its pairs' products summed from +0.0 in pair
  *     order, each product p*c - q*d, p*d + q*c with p, q the signed parts of
  *     the state's coefficient and c, d those of the coefficient row's;
@@ -176,11 +176,12 @@ rk4_step(const program *p, cplx *y, const cplx *c0, const cplx *c_mid,
     }
 }
 
-/* `steps` grid steps: table holds each step's 8 stage rows in the column
+/* `steps` grid steps: table holds each step's 5 stage rows in the column
  * order of dynamics._stage_times, dts its 3 steps (dt run, two dt/2
- * substeps). pair holds the dt run's state, then the dt/2 run's. After
- * step j the dt run's state is copied to states[j]. work holds five
- * states. */
+ * substeps). The dt step reads columns 0, 2, 4 (2 is its midpoint m), the
+ * substeps 0, 1, 2 and 2, 3, 4. pair holds the dt run's state, then the
+ * dt/2 run's. After step j the dt run's state is copied to states[j]. work
+ * holds five states. */
 static inline __attribute__((always_inline)) void
 chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
       cplx *pair, cplx *states, cplx *work, int fused, int is_ladder)
@@ -188,13 +189,11 @@ chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
     const int64_t n = p->rows * p->dim;
     cplx *full = pair, *halved = pair + n;
     for (int64_t j = 0; j < steps; j++) {
-        const cplx *c = table + j * 8 * SLOTS;
+        const cplx *c = table + j * 5 * SLOTS, *m = c + 2 * SLOTS;
         const double *dt = dts + j * 3;
-        rk4_step(p, full, c, c + 2 * SLOTS, c + 4 * SLOTS, dt[0], work, fused, is_ladder);
-        rk4_step(p, halved, c + 1 * SLOTS, c + 3 * SLOTS, c + 5 * SLOTS, dt[1], work, fused,
-                 is_ladder);
-        rk4_step(p, halved, c + 5 * SLOTS, c + 6 * SLOTS, c + 7 * SLOTS, dt[2], work, fused,
-                 is_ladder);
+        rk4_step(p, full, c, m, m + 2 * SLOTS, dt[0], work, fused, is_ladder);
+        rk4_step(p, halved, c, c + SLOTS, m, dt[1], work, fused, is_ladder);
+        rk4_step(p, halved, m, m + SLOTS, m + 2 * SLOTS, dt[2], work, fused, is_ladder);
         memcpy(states + j * n, full, n * sizeof(cplx));
     }
 }

@@ -144,7 +144,7 @@ def serialize_coefficient_expr(fn: CoefficientFn) -> str:
             parts.append(base if term.power == 1 else f"{base}^{term.power}")
         else:
             inner = f"{_fmt_num(term.freq)}*t"
-            if term.phase != 0.0:
+            if term.phase != 0.0 or math.copysign(1.0, term.phase) < 0.0:  # -0.0 too
                 inner += f" + {_fmt_num(term.phase)}"
             parts.append(f"{_fmt_num(term.amp.real)}*{term.fn}({inner})")
     return " + ".join(parts)

@@ -254,6 +254,22 @@ def test_eta_in_the_initial_value_is_refused_by_verify(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_eta_in_the_initial_value_is_refused_before_evolving(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "evolve_schrodinger_fermion",
+                        lambda *a: calls.append(a) or dynamics.evolve_schrodinger_fermion(*a))
+    path = tmp_path / "grassmann_forced.ini"
+    text = (SCENARIOS / "grassmann_forced.ini").read_text()
+    path.write_text(text.replace("zeta0 = zeta\n", "zeta0 = zeta + eta\n"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: eta generator 'eta' appears in the initial value\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [path]
+    # classify does not evolve the start, so it still reads such a file
+    assert main(["classify", str(path)]) == 0
+    assert "verdict: preserving" in capsys.readouterr().out
+
+
 def test_infinite_t_end_is_validation_error(tmp_path):
     assert main(["run", str(SCENARIOS / "free_fermion.ini"),
                  "--out", str(tmp_path), "--t-end", "inf"]) == 1

@@ -133,7 +133,7 @@ def ladder_mismatches(levels, omega_real, seed=0) -> int:
     y0 = awkward(np.random.default_rng(seed), np.shape(y0))
     coeffs = _awkward_rows(omega_real)
     runs = []
-    with mock.patch.multiple(dynamics, TABLE_BYTES=7 * 8 * 4 * 16, CHECK_BYTES=3 * y0.nbytes):
+    with mock.patch.multiple(dynamics, TABLE_BYTES=7 * 5 * 4 * 16, CHECK_BYTES=3 * y0.nbytes):
         for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
             seen, gaps = [], []
             records = dynamics._integrate(
@@ -249,7 +249,7 @@ def test_compiled_records_across_chunks_match_numpy_loop(two_state_blocks, monke
     # on block edges too
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     zeta = LOCK_G2.gen("zeta")
-    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * 4 * 16)
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 5 * 4 * 16)
     starts = (
         lambda c: evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(zeta), c),
         lambda c: evolve_grassmann_classical(LOCK_GRASSMANN, zeta, c, np.array([2, 3, 17, 30])),
@@ -593,12 +593,13 @@ def _check_runner(program):
         assert not HAS_COMPILER
         return
     state = program.state
-    good = dict(table=np.zeros((3, 8, 4), complex), dts=np.full((3, 3), 0.01),
+    good = dict(table=np.zeros((3, 5, 4), complex), dts=np.full((3, 3), 0.01),
                 pair=np.zeros((2,) + state, complex), states=np.zeros((3,) + state, complex))
     run(**good)
     bad = {
-        "table": [np.zeros((3, 8, 4), np.complex64), np.zeros((3, 8, 5), complex),
-                  np.zeros((3, 8, 8), complex)[:, :, ::2], np.zeros((2, 8, 4), complex)],
+        "table": [np.zeros((3, 5, 4), np.complex64), np.zeros((3, 5, 5), complex),
+                  np.zeros((3, 5, 8), complex)[:, :, ::2], np.zeros((2, 5, 4), complex),
+                  np.zeros((3, 8, 4), complex)],
         "dts": [np.full((3, 3), 1, np.int64), np.full((3, 2), 0.01),
                 np.full((3, 6), 0.01)[:, ::2]],
         "pair": [np.zeros((2,) + state, np.float64), np.zeros((1,) + state, complex),

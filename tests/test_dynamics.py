@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohstab import dynamics, kernel
 from cohstab.boson import BosonState, make_coherent_boson
@@ -793,6 +795,15 @@ def sequential_rk4(rhs, coeffs, y0, grid: np.ndarray, stages=None) -> np.ndarray
     return np.array(states)
 
 
+def midpoint_grid(times: np.ndarray) -> np.ndarray:
+    """The dt/2 run's grid: the nodes of `times` and, between each pair,
+    its midpoint t + 0.5 * (t_next - t)."""
+    grid = np.empty(2 * times.size - 1)
+    grid[::2] = times
+    grid[1::2] = times[:-1] + 0.5 * (times[1:] - times[:-1])
+    return grid
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     """Raw float bits, so that signed zeros and NaN payloads count."""
     return np.ascontiguousarray(a).view(np.uint64)
@@ -857,7 +868,7 @@ def test_lock_step_records_match_sequential_run(name, driver_runs, monkeypatch):
     assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
     stages, half_stages = [], []
     ref = sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.times(), stages)
-    sequential_rk4(run.rhs, run.coeffs, run.y0, cfg.refined_times(), half_stages)
+    sequential_rk4(run.rhs, run.coeffs, run.y0, midpoint_grid(cfg.times()), half_stages)
     if run.record is not None:
         ref = ref[run.record]
     assert np.array_equal(bits(run.records), bits(ref))
@@ -887,9 +898,41 @@ def test_lock_step_records_match_sequential_run(name, driver_runs, monkeypatch):
             assert np.array_equal(bits(y), bits(y_ref))
 
 
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_driver_tabulates_five_stage_times_per_grid_step(name, driver_runs):
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    EVOLUTIONS[name](cfg)
+    (run,) = driver_runs
+    # t, the two substeps' midpoints, the dt step's midpoint and t_next
+    assert sum(ts.size for ts in run.coeff_times) == 5 * cfg.n_steps
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(t_end=st.floats(1e-300, 1e300), share=st.floats(1 / 40, 1.0))
+def test_stage_times_are_those_of_sequential_runs(t_end, share):
+    cfg = IntegrationConfig(t_end, t_end * share)  # at most 40 grid steps
+    times = cfg.times()
+    lattice, dts = dynamics._stage_times(times)
+    assert lattice.shape == (cfg.n_steps, 5) and dts.shape == (cfg.n_steps, 3)
+    assert np.all(np.diff(lattice, axis=1) >= 0.0)
+    grids = (times, midpoint_grid(times))  # the dt run's, the dt/2 run's
+    steps = np.concatenate([np.diff(grid).reshape(cfg.n_steps, -1) for grid in grids], axis=1)
+    assert np.array_equal(bits(dts), bits(steps))
+    runs = []
+    for grid in grids:
+        stages = []
+        sequential_rk4(lambda c, y: y, lambda ts: ts[:, None], np.zeros(1), grid, stages)
+        # per step its start, midpoint (k2 and k3 share it) and end
+        runs.append(np.array([t for t, _, _ in stages]).reshape(-1, 4)[:, [0, 1, 3]])
+    full, half = runs
+    assert np.array_equal(bits(lattice[:, [0, 2, 4]]), bits(full))
+    assert np.array_equal(bits(lattice[:, [0, 1, 2]]), bits(half[0::2]))
+    assert np.array_equal(bits(lattice[:, [2, 3, 4]]), bits(half[1::2]))
+
+
 def _sequential_gap(rhs, coeffs, y0, cfg) -> float:
     end = sequential_rk4(rhs, coeffs, y0, cfg.times())[-1]
-    half_end = sequential_rk4(rhs, coeffs, y0, cfg.refined_times())[-1]
+    half_end = sequential_rk4(rhs, coeffs, y0, midpoint_grid(cfg.times()))[-1]
     return float(np.max(np.abs(half_end - end)))
 
 
@@ -1101,15 +1144,15 @@ def table_mismatches(spec, cfg) -> dict:
     """Per evolution of `spec`, the raw bits in which the driver's tables on
     cfg's grid differ from the coefficients evaluated at each stage time
     alone (per_time_values, per_time_rows)."""
-    times, fine = cfg.times(), cfg.refined_times()
-    lattice, _ = dynamics._stage_times(times, fine)
+    times = cfg.times()
+    lattice, _ = dynamics._stage_times(times)
     distinct, where = np.unique(bits(lattice).reshape(-1), return_inverse=True)
     gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
     values = [per_time_values(spec, t) for t in distinct.view(np.float64)]
     wrong = {}
     for label, start in _evolutions_of(spec).items():
         table = np.concatenate([rows for rows, _ in dynamics._coeff_tables(
-            _coeffs_of(start, cfg), times, fine)])
+            _coeffs_of(start, cfg), times)])
         ref = np.array([per_time_rows(label, spec, gens, v) for v in values])
         want = ref[where.reshape(-1)].reshape(table.shape)
         wrong[label] = int(np.sum(bits(table) != bits(want)))
@@ -1122,7 +1165,7 @@ def test_coefficient_tables_match_per_time_evaluation(name, spec, cfg):
     assert table_mismatches(spec, cfg) == dict.fromkeys(_evolutions_of(spec), 0)
     if spec.kind != "boson":
         gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
-        lattice, _ = dynamics._stage_times(cfg.times(), cfg.refined_times())
+        lattice, _ = dynamics._stage_times(cfg.times())
         for t in np.unique(lattice)[:50]:
             op = hamiltonian_operator(spec, t, gens)
             got = np.stack([c.coeffs for c in op.coefficients()])
@@ -1133,11 +1176,11 @@ def test_coefficient_tables_match_per_time_evaluation(name, spec, cfg):
 @pytest.mark.parametrize("name", ["grassmann_forced", "grassmann_wide_0"])
 def test_trajectory_and_law_tabulate_one_layout(name):
     _, spec, cfg = next(case for case in TABLE_CASES if case[0] == name)
-    times, fine = cfg.times(), cfg.refined_times()
+    times = cfg.times()
     evolutions = _evolutions_of(spec)
     trajectory, law = (
         np.concatenate([rows for rows, _ in dynamics._coeff_tables(
-            _coeffs_of(evolutions[label], cfg), times, fine)])
+            _coeffs_of(evolutions[label], cfg), times)])
         for label in ("fermion Schrödinger", "grassmann classical"))
     assert np.array_equal(bits(trajectory), bits(law))
 
@@ -1220,8 +1263,8 @@ def _chunk_spy(monkeypatch, seen):
     table to `seen`."""
     coeff_tables = dynamics._coeff_tables
 
-    def spy(coeffs, times, fine):
-        for table, dts in coeff_tables(coeffs, times, fine):
+    def spy(coeffs, times):
+        for table, dts in coeff_tables(coeffs, times):
             seen.append(table)
             yield table, dts
 
@@ -1235,7 +1278,7 @@ def test_chunked_tables_match_sequential_run(name, driver_runs, monkeypatch):
     row_bytes = driver_runs[0].coeffs(np.zeros(1)).nbytes
     # 3 grid steps per chunk: the 30 steps go as 1 (the sizing chunk), nine
     # chunks of 3, then the 2 left
-    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * row_bytes)
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 5 * row_bytes)
     tables = []
     _chunk_spy(monkeypatch, tables)
     EVOLUTIONS[name](cfg)
@@ -1626,7 +1669,7 @@ def test_reconstructed_rows_match_per_time_build_bitwise(n_pairs):
     ref_eta, ref_delta = per_time_forcing(path, omega, beta)
     cfg = IntegrationConfig(0.3, 1e-2)
     rng = np.random.default_rng(n_pairs)
-    stages, _ = dynamics._stage_times(cfg.times(), cfg.refined_times())
+    stages, _ = dynamics._stage_times(cfg.times())
     ts = np.concatenate((stages.reshape(-1), rng.uniform(-4.0, 4.0, 40), [-0.0]))
     rows = h.slot_rows(ts)
     # eta is the b† slot and delta the I slot; a scalar time gives them as
@@ -1659,8 +1702,8 @@ def test_reconstructed_rows_evaluate_each_input_once_per_chunk(monkeypatch):
     monkeypatch.setattr(CoefficientFn, "__call__", count_fn)
     tables = []
     _chunk_spy(monkeypatch, tables)
-    # 3 grid steps per chunk: 8 stage rows each, of 4 x 16 coefficients
-    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 8 * 4 * 16 * 16)
+    # 3 grid steps per chunk: 5 stage rows each, of 4 x 16 coefficients
+    monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 5 * 4 * 16 * 16)
     evolve_grassmann_classical(h, zeta0, IntegrationConfig(0.3, 1e-2))
     assert len(tables) == 11
     assert calls == {name: len(tables) for name in ("zeta_path", "zdot", "omega", "beta")}

@@ -88,6 +88,15 @@ def test_expression_serialize_round_trip():
         assert fn == again
 
 
+def test_serialize_keeps_a_negative_zero_phase():
+    fn = parse_coefficient_expr("1*sin(-1*t + -0.0)")
+    again = parse_coefficient_expr(serialize_coefficient_expr(fn))
+    # equality cannot see a zero's sign, so compare raw bits: sin(-0.0) at t = 0
+    at0 = np.array([fn(0.0), again(0.0)]).view(np.uint64)
+    assert at0[0] == at0[2] and at0[1] == at0[3]
+    assert np.signbit(fn(0.0).real)
+
+
 # -- scenario files ---------------------------------------------------------------
 
 
@@ -322,8 +331,9 @@ path = out.csv
 # would round values near the float64 limit to inf, so none are drawn)
 _NUM = st.builds(lambda spell, x: spell(x),
                  st.sampled_from((repr, "{:e}".format, "{:.3g}".format)), st.floats(-1e300, 1e300))
+_PHASE = st.one_of(_NUM, st.sampled_from(("0.0", "-0.0", "-0")))  # signed zeros too
 _TRIG = st.builds("{}({}*t{})".format, st.sampled_from(("cos", "sin")), _NUM,
-                  st.one_of(st.just(""), _NUM.map(" + {}".format)))
+                  st.one_of(st.just(""), _PHASE.map(" + {}".format)))
 _TERM = st.one_of(_NUM, st.builds("{}*t{}".format, _NUM, st.sampled_from(("", "^1", "^2", "^3"))),
                   _TRIG, st.builds("{}*{}".format, _NUM, _TRIG))
 _EXPR = st.lists(_TERM, min_size=1, max_size=3).map(" + ".join)
@@ -375,3 +385,6 @@ def test_parse_serialize_parse_is_a_fixpoint(kind, data):
     again = parse_scenario(serialize_scenario(s))
     assert again == s
     assert serialize_scenario(again) == serialize_scenario(s)
+    # == cannot see a zero's sign; repr shows every term's, trig phases included
+    assert {k: repr(fn) for k, fn in again.expressions.items()} == \
+        {k: repr(fn) for k, fn in s.expressions.items()}
