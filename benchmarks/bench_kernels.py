@@ -16,13 +16,12 @@ dynamics._rk4_step on one state: four RHS stages and the update) and "the
 driver's loop" (microseconds of CPU time per grid step of the driver, run
 as the evolution runs it, compiled where the tree can, see
 cohstab/kernel/compiled.py, and in its numpy loop, whose grid step is the
-dt step and the two dt/2 substeps that check it). A tree whose trajectory
-carries its Grassmann law integrates the law in these fermion Schrödinger
-cases too. Then "a grassmann run" at 4, 16 and 256
-coefficients: the trajectory and its Grassmann law as `coherence run` makes
-them (the evolution, then verify_trajectory against the law), in
-microseconds of CPU time and Python RHS calls per grid step (none where
-a compiled loop runs), wherever each tree integrates the law. Then "coefficient
+dt step and the two dt/2 substeps that check it). The trajectory carries
+its Grassmann law, so these fermion Schrödinger cases integrate it too.
+Then "a grassmann run" at 4, 16 and 256 coefficients: the trajectory and
+its Grassmann law as `coherence run` makes them (the evolution, then
+verify_trajectory against the law), in microseconds of CPU time and Python
+RHS calls per grid step (none where a compiled loop runs). Then "coefficient
 evaluation per grid step" for the boson Schrödinger evolution on 64 levels
 and the fermion Schrödinger evolution at 4, 16 and 256 coefficients: the
 wall time spent evaluating the Hamiltonian's coefficients over one
@@ -42,7 +41,8 @@ columns alternate run by run, which keeps this machine's drift in speed out
 of their comparison, and each number is the median over STEP_RUNS runs.
 The JSON holds one column per tree: "change" (this checkout) and, with
 --baseline, "parent" (REV), each naming the backend its kernel and RK4
-loops ran on.
+loops ran on. REV is the parent of the change measured: the script calls
+only what the parent's tree has.
 """
 
 import argparse
@@ -76,15 +76,27 @@ RHS_CALLS = 1000
 OBSERVER_GRID = (0.2, 1e-3, 1)  # t_end, dt and stride: 201 records
 
 
-def _alternate(cases: dict) -> dict:
+@contextlib.contextmanager
+def _patched(owner, name: str, value):
+    """owner.name is `value` inside the block and its own again after."""
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def _alternate(cases: dict, key: str | None = None, reduce: dict | None = None) -> dict:
     """Run every case of every column: one untimed pass per column, then
     STEP_RUNS runs in which the columns alternate, their order reversed
     every other run, so that the machine's drift in speed falls on each
     alike.
 
     `cases` maps a column name to {case name: call}, with the same case
-    names in every column; each call returns {key: number}. Returns, per
-    column and case, {key: its numbers over the STEP_RUNS runs}.
+    names in every column; each call returns {name: number}. Returns, per
+    column and case, {name: the median of its numbers over the runs, or
+    reduce[name] of them where given}, or with `key` that name's alone.
     """
     cols = list(cases)
     for col in cols:
@@ -94,13 +106,16 @@ def _alternate(cases: dict) -> dict:
     for run in range(STEP_RUNS):
         for case in cases[cols[0]]:
             for col in (cols if run % 2 == 0 else cols[::-1]):
-                for key, value in cases[col][case]().items():
-                    runs[col][case].setdefault(key, []).append(value)
-    return runs
+                for name, value in cases[col][case]().items():
+                    runs[col][case].setdefault(name, []).append(value)
 
+    def summary(row: dict):
+        out = {name: (reduce or {}).get(name, statistics.median)(values)
+               for name, values in row.items()}
+        return out if key is None else out[key]
 
-def _median_each(runs: dict) -> dict:
-    return {key: statistics.median(values) for key, values in runs.items()}
+    return {col: {case: summary(row) for case, row in table.items()}
+            for col, table in runs.items()}
 
 
 def _module(package: str, name: str):
@@ -131,8 +146,7 @@ def bench_products(packages: dict) -> dict:
                                            n_gen, batch)
                    for case, (xy, n_gen, batch) in operands.items()}
              for col, pkg in packages.items()}
-    return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases, "us")
 
 
 def _evolutions(package: str) -> dict:
@@ -171,21 +185,18 @@ def _evolutions(package: str) -> dict:
     return out
 
 
-def _driver_args(dynamics, evolve):
-    """(rhs, args, kw) of the first _integrate call that evolve() makes,
-    which runs as usual."""
-    integrate, captured = dynamics._integrate, []
+def _driver_args(dynamics, evolve, *args):
+    """((rhs, args, kw), records) of the first _integrate call that
+    evolve(*args) makes, which runs as usual; records is what it returned."""
+    integrate, calls = dynamics._integrate, []
 
     def capture(rhs, *args, **kw):
-        captured.append((rhs, args, kw))
-        return integrate(rhs, *args, **kw)
+        calls.append(((rhs, args, kw), integrate(rhs, *args, **kw)))
+        return calls[-1][1]
 
-    dynamics._integrate = capture
-    try:
-        evolve()
-    finally:
-        dynamics._integrate = integrate
-    return captured[0]
+    with _patched(dynamics, "_integrate", capture):
+        evolve(*args)
+    return calls[0]
 
 
 def _step_cases(package: str) -> dict:
@@ -194,7 +205,7 @@ def _step_cases(package: str) -> dict:
     (the coefficients and the start first)."""
     dynamics = _module(package, "dynamics")
     cfg = dynamics.IntegrationConfig(*STEP_GRID)
-    return {name: (dynamics, cfg, *_driver_args(dynamics, evolve))
+    return {name: (dynamics, cfg, *_driver_args(dynamics, evolve)[0])
             for name, evolve in _evolutions(package).items()}
 
 
@@ -221,17 +232,15 @@ def bench_rhs(packages: dict) -> dict:
                 c = np.asarray(coeffs(cfg.times()[:rows]), dtype=np.complex128)
                 y = np.stack([np.asarray(y0, dtype=np.complex128)] * rows)
                 cases[col][f"{name}_r{rows}"] = functools.partial(timed, rhs, c, y)
-    return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases, "us")
 
 
 def bench_rk4_step(packages: dict) -> dict:
     """One RK4 step per evolution and size: the CPU time of this process
     per call of the tree's dynamics._rk4_step on the evolution's start as
-    one row, stepped over the grid with the dt run's coefficient rows, as
-    the driver's numpy loop hands them. The tables are built before the
-    timing. Columns 0, 2 and 4 of a table hold the dt run's rows in both
-    layouts, a step's 5 stage times or the 8 of a tree before them."""
+    one row, stepped over the grid with the dt run's coefficient rows
+    (columns 0, 2 and 4 of a step's 5 stage times), as the driver's numpy
+    loop hands them. The tables are built before the timing."""
     def timed(dynamics, cfg, rhs, y0, tables):
         y = np.asarray(y0, dtype=np.complex128)[None]
         t0 = time.process_time()
@@ -243,12 +252,9 @@ def bench_rk4_step(packages: dict) -> dict:
     cases = {col: {} for col in packages}
     for col, pkg in packages.items():
         for name, (dynamics, cfg, rhs, (coeffs, y0, *_), _) in _step_cases(pkg).items():
-            # a tree whose dt/2 run has a grid of its own takes that grid too
-            fine = (cfg.refined_times(),) if hasattr(cfg, "refined_times") else ()
-            tables = list(dynamics._coeff_tables(coeffs, cfg.times(), *fine))
+            tables = list(dynamics._coeff_tables(coeffs, cfg.times()))
             cases[col][name] = functools.partial(timed, dynamics, cfg, rhs, y0, tables)
-    return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases, "us")
 
 
 def bench_loops(packages: dict) -> dict:
@@ -264,24 +270,22 @@ def bench_loops(packages: dict) -> dict:
             t0 = time.process_time()
             dynamics._integrate(step, *args, **kw)
             out[key] = (time.process_time() - t0) / cfg.n_steps * 1e6
-        out["compiled"] = float(getattr(rhs, "program", None) is not None
-                                and rhs.program.runner() is not None)
+        out["compiled"] = float(rhs.program.runner() is not None)
         return out
 
     cases = {col: {name: functools.partial(timed, *case)
                    for name, case in _step_cases(pkg).items()}
              for col, pkg in packages.items()}
-    return {col: {case: _median_each(runs) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases)
 
 
 def bench_grassmann_runs(packages: dict) -> dict:
     """A grassmann run per size: the fermion Schrödinger evolution of the
     step layers (see _evolutions), then verify_trajectory against the
-    Grassmann law, so the law's integration counts wherever a tree makes
-    it. Reported are the CPU time of this process and the Python RHS calls
-    of every driver loop, per grid step. The counted RHS keeps the RHS's
-    compiled program, so the driver runs the loop it would run unwatched."""
+    Grassmann law. Reported are the CPU time of this process and the Python
+    RHS calls of every driver loop, per grid step. The counted RHS keeps
+    the RHS's compiled program, so the driver runs the loop it would run
+    unwatched."""
     n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
 
     def timed(dynamics, verify, evolve):
@@ -292,17 +296,13 @@ def bench_grassmann_runs(packages: dict) -> dict:
                 count[0] += 1
                 return rhs(*a)
 
-            if hasattr(rhs, "program"):
-                counted.program = rhs.program
+            counted.program = rhs.program
             return integrate(counted, *args, **kw)
 
-        dynamics._integrate = counting
-        try:
+        with _patched(dynamics, "_integrate", counting):
             t0 = time.process_time()
             verify(evolve(), "grassmann")
             spent = time.process_time() - t0
-        finally:
-            dynamics._integrate = integrate
         return {"step_us": spent / n_steps * 1e6, "rhs_calls_per_step": count[0] / n_steps}
 
     cases = {col: {name.replace("fermion_schrodinger", "grassmann_run"): functools.partial(
@@ -311,64 +311,46 @@ def bench_grassmann_runs(packages: dict) -> dict:
                    for name, evolve in _evolutions(pkg).items()
                    if name.startswith("fermion")}
              for col, pkg in packages.items()}
-    return {col: {case: _median_each(runs) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
-
-
-def _timed_coefficients(dynamics, coeffs, spent: list, calls: list):
-    """Patch one tree so that its coefficient tables add the wall time
-    spent building them to spent[0] and its CoefficientFn calls to
-    calls[0]; returns the undo."""
-    tables, fn_call = dynamics._coeff_tables, coeffs.CoefficientFn.__call__
-
-    def timed_tables(*args, **kw):
-        chunks = tables(*args, **kw)
-        while True:
-            t0 = time.perf_counter()
-            chunk = next(chunks, None)
-            spent[0] += time.perf_counter() - t0
-            if chunk is None:
-                return
-            yield chunk
-
-    def counted_call(self, t):
-        calls[0] += 1
-        return fn_call(self, t)
-
-    dynamics._coeff_tables = timed_tables
-    coeffs.CoefficientFn.__call__ = counted_call
-
-    def undo():
-        dynamics._coeff_tables = tables
-        coeffs.CoefficientFn.__call__ = fn_call
-
-    return undo
+    return _alternate(cases)
 
 
 def bench_coefficients(packages: dict) -> dict:
     """Coefficient evaluation per grid step, for the boson and fermion
     Schrödinger evolutions. Each run is one whole evolution on the step
     layers' grid; reported are the microseconds spent building coefficient
-    tables (see _timed_coefficients) and the CoefficientFn calls, per grid
-    step."""
+    tables (the wall time of each chunk that dynamics._coeff_tables yields)
+    and the CoefficientFn calls, per grid step."""
     n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
 
-    def timed(pkg, evolve):
-        spent, count = [0.0], [0]
-        undo = _timed_coefficients(_module(pkg, "dynamics"), _module(pkg, "coeffs"),
-                                   spent, count)
-        try:
-            evolve()
-        finally:
-            undo()
-        return {"coeff_us_per_step": spent[0] / n_steps * 1e6,
-                "coeff_fn_calls_per_step": count[0] / n_steps}
+    def timed(dynamics, coeffs, evolve):
+        tables, fn_call = dynamics._coeff_tables, coeffs.CoefficientFn.__call__
+        spent, calls = [0.0], [0]
 
-    cases = {col: {name: functools.partial(timed, pkg, evolve)
+        def timed_tables(*args, **kw):
+            chunks = tables(*args, **kw)
+            while True:
+                t0 = time.perf_counter()
+                chunk = next(chunks, None)
+                spent[0] += time.perf_counter() - t0
+                if chunk is None:
+                    return
+                yield chunk
+
+        def counted_call(self, t):
+            calls[0] += 1
+            return fn_call(self, t)
+
+        with _patched(dynamics, "_coeff_tables", timed_tables), \
+                _patched(coeffs.CoefficientFn, "__call__", counted_call):
+            evolve()
+        return {"coeff_us_per_step": spent[0] / n_steps * 1e6,
+                "coeff_fn_calls_per_step": calls[0] / n_steps}
+
+    cases = {col: {name: functools.partial(timed, _module(pkg, "dynamics"),
+                                           _module(pkg, "coeffs"), evolve)
                    for name, evolve in _evolutions(pkg).items() if "schrodinger" in name}
              for col, pkg in packages.items()}
-    return {col: {case: _median_each(runs) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases)
 
 
 def bench_observer(packages: dict) -> dict:
@@ -383,23 +365,17 @@ def bench_observer(packages: dict) -> dict:
     what the evolution does once (plan, coefficient checks) cancels.
     """
     def run(dynamics, evolve, cfg, records, kept_gaps):
-        integrate = dynamics._integrate
-
         def replay(*args, gaps=None, **kw):  # the kept run's records and gaps
             if gaps is not None:
                 gaps.extend(kept_gaps)
             return records.copy()
 
-        dynamics._integrate = replay
-        try:
+        with _patched(dynamics, "_integrate", replay):
             t0 = time.perf_counter()
             evolve(cfg)
             return time.perf_counter() - t0
-        finally:
-            dynamics._integrate = integrate
 
-    def timed(dynamics, evolve, cfg, kept):
-        records, gaps = kept
+    def timed(dynamics, evolve, cfg, records, gaps):
         extra = (run(dynamics, evolve, cfg, records, gaps)
                  - run(dynamics, evolve, cfg, records[:1], gaps))
         return {"us": extra / (len(records) - 1) * 1e6}
@@ -409,23 +385,11 @@ def bench_observer(packages: dict) -> dict:
         dynamics = _module(pkg, "dynamics")
         cfg = dynamics.IntegrationConfig(*OBSERVER_GRID)
         for name, evolve in _evolutions(pkg).items():
-            if "schrodinger" not in name:
-                continue
-            integrate, kept = dynamics._integrate, []
-
-            def keep(*args, integrate=integrate, **kw):
-                kept.append((integrate(*args, **kw), list(kw.get("gaps", ()))))
-                return kept[-1][0]
-
-            dynamics._integrate = keep
-            try:
-                evolve(cfg)
-            finally:
-                dynamics._integrate = integrate
-            cases[col][name.replace("schrodinger", "observer")] = functools.partial(
-                timed, dynamics, evolve, cfg, kept[0])
-    return {col: {case: statistics.median(runs["us"]) for case, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+            if "schrodinger" in name:
+                (_, _, kw), records = _driver_args(dynamics, evolve, cfg)
+                cases[col][name.replace("schrodinger", "observer")] = functools.partial(
+                    timed, dynamics, evolve, cfg, records, list(kw.get("gaps", ())))
+    return _alternate(cases, "us")
 
 
 def bench_scenarios(packages: dict) -> dict:
@@ -447,11 +411,7 @@ def bench_scenarios(packages: dict) -> dict:
                                            _module(pkg, "cli").run_scenario, name)
                    for name in SCENARIOS}
              for col, pkg in packages.items()}
-    return {col: {name: {"run_s": statistics.median(runs["run_s"]),
-                         "exit_code": max(runs["exit_code"]),
-                         "golden_match": all(runs["golden_match"])}
-                  for name, runs in table.items()}
-            for col, table in _alternate(cases).items()}
+    return _alternate(cases, reduce={"exit_code": max, "golden_match": all})
 
 
 def _git(*args) -> str:
@@ -479,21 +439,11 @@ def _packages(tmp: Path, rev: str | None) -> dict:
 
 
 def _backend(package: str) -> str:
-    """The graded product of kernel.multiply and the RK4 loops of fermion
-    and Grassmann specs and of the boson Schrödinger evolution that
-    `package` runs on."""
-    kernel = "numpy kernel (cohstab/kernel/pyref.py)"
-    try:
-        compiled = _module(package, "kernel.compiled")
-    except ImportError:
-        return f"{kernel}, numpy RK4 loop"
-    if hasattr(compiled, "product_status"):
-        kernel = f"graded product: {compiled.product_status()}"
-    boson, _, _ = _driver_args(_module(package, "dynamics"),
-                               _evolutions(package)["boson_schrodinger_l64"])
-    boson_loop = compiled.status() if hasattr(boson, "program") else "numpy loop"
-    return (f"{kernel}, RK4 loop of fermion and Grassmann specs: {compiled.status()}; "
-            f"of the boson Schrödinger evolution: {boson_loop}")
+    """The graded product of kernel.multiply and the RK4 loop of the specs'
+    fused plans and of the boson Schrödinger ladder that `package` runs on."""
+    compiled = _module(package, "kernel.compiled")
+    return (f"graded product: {compiled.product_status()}, RK4 loop of fermion and "
+            f"Grassmann specs and of the boson Schrödinger evolution: {compiled.status()}")
 
 
 def _print_column(name: str, data: dict) -> None:

@@ -17,6 +17,9 @@ from .errors import SeriesStalled, TruncationTooSmall
 #: Default Fock-space cutoff; ample for |z| <= 1 workloads.
 DEFAULT_NMAX = 64
 
+#: Largest cutoff a constructor builds (16 KiB of amplitudes), checked first.
+MAX_NMAX = 1024
+
 #: Acceptable coherent-state tail mass beyond the cutoff.
 TAIL_TOL = 1e-9
 
@@ -49,12 +52,13 @@ class BosonState:
 
     @classmethod
     def vacuum(cls, nmax: int = DEFAULT_NMAX) -> "BosonState":
-        amps = np.zeros(nmax + 1, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps, _copy=False)
+        return cls.number_state(0, nmax)
 
     @classmethod
     def number_state(cls, n: int, nmax: int = DEFAULT_NMAX) -> "BosonState":
+        _check_nmax(nmax)
+        if not 0 <= n <= nmax:
+            raise ValueError(f"number state {n} outside 0..{nmax}")
         amps = np.zeros(nmax + 1, dtype=np.complex128)
         amps[n] = 1.0
         return cls(amps, _copy=False)
@@ -88,8 +92,15 @@ class BosonState:
         return f"BosonState(nmax={self.nmax}, norm={self.norm():.6g})"
 
 
+def _check_nmax(nmax: int) -> None:
+    """Refuse (ValueError) a cutoff outside 1..MAX_NMAX."""
+    if not 1 <= nmax <= MAX_NMAX:
+        raise ValueError(f"nmax must be in 1..{MAX_NMAX}, got {nmax}")
+
+
 def coherent_tail_mass(z: complex, nmax: int) -> float:
     """Poisson tail beyond nmax for mean |z|^2; NaN for a non-finite z."""
+    _check_nmax(nmax)
     lam = abs(z) ** 2
     if not np.isfinite(lam):
         return np.nan
@@ -104,9 +115,7 @@ def coherent_tail_mass(z: complex, nmax: int) -> float:
 
 def make_coherent_boson(z: complex, nmax: int = DEFAULT_NMAX) -> BosonState:
     """c_n = exp(-|z|^2/2) z^n / sqrt(n!), truncated with a tail-mass guard."""
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    tail = coherent_tail_mass(z, nmax)
+    tail = coherent_tail_mass(z, nmax)  # refuses nmax outside 1..MAX_NMAX
     if not tail <= TAIL_TOL:
         raise TruncationTooSmall(
             f"tail mass {tail:.3e} exceeds {TAIL_TOL} at nmax={nmax} for |z|={abs(z):.3g}"

@@ -30,11 +30,7 @@ from .dynamics import (
 )
 from .errors import NUMERIC_ERRORS, CohstabError, ParseError, ValidationError
 from .fermion import make_coherent
-from .scenario import Scenario, parse_scenario
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+from .scenario import Scenario, _fmt_num, parse_scenario
 
 
 #: Values per block of trajectory CSV text.
@@ -126,8 +122,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
             scenario.kind,
             classification.verdict,
             scenario.expect,
-            _fmt(max_residual),
-            _fmt(verification.max_eigenvalue_deviation) if verification else _fmt(np.nan),
+            _fmt_num(max_residual),
+            _fmt_num(verification.max_eigenvalue_deviation) if verification else _fmt_num(np.nan),
             str(int(ok)),
         ]],
     )

@@ -456,7 +456,8 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     sees every grid point of the dt run: first the start on its own, then
     each block, with its times. The dt/2 run keeps only its endpoint;
     unless that lies within STEP_TOL of the dt endpoint (NaN never does)
-    the evolution is refused with StepTooLarge.
+    the evolution is refused with StepTooLarge. A non-finite coefficient
+    in a table makes that gap NaN, whether or not the rhs reads it.
 
     `label` names the system, or is a tuple of labels of systems stacked
     in equal parts along y0's leading axis, whose rows the rhs keeps apart.
@@ -504,8 +505,11 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
         check(times[:1], pair[:1])
     if keep.size and keep[0] == 0:
         records[0] = y
-    i = 0
+    i, finite = 0, True
     for table, dts in _coeff_tables(coeffs, times):
+        # min and max of the parts' views: no temporary of the table's size
+        finite = finite and all(math.isfinite(f(part)) for part in (table.real, table.imag)
+                                for f in (np.min, np.max))
         for a in range(0, len(dts), block):  # grid steps i + 1 .. i + n
             n = min(block, len(dts) - a)
             run(table[a:a + n], dts[a:a + n], pair, states[:n])
@@ -518,7 +522,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
 
     ends = pair.reshape(2, len(labels), -1)  # each run's endpoint, a row per system
     diffs = [float(np.max(np.abs(half - end))) for end, half in zip(*ends)]
-    _gate(labels[0], diffs[0])
+    _gate(labels[0], diffs[0] if finite else math.nan)
     if gaps is not None:
         gaps.extend(diffs)
     return records
@@ -694,8 +698,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     # the inverse inside the eigenvalue
     if h.kind == "grassmann" and fused and np.isfinite(y0).all():
         zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
-        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not any(
-                mask & masks[2] for mask in zeta0.terms):  # eta's: the law refuses it
+        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(masks, zeta0):
             law_products, law = _grassmann_law(masks, 2)
             products += law_products
             y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(dim, dtype=np.complex128)]))
@@ -791,10 +794,14 @@ def _tail_guard(ts: np.ndarray, states: np.ndarray) -> None:
 _LAW_LABEL = "grassmann classical"
 
 
+def _holds_eta(masks, zeta: Multivector) -> bool:
+    """Whether zeta holds the eta generator of slot_masks (a DenseHamiltonian's None: none)."""
+    return masks is not None and any(mask & masks[2] for mask in zeta.terms)
+
+
 def _refuse_eta(spec, zeta0: Multivector) -> None:
     """Refuse (GeneratorCollision) a Grassmann law's start on a spec's eta generator."""
-    masks = spec.slot_masks(zeta0.gens)  # a DenseHamiltonian's are None: it names none
-    if masks is not None and any(mask & masks[2] for mask in zeta0.terms):
+    if _holds_eta(spec.slot_masks(zeta0.gens), zeta0):
         raise GeneratorCollision(f"eta generator {spec.eta_generator!r} appears in the "
                                  "initial value")
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from test_compiled import nan_blind_bits
 
 from cohstab.boson import (
+    DEFAULT_NMAX,
+    MAX_NMAX,
     BosonLadderInvariant,
     BosonState,
     apply_ladder,
@@ -47,6 +49,32 @@ def test_non_finite_amplitude_fails_tail_guard(z):
     assert math.isnan(coherent_tail_mass(z, 64))
     with pytest.raises(TruncationTooSmall):
         make_coherent_boson(z, 64)
+
+
+# each constructor at the cutoff bound and one level over it
+CONSTRUCTORS = {
+    "vacuum": BosonState.vacuum,
+    "number_state": lambda nmax: BosonState.number_state(nmax, nmax),
+    "coherent_tail_mass": lambda nmax: coherent_tail_mass(0.5, nmax),
+    "make_coherent_boson": lambda nmax: make_coherent_boson(0.0, nmax),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=list(CONSTRUCTORS))
+def test_constructors_refuse_a_cutoff_over_the_bound(build):
+    assert DEFAULT_NMAX <= MAX_NMAX
+    build(MAX_NMAX)
+    with pytest.raises(ValueError, match="nmax must be in"):
+        build(MAX_NMAX + 1)
+    with pytest.raises(ValueError, match="nmax must be in"):
+        build(0)
+
+
+@pytest.mark.parametrize("n", [-1, -9, 9, 10])
+def test_number_state_refuses_a_level_outside_the_cutoff(n):
+    with pytest.raises(ValueError, match="outside 0..8"):
+        BosonState.number_state(n, 8)
+    assert BosonState.number_state(8, 8).amps[8] == 1.0
 
 
 def test_expectation_lowering_matches_direct_sum(rng):

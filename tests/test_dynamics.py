@@ -1,6 +1,8 @@
 """Integrators, auxiliary systems, invariants, transport."""
 
+import dataclasses
 import importlib.util
+import math
 import sys
 import threading
 import tracemalloc
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohstab import dynamics, kernel
-from cohstab.boson import BosonState, make_coherent_boson
+from cohstab.boson import MAX_NMAX, BosonState, coherent_tail_mass, make_coherent_boson
 from cohstab.coeffs import (
     CoefficientFn,
     complex_pair,
@@ -43,6 +45,7 @@ from cohstab.dynamics import (
     invariant_residual,
 )
 from cohstab.errors import (
+    CohstabError,
     GeneratorCollision,
     GridTooCoarse,
     MismatchedGenerators,
@@ -1725,3 +1728,189 @@ def test_triple_law_matches_per_time_table_bitwise(n_pairs, monkeypatch):
     want = evolve_grassmann_classical(h, zeta0, cfg)
     assert np.array_equal(bits(got.zeta), bits(want.zeta))
     assert np.array_equal(bits(got.phi), bits(want.phi))
+
+
+# -- non-finite input fails closed; oversized input is refused first ------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def non_finite_complex(draw):
+    """A complex with one part non-finite and the other finite."""
+    bad, other = draw(NON_FINITE), draw(st.floats(-2.0, 2.0))
+    return complex(bad, other) if draw(st.booleans()) else complex(other, bad)
+
+
+@st.composite
+def small_grids(draw):
+    """A config of at most 40 grid steps."""
+    n_steps, t_end = draw(st.integers(1, 40)), draw(st.floats(0.01, 2.0))
+    return IntegrationConfig(t_end, t_end / n_steps, draw(st.integers(1, 5)))
+
+
+@st.composite
+def poisoned(draw, base: CoefficientFn):
+    """base plus one term holding a drawn non-finite value: a constant, a
+    polynomial coefficient, or a harmonic's amplitude, frequency or phase."""
+    where = draw(st.sampled_from(["constant", "poly", "amplitude", "frequency", "phase"]))
+    if where == "frequency":
+        return base + sin_fn(0.3, draw(NON_FINITE))
+    if where == "phase":
+        return base + sin_fn(0.3, 1.0, draw(NON_FINITE))
+    bad = draw(non_finite_complex())
+    if where == "poly":
+        return base + poly_fn(bad, draw(st.integers(1, 3)))
+    return base + (const_fn(bad) if where == "constant" else cos_fn(bad, 1.0))
+
+
+def evolutions_of(h) -> list:
+    """Every evolution that takes the spec or DenseHamiltonian h, each from
+    one of the lock starts."""
+    if h.kind == "boson":
+        return [lambda cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
+                lambda cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg)]
+    zeta = LOCK_G2.gen("zeta")
+    out = [lambda cfg: evolve_schrodinger_fermion(h, make_coherent(zeta), cfg),
+           lambda cfg: evolve_operator_transport(h, FermionOperator.annihilator(LOCK_G2), cfg)]
+    if h.kind == "grassmann":
+        out.append(lambda cfg: evolve_grassmann_classical(h, zeta, cfg))
+    elif isinstance(h, HamiltonianSpec):
+        out.append(lambda cfg: evolve_nu_system(h, cfg))
+    return out
+
+
+def assert_refused(evolutions, cfg) -> None:
+    for evolve in evolutions:
+        with pytest.raises(CohstabError):  # so no records come back
+            evolve(cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(base=st.sampled_from([LOCK_BOSON, LOCK_FERMION, LOCK_GRASSMANN]),
+       slot=st.sampled_from(["omega", "forcing", "scalar"]), data=st.data(), cfg=small_grids())
+def test_every_evolution_refuses_a_non_finite_spec_slot(base, slot, data, cfg):
+    h = dataclasses.replace(base, **{slot: data.draw(poisoned(getattr(base, slot)))})
+    assert_refused(evolutions_of(h), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_scalar_no_rhs_reads_fails_the_gate(bad):
+    # the classical boson and the nu system never read the scalar slot, so
+    # their states stay finite; the gate must still refuse the spec
+    cfg = IntegrationConfig(0.3, 1e-2)
+    for evolve in (lambda: evolve_classical_boson(
+                       dataclasses.replace(LOCK_BOSON, scalar=const_fn(bad)), 0.5, cfg),
+                   lambda: evolve_nu_system(
+                       dataclasses.replace(LOCK_FERMION, scalar=const_fn(bad)), cfg)):
+        with pytest.raises(StepTooLarge, match="by nan"):
+            evolve()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["fermion", "grassmann"]), slot=st.integers(0, 3),
+       mask=st.integers(0, LOCK_G2.dim - 1), bad=non_finite_complex(), cfg=small_grids())
+def test_every_evolution_refuses_a_non_finite_dense_row(kind, slot, mask, bad, cfg):
+    def rows(ts):
+        c = LOCK_DENSE.rows(ts)
+        c[:, slot, mask] = bad
+        return c
+
+    assert_refused(evolutions_of(DenseHamiltonian(kind, LOCK_G2, rows)), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(start=st.sampled_from(["fermion", "grassmann", "dense", "boson", "law", "dense law"]),
+       data=st.data(), bad=non_finite_complex(), cfg=small_grids())
+def test_every_evolution_refuses_a_non_finite_start_amplitude(start, data, bad, cfg):
+    if start == "boson":
+        amps = make_coherent_boson(0.5, 16).amps.copy()
+        amps[data.draw(st.integers(0, amps.size - 1))] = bad
+        evolve = lambda cfg: evolve_schrodinger_boson(LOCK_BOSON, BosonState(amps), cfg)  # noqa: E731
+    elif start.endswith("law"):  # on the eigenvalue's own generator or its conjugate
+        zeta = LOCK_G2.gen("zeta").coeffs.copy()
+        zeta[data.draw(st.sampled_from([1, 2]))] = bad
+        h = LOCK_DENSE if start == "dense law" else LOCK_GRASSMANN
+        evolve = lambda cfg: evolve_grassmann_classical(h, Multivector(LOCK_G2, zeta), cfg)  # noqa: E731
+    else:
+        psi = make_coherent(LOCK_G2.gen("zeta"))
+        y = np.stack((psi.psi0.coeffs, psi.psi1.coeffs))
+        y[data.draw(st.integers(0, 1)), data.draw(st.integers(0, LOCK_G2.dim - 1))] = bad
+        s0 = FermionState(LOCK_G2, Multivector(LOCK_G2, y[0]), Multivector(LOCK_G2, y[1]))
+        h = {"fermion": LOCK_FERMION, "grassmann": LOCK_GRASSMANN, "dense": LOCK_DENSE}[start]
+        evolve = lambda cfg: evolve_schrodinger_fermion(h, s0, cfg)  # noqa: E731
+    assert_refused([evolve], cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(z0=non_finite_complex(), cfg=small_grids())
+def test_every_boson_evolution_refuses_a_non_finite_z0(z0, cfg):
+    assert_refused([lambda cfg: evolve_classical_boson(LOCK_BOSON, z0, cfg),
+                    lambda cfg: evolve_schrodinger_boson(
+                        LOCK_BOSON, make_coherent_boson(z0, 16), cfg)], cfg)
+
+
+#: tracemalloc peak a refusal may reach: below one state of MAX_NMAX + 1
+#: levels (16 KiB), which a bound checked after allocating would hold.
+REFUSAL_PEAK = 12 * 1024
+
+
+def refusal_peak(call, error) -> int:
+    """The tracemalloc peak of call(), which must raise `error`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(n_steps=st.integers(MAX_STEPS + 1, 10**15), t_end=st.floats(1e-3, 1e3))
+def test_a_grid_over_max_steps_is_refused_before_allocation(n_steps, t_end):
+    assert refusal_peak(lambda: IntegrationConfig(t_end, t_end / n_steps),
+                        ValidationError) < REFUSAL_PEAK
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(system=st.sampled_from(["fermion", "boson"]), size=st.integers(1, 4),
+       data=st.data())
+def test_records_over_the_bound_are_refused_before_allocation(system, size, data):
+    # `size` generator pairs of a fermion state, or a quarter of the boson cutoff bound
+    if system == "fermion":
+        gens = GeneratorSet.from_pairs(f"g{k}" for k in range(size))
+        s0 = make_coherent(gens.gen("g0"))
+        values, evolve = 2 * gens.dim, lambda cfg: evolve_schrodinger_fermion(
+            HamiltonianSpec("fermion", const_fn(1.0)), s0, cfg)
+    else:
+        s0 = BosonState.vacuum(size * MAX_NMAX // 4)
+        values, evolve = s0.amps.size, lambda cfg: evolve_schrodinger_boson(
+            HamiltonianSpec("boson", const_fn(1.0)), s0, cfg)
+    n_records = data.draw(st.integers((MAX_STEPS + 1) // values + 1, MAX_STEPS + 1))
+    stride = data.draw(st.integers(1, MAX_STEPS // (n_records - 1)))
+    cfg = IntegrationConfig(1.0, 1.0 / ((n_records - 1) * stride), stride)
+    assert cfg.n_records * values > MAX_STEPS + 1
+    assert refusal_peak(lambda: evolve(cfg), ValidationError) < REFUSAL_PEAK
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(n_gen=st.integers(kernel.tables.MAX_GENERATORS + 1, 2 * kernel.tables.MAX_GENERATORS))
+def test_generators_over_the_bound_are_refused_before_allocation(n_gen):
+    names = tuple(f"g{k}" for k in range(n_gen + n_gen % 2))
+    for call in (lambda: GeneratorSet(names), lambda: kernel.tables.mul_table(n_gen),
+                 lambda: kernel.tables.conj_table(n_gen)):
+        assert refusal_peak(call, ValueError) < REFUSAL_PEAK
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(nmax=st.integers(MAX_NMAX + 1, 2 * MAX_NMAX), n=st.integers(0, MAX_NMAX))
+def test_boson_cutoffs_over_the_bound_are_refused_before_allocation(nmax, n):
+    for call in (lambda: BosonState.vacuum(nmax), lambda: BosonState.number_state(n, nmax),
+                 lambda: coherent_tail_mass(0.5, nmax), lambda: make_coherent_boson(0.5, nmax)):
+        assert refusal_peak(call, ValueError) < REFUSAL_PEAK
