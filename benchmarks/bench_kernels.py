@@ -8,7 +8,8 @@ Measures microseconds per graded product at 2, 4 and 8 generators in
 batches of 1, 2 and 5 rows, one kernel.multiply call per batch, on the
 product the tree runs (compiled C where its library loads, else numpy). Then
 three layers of the RK4 driver, for the fermion Schrödinger evolution and
-the Grassmann law at 4, 16 and 256 coefficients and the boson Schrödinger
+the Grassmann law at 4, 16 and 256 coefficients, each of a spec and of
+the same Hamiltonian as a DenseHamiltonian, and the boson Schrödinger
 evolution on 64 levels: "one RHS stage" (microseconds per call of the
 evolution's own RHS on 1 and 2 rows, the driver's batch sizes), "one RK4
 step" (microseconds of CPU time per call of the driver's own
@@ -16,17 +17,18 @@ dynamics._rk4_step on one state: four RHS stages and the update) and "the
 driver's loop" (microseconds of CPU time per grid step of the driver, run
 as the evolution runs it, compiled where the tree can, see
 cohstab/kernel/compiled.py, and in its numpy loop, whose grid step is the
-dt step and the two dt/2 substeps that check it). The trajectory carries
-its Grassmann law, so these fermion Schrödinger cases integrate it too.
+dt step and the two dt/2 substeps that check it). A spec's trajectory
+carries its Grassmann law, so its fermion Schrödinger cases integrate it
+too; a dense trajectory carries none.
 Then "a grassmann run" at 4, 16 and 256 coefficients: the trajectory and
 its Grassmann law as `coherence run` makes them (the evolution, then
 verify_trajectory against the law), in microseconds of CPU time and Python
 RHS calls per grid step (none where a compiled loop runs). Then "coefficient
 evaluation per grid step" for the boson Schrödinger evolution on 64 levels
-and the fermion Schrödinger evolution at 4, 16 and 256 coefficients: the
+and the fermion Schrödinger evolutions at 4, 16 and 256 coefficients: the
 wall time spent evaluating the Hamiltonian's coefficients over one
 evolution, and the CoefficientFn calls, per grid step. Then "the per-record
-observer" of the fermion Schrödinger evolution at 4, 16 and 256
+observer" of the fermion Schrödinger evolutions at 4, 16 and 256
 coefficients and of the boson Schrödinger evolution on 64 levels:
 microseconds per record of what the evolution computes from its records
 (<psi|psi> and norm_dev, the eigenvalue and its residual). Then the wall
@@ -152,8 +154,10 @@ def bench_products(packages: dict) -> dict:
 def _evolutions(package: str) -> dict:
     """Per evolution and size, a call that runs it on `package` over the
     step layers' grid: the fermion Schrödinger evolution and the Grassmann
-    law at 4, 16 and 256 coefficients, and the boson Schrödinger evolution
-    on 64 levels."""
+    law at 4, 16 and 256 coefficients, of the spec and of the same
+    Hamiltonian as a DenseHamiltonian ("dense_"), and the boson Schrödinger
+    evolution on 64 levels. The dense rows are the spec's slot_rows placed
+    at its slot_masks, a whole array of times at once."""
     dynamics = _module(package, "dynamics")
     coeffs = _module(package, "coeffs")
     fermion = _module(package, "fermion")
@@ -182,6 +186,19 @@ def _evolutions(package: str) -> dict:
         out[f"grassmann_law_c{gens.dim}"] = (
             lambda spec=spec, zeta=zeta: dynamics.evolve_grassmann_classical(
                 spec, zeta, cfg))
+
+        def rows(ts, spec=spec, gens=gens):
+            c = np.zeros((len(ts), 4, gens.dim), dtype=np.complex128)
+            c[:, range(4), spec.slot_masks(gens)] = spec.slot_rows(ts)
+            return c
+
+        dense = dynamics.DenseHamiltonian("grassmann", gens, rows)
+        out[f"dense_fermion_schrodinger_c{gens.dim}"] = (
+            lambda config=cfg, dense=dense, zeta=zeta: dynamics.evolve_schrodinger_fermion(
+                dense, fermion.make_coherent(zeta), config))
+        out[f"dense_grassmann_law_c{gens.dim}"] = (
+            lambda dense=dense, zeta=zeta: dynamics.evolve_grassmann_classical(
+                dense, zeta, cfg))
     return out
 
 
@@ -270,7 +287,8 @@ def bench_loops(packages: dict) -> dict:
             t0 = time.process_time()
             dynamics._integrate(step, *args, **kw)
             out[key] = (time.process_time() - t0) / cfg.n_steps * 1e6
-        out["compiled"] = float(rhs.program.runner() is not None)
+        program = getattr(rhs, "program", None)  # a DenseHamiltonian's RHS has none
+        out["compiled"] = float(program is not None and program.runner() is not None)
         return out
 
     cases = {col: {name: functools.partial(timed, *case)

@@ -14,7 +14,8 @@ plan per stage serving both. Either loop fills a block of the dt run's
 states per call, from which the driver copies the records and which a
 check, such as the boson tail guard, sees whole. For a spec's fused plans
 and the boson Schrödinger ladder the loop runs in compiled C
-(kernel/rk4.c); the numpy loop stays as its oracle and fallback.
+(kernel/rk4.c); the numpy loop stays as its oracle and fallback, and runs
+a DenseHamiltonian's RHSs with one compiled kernel.multiply call a stage.
 Phase integrals use cumulative Simpson on the same grid so closed forms and
 RK4 cross-validate at matching order.
 """
@@ -46,6 +47,7 @@ from .fermion import (
     FermionOperator,
     FermionState,
     _adjoint_rows,
+    _apply_rows,
     _compose_coeff_arrays,
     _norm_bodies,
     _record_blocks,
@@ -613,10 +615,14 @@ def _simpson_phase(omega: CoefficientFn, times: np.ndarray) -> np.ndarray:
 
 def _boson_integrals(spec: HamiltonianSpec, times: np.ndarray):
     """(phase, drive) on the grid: the integrals of omega and of
-    forcing * exp(i phase), from which the boson closed forms are built."""
-    phase = _simpson_phase(spec.omega, times)
-    drive = cumulative_simpson(spec.forcing(times) * np.exp(1j * phase),
-                               times[1] - times[0])
+    forcing * exp(i phase), from which the boson closed forms are built.
+    Refuses (StepTooLarge) a non-finite omega, forcing or scalar on the
+    grid, as the RK4 gate refuses a non-finite coefficient."""
+    c = spec.slot_rows(times)
+    if not np.isfinite(c).all():
+        raise StepTooLarge("boson closed form: a coefficient is not finite on the grid")
+    phase = cumulative_simpson(c[:, 3].real, times[1] - times[0])
+    drive = cumulative_simpson(c[:, 2] * np.exp(1j * phase), times[1] - times[0])
     return phase, drive
 
 
@@ -678,50 +684,28 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     gens = s0.gens
     n_gen = gens.n_generators
-    dim = gens.dim
     times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
                         (config.n_records, y0.size))
     masks = h.slot_masks(gens)
-    # (coefficient slot, state row, op, row of the sum) of the products ci*p0,
-    # ci*p1, cm*gi(p1), cn*p1, cp*gi(p0); the grade involution gi flips the odd
-    # part of an amplitude passing b or b†. A spec's coefficients are one
-    # monomial each, so each row is one sum of the plan (see kernel.bilinear);
-    # dense products keep their own sums, added after in this order.
-    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1),
-             (2, 0, "gi", 1))
-    fused = masks is not None
-    products = tuple(
-        ((1, slot, (masks[slot],) if fused else None, None), (0, row, None, op),
-         out if fused else k) for k, (slot, row, op, out) in enumerate(terms))
-    law = None
-    # a non-finite start carries no law, so the driver's gate refuses it, not
-    # the inverse inside the eigenvalue
-    if h.kind == "grassmann" and fused and np.isfinite(y0).all():
-        zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
-        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(masks, zeta0):
-            law_products, law = _grassmann_law(masks, 2)
-            products += law_products
-            y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(dim, dtype=np.complex128)]))
-    plan = kernel.bilinear_plan(n_gen, products, (
-        (len(y0), dim), (4, 1 if fused else dim), (1 + max(p[2] for p in products), dim)))
-
-    def rhs(c, y):
-        prod = kernel.bilinear(plan, y, c)
-        out = prod if fused else prod[:, :2] + prod[:, 2:4]  # ci*p0 + cm*gi(p1), ...
-        if not fused:
-            out[:, 1] += prod[:, 4]  # ci*p1 + cn*p1 + cp*gi(p0)
-        out[:, :2] *= -1j
-        if law is not None:
-            law(c, y, out)
-        return out
-
-    if fused:  # the driver may run it all in C (see _integrate)
-        rhs.program = kernel.compiled.Program(
-            plan, 2, None if law is None else (2, masks[2], masks[0]))
+    law_row = -1
+    if masks is None:  # dense rows: H psi in one kernel.multiply call per stage
+        def rhs(c, y):
+            out = _apply_rows(c, y, n_gen)
+            out *= -1j
+            return out
+    else:
+        # a non-finite start carries no law, so the driver's gate refuses it,
+        # not the inverse inside the eigenvalue
+        if h.kind == "grassmann" and np.isfinite(y0).all():
+            zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
+            if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(masks, zeta0):
+                law_row = 2
+                y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)]))
+        rhs = _spec_rhs(n_gen, 2, law_row, masks[2], masks[0])
     rec_idx = config.record_indices()
     gaps = []
     records = _integrate(rhs, h.slot_rows, y0, config,
-                         "fermion Schrödinger" if law is None
+                         "fermion Schrödinger" if law_row < 0
                          else ("fermion Schrödinger", _LAW_LABEL), rec_idx, gaps=gaps)
     amplitudes = records[:, :2]
 
@@ -732,7 +716,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
     for rows in _record_blocks(amplitudes):
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
-    path = None if law is None else GrassmannPath(gens, times[rec_idx], records[:, 2],
+    path = None if law_row < 0 else GrassmannPath(gens, times[rec_idx], records[:, 2],
                                                   records[:, 3], gaps[1])
     return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev,
                       spec=h, gens=gens, law=path)
@@ -806,37 +790,40 @@ def _refuse_eta(spec, zeta0: Multivector) -> None:
                                  "initial value")
 
 
-def _grassmann_law(masks, row: int):
-    """The Grassmann law's share of an RHS plan whose state holds (zeta, phi)
-    at rows `row` and `row` + 1: its plan products, and law(c, y, out),
-    which turns those rows of the plan's out into (zeta', phi'), given the
-    coefficient rows c and the states y.
+def _spec_rhs(n_gen: int, turn_rows: int, law_row: int, eta_mask: int, delta_mask: int):
+    """A spec's fused plan as an RHS carrying its kernel.compiled.Program, from
+    rk4.c's program values: rows 0-1 the fermion amplitudes if turn_rows is 2,
+    rows law_row, law_row + 1 the Grassmann law's (zeta, phi) if law_row >= 0.
+    A spec's slots (I, b, b†, b†b) sit at delta_mask, eta_mask's conjugate,
+    eta_mask and the body, so a product keeps one pair per target at most."""
+    # (coefficient slot, state row, op, out row) of ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0)
+    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1), (2, 0, "gi", 1))
+    masks = (delta_mask, int(kernel.tables.conj_table(n_gen)[0][eta_mask]), eta_mask, 0)
+    products = tuple(((1, slot, (masks[slot],), None), (0, row, None, op), out)
+                     for slot, row, op, out in (terms if turn_rows else ()))
+    rows = turn_rows
+    if law_row >= 0:  # zeta* eta + eta* zeta, eta* the lower slot negated
+        products += (((0, law_row, None, "conj"), (1, 2, (eta_mask,), None), law_row + 1),
+                     ((1, 1, (masks[1],), "neg"), (0, law_row, None, None), law_row + 1))
+        rows = law_row + 2
+    dim = 1 << n_gen
+    plan = kernel.bilinear_plan(n_gen, products, ((rows, dim), (4, 1), (rows, dim)))
 
-    The products are zeta* eta + eta* zeta, summed into plan row `row` + 1
-    if each slot is one monomial (masks; a spec's row then holds its
-    coefficient there), else into rows `row` + 1 and `row` + 2, added
-    after; nothing is summed into row `row`. The plan conjugates zeta as it
-    gathers it and negates the lower slot back to eta*.
-    """
-    fused = masks is not None
-    at = [slice(m, m + 1) for m in masks] if fused else [slice(None)] * 4
-    products = (
-        ((0, row, None, "conj"), (1, 2, (masks[2],) if fused else None, None), row + 1),
-        ((1, 1, (masks[1],) if fused else None, "neg"), (0, row, None, None),
-         row + 1 if fused else row + 2))
+    def rhs(c, y):
+        out = kernel.bilinear(plan, y, c)
+        out[:, :turn_rows] *= -1j
+        if law_row >= 0:  # c holds delta, -eta*, eta, omega
+            zeta, phi = out[:, law_row], out[:, law_row + 1]
+            np.multiply(c[:, 3:], y[:, law_row], out=zeta)
+            zeta[:, eta_mask] -= c[:, 2]
+            zeta *= -1j
+            phi *= 0.5
+            phi[:, delta_mask] -= c[:, 0]
+        return out
 
-    def law(c, y, out):
-        c = c.reshape(len(c), 4, -1)  # slots delta, -eta*, eta, omega
-        zeta, phi = out[:, row], out[:, row + 1]
-        np.multiply(c[:, 3, :1], y[:, row], out=zeta)  # omega is the number slot's body
-        zeta[:, at[2]] -= c[:, 2]
-        zeta *= -1j
-        if not fused:
-            phi += out[:, row + 2]
-        phi *= 0.5
-        phi[:, at[0]] -= c[:, 0]
-
-    return products, law
+    rhs.program = kernel.compiled.Program(  # the driver may run it in C (see _integrate)
+        plan, turn_rows, None if law_row < 0 else (law_row, eta_mask, delta_mask))
+    return rhs
 
 
 def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConfig,
@@ -857,24 +844,29 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     gens = zeta0.gens
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
-    dim = gens.dim
     times = _check_spec(spec, ("grassmann",), config.times, gens)
     _refuse_eta(spec, zeta0)
     masks = spec.slot_masks(gens)
-    fused = masks is not None
-    products, law = _grassmann_law(masks, 0)
-    plan = kernel.bilinear_plan(n_gen, products,
-                                ((2, dim), (4, 1 if fused else dim), (2 if fused else 3, dim)))
+    if masks is not None:
+        rhs = _spec_rhs(n_gen, 0, 0, masks[2], masks[0])
+    else:  # dense rows: zeta* eta and eta* zeta in one kernel.multiply call per stage
+        def rhs(c, y):
+            pairs = np.empty((2,) + y.shape, dtype=np.complex128)  # left, right factors
+            pairs[0, :, 0] = kernel.conjugate(y[:, 0], n_gen)
+            np.negative(c[:, 1], out=pairs[0, :, 1])  # eta*, the lower slot negated
+            pairs[1, :, 0], pairs[1, :, 1] = c[:, 2], y[:, 0]
+            prod = kernel.multiply(*pairs.reshape(2, -1, gens.dim), n_gen).reshape(y.shape)
+            out = np.empty_like(y)
+            zeta, phi = out[:, 0], out[:, 1]
+            np.multiply(c[:, 3, :1], y[:, 0], out=zeta)  # omega is the b†b slot's body
+            zeta -= c[:, 2]
+            zeta *= -1j
+            np.add(prod[:, 0], prod[:, 1], out=phi)
+            phi *= 0.5
+            phi -= c[:, 0]
+            return out
 
-    def rhs(c, y):
-        out = kernel.bilinear(plan, y, c)
-        law(c, y, out)
-        return out[:, :2]
-
-    if fused:  # the driver may run it all in C (see _integrate)
-        rhs.program = kernel.compiled.Program(plan, 0, (0, masks[2], masks[0]))
-
-    y0 = np.stack((zeta0.coeffs, np.zeros(dim, dtype=np.complex128)))
+    y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
     gaps = []
     series = _integrate(rhs, spec.slot_rows, y0, config, _LAW_LABEL, record, gaps=gaps)
     return GrassmannPath(gens, times if record is None else times[record],

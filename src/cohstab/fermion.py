@@ -229,6 +229,9 @@ class FermionState:
 # -- operations ------------------------------------------------------------
 
 
+# The coefficient slot and the amplitude of each product of _apply_rows.
+_APPLY_SLOTS, _APPLY_AMPS = np.array([[_ID, _ID, _ANN, _NUM, _CRE], [0, 1, 1, 1, 0]])
+
 # The slot pairs (i, j) of _BASIS_MUL in its order, as gather indices; the
 # pairs whose left slot is odd; and the (pair, slot, np.add or np.subtract)
 # scatter of their products, so each slot sums its products in pair order.
@@ -298,11 +301,20 @@ def apply(o: FermionOperator, s: FermionState) -> FermionState:
     """Act on a state; odd basis parts grade-involute the amplitude they pass."""
     if o.gens != s.gens:
         raise MismatchedGenerators("operator and state over different generator sets")
-    g0 = s.psi0.grade_involution()
-    g1 = s.psi1.grade_involution()
-    psi0 = o.c_i * s.psi0 + o.c_minus * g1
-    psi1 = o.c_i * s.psi1 + o.c_n * s.psi1 + o.c_plus * g0
-    return FermionState(s.gens, psi0, psi1)
+    slots = np.stack([c.coeffs for c in o.coefficients()])[None]
+    return _state(s.gens, _apply_rows(slots, _rows(s), s.gens.n_generators)[0])
+
+
+def _apply_rows(c: np.ndarray, psi: np.ndarray, n_gen: int) -> np.ndarray:
+    """H psi per row of slot rows c (R, 4, dim) and amplitudes psi (R, 2, dim):
+    c_i*psi0 + c_minus*gi(psi1) and (c_i*psi1 + c_n*psi1) + c_plus*gi(psi0),
+    the five products in one kernel.multiply call."""
+    right = psi.take(_APPLY_AMPS, axis=1)
+    right[:, 2::2] *= kernel.grade_signs(n_gen)  # gi(psi1), gi(psi0)
+    prod = _amplitude_products(c.take(_APPLY_SLOTS, axis=1), right, n_gen)
+    out = prod[:, :2] + prod[:, 2:4]
+    out[:, 1] += prod[:, 4]
+    return out
 
 
 def exp_operator(o: FermionOperator) -> FermionOperator:
@@ -411,8 +423,8 @@ def _state(gens: GeneratorSet, psi: np.ndarray) -> FermionState:
 
 
 def _amplitude_products(a: np.ndarray, b: np.ndarray, n_gen: int) -> np.ndarray:
-    """a * b per amplitude, a and b amplitude rows (R, 2, dim)."""
-    rows = (len(a) * 2, a.shape[-1])
+    """a * b per amplitude, a and b amplitude rows (R, k, dim)."""
+    rows = (-1, a.shape[-1])
     return kernel.multiply(a.reshape(rows), b.reshape(rows), n_gen).reshape(a.shape)
 
 

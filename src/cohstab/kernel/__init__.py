@@ -4,8 +4,9 @@ Products sum each target's pairs in table order, so results are
 bit-identical whatever the batch size. multiply runs them in compiled C
 (cohstab_multiply in rk4.c) where the library loads, and otherwise through
 the batched numpy plans of pyref, which stay the bitwise oracle; plans of
-bilinear run in numpy. The RK4 driver runs a fused plan's whole loop in
-compiled C where it can (see compiled and rk4.c), with the same arithmetic.
+bilinear, a spec's fused plans, run in numpy. The RK4 driver runs a fused
+plan's whole loop in compiled C where it can (see compiled and rk4.c), with
+the same arithmetic.
 """
 
 import threading
@@ -74,11 +75,13 @@ def bilinear_plan(n_gen: int, products, shapes) -> pyref.Plan:
 def bilinear(plan: pyref.Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A plan over rows a (R, ...) and b (R, ...): (R,) + out's row shape.
 
-    Products that keep at most one pair per target may share one bincount
-    sum per target, bit for bit as their own sums added in order: a sum
-    starts at +0.0, so it is never -0.0 and adding +-0.0 to it changes no
-    bit; (0 + a) + b equals (0 + a) + (0 + b), and a sign folded onto a zero
-    operand changes nothing. Products with several pairs keep their own."""
+    A spec's fused plan (dynamics._spec_rhs), whose products keep at most
+    one pair per target each, shares one bincount sum per target, bit for
+    bit as their own sums added in order: a sum starts at +0.0, so it is
+    never -0.0 and adding +-0.0 to it changes no bit; (0 + a) + b equals
+    (0 + a) + (0 + b), and a sign folded onto a zero operand changes
+    nothing. A DenseHamiltonian's stages build no plan: their products go
+    through one kernel.multiply call a stage, compiled where it loads."""
     return pyref.evaluate(plan, a, b)
 
 

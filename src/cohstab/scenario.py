@@ -33,6 +33,13 @@ from .dynamics import HamiltonianSpec, IntegrationConfig
 from .errors import ParseError, ValidationError
 from .grassmann import GeneratorSet, Multivector
 
+#: Largest scenario text, in bytes: a file is read only up to one byte more.
+MAX_SCENARIO_BYTES = 64 * 1024
+
+#: Most terms one coefficient expression may hold; each is evaluated at
+#: every stage time of a run.
+MAX_TERMS = 64
+
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -122,6 +129,8 @@ def parse_coefficient_expr(text: str) -> CoefficientFn:
     sc = _Scanner(text)
     terms = [_parse_term(sc)]
     while not sc.at_end():
+        if len(terms) == MAX_TERMS:
+            sc.fail(f"at most {MAX_TERMS} terms per expression")
         sc.expect("+")
         terms.append(_parse_term(sc))
     return CoefficientFn(tuple(terms))
@@ -249,14 +258,21 @@ def _parse_zeta_combo(text: str, labels: tuple[str, ...]):
 
 
 def parse_scenario(source: str | Path) -> Scenario:
-    """Parse a scenario file (path) or scenario text (str with newlines)."""
-    if isinstance(source, Path) or "\n" not in str(source):
+    """Parse a scenario file (path) or scenario text (str with newlines);
+    either is refused (ValidationError) over MAX_SCENARIO_BYTES."""
+    is_path = isinstance(source, Path) or "\n" not in str(source)
+    if is_path:
         path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        name = path.stem
+        with path.open("rb") as f:
+            data = f.read(MAX_SCENARIO_BYTES + 1)
     else:
-        text = str(source)
-        name = "scenario"
+        data = str(source).encode("utf-8")
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ValidationError(f"scenario of more than {MAX_SCENARIO_BYTES} bytes")
+    if is_path:  # decoded with universal newlines, as Path.read_text does
+        text, name = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(), path.stem
+    else:
+        text, name = str(source), "scenario"
 
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     cp.optionxform = str

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cohstab import cli, coherence, dynamics
 from cohstab.cli import main
-from cohstab.scenario import parse_scenario
+from cohstab.scenario import MAX_SCENARIO_BYTES, MAX_TERMS, parse_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -337,6 +337,26 @@ def test_classify_ignores_the_record_bound(tmp_path, capsys):
     assert "verdict: preserving" in capsys.readouterr().out
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
     assert "record bound" in capsys.readouterr().err
+
+
+def test_oversized_scenario_is_scenario_error(tmp_path, capsys):
+    # a valid scenario padded with comments past the bound
+    path = tmp_path / "oversized.ini"
+    padding = "# padding\n" * (MAX_SCENARIO_BYTES // 10)
+    path.write_text((SCENARIOS / "free_fermion.ini").read_text() + padding)
+    assert main(["run", str(path), "--out", str(tmp_path), "--t-end", "0.05"]) == 1
+    assert f"more than {MAX_SCENARIO_BYTES} bytes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_expression_over_the_term_bound_is_scenario_error(tmp_path, capsys):
+    path = tmp_path / "many_terms.ini"
+    omega = " + ".join(["1"] + ["0.01*cos(1*t)"] * MAX_TERMS)
+    path.write_text(f"[system]\nkind = fermion\n\n[hamiltonian]\nomega = {omega}\n\n"
+                    "[integration]\nt_end = 0.05\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert f"at most {MAX_TERMS} terms" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _count_calls(monkeypatch, name):

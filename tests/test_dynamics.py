@@ -1571,16 +1571,27 @@ def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
                                       bits(law_reference(dense, y[:, 2:].copy()))), rows
 
 
-@pytest.mark.parametrize("start", [
-    lambda cfg: evolve_schrodinger_fermion(
-        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg),
-    lambda cfg: evolve_schrodinger_fermion(
-        LOCK_DENSE, make_coherent(LOCK_G2.gen("zeta")), cfg),
-    lambda cfg: evolve_grassmann_classical(LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg),
-], ids=["fermion_spec", "fermion_builder", "grassmann_law"])
-def test_each_rhs_stage_is_one_plan_evaluation(start, driver_runs, monkeypatch):
+# (start, (kernel.bilinear, kernel.multiply, kernel.conjugate) calls per stage):
+# a spec's stage is one plan evaluation; a DenseHamiltonian's has no plan, its
+# products go through one kernel.multiply call (and the law's zeta* through
+# one kernel.conjugate)
+STAGE_CALLS = {
+    "fermion_spec": (lambda cfg: evolve_schrodinger_fermion(
+        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg), (1, 0, 0)),
+    "fermion_builder": (lambda cfg: evolve_schrodinger_fermion(
+        LOCK_DENSE, make_coherent(LOCK_G2.gen("zeta")), cfg), (0, 1, 0)),
+    "grassmann_law": (lambda cfg: evolve_grassmann_classical(
+        LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg), (1, 0, 0)),
+    "dense_grassmann_law": (lambda cfg: evolve_grassmann_classical(
+        LOCK_DENSE, LOCK_G2.gen("zeta"), cfg), (0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("start, per_stage", STAGE_CALLS.values(), ids=list(STAGE_CALLS))
+def test_each_rhs_stage_is_one_plan_evaluation(start, per_stage, driver_runs, monkeypatch):
+    names = ("bilinear", "multiply", "conjugate")
     calls = Counter()
-    for name in ("bilinear", "multiply", "conjugate"):
+    for name in names:
         fn = getattr(kernel, name)
         monkeypatch.setattr(kernel, name, lambda *a, fn=fn, name=name: (
             calls.update([name]), fn(*a))[1])
@@ -1590,18 +1601,18 @@ def test_each_rhs_stage_is_one_plan_evaluation(start, driver_runs, monkeypatch):
     def counting(rhs, *args, **kw):
         def stage(c, y):
             calls.update(["stage"])
-            before = calls["multiply"]
+            before = {name: calls[name] for name in names}
             out = rhs(c, y)
-            calls.update({"stage_multiply": calls["multiply"] - before})
+            calls.update({f"stage_{name}": calls[name] - before[name] for name in names})
             return out
         return integrate(stage, *args, **kw)
 
     monkeypatch.setattr(dynamics, "_integrate", counting)
     start(cfg)
     assert calls["stage"] == 8 * cfg.n_steps
-    assert calls["bilinear"] == calls["stage"]
-    assert calls["stage_multiply"] == 0
-    if driver_runs[0].label == "grassmann classical":
+    for name, n in zip(names, per_stage):
+        assert calls[f"stage_{name}"] == n * calls["stage"], name
+    if per_stage[0] and driver_runs[0].label == "grassmann classical":
         assert calls["conjugate"] == 0
 
 
@@ -1769,7 +1780,8 @@ def evolutions_of(h) -> list:
     one of the lock starts."""
     if h.kind == "boson":
         return [lambda cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
-                lambda cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg)]
+                lambda cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg),
+                lambda cfg: build_ladder_invariant(h, cfg)]
     zeta = LOCK_G2.gen("zeta")
     out = [lambda cfg: evolve_schrodinger_fermion(h, make_coherent(zeta), cfg),
            lambda cfg: evolve_operator_transport(h, FermionOperator.annihilator(LOCK_G2), cfg)]

@@ -75,6 +75,34 @@ def test_compose_associative_random(gens1, rng):
         assert lhs.isclose(rhs, 1e-11)
 
 
+def awkward_multivector(rng, gens) -> Multivector:
+    """Coefficients whose parts are normal, +-0.0 or subnormal."""
+    parts = rng.standard_normal((2, gens.dim))
+    draw = rng.random((2, gens.dim))
+    parts[draw < 0.3] = 0.0
+    parts[(draw >= 0.3) & (draw < 0.45)] *= 1e-310
+    parts[rng.random((2, gens.dim)) < 0.5] *= -1.0
+    coeffs = np.empty(gens.dim, dtype=np.complex128)
+    coeffs.real, coeffs.imag = parts  # no +0.0 from 1j*-0.0
+    return Multivector(gens, coeffs)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 4], ids=["c4", "c16", "c256"])
+def test_apply_matches_the_multivector_formula_bitwise(n_pairs):
+    # the formula apply had before it took the rows form that the dense
+    # Schrödinger RHS shares with it
+    rng = np.random.default_rng(n_pairs)
+    gens = GeneratorSet.from_pairs(("zeta", "eta", "chi", "xi")[:n_pairs])
+    for _ in range(50 if n_pairs < 4 else 10):
+        o = FermionOperator(gens, *(awkward_multivector(rng, gens) for _ in range(4)))
+        s = FermionState(gens, awkward_multivector(rng, gens), awkward_multivector(rng, gens))
+        psi0 = o.c_i * s.psi0 + o.c_minus * s.psi1.grade_involution()
+        psi1 = o.c_i * s.psi1 + o.c_n * s.psi1 + o.c_plus * s.psi0.grade_involution()
+        got = apply(o, s)
+        for g, w in ((got.psi0, psi0), (got.psi1, psi1)):
+            assert np.array_equal(g.coeffs.view(np.uint64), w.coeffs.view(np.uint64))
+
+
 def test_apply_factors_through_compose(gens1, rng):
     for _ in range(10):
         o1 = FermionOperator(gens1, *(random_multivector(gens1, rng) for _ in range(4)))

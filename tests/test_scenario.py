@@ -1,5 +1,7 @@
 """Expression grammar and scenario-file parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from cohstab.errors import ParseError, ValidationError
 from cohstab.scenario import (
+    MAX_SCENARIO_BYTES,
+    MAX_TERMS,
     parse_coefficient_expr,
     parse_scenario,
     serialize_coefficient_expr,
@@ -79,6 +83,38 @@ def test_parse_errors(text, offset):
     with pytest.raises(ParseError) as err:
         parse_coefficient_expr(text)
     assert err.value.offset == offset
+
+
+def test_terms_are_counted_as_they_are_parsed():
+    at_bound = " + ".join(["1"] * MAX_TERMS)
+    assert parse_coefficient_expr(at_bound)(0.0) == MAX_TERMS
+    with pytest.raises(ParseError, match=f"at most {MAX_TERMS} terms") as err:
+        parse_coefficient_expr(at_bound + " + 1 + cos(")  # refused before the bad term
+    assert err.value.offset == len(at_bound) + 1
+
+
+def test_scenario_text_over_the_bound_is_refused():
+    assert parse_scenario(MINIMAL_FERMION + "#" * (MAX_SCENARIO_BYTES - 100) + "\n")
+    with pytest.raises(ValidationError, match=f"more than {MAX_SCENARIO_BYTES} bytes"):
+        parse_scenario(MINIMAL_FERMION + "#" * MAX_SCENARIO_BYTES + "\n")
+
+
+#: tracemalloc peak over the bytes read that refusing an oversized file may
+#: reach, as tests/test_dynamics.py's REFUSAL_PEAK bounds its refusals
+READ_SLACK = 12 * 1024
+
+
+def test_an_oversized_file_is_refused_reading_one_byte_past_the_bound(tmp_path):
+    path = tmp_path / "oversized.ini"
+    path.write_text(MINIMAL_FERMION + "# padding\n" * (16 * MAX_SCENARIO_BYTES // 10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"more than {MAX_SCENARIO_BYTES} bytes"):
+            parse_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_SCENARIO_BYTES + READ_SLACK  # the file holds 16 times the bound
 
 
 def test_expression_serialize_round_trip():
