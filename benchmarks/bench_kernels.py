@@ -43,7 +43,8 @@ columns alternate run by run, which keeps this machine's drift in speed out
 of their comparison, and each number is the median over STEP_RUNS runs.
 The JSON holds one column per tree: "change" (this checkout) and, with
 --baseline, "parent" (REV), each naming the backend its kernel and RK4
-loops ran on. REV is the parent of the change measured: the script calls
+loops ran on and the size of its source: the lines of Python under its
+copied package and of its kernel/rk4.c. REV is the parent of the change measured: the script calls
 only what the parent's tree has.
 """
 
@@ -456,6 +457,15 @@ def _packages(tmp: Path, rev: str | None) -> dict:
     return {col: f"cohstab_{col}" for col in trees}
 
 
+def _source_lines(package: Path) -> dict:
+    """Lines of Python under a copied package and of its kernel/rk4.c."""
+    def lines(path):
+        return len(path.read_bytes().splitlines())
+
+    return {"python": sum(lines(path) for path in package.rglob("*.py")),
+            "c": lines(package / "kernel" / "rk4.c")}
+
+
 def _backend(package: str) -> str:
     """The graded product of kernel.multiply and the RK4 loop of the specs'
     fused plans and of the boson Schrödinger ladder that `package` runs on."""
@@ -466,6 +476,8 @@ def _backend(package: str) -> str:
 
 def _print_column(name: str, data: dict) -> None:
     print(f"[{name}] {data['source']}, backend: {data['backend']}")
+    print(f"  source: {data['source_lines']['python']:,} lines of Python, "
+          f"{data['source_lines']['c']} of rk4.c")
     table = data["us_per_product"]
     for n_gen in N_GENS:
         row = "".join(f"{table[f'n{n_gen}_b{b}']:>10.2f}" for b in BATCHES)
@@ -523,9 +535,12 @@ def main() -> None:
                 "scenarios": bench_scenarios(packages),
             }
             backends = {col: _backend(pkg) for col, pkg in packages.items()}
+            sizes = {col: _source_lines(Path(tmp) / "pkgs" / pkg)
+                     for col, pkg in packages.items()}
         finally:
             sys.path.remove(str(Path(tmp) / "pkgs"))
     columns = {col: {"source": sources[col], "backend": backends[col],
+                     "source_lines": sizes[col],
                      **{key: layer[col] for key, layer in layers.items()}}
                for col in packages}
     for col, data in columns.items():

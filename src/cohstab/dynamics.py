@@ -138,7 +138,7 @@ def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
     y = np.asarray(y)
     n = y.size
     out = np.zeros(n, dtype=np.result_type(y.dtype, np.float64))
-    if n == 1:
+    if n < 2:
         return out
     if n == 2:
         out[1] = 0.5 * dt * (y[0] + y[1])
@@ -646,7 +646,7 @@ def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
 def evolve_nu_system(spec: HamiltonianSpec,
                      config: IntegrationConfig) -> FermionInvariantPath:
     """Auxiliary system for the forced-fermion invariant, from (1, 0, 0)."""
-    times = _check_spec(spec, ("fermion",), config.times)
+    times = _check_spec(spec, ("fermion",), config.times, records=(config.n_steps + 1, 3))
 
     def rhs(c, y):
         _, fc, f, w = c.T[:, :, None]
@@ -687,26 +687,19 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
                         (config.n_records, y0.size))
     masks = h.slot_masks(gens)
-    law_row = -1
-    if masks is None:  # dense rows: H psi in one kernel.multiply call per stage
-        def rhs(c, y):
-            out = _apply_rows(c, y, n_gen)
-            out *= -1j
-            return out
-    else:
-        # a non-finite start carries no law, so the driver's gate refuses it,
-        # not the inverse inside the eigenvalue
-        if h.kind == "grassmann" and np.isfinite(y0).all():
-            zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
-            if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(masks, zeta0):
-                law_row = 2
-                y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)]))
-        rhs = _spec_rhs(n_gen, 2, law_row, masks[2], masks[0])
+    law = False
+    # a non-finite start carries no law, so the driver's gate refuses it, not
+    # the inverse inside the eigenvalue; a DenseHamiltonian's trajectory none
+    if h.kind == "grassmann" and isinstance(h, HamiltonianSpec) and np.isfinite(y0).all():
+        zeta0 = Multivector(gens, extract_eigenvalue(y0[None])[0][0])  # record 0's
+        if _odd_degree_one_rows(zeta0.coeffs[None])[0] and not _holds_eta(masks, zeta0):
+            law = True
+            y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)]))
     rec_idx = config.record_indices()
     gaps = []
-    records = _integrate(rhs, h.slot_rows, y0, config,
-                         "fermion Schrödinger" if law_row < 0
-                         else ("fermion Schrödinger", _LAW_LABEL), rec_idx, gaps=gaps)
+    records = _integrate(_rhs(n_gen, 2, law, masks), h.slot_rows, y0, config,
+                         ("fermion Schrödinger", _LAW_LABEL) if law else "fermion Schrödinger",
+                         rec_idx, gaps=gaps)
     amplitudes = records[:, :2]
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
@@ -716,8 +709,8 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
     for rows in _record_blocks(amplitudes):
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
-    path = None if law_row < 0 else GrassmannPath(gens, times[rec_idx], records[:, 2],
-                                                  records[:, 3], gaps[1])
+    path = GrassmannPath(gens, times[rec_idx], records[:, 2], records[:, 3],
+                         gaps[1]) if law else None
     return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev,
                       spec=h, gens=gens, law=path)
 
@@ -790,39 +783,64 @@ def _refuse_eta(spec, zeta0: Multivector) -> None:
                                  "initial value")
 
 
-def _spec_rhs(n_gen: int, turn_rows: int, law_row: int, eta_mask: int, delta_mask: int):
-    """A spec's fused plan as an RHS carrying its kernel.compiled.Program, from
-    rk4.c's program values: rows 0-1 the fermion amplitudes if turn_rows is 2,
-    rows law_row, law_row + 1 the Grassmann law's (zeta, phi) if law_row >= 0.
-    A spec's slots (I, b, b†, b†b) sit at delta_mask, eta_mask's conjugate,
-    eta_mask and the body, so a product keeps one pair per target at most."""
+def _rhs(n_gen: int, turn_rows: int, law: bool, masks):
+    """The RHS of a state of `turn_rows` (0 or 2) fermion amplitude rows,
+    then, if `law`, the Grassmann law's (zeta, phi), from a Hamiltonian's
+    slot_masks. The law reads the slots as (delta, -eta*, eta, omega).
+
+    A spec's masks put b and b† on one generator each and I and b†b at the
+    body (omega and delta are c-numbers), so a product keeps at most one
+    pair per target: the RHS evaluates one fused plan, then its post-ops,
+    and carries the plan's kernel.compiled.Program, which the driver may
+    run in C (see _integrate). A DenseHamiltonian's None gives dense
+    stages, each with one kernel.multiply call: H psi, or without
+    amplitude rows the law's zeta* eta + eta* zeta, omega the b†b slot's
+    body."""
+    dim, rows = 1 << n_gen, turn_rows + 2 * law
+    if masks is None:  # a DenseHamiltonian's trajectory carries no law
+        def rhs(c, y):
+            if turn_rows:  # H psi
+                out = _apply_rows(c, y, n_gen)
+                out *= -1j
+                return out
+            pairs = np.empty((2,) + y.shape, dtype=np.complex128)  # left, right factors
+            pairs[0, :, 0] = kernel.conjugate(y[:, 0], n_gen)
+            np.negative(c[:, 1], out=pairs[0, :, 1])  # eta*, the lower slot negated
+            pairs[1, :, 0], pairs[1, :, 1] = c[:, 2], y[:, 0]
+            prod = kernel.multiply(*pairs.reshape(2, -1, dim), n_gen).reshape(y.shape)
+            out = np.empty_like(y)
+            zeta, phi = out[:, 0], out[:, 1]
+            np.multiply(c[:, 3, :1], y[:, 0], out=zeta)
+            zeta -= c[:, 2]
+            zeta *= -1j
+            np.add(prod[:, 0], prod[:, 1], out=phi)
+            phi *= 0.5
+            phi -= c[:, 0]
+            return out
+
+        return rhs
     # (coefficient slot, state row, op, out row) of ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0)
     terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1), (2, 0, "gi", 1))
-    masks = (delta_mask, int(kernel.tables.conj_table(n_gen)[0][eta_mask]), eta_mask, 0)
     products = tuple(((1, slot, (masks[slot],), None), (0, row, None, op), out)
                      for slot, row, op, out in (terms if turn_rows else ()))
-    rows = turn_rows
-    if law_row >= 0:  # zeta* eta + eta* zeta, eta* the lower slot negated
-        products += (((0, law_row, None, "conj"), (1, 2, (eta_mask,), None), law_row + 1),
-                     ((1, 1, (masks[1],), "neg"), (0, law_row, None, None), law_row + 1))
-        rows = law_row + 2
-    dim = 1 << n_gen
+    if law:  # zeta* eta + eta* zeta, eta* the lower slot negated
+        products += (((0, turn_rows, None, "conj"), (1, 2, (masks[2],), None), turn_rows + 1),
+                     ((1, 1, (masks[1],), "neg"), (0, turn_rows, None, None), turn_rows + 1))
     plan = kernel.bilinear_plan(n_gen, products, ((rows, dim), (4, 1), (rows, dim)))
 
     def rhs(c, y):
         out = kernel.bilinear(plan, y, c)
         out[:, :turn_rows] *= -1j
-        if law_row >= 0:  # c holds delta, -eta*, eta, omega
-            zeta, phi = out[:, law_row], out[:, law_row + 1]
-            np.multiply(c[:, 3:], y[:, law_row], out=zeta)
-            zeta[:, eta_mask] -= c[:, 2]
+        if law:
+            zeta, phi = out[:, turn_rows], out[:, turn_rows + 1]
+            np.multiply(c[:, 3:], y[:, turn_rows], out=zeta)
+            zeta[:, masks[2]] -= c[:, 2]
             zeta *= -1j
             phi *= 0.5
-            phi[:, delta_mask] -= c[:, 0]
+            phi[:, 0] -= c[:, 0]
         return out
 
-    rhs.program = kernel.compiled.Program(  # the driver may run it in C (see _integrate)
-        plan, turn_rows, None if law_row < 0 else (law_row, eta_mask, delta_mask))
+    rhs.program = kernel.compiled.Program(plan, turn_rows, masks[2] if law else None)
     return rhs
 
 
@@ -844,31 +862,13 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     gens = zeta0.gens
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
-    times = _check_spec(spec, ("grassmann",), config.times, gens)
+    times = _check_spec(spec, ("grassmann",), config.times, gens,
+                        (config.n_steps + 1 if record is None else np.size(record), 2 * gens.dim))
     _refuse_eta(spec, zeta0)
-    masks = spec.slot_masks(gens)
-    if masks is not None:
-        rhs = _spec_rhs(n_gen, 0, 0, masks[2], masks[0])
-    else:  # dense rows: zeta* eta and eta* zeta in one kernel.multiply call per stage
-        def rhs(c, y):
-            pairs = np.empty((2,) + y.shape, dtype=np.complex128)  # left, right factors
-            pairs[0, :, 0] = kernel.conjugate(y[:, 0], n_gen)
-            np.negative(c[:, 1], out=pairs[0, :, 1])  # eta*, the lower slot negated
-            pairs[1, :, 0], pairs[1, :, 1] = c[:, 2], y[:, 0]
-            prod = kernel.multiply(*pairs.reshape(2, -1, gens.dim), n_gen).reshape(y.shape)
-            out = np.empty_like(y)
-            zeta, phi = out[:, 0], out[:, 1]
-            np.multiply(c[:, 3, :1], y[:, 0], out=zeta)  # omega is the b†b slot's body
-            zeta -= c[:, 2]
-            zeta *= -1j
-            np.add(prod[:, 0], prod[:, 1], out=phi)
-            phi *= 0.5
-            phi -= c[:, 0]
-            return out
-
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
     gaps = []
-    series = _integrate(rhs, spec.slot_rows, y0, config, _LAW_LABEL, record, gaps=gaps)
+    series = _integrate(_rhs(n_gen, 0, True, spec.slot_masks(gens)), spec.slot_rows, y0,
+                        config, _LAW_LABEL, record, gaps=gaps)
     return GrassmannPath(gens, times if record is None else times[record],
                          series[:, 0], series[:, 1], gaps[0])
 
@@ -884,7 +884,8 @@ def evolve_operator_transport(h, op0: FermionOperator,
     value is X(0). Sampled at every grid time.
     """
     gens = op0.gens
-    _check_spec(h, ("fermion", "grassmann"), config.times, gens)
+    _check_spec(h, ("fermion", "grassmann"), config.times, gens,
+                (config.n_steps + 1, 4 * gens.dim))
     coeffs = _dense_slots(h.slot_rows, h.slot_masks(gens), gens.dim)
     n_gen = gens.n_generators
 
@@ -919,10 +920,8 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     time; `h` is what evolve_schrodinger_fermion takes. The commutators are
     composed a block of grid times at a time.
     """
-    times = config.times()
-    dt = times[1] - times[0]
-    _fd_order_check(dt)
-    if times.size < 3:
+    n_times = config.n_steps + 1
+    if n_times < 3:
         raise ValidationError("the invariance residual needs a grid of 3 points or more")
     if isinstance(b_series, FermionInvariantPath):
         n = len(b_series.nu)
@@ -933,9 +932,11 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
         gens = gens or (ops[0].gens if ops else None)  # an empty series fails the length check
         if any(op.gens != gens for op in ops):
             raise MismatchedGenerators("operator series over a foreign set")
-    if n != times.size:
+    if n != n_times:
         raise ValidationError("operator series and grid lengths differ")
-    _check_spec(h, ("fermion", "grassmann"), lambda: times, gens, (times.size, 4 * gens.dim))
+    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens, (n_times, 4 * gens.dim))
+    dt = times[1] - times[0]
+    _fd_order_check(dt)
     if isinstance(b_series, FermionInvariantPath):
         b = np.zeros((n, 4, gens.dim), dtype=np.complex128)
         b[:, :, 0] = _nu_slots(b_series.nu)

@@ -75,7 +75,7 @@ def bilinear_plan(n_gen: int, products, shapes) -> pyref.Plan:
 def bilinear(plan: pyref.Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A plan over rows a (R, ...) and b (R, ...): (R,) + out's row shape.
 
-    A spec's fused plan (dynamics._spec_rhs), whose products keep at most
+    A spec's fused plan (dynamics._rhs), whose products keep at most
     one pair per target each, shares one bincount sum per target, bit for
     bit as their own sums added in order: a sum starts at +0.0, so it is
     never -0.0 and adding +-0.0 to it changes no bit; (0 + a) + b equals

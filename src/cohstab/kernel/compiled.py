@@ -8,10 +8,11 @@ and removes the libraries of other keys, so the cache holds one. The
 compiler's output is captured and the build has a timeout. A cached library
 is loaded without a compiler. Then the first use picks the library's
 complex-multiply spelling that matches np.multiply on this host (see
-rk4.c). Without a compiler, with a failed build or load, or if numpy
-matches neither spelling, `runner()` and `product()` return None, and the
-driver runs its numpy loop and kernel.multiply its numpy product;
-`status()` and `product_status()` say which it is.
+rk4.c). Without a compiler, or with a failed build or load, `runner()` and
+`product()` return None, and the driver runs its numpy loop and
+kernel.multiply its numpy product. If numpy matches neither spelling,
+only `runner()` does: the product has no complex multiply. `status()` and
+`product_status()` say which it is.
 """
 
 import ctypes
@@ -41,12 +42,11 @@ _P = ctypes.c_void_p
 class _Program(ctypes.Structure):  # rk4.c's program
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "dim", "n_pairs")] + [
         (name, _P) for name in ("left", "right", "target", "re_sign", "im_sign")] + [
-        (name, ctypes.c_int64) for name in ("turn_rows", "law_row", "eta_mask",
-                                            "delta_mask")] + [("sq", _P)]
+        (name, ctypes.c_int64) for name in ("turn_rows", "eta_mask")] + [("sq", _P)]
 
 
 _lock = threading.Lock()
-_chosen = None  # ({RHS kind: chunk function}, spelling, product), or why numpy runs
+_chosen = None  # what _load returns: the library's entry points, or why numpy runs
 
 
 def _build() -> Path:
@@ -98,17 +98,24 @@ def _spelling_probe():
     return tuple(np.array(side, dtype=np.complex128) for side in zip(*crafted))
 
 
+def _reference(a, b):
+    """numpy's products of the probe pairs, which a spelling must match."""
+    return np.multiply(a, b)
+
+
 def _load():
-    """({RHS kind: chunk function}, spelling, product), or the reason there
-    is none."""
+    """({RHS kind: chunk function} or why the numpy loop runs, spelling,
+    product), or the reason there is no library."""
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as exc:
         return f"no compiled library ({exc})"
+    lib.cohstab_multiply.argtypes = [ctypes.c_int64, ctypes.c_int64, _P, _P, _P, _P]
+    lib.cohstab_multiply.restype = None
     for name in ("cohstab_cmul_plain", "cohstab_cmul_fma"):
         getattr(lib, name).argtypes = [ctypes.c_int64, _P, _P, _P]
     a, b = _spelling_probe()
-    want = np.multiply(a, b)
+    want = _reference(a, b)
     spellings = ("fma", "plain") if lib.cohstab_has_fma() else ("plain",)
     for spelling in spellings:
         got = np.empty_like(a)
@@ -120,10 +127,10 @@ def _load():
             for run in runs.values():
                 run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P, _P, _P]
                 run.restype = None
-            lib.cohstab_multiply.argtypes = [ctypes.c_int64, ctypes.c_int64, _P, _P, _P, _P]
-            lib.cohstab_multiply.restype = None
             return runs, spelling, lib.cohstab_multiply
-    return "numpy's complex multiply matches neither compiled spelling"
+    # the product has no complex multiply, so it runs whatever the spelling
+    return ("numpy's complex multiply matches neither compiled spelling", None,
+            lib.cohstab_multiply)
 
 
 def _library():
@@ -138,8 +145,9 @@ def status() -> str:
     """Which loop the RK4 driver runs for a compiled program, loading the
     library if no run has yet."""
     chosen = _library()
-    if isinstance(chosen, str):
-        return f"numpy loop: {chosen}"
+    reason = chosen if isinstance(chosen, str) else chosen[0]
+    if isinstance(reason, str):
+        return f"numpy loop: {reason}"
     return f"compiled C loop ({SOURCE.name}), {chosen[1]} complex-multiply spelling"
 
 
@@ -162,29 +170,26 @@ def product():
 class Program:
     """An RHS as rk4.c runs it, its indices and sizes checked here, once.
 
-    Program(plan, turn_rows, law) is a fused plan's: the plan over a state
-    of as many rows as its out, the first `turn_rows` rows multiplied by
-    -1j, and with `law` = (row, eta mask, delta mask) the Grassmann law's
-    post-ops on rows row, row + 1. Program.ladder(sq) is the boson
-    Schrödinger RHS."""
+    Program(plan, turn_rows, eta_mask) is a fused plan's: the plan over a
+    state of as many rows as its out, the first `turn_rows` rows multiplied
+    by -1j, and given `eta_mask` the Grassmann law's post-ops on the next
+    two rows (zeta, phi), eta at eta_mask and delta at the body.
+    Program.ladder(sq) is the boson Schrödinger RHS."""
 
-    def __init__(self, plan, turn_rows: int, law=None):
+    def __init__(self, plan, turn_rows: int, eta_mask=None):
         rows, dim = plan.out_shape
         left, right, target = (np.ascontiguousarray(i, dtype=np.int64) for i in plan.pairs)
         # the struct points into these
         self._arrays = (left, right, target, *(np.ascontiguousarray(s[0]) for s in plan.sign))
-        law_row, eta_mask, delta_mask = (-1, 0, 0) if law is None else law
         n = rows * dim
         if not (plan.strides == [n, 4, n] and 0 <= turn_rows <= rows
-                and (law is None or 0 <= law_row <= rows - 2)
-                and 0 <= eta_mask < dim and 0 <= delta_mask < dim
+                and (eta_mask is None or (turn_rows <= rows - 2 and 0 <= eta_mask < dim))
                 and all(((i >= 0) & (i < size)).all()
                         for i, size in ((left, n), (right, 4), (target, n)))):
             raise ValueError("the plan is not one rk4.c can run")
         self.kind, self.state = "plan", (rows, dim)
-        self.struct = _Program(rows, dim, len(left),
-                               *(a.ctypes.data for a in self._arrays),
-                               turn_rows, law_row, eta_mask, delta_mask, None)
+        self.struct = _Program(rows, dim, len(left), *(a.ctypes.data for a in self._arrays),
+                               turn_rows, -1 if eta_mask is None else eta_mask, None)
 
     @classmethod
     def ladder(cls, sq):
@@ -195,7 +200,7 @@ class Program:
         self = cls.__new__(cls)
         self._arrays = (np.ascontiguousarray(sq),)  # the struct points into it
         self.kind, self.state = "ladder", (len(sq) + 1,)
-        self.struct = _Program(1, len(sq) + 1, 0, None, None, None, None, None, 0, -1, 0, 0,
+        self.struct = _Program(1, len(sq) + 1, 0, None, None, None, None, None, 0, -1,
                                self._arrays[0].ctypes.data)
         return self
 
@@ -203,9 +208,10 @@ class Program:
         """run(table, dts, pair, states) over one block of grid steps, or
         None if the driver runs its numpy loop."""
         chosen = _library()
-        if isinstance(chosen, str):
+        runs = chosen if isinstance(chosen, str) else chosen[0]
+        if isinstance(runs, str):
             return None
-        fn, state = chosen[0][self.kind], self.state
+        fn, state = runs[self.kind], self.state
         work = np.empty((5,) + state, dtype=np.complex128)
         ref = ctypes.byref(self.struct)
 

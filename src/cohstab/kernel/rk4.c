@@ -13,9 +13,9 @@
  *     order, each product p*c - q*d, p*d + q*c with p, q the signed parts of
  *     the state's coefficient and c, d those of the coefficient row's;
  *   - out[r] *= -1j on the leading turn_rows rows (-1j is (-0.0, -1.0));
- *   - with a law at rows law_row, law_row + 1 (zeta, phi):
+ *   - with a law (eta_mask >= 0), on rows turn_rows, turn_rows + 1 (zeta, phi):
  *     zeta = omega * zeta, zeta[eta_mask] -= eta, zeta *= -1j,
- *     phi *= 0.5, phi[delta_mask] -= delta;
+ *     phi *= 0.5, phi[0] -= delta (delta is a c-number, at the body);
  * and for the ladder, per level n of the dim levels, with (g, fc, f, w) the
  * coefficient row,
  *     out[n] = -1j * (((w * (n * y[n]) + f * up[n]) + fc * down[n]) + g * y[n]),
@@ -55,11 +55,9 @@ typedef struct {
     const int64_t *target; /* per pair: out index row * dim + mask */
     const double *re_sign;
     const double *im_sign;
-    int64_t turn_rows;  /* leading rows multiplied by -1j */
-    int64_t law_row;    /* zeta's row, or -1 without a law */
-    int64_t eta_mask;   /* where zeta' takes -eta */
-    int64_t delta_mask; /* where phi' takes -delta */
-    const double *sq;   /* the ladder's dim - 1 values sqrt(1 .. dim - 1) */
+    int64_t turn_rows; /* leading rows multiplied by -1j; the law's rows follow */
+    int64_t eta_mask;  /* where zeta' takes -eta, or -1 without a law */
+    const double *sq;  /* the ladder's dim - 1 values sqrt(1 .. dim - 1) */
 } program;
 
 #define SLOTS 4 /* a coefficient row: delta (I), lower, eta (raise), omega */
@@ -105,12 +103,13 @@ plan_rhs(const program *p, const cplx *c, const cplx *y, cplx *out, int fused)
         out[p->target[k]].re += s * b.re - q * b.im;
         out[p->target[k]].im += s * b.im + q * b.re;
     }
-    for (int64_t i = 0; i < p->turn_rows * p->dim; i++)
+    const int64_t turned = p->turn_rows * p->dim;
+    for (int64_t i = 0; i < turned; i++)
         out[i] = cmul(out[i], turn, fused);
-    if (p->law_row < 0)
+    if (p->eta_mask < 0)
         return;
-    cplx *zeta = out + p->law_row * p->dim, *phi = zeta + p->dim;
-    const cplx *y_zeta = y + p->law_row * p->dim;
+    cplx *zeta = out + turned, *phi = zeta + p->dim;
+    const cplx *y_zeta = y + turned;
     for (int64_t m = 0; m < p->dim; m++)
         zeta[m] = cmul(c[3], y_zeta[m], fused);
     zeta[p->eta_mask].re -= c[2].re;
@@ -119,8 +118,8 @@ plan_rhs(const program *p, const cplx *c, const cplx *y, cplx *out, int fused)
         zeta[m] = cmul(zeta[m], turn, fused);
     for (int64_t m = 0; m < p->dim; m++)
         phi[m] = cmul(phi[m], real(0.5), fused);
-    phi[p->delta_mask].re -= c[0].re;
-    phi[p->delta_mask].im -= c[0].im;
+    phi[0].re -= c[0].re;
+    phi[0].im -= c[0].im;
 }
 
 static inline __attribute__((always_inline)) void

@@ -582,6 +582,22 @@ def test_spelling_probe_tells_the_spellings_apart():
     assert any(np.array_equal(g, bits(a * b)) for g in got.values())
 
 
+def test_product_stays_compiled_when_numpy_matches_neither_spelling(monkeypatch):
+    # the RK4 loop needs numpy's spelling; the product has no complex multiply
+    monkeypatch.setattr(compiled, "_chosen", None)
+    monkeypatch.setattr(compiled, "_reference", lambda a, b: -np.multiply(a, b))
+    if not HAS_COMPILER:
+        assert compiled.product() is None
+        return
+    assert compiled.status() == ("numpy loop: numpy's complex multiply matches neither "
+                                 "compiled spelling")
+    assert compiled.product_status() == "compiled C (rk4.c)"
+    assert compiled.product() is not None
+    program = _driver_call(_start("grassmann", 2), IntegrationConfig(0.05, 1e-2))[0].program
+    assert program.runner() is None
+    assert product_mismatches(product_sweep()) == 0
+
+
 def test_runner_checks_every_array_before_the_call():
     for start in (_start("grassmann", 2), _boson_start(16)):  # a plan, the ladder
         _check_runner(_driver_call(start, IntegrationConfig(0.05, 1e-2))[0].program)

@@ -162,6 +162,7 @@ def test_cumulative_simpson_against_scipy(n):
 
 
 def test_cumulative_simpson_on_one_and_two_points():
+    assert cumulative_simpson(np.array([]), 0.1).shape == (0,)
     assert np.array_equal(cumulative_simpson(np.array([2.0]), 0.1), [0.0])
     assert np.array_equal(cumulative_simpson(np.array([1.0, 3.0]), 0.5), [0.0, 1.0])
 
@@ -1891,19 +1892,30 @@ def test_a_grid_over_max_steps_is_refused_before_allocation(n_steps, t_end):
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(system=st.sampled_from(["fermion", "boson"]), size=st.integers(1, 4),
-       data=st.data())
+@given(system=st.sampled_from(["fermion", "boson", "nu", "transport", "law"]),
+       size=st.integers(1, 4), data=st.data())
 def test_records_over_the_bound_are_refused_before_allocation(system, size, data):
-    # `size` generator pairs of a fermion state, or a quarter of the boson cutoff bound
+    # `size` generator pairs of a fermion state, operator or law, or a quarter
+    # of the boson cutoff bound; the nu system, the transport and the law keep
+    # every grid point, n_steps + 1 >= n_records of them
+    gens = GeneratorSet.from_pairs(f"g{k}" for k in range(size))
+    fermion, zeta = HamiltonianSpec("fermion", const_fn(1.0)), gens.gen("g0")
     if system == "fermion":
-        gens = GeneratorSet.from_pairs(f"g{k}" for k in range(size))
-        s0 = make_coherent(gens.gen("g0"))
-        values, evolve = 2 * gens.dim, lambda cfg: evolve_schrodinger_fermion(
-            HamiltonianSpec("fermion", const_fn(1.0)), s0, cfg)
-    else:
+        s0 = make_coherent(zeta)
+        values, evolve = 2 * gens.dim, lambda cfg: evolve_schrodinger_fermion(fermion, s0, cfg)
+    elif system == "boson":
         s0 = BosonState.vacuum(size * MAX_NMAX // 4)
         values, evolve = s0.amps.size, lambda cfg: evolve_schrodinger_boson(
             HamiltonianSpec("boson", const_fn(1.0)), s0, cfg)
+    elif system == "nu":
+        values, evolve = 3, lambda cfg: evolve_nu_system(fermion, cfg)
+    elif system == "transport":
+        op0 = FermionOperator.annihilator(gens)
+        values, evolve = 4 * gens.dim, lambda cfg: evolve_operator_transport(fermion, op0, cfg)
+    else:
+        spec = HamiltonianSpec("grassmann", const_fn(1.0), gens=gens,
+                               eta_generator=gens.names[-1])
+        values, evolve = 2 * gens.dim, lambda cfg: evolve_grassmann_classical(spec, zeta, cfg)
     n_records = data.draw(st.integers((MAX_STEPS + 1) // values + 1, MAX_STEPS + 1))
     stride = data.draw(st.integers(1, MAX_STEPS // (n_records - 1)))
     cfg = IntegrationConfig(1.0, 1.0 / ((n_records - 1) * stride), stride)
