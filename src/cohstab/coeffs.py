@@ -115,16 +115,6 @@ class CoefficientFn:
             for t in self.terms
         )
 
-    def max_abs_on(self, times: np.ndarray) -> float:
-        if not self.terms:
-            return 0.0
-        return float(np.max(np.abs(self(times))))
-
-    def max_imag_on(self, times: np.ndarray) -> float:
-        if not self.terms:
-            return 0.0
-        return float(np.max(np.abs(np.imag(self(times)))))
-
 
 def zero_fn() -> CoefficientFn:
     return CoefficientFn(())

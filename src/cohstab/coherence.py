@@ -21,11 +21,13 @@ from . import kernel
 from .boson import BosonState, eigenvalue_lsq
 from .coeffs import CoefficientFn
 from .dynamics import (
+    VALID_KINDS,
     DenseHamiltonian,
     HamiltonianSpec,
     IntegrationConfig,
     Trajectory,
     _boson_closed_form,
+    _check_spec,
     _simpson_phase,
     evolve_grassmann_classical,
     evolve_schrodinger_fermion,
@@ -108,20 +110,21 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     """Preserving/non-preserving verdict, with a dynamic cross-check for
     the fermion kind.
 
-    Boson and grassmann kinds always preserve; their verdict is static and
-    nothing is integrated. A fermion kind preserves iff the linear forcing
-    vanishes on the grid. Its witness is `trajectory`, or one evolved from
-    the coherent state of the first generator: dynamic_max_residual is its
-    worst residual, and agrees says whether that residual, against
+    The forcing is read from slot_rows on the grid, which refuses a non-real
+    omega or scalar. Boson and grassmann kinds always preserve; nothing is
+    integrated. A fermion kind preserves iff the forcing vanishes on the
+    grid. Its witness is `trajectory`, or one evolved from the coherent
+    state of the first generator: dynamic_max_residual is its worst
+    residual, and agrees says whether that residual, against
     DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
     config = config or _default_config()
-    times = config.times()
-    if spec.kind in ("boson", "grassmann"):
-        return Classification("preserving", spec.kind, spec.forcing.max_abs_on(times))
+    times = _check_spec(spec, VALID_KINDS, config.times)
+    forcing = np.abs(spec.slot_rows(times)[:, 2])
+    max_forcing = float(np.max(forcing))
+    if spec.kind != "fermion":
+        return Classification("preserving", spec.kind, max_forcing)
 
-    forcing = np.abs(np.asarray(spec.forcing(times), dtype=complex))
-    max_forcing = float(np.max(forcing)) if forcing.size else 0.0
     static_preserving = max_forcing <= STATIC_ZERO_TOL
     witness_time = None
     if not static_preserving:

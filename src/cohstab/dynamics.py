@@ -44,11 +44,14 @@ from .errors import (
     ValidationError,
 )
 from .fermion import (
+    _APPLY_AMPS,
+    _APPLY_SLOTS,
+    _PARITY,
     FermionOperator,
     FermionState,
     _adjoint_rows,
     _apply_rows,
-    _compose_coeff_arrays,
+    _commutator_coeff_arrays,
     _norm_bodies,
     _record_blocks,
     _state,
@@ -187,19 +190,18 @@ class HamiltonianSpec:
             if self.eta_generator not in self.gens.names:
                 raise ValidationError(f"eta generator {self.eta_generator!r} is undeclared")
 
-    def validate_real_coefficients(self, times: np.ndarray) -> None:
-        if not self.omega.max_imag_on(times) <= HERMITIAN_TOL:
-            raise NotHermitian("omega must be real-valued")
-        if not self.scalar.max_imag_on(times) <= HERMITIAN_TOL:
-            raise NotHermitian("the scalar term must be real-valued")
-
     def slot_rows(self, ts: np.ndarray) -> np.ndarray:
         """(len(ts), 4) coefficients over the slots (I, lower, raise, number):
         scalar, conj(forcing) (negated for kind "grassmann"), forcing and
-        omega at each time."""
+        omega at each time; refused (NotHermitian, NaN too), as dense rows
+        are, unless omega and the scalar are real within HERMITIAN_TOL."""
+        w, g = self.omega(ts), self.scalar(ts)
+        for values, name in ((w, "omega"), (g, "the scalar term")):
+            if not np.max(np.abs(values.imag), initial=0.0) <= HERMITIAN_TOL:
+                raise NotHermitian(f"{name} must be real-valued")
         f = np.asarray(self.forcing(ts), dtype=np.complex128)
         fc = -np.conj(f) if self.kind == "grassmann" else np.conj(f)
-        return np.stack((self.scalar(ts), fc, f, self.omega(ts)), axis=1)
+        return np.stack((g, fc, f, w), axis=1)
 
     def slot_masks(self, gens: GeneratorSet) -> tuple[int, int, int, int]:
         """The one monomial over gens each slot of slot_rows sits at: the
@@ -249,10 +251,9 @@ def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = 
     """The times grid() returns, once `spec` passes. Refuses, in this order:
     anything but a HamiltonianSpec or, given `gens`, a DenseHamiltonian, a
     kind not in `kinds` (both ValidationError), a set other than `gens`
-    (MismatchedGenerators), `records` = (n_records, values each) over the
-    record bound (see _check_records), and a spec's omega or scalar that is
-    not real at those times (NotHermitian; dense rows are checked as they
-    are tabulated). grid is called only after the first four pass."""
+    (MismatchedGenerators), and `records` = (n_records, values each) over
+    the record bound (see _check_records); grid is called only after all
+    four pass. slot_rows checks Hermiticity wherever it is read."""
     types = (HamiltonianSpec,) if gens is None else (HamiltonianSpec, DenseHamiltonian)
     if not isinstance(spec, types):
         raise ValidationError(f"a {type(spec).__name__} where a "
@@ -263,10 +264,7 @@ def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = 
     if gens is not None and spec.gens not in (None, gens):
         raise MismatchedGenerators("spec and state generator sets differ")
     _check_records(*records)
-    times = grid()
-    if isinstance(spec, HamiltonianSpec):
-        spec.validate_real_coefficients(times)
-    return times
+    return grid()
 
 
 def hamiltonian_operator(spec, t: float, gens: GeneratorSet) -> FermionOperator:
@@ -819,10 +817,11 @@ def _rhs(n_gen: int, turn_rows: int, law: bool, masks):
             return out
 
         return rhs
-    # (coefficient slot, state row, op, out row) of ci*p0, ci*p1, cm*gi(p1), cn*p1, cp*gi(p0)
-    terms = ((0, 0, None, 0), (0, 1, None, 1), (1, 1, "gi", 0), (3, 1, None, 1), (2, 0, "gi", 1))
-    products = tuple(((1, slot, (masks[slot],), None), (0, row, None, op), out)
-                     for slot, row, op, out in (terms if turn_rows else ()))
+    # H psi's products as _apply_rows's: an odd slot gi's its amplitude into the other row
+    terms = zip(_APPLY_SLOTS.tolist(), _APPLY_AMPS.tolist()) if turn_rows else ()
+    products = tuple(((1, slot, (masks[slot],), None),
+                      (0, amp, None, "gi" if _PARITY[slot] else None), amp ^ _PARITY[slot])
+                     for slot, amp in terms)
     if law:  # zeta* eta + eta* zeta, eta* the lower slot negated
         products += (((0, turn_rows, None, "conj"), (1, 2, (masks[2],), None), turn_rows + 1),
                      ((1, 1, (masks[1],), "neg"), (0, turn_rows, None, None), turn_rows + 1))
@@ -890,9 +889,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
     n_gen = gens.n_generators
 
     def rhs(hc, y):
-        xh = _compose_coeff_arrays(y, hc, n_gen)
-        hx = _compose_coeff_arrays(hc, y, n_gen)
-        return 1j * (xh - hx)
+        return 1j * _commutator_coeff_arrays(y, hc, n_gen)
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
     series = _integrate(rhs, coeffs, y0, config, "operator transport")
@@ -950,7 +947,7 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     residuals = np.empty(times.size)
     for a in range(0, times.size, block):
         bs, hs = b[a:a + block], table(times[a:a + block])
-        comm = _compose_coeff_arrays(bs, hs, n_gen) - _compose_coeff_arrays(hs, bs, n_gen)
+        comm = _commutator_coeff_arrays(bs, hs, n_gen)
         residuals[a:a + block] = np.max(np.abs(dcoeff[a:a + block] - 1j * comm),
                                         axis=(1, 2))
     return residuals

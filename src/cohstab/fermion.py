@@ -229,7 +229,7 @@ class FermionState:
 # -- operations ------------------------------------------------------------
 
 
-# The coefficient slot and the amplitude of each product of _apply_rows.
+# The coefficient slot and the amplitude of each product of _apply_rows and dynamics._rhs.
 _APPLY_SLOTS, _APPLY_AMPS = np.array([[_ID, _ID, _ANN, _NUM, _CRE], [0, 1, 1, 1, 0]])
 
 # The slot pairs (i, j) of _BASIS_MUL in its order, as gather indices; the
@@ -255,7 +255,7 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     c1s = np.asarray(c1s)
     right = np.asarray(c2s)[..., _PAIR_RIGHT, :]
     # gi on the pairs with an odd left slot only: a product by 1 can flip a -0.0
-    right[..., _PAIR_ODD, :] = kernel.grade_signs(n_gen) * right[..., _PAIR_ODD, :]
+    right[..., _PAIR_ODD, :] = kernel.tables.parity_signs(n_gen) * right[..., _PAIR_ODD, :]
     dim = 1 << n_gen
     prod = kernel.multiply(c1s[..., _PAIR_LEFT, :].reshape(-1, dim),
                            right.reshape(-1, dim), n_gen).reshape(right.shape)
@@ -266,10 +266,17 @@ def _compose_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
     return out
 
 
+def _commutator_coeff_arrays(c1s, c2s, n_gen: int) -> np.ndarray:
+    """c1s c2s - c2s c1s per row of batches (R, 4, dim), both orders in one
+    _compose_coeff_arrays call: rows compose on their own, so bit for bit as two."""
+    prod = _compose_coeff_arrays(np.concatenate((c1s, c2s)), np.concatenate((c2s, c1s)), n_gen)
+    return prod[:len(c1s)] - prod[len(c1s):]
+
+
 def _adjoint_rows(c: np.ndarray) -> np.ndarray:
     """Adjoint slot rows (..., 4, dim): b, b† swapped and grade-involuted; conjugated; +0.0."""
     swapped = c[..., [_ID, _CRE, _ANN, _NUM], :]
-    swapped[..., 1:3, :] *= kernel.grade_signs(_n_gen(c))
+    swapped[..., 1:3, :] *= kernel.tables.parity_signs(_n_gen(c))
     return 0.0 + kernel.conjugate(swapped, _n_gen(c))
 
 
@@ -310,7 +317,7 @@ def _apply_rows(c: np.ndarray, psi: np.ndarray, n_gen: int) -> np.ndarray:
     c_i*psi0 + c_minus*gi(psi1) and (c_i*psi1 + c_n*psi1) + c_plus*gi(psi0),
     the five products in one kernel.multiply call."""
     right = psi.take(_APPLY_AMPS, axis=1)
-    right[:, 2::2] *= kernel.grade_signs(n_gen)  # gi(psi1), gi(psi0)
+    right[:, 2::2] *= kernel.tables.parity_signs(n_gen)  # gi(psi1), gi(psi0)
     prod = _amplitude_products(c.take(_APPLY_SLOTS, axis=1), right, n_gen)
     out = prod[:, :2] + prod[:, 2:4]
     out[:, 1] += prod[:, 4]
@@ -405,7 +412,7 @@ def extract_eigenvalue(s):
     lam, residual = np.full(s.shape[::2], complex(np.nan, np.nan)), np.full(len(s), np.inf)
     has = _has_vacuum(s)
     psi = s[has]
-    g1 = kernel.grade_signs(n_gen) * psi[:, 1]
+    g1 = kernel.tables.parity_signs(n_gen) * psi[:, 1]
     lam[has] = kernel.multiply(g1, invert(psi[:, 0]), n_gen)
     diff = -_amplitude_products(np.repeat(lam[has][:, None], 2, axis=1), psi, n_gen)
     diff[:, 0] += g1  # b|psi> - lam|psi>, b|psi> = (g1, 0)

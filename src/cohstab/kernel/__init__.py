@@ -89,7 +89,3 @@ def conjugate(x: np.ndarray, n_gen: int) -> np.ndarray:
     """Antilinear conjugation of a dense coefficient array, row-wise on a batch."""
     inv, sign = tables.conj_gather(n_gen)
     return sign * np.conj(x.take(inv, axis=-1))
-
-
-def grade_signs(n_gen: int) -> np.ndarray:
-    return tables.parity_signs(n_gen)

@@ -70,13 +70,6 @@ def test_equality_is_structural():
     assert const_fn(1.0) != const_fn(2.0)
 
 
-def test_max_helpers():
-    fn = complex_pair(zero_fn(), const_fn(0.3))
-    t = np.linspace(0, 1, 5)
-    assert abs(fn.max_imag_on(t) - 0.3) < 1e-15
-    assert abs(fn.max_abs_on(t) - 0.3) < 1e-15
-
-
 @pytest.mark.parametrize("fn", [
     const_fn(complex(0.3, -0.0)),                 # imaginary part -0.0
     complex_pair(zero_fn(), const_fn(-0.3)),      # real part -0.0, as f_im = -0.3 alone

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cohstab import dynamics, kernel
@@ -26,7 +26,12 @@ from cohstab.coeffs import (
     sin_fn,
     zero_fn,
 )
-from cohstab.coherence import MultivectorPath, reconstruct_forcing, verify_trajectory
+from cohstab.coherence import (
+    MultivectorPath,
+    classify_hamiltonian,
+    reconstruct_forcing,
+    verify_trajectory,
+)
 from cohstab.dynamics import (
     MAX_STEPS,
     STEP_TOL,
@@ -340,15 +345,19 @@ def test_not_hermitian_spec_rejected(gens1):
     with pytest.raises(NotHermitian):
         evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
                                    IntegrationConfig(1.0, 1e-3))
+    # classify reads every kind's forcing from slot_rows, so it refuses too
+    with pytest.raises(NotHermitian, match="omega must be real-valued"):
+        classify_hamiltonian(HamiltonianSpec("boson", const_fn(1 + 0.5j)),
+                             IntegrationConfig(1.0, 1e-3))
 
 
 def test_nan_imaginary_part_is_not_hermitian():
     times = IntegrationConfig(1.0, 1e-2).times()
-    with pytest.raises(NotHermitian):
-        HamiltonianSpec("boson", const_fn(complex(1, np.nan))).validate_real_coefficients(times)
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotHermitian, match="omega"):
+        HamiltonianSpec("boson", const_fn(complex(1, np.nan))).slot_rows(times)
+    with pytest.raises(NotHermitian, match="scalar"):
         HamiltonianSpec("boson", const_fn(1.0), scalar=const_fn(complex(0, np.nan))) \
-            .validate_real_coefficients(times)
+            .slot_rows(times)
 
 
 def dense_of(builder, gens, kind="fermion") -> DenseHamiltonian:
@@ -764,7 +773,8 @@ def test_spec_of_a_wrong_kind_is_refused(start):
     evolve_nu_system, build_ladder_invariant,
     lambda h, cfg: evolve_classical_boson(h, 0.5, cfg),
     lambda h, cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
-], ids=["nu_system", "ladder_invariant", "classical_boson", "boson_schrodinger"])
+    classify_hamiltonian,
+], ids=["nu_system", "ladder_invariant", "classical_boson", "boson_schrodinger", "classify"])
 @pytest.mark.parametrize("h", [
     lambda t: hamiltonian_operator(LOCK_FERMION, t, LOCK_G1),
     dense_of(lambda t: hamiltonian_operator(LOCK_FERMION, t, LOCK_G1), LOCK_G1),
@@ -772,6 +782,36 @@ def test_spec_of_a_wrong_kind_is_refused(start):
 def test_evolutions_without_generators_need_a_spec(h, start):
     with pytest.raises(ValidationError, match="where a HamiltonianSpec is needed"):
         start(h, IntegrationConfig(0.1, 1e-2))
+
+
+#: i 1e-3 sin(pi t / 1e-2): zero on every node of a grid of step 1e-2 (below
+#: 1e-17 there), but 1e-3 i at the midpoints that RK4's stages read.
+BETWEEN_NODES = sin_fn(1e-3j, np.pi / 1e-2)
+
+# every evolution that reads its spec at the stage times, with a spec it takes
+STAGE_READERS = {
+    "fermion_schrodinger": (LOCK_FERMION, lambda h, cfg: evolve_schrodinger_fermion(
+        h, make_coherent(LOCK_G1.gen("zeta")), cfg)),
+    "boson_schrodinger": (LOCK_BOSON, lambda h, cfg: evolve_schrodinger_boson(
+        h, make_coherent_boson(0.5, 16), cfg)),
+    "grassmann_law": (LOCK_GRASSMANN, lambda h, cfg: evolve_grassmann_classical(
+        h, LOCK_G2.gen("zeta"), cfg)),
+    "nu_system": (LOCK_FERMION, evolve_nu_system),
+    "classical_boson": (LOCK_BOSON, lambda h, cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg)),
+    "operator_transport": (LOCK_FERMION, lambda h, cfg: evolve_operator_transport(
+        h, FermionOperator.annihilator(LOCK_G1), cfg)),
+}
+
+
+@pytest.mark.parametrize("slot, message", [("omega", "omega"), ("scalar", "the scalar term")],
+                         ids=["omega", "scalar"])
+@pytest.mark.parametrize("base, start", STAGE_READERS.values(), ids=list(STAGE_READERS))
+def test_a_spec_complex_only_between_nodes_is_refused(base, start, slot, message):
+    cfg = IntegrationConfig(0.3, 1e-2)
+    h = dataclasses.replace(base, **{slot: getattr(base, slot) + BETWEEN_NODES})
+    h.slot_rows(cfg.times())  # real on every node
+    with pytest.raises(NotHermitian, match=f"^{message} must be real-valued$"):
+        start(h, cfg)
 
 
 def sequential_rk4(rhs, coeffs, y0, grid: np.ndarray, stages=None) -> np.ndarray:
@@ -1422,7 +1462,7 @@ def two_stage_fermion_rhs(n_gen):
     one full kernel.multiply call, then added in three array operations. On
     finite rows the full table gives the bits of the spec's restricted
     products (see README, Numerical conventions)."""
-    gsigns = kernel.grade_signs(n_gen)
+    gsigns = kernel.tables.parity_signs(n_gen)
 
     def rhs(c, y):
         right = np.empty((len(y), 5, 1 << n_gen), dtype=np.complex128)
@@ -1575,7 +1615,7 @@ def test_fused_rhs_matches_two_stage_rhs_bitwise(kind, n_pairs, monkeypatch):
 # (start, (kernel.bilinear, kernel.multiply, kernel.conjugate) calls per stage):
 # a spec's stage is one plan evaluation; a DenseHamiltonian's has no plan, its
 # products go through one kernel.multiply call (and the law's zeta* through
-# one kernel.conjugate)
+# one kernel.conjugate); a transport stage composes X H and H X in one call
 STAGE_CALLS = {
     "fermion_spec": (lambda cfg: evolve_schrodinger_fermion(
         LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("zeta")), cfg), (1, 0, 0)),
@@ -1585,6 +1625,8 @@ STAGE_CALLS = {
         LOCK_GRASSMANN, LOCK_G2.gen("zeta"), cfg), (1, 0, 0)),
     "dense_grassmann_law": (lambda cfg: evolve_grassmann_classical(
         LOCK_DENSE, LOCK_G2.gen("zeta"), cfg), (0, 1, 1)),
+    "operator_transport": (lambda cfg: evolve_operator_transport(
+        LOCK_GRASSMANN, FermionOperator.annihilator(LOCK_G2), cfg), (0, 1, 0)),
 }
 
 
@@ -1872,6 +1914,12 @@ def test_every_boson_evolution_refuses_a_non_finite_z0(z0, cfg):
 #: levels (16 KiB), which a bound checked after allocating would hold.
 REFUSAL_PEAK = 12 * 1024
 
+#: Hypothesis's phases but explain, for the tests of refusal_peak. The explain
+#: phase re-runs a failing example under a line tracer, whose allocations
+#: tracemalloc counts, so the re-run fails differently and the report is a
+#: FlakyFailure on another example in place of the failure that was found.
+NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
+
 
 def refusal_peak(call, error) -> int:
     """The tracemalloc peak of call(), which must raise `error`."""
@@ -1884,14 +1932,16 @@ def refusal_peak(call, error) -> int:
         tracemalloc.stop()
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          phases=NO_EXPLAIN)
 @given(n_steps=st.integers(MAX_STEPS + 1, 10**15), t_end=st.floats(1e-3, 1e3))
 def test_a_grid_over_max_steps_is_refused_before_allocation(n_steps, t_end):
     assert refusal_peak(lambda: IntegrationConfig(t_end, t_end / n_steps),
                         ValidationError) < REFUSAL_PEAK
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          phases=NO_EXPLAIN)
 @given(system=st.sampled_from(["fermion", "boson", "nu", "transport", "law"]),
        size=st.integers(1, 4), data=st.data())
 def test_records_over_the_bound_are_refused_before_allocation(system, size, data):
@@ -1923,7 +1973,8 @@ def test_records_over_the_bound_are_refused_before_allocation(system, size, data
     assert refusal_peak(lambda: evolve(cfg), ValidationError) < REFUSAL_PEAK
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          phases=NO_EXPLAIN)
 @given(n_gen=st.integers(kernel.tables.MAX_GENERATORS + 1, 2 * kernel.tables.MAX_GENERATORS))
 def test_generators_over_the_bound_are_refused_before_allocation(n_gen):
     names = tuple(f"g{k}" for k in range(n_gen + n_gen % 2))
@@ -1932,7 +1983,8 @@ def test_generators_over_the_bound_are_refused_before_allocation(n_gen):
         assert refusal_peak(call, ValueError) < REFUSAL_PEAK
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          phases=NO_EXPLAIN)
 @given(nmax=st.integers(MAX_NMAX + 1, 2 * MAX_NMAX), n=st.integers(0, MAX_NMAX))
 def test_boson_cutoffs_over_the_bound_are_refused_before_allocation(nmax, n):
     for call in (lambda: BosonState.vacuum(nmax), lambda: BosonState.number_state(n, nmax),

@@ -375,7 +375,7 @@ def test_exp_operator_refuses_nan_body(gens1):
 def _compose_reference(c1s, c2s, n_gen):
     """Row by row, the non-zero slot pairs in _BASIS_MUL order, each slot
     summing its products in pair order."""
-    gsigns = kernel.grade_signs(n_gen)
+    gsigns = kernel.tables.parity_signs(n_gen)
     c1s = np.asarray(c1s)
     out = np.zeros(c1s.shape, dtype=np.complex128)
     rows = out.reshape(-1, 4, 1 << n_gen)
