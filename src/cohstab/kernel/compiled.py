@@ -30,7 +30,9 @@ SOURCE = Path(__file__).with_name("rk4.c")
 CACHE = Path(__file__).with_name("__pycache__")
 COMPILER = "gcc"
 # -fno-tree-vectorize: gcc 12's SLP vectorizer turns the fma entry points'
-# p*c - q*d, p*d + q*c pairs into vfmaddsub even with -ffp-contract=off
+# p*c - q*d, p*d + q*c pairs into vfmaddsub even with -ffp-contract=off.
+# rk4.c's own vector code, the fused ladder's, keeps every bit: each lane runs
+# the scalar ops in their order, unfused here, and nothing sets FTZ or DAZ.
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-tree-vectorize", "-shared",
          "-fPIC")
 BUILD_TIMEOUT = 60  # seconds
@@ -42,7 +44,8 @@ _P = ctypes.c_void_p
 class _Program(ctypes.Structure):  # rk4.c's program
     _fields_ = [(name, ctypes.c_int64) for name in ("rows", "dim", "n_pairs")] + [
         (name, _P) for name in ("left", "right", "target", "re_sign", "im_sign")] + [
-        (name, ctypes.c_int64) for name in ("turn_rows", "eta_mask")] + [("sq", _P)]
+        (name, ctypes.c_int64) for name in ("turn_rows", "eta_mask")] + [
+        (name, _P) for name in ("sq", "level")]
 
 
 _lock = threading.Lock()
@@ -142,13 +145,16 @@ def _library():
 
 
 def status() -> str:
-    """Which loop the RK4 driver runs for a compiled program, loading the
-    library if no run has yet."""
+    """Which loop the RK4 driver runs for a compiled program, with its
+    complex-multiply spelling and how wide its boson ladder runs, loading
+    the library if no run has yet."""
     chosen = _library()
     reason = chosen if isinstance(chosen, str) else chosen[0]
     if isinstance(reason, str):
         return f"numpy loop: {reason}"
-    return f"compiled C loop ({SOURCE.name}), {chosen[1]} complex-multiply spelling"
+    width = "two levels per AVX register" if chosen[1] == "fma" else "scalar"  # see rk4.c
+    return (f"compiled C loop ({SOURCE.name}), {chosen[1]} complex-multiply spelling, "
+            f"boson ladder {width}")
 
 
 def product_status() -> str:
@@ -189,7 +195,7 @@ class Program:
             raise ValueError("the plan is not one rk4.c can run")
         self.kind, self.state = "plan", (rows, dim)
         self.struct = _Program(rows, dim, len(left), *(a.ctypes.data for a in self._arrays),
-                               turn_rows, -1 if eta_mask is None else eta_mask, None)
+                               turn_rows, -1 if eta_mask is None else eta_mask, None, None)
 
     @classmethod
     def ladder(cls, sq):
@@ -198,10 +204,13 @@ class Program:
         if not (isinstance(sq, np.ndarray) and sq.dtype == _F64 and sq.ndim == 1):
             raise ValueError("sq is not a 1-D float64 array")
         self = cls.__new__(cls)
-        self._arrays = (np.ascontiguousarray(sq),)  # the struct points into it
-        self.kind, self.state = "ladder", (len(sq) + 1,)
-        self.struct = _Program(1, len(sq) + 1, 0, None, None, None, None, None, 0, -1,
-                               self._arrays[0].ctypes.data)
+        levels = len(sq) + 1
+        # the struct points into these: the factors sq and 0 .. levels - 1 as
+        # rk4.c multiplies them, widened to (x, +0.0) once here
+        self._arrays = tuple(np.array(x, dtype=_C128) for x in (sq, np.arange(levels)))
+        self.kind, self.state = "ladder", (levels,)
+        self.struct = _Program(1, levels, 0, None, None, None, None, None, 0, -1,
+                               *(a.ctypes.data for a in self._arrays))
         return self
 
     def runner(self):
@@ -213,7 +222,6 @@ class Program:
             return None
         fn, state = runs[self.kind], self.state
         work = np.empty((5,) + state, dtype=np.complex128)
-        ref = ctypes.byref(self.struct)
 
         def run(table, dts, pair, states):
             """K grid steps: table (K, 5, 4) and dts (K, 3) as
@@ -231,7 +239,8 @@ class Program:
                                      f"of shape {shape}")
             if not pair.flags.writeable or not states.flags.writeable:
                 raise ValueError("pair and states must be writeable")
-            fn(ref, steps, table.ctypes.data, dts.ctypes.data, pair.ctypes.data,
-               states.ctypes.data, work.ctypes.data)
+            # self, not only its struct: run keeps the arrays it points into alive
+            fn(ctypes.byref(self.struct), steps, table.ctypes.data, dts.ctypes.data,
+               pair.ctypes.data, states.ctypes.data, work.ctypes.data)
 
         return run

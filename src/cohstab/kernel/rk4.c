@@ -31,7 +31,15 @@
  * ai*br); the _plain ones as its baseline loops, with plain products. The
  * Python side picks the one numpy matches. Build with -O2 -ffp-contract=off
  * and no fast-math, so that nothing else contracts or reassociates, and
- * without vectorizing (see compiled.FLAGS).
+ * without gcc's own vectorizing (see compiled.FLAGS).
+ *
+ * The fused ladder entry alone runs two levels per 256-bit register, in its
+ * ladder RHS and its RK4 update loops; level 0, level dim - 1 and an odd
+ * level left over run the scalar code. That keeps every bit: each lane runs
+ * cmul's IEEE ops in cmul's order (wide_cmul) and add's adds, and nothing
+ * else; -ffp-contract=off keeps a vector mul and add unfused as it does
+ * scalar ones; and nothing here sets FTZ or DAZ, so subnormals stay as they
+ * are in both.
  *
  * No bounds are checked here: the caller checks every array's dtype,
  * contiguity and shape, and the plan's indices and the ladder's size once
@@ -57,7 +65,8 @@ typedef struct {
     const double *im_sign;
     int64_t turn_rows; /* leading rows multiplied by -1j; the law's rows follow */
     int64_t eta_mask;  /* where zeta' takes -eta, or -1 without a law */
-    const double *sq;  /* the ladder's dim - 1 values sqrt(1 .. dim - 1) */
+    const cplx *sq;    /* the ladder's dim - 1 factors (sqrt(1 .. dim - 1), +0.0) */
+    const cplx *level; /* and its dim factors (0 .. dim - 1, +0.0) */
 } program;
 
 #define SLOTS 4 /* a coefficient row: delta (I), lower, eta (raise), omega */
@@ -122,21 +131,98 @@ plan_rhs(const program *p, const cplx *c, const cplx *y, cplx *out, int fused)
     phi[0].im -= c[0].im;
 }
 
+/* out[n] of the ladder, for any level n */
+static inline __attribute__((always_inline)) cplx
+ladder_level(const program *p, const cplx *c, const cplx *y, int64_t n, int fused)
+{
+    const cplx turn = {-0.0, -1.0};
+    const cplx up = n > 0 ? cmul(p->sq[n - 1], y[n - 1], fused) : real(0.0);
+    const cplx down = n < p->dim - 1 ? cmul(p->sq[n], y[n + 1], fused) : real(0.0);
+    cplx sum = cmul(c[3], cmul(p->level[n], y[n], fused), fused);
+    sum = add(sum, cmul(c[2], up, fused));
+    sum = add(sum, cmul(c[1], down, fused));
+    sum = add(sum, cmul(c[0], y[n], fused));
+    return cmul(turn, sum, fused);
+}
+
+/* Two complex values per 256-bit register (cplx2), for the fused ladder
+ * entry only: its target and flatten attributes inline these into it, and
+ * gcc inlines no WIDE function into a default-target one. PAIR(x) is x[0]
+ * and x[1], BOTH(z) z twice. */
+#define WIDE static inline __attribute__((target("avx,fma")))
+typedef double cplx2 __attribute__((vector_size(32), aligned(8), may_alias));
+typedef int64_t lanes __attribute__((vector_size(32)));
+#define PAIR(x) (*(cplx2 *)(x))
+#define BOTH(z) ((cplx2){(z).re, (z).im, (z).re, (z).im})
+
+/* cmul(a, b, 1) on each lane: t = (ai*bi, ai*br), then fmaddsub(ar, b, t)
+ * is (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)) */
+WIDE cplx2
+wide_cmul(cplx2 a, cplx2 b)
+{
+    const cplx2 t = __builtin_shuffle(a, (lanes){1, 1, 3, 3}) *
+                    __builtin_shuffle(b, (lanes){1, 0, 3, 2});
+    return __builtin_ia32_vfmaddsubpd256(__builtin_shuffle(a, (lanes){0, 0, 2, 2}), b, t);
+}
+
+/* The ladder's levels 1, 2, ... two at a time while both are below
+ * dim - 1; returns the first level left. */
+WIDE int64_t
+wide_levels(const program *p, const cplx *c, const cplx *y, cplx *out)
+{
+    const cplx2 g = BOTH(c[0]), fc = BOTH(c[1]), f = BOTH(c[2]), w = BOTH(c[3]);
+    const cplx2 turn = {-0.0, -1.0, -0.0, -1.0};
+    const cplx *sq = p->sq, *level = p->level; /* read once: out may alias p */
+    const int64_t top = p->dim - 1;
+    int64_t n = 1;
+    for (; n + 1 < top; n += 2) {
+        const cplx2 at = PAIR(y + n);
+        const cplx2 up = wide_cmul(PAIR(sq + n - 1), PAIR(y + n - 1));
+        const cplx2 down = wide_cmul(PAIR(sq + n), PAIR(y + n + 1));
+        cplx2 sum = wide_cmul(w, wide_cmul(PAIR(level + n), at));
+        sum = sum + wide_cmul(f, up);
+        sum = sum + wide_cmul(fc, down);
+        sum = sum + wide_cmul(g, at);
+        PAIR(out + n) = wide_cmul(turn, sum);
+    }
+    return n;
+}
+
+/* t = y + h * k on the leading pairs of the n values; returns how many it
+ * did */
+WIDE int64_t
+wide_stage(cplx *t, const cplx *y, double h, const cplx *k, int64_t n)
+{
+    const cplx2 hh = BOTH(real(h));
+    int64_t i = 0;
+    for (; i + 1 < n; i += 2)
+        PAIR(t + i) = PAIR(y + i) + wide_cmul(hh, PAIR(k + i));
+    return i;
+}
+
+/* rk4_step's combination on the leading pairs of the n values; returns how
+ * many it did */
+WIDE int64_t
+wide_combine(cplx *y, double sixth, const cplx *k1, const cplx *k2, const cplx *k3,
+             const cplx *k4, int64_t n)
+{
+    const cplx2 two = BOTH(real(2.0)), hh = BOTH(real(sixth));
+    int64_t i = 0;
+    for (; i + 1 < n; i += 2) {
+        const cplx2 sum = (PAIR(k1 + i) + wide_cmul(two, PAIR(k2 + i) + PAIR(k3 + i))) +
+                          PAIR(k4 + i);
+        PAIR(y + i) = PAIR(y + i) + wide_cmul(hh, sum);
+    }
+    return i;
+}
+
+/* The fused spelling runs wide_levels, the plain one level at a time. */
 static inline __attribute__((always_inline)) void
 ladder_rhs(const program *p, const cplx *c, const cplx *y, cplx *out, int fused)
 {
-    const int64_t top = p->dim - 1;
-    const cplx g = c[0], fc = c[1], f = c[2], w = c[3];
-    const cplx turn = {-0.0, -1.0};
-    for (int64_t n = 0; n <= top; n++) {
-        const cplx up = n > 0 ? cmul(real(p->sq[n - 1]), y[n - 1], fused) : real(0.0);
-        const cplx down = n < top ? cmul(real(p->sq[n]), y[n + 1], fused) : real(0.0);
-        cplx sum = cmul(w, cmul(real((double)n), y[n], fused), fused);
-        sum = add(sum, cmul(f, up, fused));
-        sum = add(sum, cmul(fc, down, fused));
-        sum = add(sum, cmul(g, y[n], fused));
-        out[n] = cmul(turn, sum, fused);
-    }
+    out[0] = ladder_level(p, c, y, 0, fused);
+    for (int64_t n = fused ? wide_levels(p, c, y, out) : 1; n < p->dim; n++)
+        out[n] = ladder_level(p, c, y, n, fused);
 }
 
 /* is_ladder is a compile-time constant of each entry point, so neither
@@ -150,6 +236,14 @@ rhs(const program *p, const cplx *c, const cplx *y, cplx *out, int fused, int is
         plan_rhs(p, c, y, out, fused);
 }
 
+/* t = y + h * k, the fused ladder's pairs of values wide */
+static inline __attribute__((always_inline)) void
+stage(cplx *t, const cplx *y, double h, const cplx *k, int64_t n, int fused, int wide)
+{
+    for (int64_t i = wide ? wide_stage(t, y, h, k, n) : 0; i < n; i++)
+        t[i] = add(y[i], cmul(real(h), k[i], fused));
+}
+
 /* One RK4 step of y by dt with coefficient rows c0, c_mid, c_next; work
  * holds five states. */
 static inline __attribute__((always_inline)) void
@@ -157,19 +251,17 @@ rk4_step(const program *p, cplx *y, const cplx *c0, const cplx *c_mid,
          const cplx *c_next, double dt, cplx *work, int fused, int is_ladder)
 {
     const int64_t n = p->rows * p->dim;
+    const int wide = fused && is_ladder;
     cplx *k1 = work, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
     const double half = 0.5 * dt, sixth = dt / 6.0;
     rhs(p, c0, y, k1, fused, is_ladder);
-    for (int64_t i = 0; i < n; i++)
-        t[i] = add(y[i], cmul(real(half), k1[i], fused));
+    stage(t, y, half, k1, n, fused, wide);
     rhs(p, c_mid, t, k2, fused, is_ladder);
-    for (int64_t i = 0; i < n; i++)
-        t[i] = add(y[i], cmul(real(half), k2[i], fused));
+    stage(t, y, half, k2, n, fused, wide);
     rhs(p, c_mid, t, k3, fused, is_ladder);
-    for (int64_t i = 0; i < n; i++)
-        t[i] = add(y[i], cmul(real(dt), k3[i], fused));
+    stage(t, y, dt, k3, n, fused, wide);
     rhs(p, c_next, t, k4, fused, is_ladder);
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = wide ? wide_combine(y, sixth, k1, k2, k3, k4, n) : 0; i < n; i++) {
         const cplx sum = add(add(k1[i], cmul(real(2.0), add(k2[i], k3[i]), fused)), k4[i]);
         y[i] = add(y[i], cmul(real(sixth), sum, fused));
     }
@@ -197,7 +289,8 @@ chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
     }
 }
 
-/* The chunk entry points, one per RHS kind and spelling. */
+/* The chunk entry points, one per RHS kind and spelling; flatten inlines
+ * the WIDE functions into the fused ladder's. */
 #define ENTRY(name, attr, fused, is_ladder)                                  \
     attr void name(const program *p, int64_t steps, const cplx *table,       \
                    const double *dts, cplx *pair, cplx *states, cplx *work)  \
@@ -207,7 +300,7 @@ chunk(const program *p, int64_t steps, const cplx *table, const double *dts,
 ENTRY(cohstab_rk4_chunk_plain, , 0, 0)
 ENTRY(cohstab_rk4_chunk_fma, __attribute__((target("fma"))), 1, 0)
 ENTRY(cohstab_rk4_ladder_plain, , 0, 1)
-ENTRY(cohstab_rk4_ladder_fma, __attribute__((target("fma"))), 1, 1)
+ENTRY(cohstab_rk4_ladder_fma, __attribute__((target("avx,fma"), flatten)), 1, 1)
 
 /* The graded product of rows a and b over n_gen generators, row by row,
  * bit for bit kernel.multiply's numpy path: per target, its pairs' products
@@ -266,7 +359,8 @@ cohstab_cmul_fma(int64_t n, const cplx *a, const cplx *b, cplx *out)
         out[i] = cmul(a[i], b[i], 1);
 }
 
-/* Whether this CPU runs the _fma entry points. */
+/* Whether this CPU runs the _fma entry points, AVX ones included: libgcc
+ * reports fma only where the OS saves the AVX state (XCR0 bits 1 and 2). */
 int
 cohstab_has_fma(void)
 {

@@ -1,5 +1,6 @@
 """The driver's compiled RK4 loop (kernel/rk4.c) against its numpy loop."""
 
+import functools
 import math
 import os
 import platform
@@ -24,7 +25,7 @@ from test_dynamics import (
 )
 
 from cohstab import dynamics, kernel
-from cohstab.boson import make_coherent_boson
+from cohstab.boson import MAX_NMAX, BosonState, _ladder_sqrt, make_coherent_boson
 from cohstab.cli import main
 from cohstab.coeffs import const_fn, cos_fn
 from cohstab.coherence import verify_trajectory
@@ -46,6 +47,9 @@ SCENARIOS = tuple(path.stem for path in sorted((ROOT / "scenarios").glob("*.ini"
 LADDER_LEVELS = (16, 32, 64)
 HAS_COMPILER = shutil.which(compiled.COMPILER) is not None
 NUMPY_LOOP = "the numpy loop, chosen by a test"  # a reason, as compiled._chosen holds it
+PLAIN_STATUS = "compiled C loop (rk4.c), plain complex-multiply spelling, boson ladder scalar"
+FMA_STATUS = ("compiled C loop (rk4.c), fma complex-multiply spelling, "
+              "boson ladder two levels per AVX register")
 
 
 class _Captured(Exception):
@@ -208,6 +212,45 @@ def test_compiled_ladder_matches_numpy_loop_on_drawn_states(levels, omega_real, 
         assert ladder_mismatches(levels, omega_real, seed) == 0
 
 
+def _ladder_rhs(levels):
+    """The boson Schrödinger evolution's numpy RHS on `levels` levels, one
+    included: BosonState refuses a single level, Program.ladder does not."""
+    state = object.__new__(BosonState)
+    object.__setattr__(state, "amps", np.zeros(levels, dtype=np.complex128))
+    return _driver_call(lambda cfg: evolve_schrodinger_boson(LOCK_BOSON, state, cfg),
+                        IntegrationConfig(0.05, 1e-2))[0]
+
+
+RUNNER_LEVELS = (*range(1, 10), 63, 64, 65, MAX_NMAX + 1)
+
+
+@pytest.mark.parametrize("omega_real", [True, False], ids=["real_omega", "complex_omega"])
+@pytest.mark.parametrize("levels", RUNNER_LEVELS, ids=[f"l{n}" for n in RUNNER_LEVELS])
+def test_ladder_runner_matches_numpy_chunk_bitwise(levels, omega_real):
+    # every split of the fused ladder's two-level body: level 0, the pairs,
+    # an odd level left over and the top level, and the update loops' odd
+    # value; the runner straight against the numpy chunk, no guard between
+    run = compiled.Program.ladder(_ladder_sqrt(levels)).runner()
+    if run is None:
+        assert not HAS_COMPILER
+        return
+    numpy_chunk = functools.partial(dynamics._numpy_chunk, _ladder_rhs(levels))
+    steps = 4
+    _, dts = dynamics._stage_times(np.linspace(0.0, 4e-3, steps + 1))
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        table = awkward(rng, (steps, 5, 4))
+        if omega_real:
+            table[..., 3].imag = 0.0
+        start = awkward(rng, (2, levels))
+        runs = []
+        for chunk in (run, numpy_chunk):
+            pair, states = start.copy(), np.empty((steps, levels), dtype=np.complex128)
+            chunk(table, dts, pair, states)
+            runs.append(bits(np.concatenate((pair, states))))
+        assert np.array_equal(*runs)
+
+
 def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # numpy's baseline loops make plain products, its AVX2/AVX-512 ones
     # fused: with the latter off, the library must pick its plain spelling,
@@ -237,7 +280,7 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     if not HAS_COMPILER:
         assert status.startswith("numpy loop")
     elif platform.machine() in ("x86_64", "AMD64"):
-        assert status.endswith("plain complex-multiply spelling")
+        assert status == PLAIN_STATUS
 
 
 @pytest.mark.parametrize("two_state_blocks", [False, True],
@@ -658,6 +701,16 @@ def _selftest_backends(capsys) -> tuple[str, str]:
     (loop,) = [line for line in lines if line.startswith("RK4 loop")]
     (product,) = [line for line in lines if line.startswith("graded product")]
     return loop, product
+
+
+def test_status_names_the_spelling_and_the_ladder_width():
+    # the plain spelling's wording on x86-64 is pinned without numpy's AVX
+    # loops, in test_compiled_loop_matches_numpy_loop_without_avx_loops
+    status = compiled.status()
+    if not HAS_COMPILER:
+        assert status.startswith("numpy loop")
+        return
+    assert status == {"fma": FMA_STATUS, "plain": PLAIN_STATUS}[compiled._library()[1]]
 
 
 def test_selftest_names_the_loop(capsys):
