@@ -111,12 +111,12 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     the fermion kind.
 
     The forcing is read from slot_rows on the grid, which refuses a non-real
-    omega or scalar. Boson and grassmann kinds always preserve; nothing is
-    integrated. A fermion kind preserves iff the forcing vanishes on the
-    grid. Its witness is `trajectory`, or one evolved from the coherent
-    state of the first generator: dynamic_max_residual is its worst
-    residual, and agrees says whether that residual, against
-    DYNAMIC_RESIDUAL_TOL, gives the static verdict.
+    omega or scalar and a non-finite coefficient (StepTooLarge). Boson and
+    grassmann kinds always preserve; nothing is integrated. A fermion kind
+    preserves iff the forcing vanishes on the grid. Its witness is `trajectory`,
+    or one evolved from the coherent state of the first generator:
+    dynamic_max_residual is its worst residual, and agrees says whether that
+    residual, against DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
     config = config or _default_config()
     times = _check_spec(spec, VALID_KINDS, config.times)

@@ -42,7 +42,7 @@ class SeriesStalled(CohstabError):
 
 
 class StepTooLarge(CohstabError):
-    """Halving the integration step moved the endpoint beyond tolerance."""
+    """Halving dt moved the endpoint beyond tolerance, or a coefficient is not finite."""
 
 
 class NotHermitian(CohstabError):

@@ -119,11 +119,11 @@ class Multivector:
 
     @property
     def terms(self) -> dict[int, complex]:
-        """Nonzero monomial coefficients (pruned at PRUNE_TOL)."""
+        """Nonzero monomial coefficients (pruned at PRUNE_TOL; NaN is kept)."""
         return {
             int(mask): complex(c)
             for mask, c in enumerate(self.coeffs)
-            if abs(c) > PRUNE_TOL
+            if not abs(c) <= PRUNE_TOL
         }
 
     @property

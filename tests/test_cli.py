@@ -172,6 +172,25 @@ def test_non_finite_number_is_scenario_error(tmp_path, capsys, command, key):
     assert list(tmp_path.iterdir()) == [path]
 
 
+#: 1e308*t^3 parses, then overflows to inf on the grid
+OVERFLOWING = {"f_re": "omega = 1\nf_re = 1e308*t^3\n", "omega": "omega = 1e308*t^3\n"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize("key", OVERFLOWING)
+def test_overflowing_coefficient_exits_three(tmp_path, capsys, command, key):
+    # slot_rows refuses the coefficient for both commands, so classify gives
+    # no verdict on a Hamiltonian whose coefficients are not numbers
+    path = tmp_path / "overflow.ini"
+    path.write_text(f"[system]\nkind = boson\n\n[hamiltonian]\n{OVERFLOWING[key]}\n"
+                    "[integration]\nt_end = 2\ndt = 0.01\n\n[output]\npath = overflow.csv\n")
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, str(path)] + out) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("z0", ["z0_im = 1e200", "z0_re = -2e154\nz0_im = 2e154"],
                          ids=["im_1e200", "both_2e154"])
 def test_unbounded_z0_is_scenario_error(tmp_path, capsys, z0):

@@ -706,6 +706,17 @@ def test_grid_too_coarse_calibration():
         invariant_residual(ops, spec, cfg)
 
 
+@pytest.mark.parametrize("dt", [1e-5, 1e-6])
+def test_a_fine_grid_passes_the_calibration(dt):
+    # the calibration's error here is at the roundoff floor, where halving dt
+    # shows only rounding, not the O(dt^2) ratio; the residual is still small
+    cfg = IntegrationConfig(1e-3, dt)
+    g0 = GeneratorSet(())
+    ops = [complex(np.exp(1j * t)) * FermionOperator.annihilator(g0) for t in cfg.times()]
+    spec = HamiltonianSpec("fermion", const_fn(1.0), zero_fn(), const_fn(0.2))
+    assert np.max(invariant_residual(ops, spec, cfg)) < 1e-9
+
+
 # -- the lock-step driver against sequential runs ---------------------------------
 
 LOCK_FORCING = complex_pair(cos_fn(0.4, 1.0), sin_fn(-0.4, 1.3))
@@ -1819,15 +1830,20 @@ def poisoned(draw, base: CoefficientFn):
 
 
 def evolutions_of(h) -> list:
-    """Every evolution that takes the spec or DenseHamiltonian h, each from
-    one of the lock starts."""
+    """Every evolution, closed form, classification, invariance residual and
+    operator that takes the spec or DenseHamiltonian h, each from one of the
+    lock starts."""
+    out = [lambda cfg: classify_hamiltonian(h, cfg)] if isinstance(h, HamiltonianSpec) else []
     if h.kind == "boson":
-        return [lambda cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
-                lambda cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg),
-                lambda cfg: build_ladder_invariant(h, cfg)]
-    zeta = LOCK_G2.gen("zeta")
-    out = [lambda cfg: evolve_schrodinger_fermion(h, make_coherent(zeta), cfg),
-           lambda cfg: evolve_operator_transport(h, FermionOperator.annihilator(LOCK_G2), cfg)]
+        return out + [
+            lambda cfg: evolve_schrodinger_boson(h, make_coherent_boson(0.5, 16), cfg),
+            lambda cfg: evolve_classical_boson(h, 0.5 + 0.2j, cfg),
+            lambda cfg: build_ladder_invariant(h, cfg)]
+    zeta, b = LOCK_G2.gen("zeta"), FermionOperator.annihilator(LOCK_G2)
+    out += [lambda cfg: evolve_schrodinger_fermion(h, make_coherent(zeta), cfg),
+            lambda cfg: evolve_operator_transport(h, b, cfg),
+            lambda cfg: invariant_residual([b] * (cfg.n_steps + 1), h, cfg, LOCK_G2),
+            lambda cfg: hamiltonian_operator(h, cfg.t_end, LOCK_G2)]
     if h.kind == "grassmann":
         out.append(lambda cfg: evolve_grassmann_classical(h, zeta, cfg))
     elif isinstance(h, HamiltonianSpec):
@@ -1860,8 +1876,29 @@ def test_a_non_finite_scalar_no_rhs_reads_fails_the_gate(bad):
                        dataclasses.replace(LOCK_BOSON, scalar=const_fn(bad)), 0.5, cfg),
                    lambda: evolve_nu_system(
                        dataclasses.replace(LOCK_FERMION, scalar=const_fn(bad)), cfg)):
-        with pytest.raises(StepTooLarge, match="by nan"):
+        with pytest.raises(StepTooLarge, match="the scalar term is not finite"):
             evolve()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_spec_non_finite_from_the_start_is_refused_before_any_rhs_call(bad, monkeypatch):
+    # slot_rows refuses the first table, so no step is taken, although
+    # neither the classical boson's RHS nor the nu system's reads the scalar
+    calls, integrate = [], dynamics._integrate
+
+    def spied(rhs, *args, **kw):
+        return integrate(lambda c, y: (calls.append(len(y)), rhs(c, y))[1], *args, **kw)
+
+    monkeypatch.setattr(dynamics, "_integrate", spied)
+    cfg = IntegrationConfig(0.3, 1e-2)
+    for evolve in (lambda: evolve_classical_boson(
+                       dataclasses.replace(LOCK_BOSON, scalar=const_fn(bad)), 0.5, cfg),
+                   lambda: evolve_nu_system(
+                       dataclasses.replace(LOCK_FERMION, scalar=const_fn(bad)), cfg)):
+        with pytest.raises(StepTooLarge, match="^the scalar term is not finite at t=0$"):
+            evolve()
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -6,9 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from cohstab import kernel
+from cohstab import dynamics, kernel
 from cohstab.errors import MismatchedGenerators, NotInvertible, UnknownPair
-from cohstab.fermion import make_coherent
+from cohstab.fermion import FermionOperator, make_coherent
 from cohstab.grassmann import (
     GeneratorSet,
     Multivector,
@@ -519,6 +519,15 @@ def test_sup_norm_zero_iff_zero(gens2, rng):
 def test_terms_view_prunes_zeros(gens1, zeta):
     x = zeta + Multivector.from_terms(gens1, {0b10: 1e-18})
     assert set(x.terms) == {0b01}
+
+
+def test_terms_view_keeps_nan(gens1):
+    # NaN is not within PRUNE_TOL of zero, so it is no zero to prune
+    x = Multivector(gens1, [np.nan, 0, 0, 0])
+    assert list(x.terms) == [0] and repr(x) == "((nan+0j))"
+    assert repr(FermionOperator.scaled_identity(x)) == "[((nan+0j))]*I"
+    eta = Multivector(gens1, [0, complex(0, np.nan), 0, 0])
+    assert dynamics._holds_eta((0, 0b10, 0b01, 0), eta)  # NaN on the eta generator
 
 
 def test_generator_cap():
