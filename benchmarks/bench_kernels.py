@@ -204,8 +204,8 @@ def _evolutions(package: str) -> dict:
 
 
 def _driver_args(dynamics, evolve, *args):
-    """((rhs, args, kw), records) of the first _integrate call that
-    evolve(*args) makes, which runs as usual; records is what it returned."""
+    """((rhs, args, kw), returned) of the first _integrate call that
+    evolve(*args) makes, which runs as usual; returned is what it returned."""
     integrate, calls = dynamics._integrate, []
 
     def capture(rhs, *args, **kw):
@@ -378,25 +378,26 @@ def bench_observer(packages: dict) -> dict:
 
     Each case evolves the step layers' spec and start (see _evolutions) on
     OBSERVER_GRID once and keeps its records and the gaps its driver
-    reports; then the evolution runs with its driver replaced by one that
-    returns those records, all of them or the first alone, and the gaps.
-    Reported is the difference of the two wall times per extra record, so
-    what the evolution does once (plan, coefficient checks) cancels.
+    reports, as (records, gaps) or, from a tree whose driver fills a
+    `gaps=` list, in that list; then the evolution runs with its driver
+    replaced by one that returns those records, all of them or the first
+    alone, and the gaps, as the driver did. Reported is the difference of
+    the two wall times per extra record, so what the evolution does once
+    (plan, coefficient checks) cancels.
     """
-    def run(dynamics, evolve, cfg, records, kept_gaps):
+    def run(dynamics, evolve, cfg, records, kept_gaps, paired):
         def replay(*args, gaps=None, **kw):  # the kept run's records and gaps
-            if gaps is not None:
-                gaps.extend(kept_gaps)
-            return records.copy()
+            gaps is None or gaps.extend(kept_gaps)  # a tree with a gaps= list
+            return (records.copy(), kept_gaps) if paired else records.copy()
 
         with _patched(dynamics, "_integrate", replay):
             t0 = time.perf_counter()
             evolve(cfg)
             return time.perf_counter() - t0
 
-    def timed(dynamics, evolve, cfg, records, gaps):
-        extra = (run(dynamics, evolve, cfg, records, gaps)
-                 - run(dynamics, evolve, cfg, records[:1], gaps))
+    def timed(dynamics, evolve, cfg, records, gaps, paired):
+        extra = (run(dynamics, evolve, cfg, records, gaps, paired)
+                 - run(dynamics, evolve, cfg, records[:1], gaps, paired))
         return {"us": extra / (len(records) - 1) * 1e6}
 
     cases = {col: {} for col in packages}
@@ -405,9 +406,11 @@ def bench_observer(packages: dict) -> dict:
         cfg = dynamics.IntegrationConfig(*OBSERVER_GRID)
         for name, evolve in _evolutions(pkg).items():
             if "schrodinger" in name:
-                (_, _, kw), records = _driver_args(dynamics, evolve, cfg)
+                (_, _, kw), returned = _driver_args(dynamics, evolve, cfg)
+                paired = isinstance(returned, tuple)
+                records, gaps = returned if paired else (returned, kw.get("gaps", []))
                 cases[col][name.replace("schrodinger", "observer")] = functools.partial(
-                    timed, dynamics, evolve, cfg, records, list(kw.get("gaps", ())))
+                    timed, dynamics, evolve, cfg, records, list(gaps), paired)
     return _alternate(cases, "us")
 
 

@@ -28,7 +28,8 @@ from .dynamics import (
     Trajectory,
     _boson_closed_form,
     _check_spec,
-    _simpson_phase,
+    _slot_columns,
+    cumulative_simpson,
     evolve_grassmann_classical,
     evolve_schrodinger_fermion,
 )
@@ -110,8 +111,10 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     """Preserving/non-preserving verdict, with a dynamic cross-check for
     the fermion kind.
 
-    The forcing is read from slot_rows on the grid, which refuses a non-real
-    omega or scalar and a non-finite coefficient (StepTooLarge). Boson and
+    The forcing is read from slot_rows on the grid a block of TABLE_BYTES
+    of rows at a time, which refuses a non-real omega or scalar and a
+    non-finite coefficient (StepTooLarge); then a `trajectory` not of
+    `spec` on `config` is refused (ValidationError). Boson and
     grassmann kinds always preserve; nothing is integrated. A fermion kind
     preserves iff the forcing vanishes on the grid. Its witness is `trajectory`,
     or one evolved from the coherent state of the first generator:
@@ -120,15 +123,18 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     """
     config = config or _default_config()
     times = _check_spec(spec, VALID_KINDS, config.times)
-    forcing = np.abs(spec.slot_rows(times)[:, 2])
-    max_forcing = float(np.max(forcing))
+    max_forcing, witness_time = 0.0, None
+    for rows in kernel.row_blocks(times.size, 64):  # a slot row: 4 complex values
+        forcing = np.abs(spec.slot_rows(times[rows])[:, 2])
+        max_forcing = max(max_forcing, float(np.max(forcing)))
+        if witness_time is None and (forcing > STATIC_ZERO_TOL).any():
+            witness_time = float(times[rows][np.argmax(forcing > STATIC_ZERO_TOL)])
+    if trajectory is not None and (trajectory.spec != spec or trajectory.config != config):
+        raise ValidationError("a witness trajectory of another spec or config")
     if spec.kind != "fermion":
         return Classification("preserving", spec.kind, max_forcing)
 
     static_preserving = max_forcing <= STATIC_ZERO_TOL
-    witness_time = None
-    if not static_preserving:
-        witness_time = float(times[int(np.argmax(forcing > STATIC_ZERO_TOL))])
 
     if trajectory is None:
         gens = spec.gens or GeneratorSet.from_pairs(("zeta",))
@@ -255,7 +261,9 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     state_dev = None
 
     if expected_law == "fermion_free":
-        phase = _simpson_phase(traj.spec.omega, traj.config.times())
+        times = traj.config.times()
+        omega = _slot_columns(traj.spec, times, [3])[:, 0]
+        phase = cumulative_simpson(omega.real, times[1] - times[0])
         # one scalar factor per record, as each record's law has always had it
         rotation = np.array([complex(np.exp(-1j * phase[i])) for i in traj.record_indices])
         max_dev = float(np.max(np.abs(traj.lams - rotation[:, None] * traj.lams[0])))

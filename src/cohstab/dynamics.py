@@ -125,13 +125,6 @@ class IntegrationConfig:
         return np.minimum(np.arange(self.n_records) * self.stride, self.n_steps)
 
 
-def _check_records(n_records: int, values: int) -> None:
-    """Refuse (ValidationError) records of over MAX_STEPS + 1 complex values (160 MB)."""
-    if n_records * values > MAX_STEPS + 1:
-        raise ValidationError(f"{n_records} records of {values} complex values exceed "
-                              f"the record bound of {MAX_STEPS + 1} values")
-
-
 def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative Simpson integral from the grid start, O(dt^4).
 
@@ -254,12 +247,14 @@ class DenseHamiltonian:
 
 def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = None,
                 records=(0, 0)) -> np.ndarray:
-    """The times grid() returns, once `spec` passes. Refuses, in this order:
-    anything but a HamiltonianSpec or, given `gens`, a DenseHamiltonian, a
-    kind not in `kinds` (both ValidationError), a set other than `gens`
-    (MismatchedGenerators), and `records` = (n_records, values each) over
-    the record bound (see _check_records); grid is called only after all
-    four pass. slot_rows checks the coefficients wherever they are read."""
+    """The times grid() returns, once `spec` passes: the one grid of an
+    evolution, which its driver steps on. Refuses, in this order: anything
+    but a HamiltonianSpec or, given `gens`, a DenseHamiltonian, a kind not
+    in `kinds` (both ValidationError), a set other than `gens`
+    (MismatchedGenerators), and `records` = (n_records, values each) of
+    over MAX_STEPS + 1 complex values, 160 MB (ValidationError); grid is
+    called only after all four pass. slot_rows checks the coefficients
+    wherever they are read."""
     types = (HamiltonianSpec,) if gens is None else (HamiltonianSpec, DenseHamiltonian)
     if not isinstance(spec, types):
         raise ValidationError(f"a {type(spec).__name__} where a "
@@ -269,7 +264,10 @@ def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = 
                               f"{' or '.join(kinds)} spec is needed")
     if gens is not None and spec.gens not in (None, gens):
         raise MismatchedGenerators("spec and state generator sets differ")
-    _check_records(*records)
+    n_records, values = records
+    if n_records * values > MAX_STEPS + 1:
+        raise ValidationError(f"{n_records} records of {values} complex values exceed "
+                              f"the record bound of {MAX_STEPS + 1} values")
     return grid()
 
 
@@ -441,9 +439,8 @@ def _gate(label: str, gap: float) -> None:
         )
 
 
-def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
-               record=None, check=None, gaps=None) -> np.ndarray:
-    """Fixed-step RK4 on config's grid, gated by a re-run at dt/2.
+def _integrate(rhs, coeffs, y0, times: np.ndarray, label, record=None, check=None):
+    """Fixed-step RK4 on the uniform grid `times`, gated by a re-run at dt/2.
 
     `coeffs(ts)` evaluates the evolution's coefficients at a 1-D array of
     times, one row per time; `rhs(c, Y)` takes a batch of states Y of shape
@@ -452,11 +449,13 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
     all of the chunk's stage times (see _coeff_tables), and hands each
     stage its rows, so no RHS looks anything up by time.
 
-    Returns the states at the grid indices `record` (every grid point by
-    default) along a new leading axis. Before anything is allocated it
-    refuses (ValidationError) a `record` that is not strictly increasing
-    integers in 0..n_steps, and records _check_records refuses. The loop
-    runs each chunk's grid steps in blocks of as many states as fit
+    `times` is the grid the caller's _check_spec returned, having bounded
+    the records; the driver builds no grid of its own. Returns (records,
+    gaps): the states at the grid indices `record` (every grid point by
+    default) along a new leading axis, and each system's endpoint gap (see
+    below). Before anything is allocated it refuses (ValidationError) a
+    `record` that is not strictly increasing integers in 0..n_steps. The
+    loop runs each chunk's grid steps in blocks of as many states as fit
     CHECK_BYTES, writing the dt run's states into a buffer that the next
     block reuses; the records are copied out of it. `check(ts, states)`
     sees every grid point of the dt run: first the start on its own, then
@@ -466,9 +465,8 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
 
     `label` names the system, or is a tuple of labels of systems stacked
     in equal parts along y0's leading axis, whose rows the rhs keeps apart.
-    Each system has its own endpoint gap. The first is gated as above; the
-    others are left for the caller to gate. Each gap, in order, is
-    appended to `gaps` if given. The record bound counts one system.
+    Each system has its own endpoint gap, returned in order. The first is
+    gated as above; the others are left for the caller to gate.
 
     The dt/2 run steps on the grid's nodes and midpoints, in lock step with
     the dt run: per grid step, the dt step and the first dt/2 substep share
@@ -488,13 +486,10 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
         record = np.asarray(record)
         if not (record.ndim == 1 and record.dtype.kind in "iu"
                 and np.all(record[1:] > record[:-1])
-                and np.all((record >= 0) & (record <= config.n_steps))):
+                and np.all((record >= 0) & (record < times.size))):
             raise ValidationError("record must be strictly increasing grid indices "
-                                  f"in 0..{config.n_steps}")
+                                  f"in 0..{times.size - 1}")
     labels = (label,) if isinstance(label, str) else label
-    _check_records(config.n_steps + 1 if record is None else len(record),
-                   np.size(y0) // len(labels))
-    times = config.times()
     keep = np.arange(times.size) if record is None else record.astype(np.int64)
     records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
     program = getattr(rhs, "program", None)
@@ -523,11 +518,9 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label,
         del table  # frees this chunk's table before the next is built
 
     ends = pair.reshape(2, len(labels), -1)  # each run's endpoint, a row per system
-    diffs = [float(np.max(np.abs(half - end))) for end, half in zip(*ends)]
-    _gate(labels[0], diffs[0])
-    if gaps is not None:
-        gaps.extend(diffs)
-    return records
+    gaps = [float(np.max(np.abs(half - end))) for end, half in zip(*ends)]
+    _gate(labels[0], gaps[0])
+    return records, gaps
 
 
 def _numpy_chunk(rhs, table, dts, pair, states) -> None:
@@ -604,22 +597,23 @@ def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
         return -1j * (w * y + f)
 
     y0 = np.array([z0], dtype=np.complex128)
-    series = _integrate(rhs, spec.slot_rows, y0, config, "classical boson")[:, 0]
-    return ClassicalBosonPath(times, series, _boson_closed_form(spec, z0, times))
+    series, _ = _integrate(rhs, spec.slot_rows, y0, times, "classical boson")
+    return ClassicalBosonPath(times, series[:, 0], _boson_closed_form(spec, z0, times))
 
 
-def _simpson_phase(omega: CoefficientFn, times: np.ndarray) -> np.ndarray:
-    """The phase integral of omega from the start of a uniform grid."""
-    return cumulative_simpson(np.real(omega(times)), times[1] - times[0])
+def _slot_columns(spec: HamiltonianSpec, times: np.ndarray, cols: list[int]) -> np.ndarray:
+    """The columns `cols` of spec.slot_rows on the grid, with its refusals,
+    read a block of TABLE_BYTES of rows at a time."""
+    blocks = kernel.row_blocks(times.size, 64)  # a slot row: 4 complex values
+    return np.concatenate([spec.slot_rows(times[rows])[:, cols] for rows in blocks])
 
 
 def _boson_integrals(spec: HamiltonianSpec, times: np.ndarray):
     """(phase, drive) on the grid: the integrals of omega and of
-    forcing * exp(i phase), from which the boson closed forms are built.
-    slot_rows refuses a non-finite omega, forcing or scalar (StepTooLarge)."""
-    c = spec.slot_rows(times)
-    phase = cumulative_simpson(c[:, 3].real, times[1] - times[0])
-    drive = cumulative_simpson(c[:, 2] * np.exp(1j * phase), times[1] - times[0])
+    forcing * exp(i phase), from which the boson closed forms are built."""
+    forcing, omega = _slot_columns(spec, times, [2, 3]).T
+    phase = cumulative_simpson(omega.real, times[1] - times[0])
+    drive = cumulative_simpson(forcing * np.exp(1j * phase), times[1] - times[0])
     return phase, drive
 
 
@@ -659,7 +653,7 @@ def evolve_nu_system(spec: HamiltonianSpec,
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
     return FermionInvariantPath(
-        times, _integrate(rhs, spec.slot_rows, y0, config, "nu system"))
+        times, _integrate(rhs, spec.slot_rows, y0, times, "nu system")[0])
 
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
@@ -693,10 +687,9 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
             law = True
             y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)]))
     rec_idx = config.record_indices()
-    gaps = []
-    records = _integrate(_rhs(n_gen, 2, law, masks), h.slot_rows, y0, config,
-                         ("fermion Schrödinger", _LAW_LABEL) if law else "fermion Schrödinger",
-                         rec_idx, gaps=gaps)
+    records, gaps = _integrate(_rhs(n_gen, 2, law, masks), h.slot_rows, y0, times,
+                               ("fermion Schrödinger", _LAW_LABEL) if law
+                               else "fermion Schrödinger", rec_idx)
     amplitudes = records[:, :2]
 
     # physical norm^2 = body of <psi|psi>; the soul components are only
@@ -720,7 +713,7 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g,
     refused (TruncationBreach) at the first grid point whose tail mass
     exceeds BREACH_TOL or is NaN."""
-    _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
+    times = _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
     n = np.arange(s0.amps.size)
 
     def rhs(c, y):
@@ -729,8 +722,8 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
 
     rhs.program = kernel.compiled.Program.ladder(_ladder_sqrt(n.size))  # C where it can
     rec_idx = config.record_indices()
-    records = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
-                         rec_idx, check=_tail_guard)
+    records, _ = _integrate(rhs, spec.slot_rows, s0.amps, times, "boson Schrödinger",
+                            rec_idx, check=_tail_guard)
 
     lams, residuals, norm_dev = (np.empty(len(records), dtype=t) for t in (complex, float, float))
     for rows in _record_blocks(records):
@@ -864,11 +857,10 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
                         (config.n_steps + 1 if record is None else np.size(record), 2 * gens.dim))
     _refuse_eta(spec, zeta0)
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
-    gaps = []
-    series = _integrate(_rhs(n_gen, 0, True, spec.slot_masks(gens)), spec.slot_rows, y0,
-                        config, _LAW_LABEL, record, gaps=gaps)
+    series, (gap,) = _integrate(_rhs(n_gen, 0, True, spec.slot_masks(gens)), spec.slot_rows,
+                                y0, times, _LAW_LABEL, record)
     return GrassmannPath(gens, times if record is None else times[record],
-                         series[:, 0], series[:, 1], gaps[0])
+                         series[:, 0], series[:, 1], gap)
 
 
 # -- operator transport ---------------------------------------------------------
@@ -882,8 +874,8 @@ def evolve_operator_transport(h, op0: FermionOperator,
     value is X(0). Sampled at every grid time.
     """
     gens = op0.gens
-    _check_spec(h, ("fermion", "grassmann"), config.times, gens,
-                (config.n_steps + 1, 4 * gens.dim))
+    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
+                        (config.n_steps + 1, 4 * gens.dim))
     coeffs = _dense_slots(h.slot_rows, h.slot_masks(gens), gens.dim)
     n_gen = gens.n_generators
 
@@ -891,7 +883,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
         return 1j * _commutator_coeff_arrays(y, hc, n_gen)
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
-    series = _integrate(rhs, coeffs, y0, config, "operator transport")
+    series, _ = _integrate(rhs, coeffs, y0, times, "operator transport")
     return [FermionOperator(gens, *(Multivector(gens, row) for row in y))
             for y in series]
 

@@ -1,10 +1,13 @@
 """Stability theorems as executable checks."""
 
 import dataclasses
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cohstab import kernel
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, poly_fn, sin_fn, zero_fn
 from cohstab.coherence import (
@@ -24,13 +27,22 @@ from cohstab.dynamics import (
     evolve_schrodinger_fermion,
     hamiltonian_operator,
 )
-from cohstab.errors import MissingEigenvalues, NotDegreeOne, ValidationError
+from cohstab.errors import (
+    MissingEigenvalues,
+    NotDegreeOne,
+    NotHermitian,
+    StepTooLarge,
+    ValidationError,
+)
 from cohstab.fermion import (
     FermionOperator,
     FermionState,
     commutator,
     make_coherent,
 )
+from cohstab.scenario import parse_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- check_eigenstate -----------------------------------------------------------
@@ -94,6 +106,52 @@ def test_boson_always_preserving():
     spec = HamiltonianSpec("boson", const_fn(1.0), const_fn(0.7))
     result = classify_hamiltonian(spec, IntegrationConfig(1.0, 1e-3))
     assert result.verdict == "preserving"
+
+
+def test_classify_reads_the_forcing_a_block_at_a_time():
+    # 2 x 10**5 steps: the grid takes 1.6 MB; slot_rows on all of it at
+    # once held 27 MB
+    cfg = IntegrationConfig(200.0, 1e-3)
+    for name in ("boson_forced", "grassmann_forced"):
+        spec = parse_scenario(SCENARIOS / f"{name}.ini").hamiltonian_spec()
+        tracemalloc.start()
+        try:
+            result = classify_hamiltonian(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, name
+        forcing = np.abs(spec.slot_rows(cfg.times())[:, 2])
+        assert result.max_forcing == float(np.max(forcing)), name
+
+
+def test_classify_keeps_the_first_witness_over_blocks(monkeypatch):
+    # one grid time per block: the forcing 0.3 t is zero at t = 0 alone
+    monkeypatch.setattr(kernel, "TABLE_BYTES", 64)
+    spec = HamiltonianSpec("fermion", const_fn(1.0), poly_fn(0.3, 1))
+    cfg = IntegrationConfig(0.05, 1e-2)
+    result = classify_hamiltonian(spec, cfg)
+    times = cfg.times()
+    assert result.witness_time == times[1]
+    assert result.max_forcing == float(np.max(np.abs(spec.slot_rows(times)[:, 2])))
+
+
+def test_classify_refuses_a_foreign_witness(gens1):
+    forced = HamiltonianSpec("fermion", const_fn(1.0), const_fn(0.3))
+    cfg = IntegrationConfig(1.0, 1e-3)
+    s0 = make_coherent(gens1.gen("zeta"))
+    foreign = (evolve_schrodinger_fermion(HamiltonianSpec("fermion", const_fn(1.0)), s0, cfg),
+               evolve_schrodinger_fermion(forced, s0, IntegrationConfig(0.5, 1e-3)))
+    for traj in foreign:
+        with pytest.raises(ValidationError, match="witness trajectory"):
+            classify_hamiltonian(forced, cfg, trajectory=traj)
+    # the coefficients are read first
+    with pytest.raises(StepTooLarge):
+        classify_hamiltonian(dataclasses.replace(forced, forcing=const_fn(np.nan)), cfg,
+                             trajectory=foreign[0])
+    own = evolve_schrodinger_fermion(forced, s0, cfg)
+    result = classify_hamiltonian(forced, cfg, trajectory=own)
+    assert result.agrees and result.dynamic_max_residual == own.max_residual
 
 
 def test_static_and_dynamic_verdicts_agree_on_random_family(rng):
@@ -249,6 +307,17 @@ def test_verify_without_a_carried_law_integrates_the_same_law(gens2):
     fields = ("max_eigenvalue_deviation", "max_residual", "max_state_deviation")
     got, want = (np.array([getattr(r, f) for f in fields]) for r in (integrated, carried))
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("omega, error", [(np.nan, StepTooLarge), (1 + 0.5j, NotHermitian)],
+                         ids=["nan", "complex"])
+def test_verify_free_law_reads_omega_through_slot_rows(gens1, omega, error):
+    spec = HamiltonianSpec("fermion", const_fn(1.0))
+    traj = evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
+                                      IntegrationConfig(0.1, 1e-2))
+    swapped = dataclasses.replace(traj, spec=dataclasses.replace(spec, omega=const_fn(omega)))
+    with pytest.raises(error, match="^omega "):
+        verify_trajectory(swapped, "fermion_free")
 
 
 def test_verify_boson_run():

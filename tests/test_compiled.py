@@ -57,7 +57,7 @@ class _Captured(Exception):
 
 
 def _driver_call(start, cfg):
-    """The (rhs, coeffs, y0, config, label, record) an evolution hands the
+    """The (rhs, coeffs, y0, times, label, record) an evolution hands the
     driver, which is not run."""
     integrate, got = dynamics._integrate, []
 
@@ -112,9 +112,8 @@ def lock_step_mismatches(kind, n_pairs, omega_real, seed=0) -> int:
     coeffs = _awkward_rows(omega_real)
     runs = []
     for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
-        gaps = []
-        runs.append((dynamics._integrate(step, coeffs, y0, cfg, label, gaps=gaps),
-                     np.array(gaps)))
+        records, gaps = dynamics._integrate(step, coeffs, y0, cfg.times(), label)
+        runs.append((records, np.array(gaps)))
     (a, a_gaps), (b, b_gaps) = runs
     return int(np.sum(bits(a) != bits(b)) + np.sum(bits(a_gaps) != bits(b_gaps)))
 
@@ -139,10 +138,10 @@ def ladder_mismatches(levels, omega_real, seed=0) -> int:
     runs = []
     with mock.patch.multiple(dynamics, TABLE_BYTES=7 * 5 * 4 * 16, CHECK_BYTES=3 * y0.nbytes):
         for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
-            seen, gaps = [], []
-            records = dynamics._integrate(
-                step, coeffs, y0, cfg, label, record,
-                lambda ts, states: seen.extend((ts.copy(), states.copy())), gaps)
+            seen = []
+            records, gaps = dynamics._integrate(
+                step, coeffs, y0, cfg.times(), label, record,
+                lambda ts, states: seen.extend((ts.copy(), states.copy())))
             runs.append([records, np.array(gaps), *seen])
     (a, b) = runs
     # the start, then chunks of 1, 7, 7, 7, 7 and 1 grid steps in 1 + 4 * 3 + 1 blocks

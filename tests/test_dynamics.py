@@ -871,8 +871,8 @@ def driver_runs(monkeypatch):
     runs = []
     integrate = dynamics._integrate
 
-    def spy(rhs, coeffs, y0, config, label, record=None, check=None, **kw):
-        run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, config=config,
+    def spy(rhs, coeffs, y0, times, label, record=None, check=None):
+        run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, times=times,
                               label=label, record=record, calls=Counter(),
                               stages=[], coeff_times=[], records=None)
         runs.append(run)
@@ -886,27 +886,26 @@ def driver_runs(monkeypatch):
             run.coeff_times.append(np.array(ts))
             return coeffs(ts)
 
-        run.records = integrate(counted, tabulated, y0, config, label, record,
-                                check, **kw)
-        return run.records
+        run.records, gaps = integrate(counted, tabulated, y0, times, label, record, check)
+        return run.records, gaps
 
     monkeypatch.setattr(dynamics, "_integrate", spy)
     return runs
 
 
-def _own_systems(run, monkeypatch):
-    """(label, rhs, coeffs, y0) of each system of a driver run: the run's
-    own, or for a trajectory that carries its Grassmann law, the RHS that
-    the trajectory has without one and the law's standalone RHS."""
+def _own_systems(run, cfg, monkeypatch):
+    """(label, rhs, coeffs, y0) of each system of a driver run on cfg: the
+    run's own, or for a trajectory that carries its Grassmann law, the RHS
+    that the trajectory has without one and the law's standalone RHS."""
     if isinstance(run.label, str):
         return [(run.label, run.rhs, run.coeffs, run.y0)]
     assert run.label == ("fermion Schrödinger", "grassmann classical")
     # an initial eigenvalue on the eta generator carries no law
     rhs, coeffs, _ = _rhs_of(lambda cfg: evolve_schrodinger_fermion(
-        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("eta")), cfg), run.config, monkeypatch)
+        LOCK_GRASSMANN, make_coherent(LOCK_G2.gen("eta")), cfg), cfg, monkeypatch)
     # the law starts from record 0's eigenvalue
     law_rhs, law_coeffs, law_y0 = _rhs_of(lambda cfg: evolve_grassmann_classical(
-        LOCK_GRASSMANN, Multivector(LOCK_G2, run.y0[2]), cfg), run.config, monkeypatch)
+        LOCK_GRASSMANN, Multivector(LOCK_G2, run.y0[2]), cfg), cfg, monkeypatch)
     assert np.array_equal(bits(law_y0), bits(run.y0[2:]))
     return [("fermion Schrödinger", rhs, coeffs, run.y0[:2]),
             ("grassmann classical", law_rhs, law_coeffs, law_y0)]
@@ -917,7 +916,7 @@ def test_lock_step_records_match_sequential_run(name, driver_runs, monkeypatch):
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    systems = _own_systems(run, monkeypatch)
+    systems = _own_systems(run, cfg, monkeypatch)
     assert systems[0][0] == name.removeprefix("dense ")
     # 8 RHS calls per grid step: 4 paired stages, then 4 of the second dt/2 substep
     assert run.calls == {2: 4 * cfg.n_steps, 1: 4 * cfg.n_steps}
@@ -962,6 +961,30 @@ def test_driver_tabulates_five_stage_times_per_grid_step(name, driver_runs):
     assert sum(ts.size for ts in run.coeff_times) == 5 * cfg.n_steps
 
 
+@pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
+def test_each_evolution_builds_one_grid(name, monkeypatch):
+    # the driver steps on the grid that the evolution's _check_spec returned
+    grids, times = [], IntegrationConfig.times
+    monkeypatch.setattr(IntegrationConfig, "times",
+                        lambda config: (grids.append(config), times(config))[1])
+    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
+    EVOLUTIONS[name](cfg)
+    assert grids == [cfg]
+
+
+def test_closed_forms_read_the_slot_rows_a_block_at_a_time(monkeypatch):
+    # 7 grid times per block: the 31 go as 7, 7, 7, 7 and 3, and the columns
+    # are those of one read of the whole grid, bit for bit
+    monkeypatch.setattr(kernel, "TABLE_BYTES", 7 * 64)
+    times = IntegrationConfig(0.3, 1e-2).times()
+    sizes, slot_rows = [], HamiltonianSpec.slot_rows
+    monkeypatch.setattr(HamiltonianSpec, "slot_rows",
+                        lambda spec, ts: (sizes.append(ts.size), slot_rows(spec, ts))[1])
+    got = dynamics._slot_columns(LOCK_BOSON, times, [2, 3])
+    assert sizes == [7, 7, 7, 7, 3]
+    assert np.array_equal(bits(got), bits(slot_rows(LOCK_BOSON, times)[:, [2, 3]]))
+
+
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(t_end=st.floats(1e-300, 1e300), share=st.floats(1 / 40, 1.0))
 def test_stage_times_are_those_of_sequential_runs(t_end, share):
@@ -997,7 +1020,7 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs, monkeypatch):
     with pytest.raises(StepTooLarge) as caught:
         EVOLUTIONS[name](cfg)
     (run,) = driver_runs
-    systems = _own_systems(run, monkeypatch)
+    systems = _own_systems(run, cfg, monkeypatch)
     gaps = [_sequential_gap(*system[1:], cfg) for system in systems]
     # the first system's gate refuses the evolution, whatever the others'
     assert str(caught.value) == \

@@ -17,7 +17,12 @@ import pytest
 from cohstab import dynamics, kernel
 from cohstab.coeffs import const_fn
 from cohstab.coherence import verify_trajectory
-from cohstab.dynamics import IntegrationConfig, _simpson_phase, evolve_grassmann_classical
+from cohstab.dynamics import (
+    IntegrationConfig,
+    _slot_columns,
+    cumulative_simpson,
+    evolve_grassmann_classical,
+)
 from cohstab.errors import VacuumAmplitudeZero
 from cohstab.fermion import (
     FermionState,
@@ -130,7 +135,9 @@ def ref_verify(traj, law, states, eigenvalues):
     """verify_trajectory's (max eigenvalue deviation, max state deviation)."""
     lam0 = eigenvalues[0]
     if law == "fermion_free":
-        phase = _simpson_phase(traj.spec.omega, traj.config.times())
+        times = traj.config.times()
+        omega = _slot_columns(traj.spec, times, [3])[:, 0]
+        phase = cumulative_simpson(omega.real, times[1] - times[0])
         devs = [(eigenvalues[k] - complex(np.exp(-1j * phase[int(idx)])) * lam0).sup_norm()
                 for k, idx in enumerate(traj.record_indices)]
         return float(np.max(devs)), None
@@ -259,7 +266,7 @@ def test_observer_matches_per_record_loop_on_crafted_records(n_pairs, monkeypatc
     monkeypatch.setattr(kernel, "TABLE_BYTES", 4096)
     while len(_record_blocks(records)) < 3:
         records = np.concatenate((records, crafted_records(gens, rng)))
-    monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: records.copy())
+    monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: (records.copy(), [0.0]))
     spec = dynamics.HamiltonianSpec("fermion", const_fn(1.0))
     traj = dynamics.evolve_schrodinger_fermion(
         spec, FermionState.vacuum(gens), IntegrationConfig(len(records) - 1.0, 1.0, 1))
@@ -319,7 +326,7 @@ def test_observer_memory_stays_at_one_block_of_records(product, request, monkeyp
     gens = GeneratorSet.from_pairs(("zeta", "eta"))
     records = awkward(np.random.default_rng(5), (4000, 2, gens.dim))
     records[:, 0, 0] = 1.0
-    monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: records.copy())
+    monkeypatch.setattr(dynamics, "_integrate", lambda *a, **kw: (records.copy(), [0.0]))
     spec = dynamics.HamiltonianSpec("fermion", const_fn(1.0))
     traj, peak = _traced_peak(lambda: dynamics.evolve_schrodinger_fermion(
         spec, FermionState.vacuum(gens), IntegrationConfig(len(records) - 1.0, 1.0, 1)))
