@@ -111,18 +111,19 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     """Preserving/non-preserving verdict, with a dynamic cross-check for
     the fermion kind.
 
-    The forcing is read from slot_rows on the grid a block of TABLE_BYTES
-    of rows at a time, which refuses a non-real omega or scalar and a
-    non-finite coefficient (StepTooLarge); then a `trajectory` not of
-    `spec` on `config` is refused (ValidationError). Boson and
-    grassmann kinds always preserve; nothing is integrated. A fermion kind
-    preserves iff the forcing vanishes on the grid. Its witness is `trajectory`,
+    The forcing is read from slot_rows on the grid (a `trajectory`'s own,
+    if given) a block of TABLE_BYTES of rows at a time, which refuses a
+    non-real omega or scalar and a non-finite coefficient (StepTooLarge);
+    then a `trajectory` not of `spec` on `config` is refused (ValidationError).
+    Boson and grassmann kinds always preserve; nothing is integrated. A
+    fermion kind preserves iff the forcing vanishes on the grid. Its witness is `trajectory`,
     or one evolved from the coherent state of the first generator:
     dynamic_max_residual is its worst residual, and agrees says whether that
     residual, against DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
     config = config or _default_config()
-    times = _check_spec(spec, VALID_KINDS, config.times)
+    times = _check_spec(spec, VALID_KINDS,
+                        config.times if trajectory is None else lambda: trajectory.grid)
     max_forcing, witness_time = 0.0, None
     for rows in kernel.row_blocks(times.size, 64):  # a slot row: 4 complex values
         forcing = np.abs(spec.slot_rows(times[rows])[:, 2])
@@ -261,11 +262,10 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     state_dev = None
 
     if expected_law == "fermion_free":
-        times = traj.config.times()
+        times = traj.grid
         omega = _slot_columns(traj.spec, times, [3])[:, 0]
         phase = cumulative_simpson(omega.real, times[1] - times[0])
-        # one scalar factor per record, as each record's law has always had it
-        rotation = np.array([complex(np.exp(-1j * phase[i])) for i in traj.record_indices])
+        rotation = np.exp(-1j * phase[traj.record_indices])
         max_dev = float(np.max(np.abs(traj.lams - rotation[:, None] * traj.lams[0])))
     elif expected_law == "grassmann":
         n_gen = traj.gens.n_generators
@@ -282,8 +282,7 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
             block_devs.append(np.max(np.abs(traj.amplitudes[rows] - reference)))
         state_dev = float(np.max(block_devs))
     else:
-        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]),
-                                      traj.config.times())
+        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]), traj.grid)
         max_dev = float(np.max(np.abs(traj.lams[:, 0] - z_closed[traj.record_indices])))
 
     passed = max_dev <= VERIFY_TOL and max_res <= VERIFY_TOL

@@ -372,9 +372,9 @@ class Trajectory:
     amplitudes (n_records, 2, dim) or a boson's (n_records, levels); the
     eigenvalues lams (n_records, dim) or a boson's (n_records, 1), all NaN
     where a record has none (residual inf); residuals and norm_dev; the
-    Grassmann law at the same records, if the run carried it. states,
-    eigenvalues and phase_factors are their objects, built when first
-    read."""
+    Grassmann law at the same records, if the run carried it; grid, the
+    evolution's grid that _check_spec returned. states, eigenvalues and
+    phase_factors are their objects, built when first read."""
 
     kind: str
     config: IntegrationConfig
@@ -383,13 +383,14 @@ class Trajectory:
     lams: np.ndarray
     residuals: np.ndarray
     norm_dev: np.ndarray
+    grid: np.ndarray
     spec: HamiltonianSpec | DenseHamiltonian | None = None
     gens: GeneratorSet | None = None
     law: GrassmannPath | None = None  # a grassmann spec's, see evolve_schrodinger_fermion
 
     @property
     def times(self) -> np.ndarray:
-        return self.config.times()[self.record_indices]
+        return self.grid[self.record_indices]
 
     @functools.cached_property
     def states(self) -> list:
@@ -701,7 +702,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
     path = GrassmannPath(gens, times[rec_idx], records[:, 2], records[:, 3],
                          gaps[1]) if law else None
-    return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev,
+    return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev, times,
                       spec=h, gens=gens, law=path)
 
 
@@ -729,7 +730,8 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     for rows in _record_blocks(records):
         lams[rows], residuals[rows] = eigenvalue_lsq(records[rows])
         norm_dev[rows] = np.abs(np.sum(np.abs(records[rows]) ** 2, axis=-1) - s0.norm_sq())
-    return Trajectory("boson", config, rec_idx, records, lams[:, None], residuals, norm_dev, spec)
+    return Trajectory("boson", config, rec_idx, records, lams[:, None], residuals, norm_dev,
+                      times, spec)
 
 
 def _tail_mass(states: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_record_without_eigenvalue_writes_nan(gens1):
         "fermion", cfg, cfg.record_indices(), np.zeros((3, 2, gens1.dim), dtype=complex),
         lams=np.stack((lam.coeffs, missing, (-lam).coeffs)),
         residuals=np.array([0.0, np.inf, 1e-3]), norm_dev=np.array([0.0, 0.25, -0.0]),
-        gens=gens1)
+        grid=cfg.times(), gens=gens1)
     assert traj.eigenvalues[1] is None
     header, text = cli._trajectory_rows(traj)
     rows = [line.split(",") for line in "".join(text).split("\n")]
@@ -93,7 +93,8 @@ def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch):
                       2.0**60, -7.0][:len(lams.flat[::5])]
     traj = dynamics.Trajectory(
         "fermion", cfg, cfg.record_indices(), np.zeros((7, 2, gens1.dim), dtype=complex),
-        lams=lams.view(complex), residuals=rng.random(7), norm_dev=-rng.random(7), gens=gens1)
+        lams=lams.view(complex), residuals=rng.random(7), norm_dev=-rng.random(7),
+        grid=cfg.times(), gens=gens1)
     monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 23)
     header, text = cli._trajectory_rows(traj)
     blocks = list(text)
@@ -378,18 +379,18 @@ def test_expression_over_the_term_bound_is_scenario_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of dynamics.<name>, wherever the package binds it."""
+def _count_calls(monkeypatch, name, owners=(dynamics, coherence)):
+    """Count the calls of <owner>.<name>, wherever the package binds it."""
     calls = []
-    law = getattr(dynamics, name)
+    law = getattr(owners[0], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return law(*args, **kwargs)
 
-    for module in (dynamics, coherence):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted)
+    for owner in owners:
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -410,6 +411,15 @@ def test_one_law_integration_per_run(tmp_path, monkeypatch):
         assert cli.run_scenario(scenario, str(tmp_path)) == 0, name
         assert len(calls) == 0, name
         assert len(loops) == 1, name
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_one_grid_per_run(name, tmp_path, monkeypatch):
+    # the evolution's _check_spec builds the grid; classify, verify and the
+    # CSV read it from the trajectory
+    grids = _count_calls(monkeypatch, "times", (dynamics.IntegrationConfig,))
+    assert cli.run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path)) == 0
+    assert len(grids) == 1
 
 
 def test_overrides_change_grid(tmp_path):

@@ -320,6 +320,16 @@ def test_verify_free_law_reads_omega_through_slot_rows(gens1, omega, error):
         verify_trajectory(swapped, "fermion_free")
 
 
+def test_free_law_rotation_is_the_per_record_scalar_bit_for_bit(rng):
+    # verify's "fermion_free" law rotates by one np.exp over the records'
+    # phases; each entry is that of the scalar factor taken record by record
+    phase = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(0.0, 12.0, 200_000)
+    records = np.sort(rng.choice(phase.size, 20_000, replace=False))
+    got = np.exp(-1j * phase[records])
+    want = np.array([complex(np.exp(-1j * phase[i])) for i in records])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_verify_boson_run():
     spec = HamiltonianSpec("boson", const_fn(1.0), const_fn(0.2))
     traj = evolve_schrodinger_boson(spec, make_coherent_boson(0.5, 64),
