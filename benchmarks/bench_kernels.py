@@ -52,6 +52,7 @@ import argparse
 import contextlib
 import functools
 import importlib
+import inspect
 import io
 import json
 import os
@@ -304,11 +305,13 @@ def bench_grassmann_runs(packages: dict) -> dict:
     Grassmann law. Reported are the CPU time of this process and the Python
     RHS calls of every driver loop, per grid step. The counted RHS keeps
     the RHS's compiled program, so the driver runs the loop it would run
-    unwatched."""
+    unwatched. A tree whose verify_trajectory still takes the law is
+    passed "grassmann"; a newer one takes the law from the trajectory."""
     n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
 
     def timed(dynamics, verify, evolve):
         integrate, count = dynamics._integrate, [0]
+        law = ("grassmann",) if len(inspect.signature(verify).parameters) > 1 else ()
 
         def counting(rhs, *args, **kw):
             def counted(*a):
@@ -320,7 +323,7 @@ def bench_grassmann_runs(packages: dict) -> dict:
 
         with _patched(dynamics, "_integrate", counting):
             t0 = time.process_time()
-            verify(evolve(), "grassmann")
+            verify(evolve(), *law)
             spent = time.process_time() - t0
         return {"step_us": spent / n_steps * 1e6, "rhs_calls_per_step": count[0] / n_steps}
 

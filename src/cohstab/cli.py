@@ -88,9 +88,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
             traj = evolve_schrodinger_fermion(spec, make_coherent(zeta0), config)
         # boson and grassmann verdicts are static and always "preserving"
         classification = classify_hamiltonian(spec, config, trajectory=traj)
-        law = "fermion_free" if scenario.kind == "fermion" else scenario.kind
-        verification = (verify_trajectory(traj, law)
-                        if classification.verdict == "preserving" else None)
+        verification = verify_trajectory(traj) if classification.verdict == "preserving" else None
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -103,14 +101,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> int:
     del traj
     _write_csv(out_path, header, text=text)
 
-    if scenario.expect == "non_preserving":
-        ok = classification.verdict == "non_preserving" and bool(classification.agrees)
-    elif classification.verdict != "preserving":
-        ok = False
-    else:
-        ok = verification is not None and verification.passed
-        if classification.agrees is not None:
-            ok = ok and classification.agrees
+    ok = (classification.verdict == scenario.expect and classification.agrees is not False
+          and (verification is None or verification.passed))
 
     verdict_path = out_path.with_suffix(".verdict.csv")
     _write_csv(

@@ -4,10 +4,10 @@ check_eigenstate certifies a single state; classify_hamiltonian gives the
 static preserving/non-preserving verdict, with a dynamic witness trajectory
 for the fermion kind; reconstruct_forcing inverts a prescribed eigenvalue
 path into a Hamiltonian; verify_trajectory compares an evolved
-trajectory against the classical law: the closed form for the boson and
-free-fermion laws, an independent integration for the grassmann law, the
-one a grassmann spec's trajectory carries (its own rows of the same driver
-loop, which no trajectory row reaches).
+trajectory against the classical law of its kind: the closed form for the
+boson and free-fermion laws, an independent integration for the grassmann
+law, the one a grassmann spec's trajectory carries (its own rows of the
+same driver loop, which no trajectory row reaches).
 """
 
 from __future__ import annotations
@@ -101,12 +101,7 @@ class Classification:
     agrees: bool | None = None
 
 
-def _default_config() -> IntegrationConfig:
-    return IntegrationConfig(t_end=2.0, dt=1e-3, stride=10)
-
-
-def classify_hamiltonian(spec: HamiltonianSpec,
-                         config: IntegrationConfig | None = None,
+def classify_hamiltonian(spec: HamiltonianSpec, config: IntegrationConfig,
                          trajectory: Trajectory | None = None) -> Classification:
     """Preserving/non-preserving verdict, with a dynamic cross-check for
     the fermion kind.
@@ -121,7 +116,6 @@ def classify_hamiltonian(spec: HamiltonianSpec,
     dynamic_max_residual is its worst residual, and agrees says whether that
     residual, against DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
-    config = config or _default_config()
     times = _check_spec(spec, VALID_KINDS,
                         config.times if trajectory is None else lambda: trajectory.grid)
     max_forcing, witness_time = 0.0, None
@@ -238,21 +232,17 @@ class VerificationReport:
     max_state_deviation: float | None = None
 
 
-def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport:
-    """Compare recorded eigenvalues (and, for grassmann, states) with the law.
+def verify_trajectory(traj: Trajectory) -> VerificationReport:
+    """Compare recorded eigenvalues (and, for grassmann, states) with the
+    law of the trajectory's kind.
 
-    expected_law: "fermion_free" (phase-rotated initial eigenvalue),
-    "grassmann" (classical forced law plus phase: the path traj.law, gated
-    here by its dt vs dt/2 gap, or if the run carries none, a law
-    integrated from record 0's eigenvalue), or "boson" (closed-form
-    classical eigenvalue). Passes iff deviations and residuals are <= 1e-6.
-    The boson law checks only boson trajectories, the others only fermion
-    and grassmann ones (ValidationError otherwise).
+    A fermion follows "fermion_free" (phase-rotated initial eigenvalue), a
+    grassmann "grassmann" (classical forced law plus phase: the path
+    traj.law, gated here by its dt vs dt/2 gap, or if the run carries none,
+    a law integrated from record 0's eigenvalue), a boson "boson"
+    (closed-form classical eigenvalue). Passes iff deviations and residuals
+    are <= 1e-6.
     """
-    if expected_law not in ("fermion_free", "grassmann", "boson"):
-        raise ValidationError(f"unknown law {expected_law!r}")
-    if (expected_law == "boson") != (traj.kind == "boson"):
-        raise ValidationError(f"the {expected_law} law cannot check a {traj.kind} trajectory")
     if np.isnan(traj.lams).all():
         raise MissingEigenvalues("trajectory has no eigenvalue records")
     if not isinstance(traj.spec, HamiltonianSpec):
@@ -261,13 +251,14 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     max_res = traj.max_residual
     state_dev = None
 
-    if expected_law == "fermion_free":
+    law = "fermion_free" if traj.kind == "fermion" else traj.kind
+    if law == "fermion_free":
         times = traj.grid
         omega = _slot_columns(traj.spec, times, [3])[:, 0]
         phase = cumulative_simpson(omega.real, times[1] - times[0])
         rotation = np.exp(-1j * phase[traj.record_indices])
         max_dev = float(np.max(np.abs(traj.lams - rotation[:, None] * traj.lams[0])))
-    elif expected_law == "grassmann":
+    elif law == "grassmann":
         n_gen = traj.gens.n_generators
         path = traj.law
         if path is None:  # a run that cannot carry its law: refused as the law refuses it
@@ -288,4 +279,4 @@ def verify_trajectory(traj: Trajectory, expected_law: str) -> VerificationReport
     passed = max_dev <= VERIFY_TOL and max_res <= VERIFY_TOL
     if state_dev is not None:
         passed = passed and state_dev <= VERIFY_TOL
-    return VerificationReport(expected_law, passed, max_dev, max_res, state_dev)
+    return VerificationReport(law, passed, max_dev, max_res, state_dev)

@@ -121,8 +121,8 @@ class IntegrationConfig:
     def n_records(self) -> int:  # len(record_indices()), without building it
         return -(-self.n_steps // self.stride) + 1
 
-    def record_indices(self) -> np.ndarray:
-        return np.minimum(np.arange(self.n_records) * self.stride, self.n_steps)
+    def record_indices(self) -> np.ndarray:  # a stride past n_steps records the two ends
+        return np.minimum(np.arange(self.n_records) * min(self.stride, self.n_steps), self.n_steps)
 
 
 def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:

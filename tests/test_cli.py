@@ -142,6 +142,39 @@ def test_unmet_expectation_exits_two(tmp_path):
     assert (tmp_path / "forced.verdict.csv").exists()
 
 
+def _verdict_row(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))[0]
+
+
+def test_preserving_verdict_against_non_preserving_expectation_exits_two(tmp_path):
+    # the free fermion preserves: expecting otherwise fails the run
+    text = (SCENARIOS / "free_fermion.ini").read_text()
+    scenario = tmp_path / "free_fermion.ini"
+    scenario.write_text(text.replace("expect = preserving", "expect = non_preserving"))
+    code = main(["run", str(scenario), "--out", str(tmp_path), "--t-end", "0.1"])
+    assert code == 2
+    row = _verdict_row(tmp_path / "free_fermion.verdict.csv")
+    assert (row["verdict"], row["expected"], row["ok"]) == ("preserving", "non_preserving", "0")
+
+
+def test_witness_that_disagrees_exits_two(tmp_path):
+    # over 0.05 the forced fermion's residual stays under DYNAMIC_RESIDUAL_TOL,
+    # so the witness disagrees with the static non_preserving verdict
+    scenario = parse_scenario(SCENARIOS / "forced_fermion.ini")
+    scenario = dataclasses.replace(
+        scenario, config=dataclasses.replace(scenario.config, t_end=0.05))
+    classification = coherence.classify_hamiltonian(scenario.hamiltonian_spec(),
+                                                    scenario.config)
+    assert classification.verdict == "non_preserving" and classification.agrees is False
+    code = main(["run", str(SCENARIOS / "forced_fermion.ini"), "--out", str(tmp_path),
+                 "--t-end", "0.05"])
+    assert code == 2
+    row = _verdict_row(tmp_path / "forced_fermion.verdict.csv")
+    assert (row["verdict"], row["expected"], row["ok"]) == ("non_preserving",
+                                                            "non_preserving", "0")
+
+
 def test_truncation_breach_exits_three(tmp_path):
     scenario = tmp_path / "big.ini"
     scenario.write_text(

@@ -269,8 +269,8 @@ def test_verify_free_fermion_run(gens1):
     )
     traj = evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
                                       IntegrationConfig(2.0, 1e-3))
-    report = verify_trajectory(traj, "fermion_free")
-    assert report.passed
+    report = verify_trajectory(traj)
+    assert report.law == "fermion_free" and report.passed
     assert report.max_eigenvalue_deviation < 1e-8
 
 
@@ -278,7 +278,7 @@ def test_verify_rejects_forced_run(gens1):
     spec = HamiltonianSpec("fermion", const_fn(1.0), const_fn(0.3))
     traj = evolve_schrodinger_fermion(spec, make_coherent(gens1.gen("zeta")),
                                       IntegrationConfig(1.0, 1e-3))
-    report = verify_trajectory(traj, "fermion_free")
+    report = verify_trajectory(traj)
     assert not report.passed
     assert report.max_residual > 1e-3
 
@@ -289,8 +289,8 @@ def test_verify_grassmann_run_with_phase(gens2):
                            gens=gens2, eta_generator="eta")
     traj = evolve_schrodinger_fermion(spec, make_coherent(gens2.gen("zeta")),
                                       IntegrationConfig(2.0, 1e-3))
-    report = verify_trajectory(traj, "grassmann")
-    assert report.passed
+    report = verify_trajectory(traj)
+    assert report.law == "grassmann" and report.passed
     assert report.max_state_deviation < 1e-8
 
 
@@ -301,8 +301,8 @@ def test_verify_without_a_carried_law_integrates_the_same_law(gens2):
     traj = evolve_schrodinger_fermion(spec, make_coherent(gens2.gen("zeta")),
                                       IntegrationConfig(0.5, 1e-3, stride=7))
     assert traj.law is not None
-    carried = verify_trajectory(traj, "grassmann")
-    integrated = verify_trajectory(dataclasses.replace(traj, law=None), "grassmann")
+    carried = verify_trajectory(traj)
+    integrated = verify_trajectory(dataclasses.replace(traj, law=None))
     assert carried.passed and integrated == carried
     fields = ("max_eigenvalue_deviation", "max_residual", "max_state_deviation")
     got, want = (np.array([getattr(r, f) for f in fields]) for r in (integrated, carried))
@@ -317,7 +317,7 @@ def test_verify_free_law_reads_omega_through_slot_rows(gens1, omega, error):
                                       IntegrationConfig(0.1, 1e-2))
     swapped = dataclasses.replace(traj, spec=dataclasses.replace(spec, omega=const_fn(omega)))
     with pytest.raises(error, match="^omega "):
-        verify_trajectory(swapped, "fermion_free")
+        verify_trajectory(swapped)
 
 
 def test_free_law_rotation_is_the_per_record_scalar_bit_for_bit(rng):
@@ -334,22 +334,16 @@ def test_verify_boson_run():
     spec = HamiltonianSpec("boson", const_fn(1.0), const_fn(0.2))
     traj = evolve_schrodinger_boson(spec, make_coherent_boson(0.5, 64),
                                     IntegrationConfig(np.pi, 1e-3))
-    report = verify_trajectory(traj, "boson")
-    assert report.passed
+    report = verify_trajectory(traj)
+    assert report.law == "boson" and report.passed
 
 
-@pytest.mark.parametrize("kind, law", [("fermion", "boson"), ("boson", "grassmann"),
-                                       ("boson", "fermion_free")])
-def test_verify_refuses_a_law_of_another_sector(gens1, kind, law):
-    cfg = IntegrationConfig(0.1, 1e-2)
-    if kind == "boson":
-        traj = evolve_schrodinger_boson(HamiltonianSpec("boson", const_fn(1.0)),
-                                        make_coherent_boson(0.5, 16), cfg)
-    else:
-        traj = evolve_schrodinger_fermion(HamiltonianSpec("fermion", const_fn(1.0)),
-                                          make_coherent(gens1.gen("zeta")), cfg)
-    with pytest.raises(ValidationError):
-        verify_trajectory(traj, law)
+def test_readme_quick_tour_runs(capsys):
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Quick tour)", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("VerificationReport(law='fermion_free', passed=True,")
 
 
 def test_verify_requires_eigenvalues(gens1):
@@ -358,7 +352,7 @@ def test_verify_requires_eigenvalues(gens1):
                                       IntegrationConfig(0.1, 1e-2))
     traj.lams[:] = complex(np.nan, np.nan)
     with pytest.raises(MissingEigenvalues):
-        verify_trajectory(traj, "fermion_free")
+        verify_trajectory(traj)
 
 
 @pytest.mark.parametrize("law", ["fermion_free", "grassmann"])
@@ -368,11 +362,12 @@ def test_verify_refuses_a_dense_trajectory(gens1, law):
         c[:, 3, 0] = 1.0
         return c
 
-    traj = evolve_schrodinger_fermion(DenseHamiltonian("fermion", gens1, rows),
+    kind = "fermion" if law == "fermion_free" else "grassmann"  # the kind whose law it is
+    traj = evolve_schrodinger_fermion(DenseHamiltonian(kind, gens1, rows),
                                       make_coherent(gens1.gen("zeta")),
                                       IntegrationConfig(0.1, 1e-2))
     with pytest.raises(ValidationError, match="no HamiltonianSpec"):
-        verify_trajectory(traj, law)
+        verify_trajectory(traj)
 
 
 def test_phase_consistency_free_fermion(gens1):

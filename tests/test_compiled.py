@@ -362,7 +362,7 @@ def test_carried_law_gap_reaches_its_path_as_in_the_numpy_loop(monkeypatch):
         slow = evolve_schrodinger_fermion(LOCK_GRASSMANN, s0, cfg)
     assert bits(np.array(fast.law.gap)) == bits(np.array(slow.law.gap))
     monkeypatch.setattr(dynamics, "STEP_TOL", fast.law.gap / 2)
-    messages = {_refusal(lambda: verify_trajectory(traj, "grassmann")) for traj in (fast, slow)}
+    messages = {_refusal(lambda: verify_trajectory(traj)) for traj in (fast, slow)}
     assert messages == {f"grassmann classical: halving dt changes endpoint by "
                         f"{fast.law.gap:.3e} (> {fast.law.gap / 2})"}
 

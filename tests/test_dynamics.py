@@ -128,7 +128,8 @@ def test_grid_hits_endpoint_exactly():
 
 
 def test_record_indices_follow_stride_without_a_list():
-    for t_end, stride in ((10.0, 3), (9.0, 3), (1.0, 5), (100.0, 10), (7.0, 1), (5.0, 5)):
+    for t_end, stride in ((10.0, 3), (9.0, 3), (1.0, 5), (100.0, 10), (7.0, 1), (5.0, 5),
+                          (5.0, 10**30)):
         cfg = IntegrationConfig(t_end, 1.0, stride)
         idx = list(range(0, cfg.n_steps + 1, stride))
         idx += [cfg.n_steps] if idx[-1] != cfg.n_steps else []
@@ -1034,7 +1035,7 @@ def test_lock_step_gate_reports_sequential_gap(name, driver_runs, monkeypatch):
     assert traj.law.gap == gaps[1]
     monkeypatch.setattr(dynamics, "STEP_TOL", gaps[1] / 2)
     with pytest.raises(StepTooLarge) as caught:
-        verify_trajectory(traj, "grassmann")
+        verify_trajectory(traj)
     assert str(caught.value) == ("grassmann classical: halving dt changes endpoint by "
                                  f"{gaps[1]:.3e} (> {gaps[1] / 2})")
 
@@ -1307,7 +1308,7 @@ def test_nan_in_the_law_rows_leaves_the_trajectory(monkeypatch):
         assert np.array_equal(bits(getattr(traj, field)), bits(getattr(clean, field))), field
     with pytest.raises(StepTooLarge,
                        match="^grassmann classical: halving dt changes endpoint by nan"):
-        verify_trajectory(traj, "grassmann")
+        verify_trajectory(traj)
 
 
 def test_carried_law_keeps_the_record_bound(monkeypatch):

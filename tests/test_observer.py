@@ -201,7 +201,8 @@ def test_observer_matches_per_record_loop_on_runs(name):
     states, eigenvalues = assert_observer_matches(traj)
     # forced_fermion's law does not hold; its deviations must match all the same
     law = CASES[name]
-    report = verify_trajectory(traj, law)
+    report = verify_trajectory(traj)
+    assert report.law == law
     eig_dev, state_dev = ref_verify(traj, law, states, eigenvalues)
     assert fbits(report.max_eigenvalue_deviation) == fbits(eig_dev)
     assert fbits(report.max_residual) == fbits(np.max(traj.residuals))
@@ -346,6 +347,6 @@ def test_verify_state_memory_stays_at_one_block_of_records(product, request):
         scenario.hamiltonian_spec(), make_coherent(scenario.initial_zeta()),
         IntegrationConfig(1.0, 1e-3, 1))
     assert traj.gens.dim == 16 and len(traj.amplitudes) == 1001
-    report, peak = _traced_peak(lambda: verify_trajectory(traj, "grassmann"))
+    report, peak = _traced_peak(lambda: verify_trajectory(traj))
     assert report.passed
     assert peak < 2 * traj.amplitudes.nbytes + 2**19
