@@ -31,9 +31,11 @@ evolution, and the CoefficientFn calls, per grid step. Then "the per-record
 observer" of the fermion Schrödinger evolutions at 4, 16 and 256
 coefficients and of the boson Schrödinger evolution on 64 levels:
 microseconds per record of what the evolution computes from its records
-(<psi|psi> and norm_dev, the eigenvalue and its residual). Then the wall
-time of each file in scenarios/, run as `coherence run` runs it, with a
-byte check of its trajectory against tests/golden/.
+(<psi|psi> and norm_dev, the eigenvalue and its residual). Then "the CSV
+write": nanoseconds per value of the trajectory CSV's text and its write,
+for the trajectory of each file in scenarios/ and a 256-coefficient one.
+Then the wall time of each file in scenarios/, run as `coherence run` runs
+it, with a byte check of its trajectory against tests/golden/.
 
 Every measurement runs the same way. This checkout's src/cohstab, and with
 --baseline a `git archive` of REV's, are copied under distinct package
@@ -417,6 +419,49 @@ def bench_observer(packages: dict) -> dict:
     return _alternate(cases, "us")
 
 
+def _scenario_trajectory(package: str, name: str, out_dir: str):
+    """The trajectory that `coherence run` of the shipped scenario `name`
+    writes, run on `package` with its outputs in out_dir."""
+    cli, got = _module(package, "cli"), []
+    rows = cli._trajectory_rows
+
+    def capture(traj):
+        got.append(traj)
+        return rows(traj)
+
+    scenario = _module(package, "scenario").parse_scenario(ROOT / "scenarios" / f"{name}.ini")
+    with _patched(cli, "_trajectory_rows", capture), contextlib.redirect_stdout(io.StringIO()):
+        cli.run_scenario(scenario, out_dir)
+    return got[0]
+
+
+def bench_csv_write(packages: dict) -> dict:
+    """The CSV write: nanoseconds of wall time per value of a trajectory's
+    table, for cli._trajectory_rows and cli._write_csv of the trajectory
+    of each shipped scenario and of a 256-coefficient one (the step layers'
+    fermion Schrödinger evolution on OBSERVER_GRID: 201 records of 515
+    values). The trajectories are evolved before the timing."""
+    def timed(cli, traj, path):
+        t0 = time.perf_counter()
+        header, text = cli._trajectory_rows(traj)
+        cli._write_csv(path, header, text=text)
+        wall = time.perf_counter() - t0
+        return {"ns": wall / (len(traj.times) * len(header)) * 1e9}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = {col: {} for col in packages}
+        for col, pkg in packages.items():
+            cli, out = _module(pkg, "cli"), Path(tmp) / col
+            for name in SCENARIOS:
+                traj = _scenario_trajectory(pkg, name, str(out))
+                cases[col][name] = functools.partial(timed, cli, traj, out / "timed.csv")
+            cfg = _module(pkg, "dynamics").IntegrationConfig(*OBSERVER_GRID)
+            traj = _evolutions(pkg)["fermion_schrodinger_c256"](cfg)
+            cases[col]["trajectory_c256"] = functools.partial(timed, cli, traj,
+                                                              out / "timed.csv")
+        return _alternate(cases, "ns")
+
+
 def bench_scenarios(packages: dict) -> dict:
     """Wall time of parse + run of each shipped scenario, with the highest
     exit code over the runs and whether every run's trajectory matched its
@@ -508,6 +553,8 @@ def _print_column(name: str, data: dict) -> None:
               f"({row['coeff_fn_calls_per_step']:g} CoefficientFn calls)")
     for case, us in data["observer_us_per_record"].items():
         print(f"  {case:<26} per-record observer {us:9.1f} us per record")
+    for case, ns in data["csv_write_ns_per_value"].items():
+        print(f"  {case:<26} CSV write {ns:9.1f} ns per value")
     for scen, res in data["scenarios"].items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
               f"golden {'match' if res['golden_match'] else 'DIFFERS'}")
@@ -538,6 +585,7 @@ def main() -> None:
                 "grassmann_runs": bench_grassmann_runs(packages),
                 "coefficients": bench_coefficients(packages),
                 "observer_us_per_record": bench_observer(packages),
+                "csv_write_ns_per_value": bench_csv_write(packages),
                 "scenarios": bench_scenarios(packages),
             }
             backends = {col: _backend(pkg) for col, pkg in packages.items()}

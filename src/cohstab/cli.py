@@ -42,17 +42,21 @@ def _trajectory_rows(traj: Trajectory):
     eigenvalue coefficient (nan where a record has none), residual and
     norm_dev, each written as repr of its float, comma-separated, one
     string per block of rows. These are the bytes csv.writer writes for
-    them: no float's repr needs quoting."""
-    labels = (["z"] if traj.kind == "boson"
-              else [traj.gens.monomial_label(mask) for mask in range(traj.gens.dim)])
+    them: no float's repr needs quoting. A block is one call of the
+    compiled formatter, which writes repr's text, or without the library
+    one %-format of repr's."""
+    labels = ["z"] if traj.kind == "boson" else traj.gens.monomial_labels
     header = (["t"] + [f"{part}[{label}]" for label in labels for part in ("re", "im")]
               + ["residual", "norm_dev"])
     table = np.column_stack((traj.times, traj.lams.view(np.float64),
                              traj.residuals, traj.norm_dev))
-    row = ",".join(["%r"] * len(header)) + "\n"
     step = max(1, CSV_BLOCK_VALUES // len(header))
-    return header, ((row * len(block)) % tuple(block.ravel().tolist())
-                    for block in (table[a:a + step] for a in range(0, len(table), step)))
+    blocks = (table[a:a + step] for a in range(0, len(table), step))
+    format_rows = kernel.compiled.formatter()
+    if format_rows is not None:
+        return header, map(format_rows, blocks)
+    row = ",".join(["%r"] * len(header)) + "\n"
+    return header, ((row * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
 
 
 def _write_csv(path: Path, header, rows=(), text=()) -> None:

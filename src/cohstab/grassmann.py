@@ -9,6 +9,7 @@ order. All operations are pure; values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Number
 from typing import Iterable, Mapping
 
@@ -64,10 +65,18 @@ class GeneratorSet:
         except ValueError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def monomial_label(self, mask: int) -> str:
-        if mask == 0:
-            return "1"
-        return " ".join(n for i, n in enumerate(self.names) if mask >> i & 1)
+    @cached_property
+    def monomial_labels(self) -> tuple[str, ...]:
+        """Each basis monomial's label, by mask: its generators' names in
+        ascending index order, space-separated, and "1" for the body. A
+        mask's label is its lowest generator's name, then the label of the
+        mask without it."""
+        labels = ["1"]
+        for mask in range(1, self.dim):
+            rest = mask & (mask - 1)
+            low = self.names[(mask ^ rest).bit_length() - 1]
+            labels.append(f"{low} {labels[rest]}" if rest else low)
+        return tuple(labels)
 
     def gen(self, which: int | str) -> "Multivector":
         """The generator as a Multivector; accepts an index or a name."""
@@ -226,7 +235,7 @@ class Multivector:
     def __repr__(self):
         parts = []
         for mask, c in self.terms.items():
-            label = self.gens.monomial_label(mask)
+            label = self.gens.monomial_labels[mask]
             parts.append(f"({c})" if mask == 0 else f"({c})*[{label}]")
         return " + ".join(parts) if parts else "0"
 

@@ -1,5 +1,6 @@
-"""The RK4 driver's compiled loop and kernel.multiply's compiled graded
-product: rk4.c, built on first use, loaded with ctypes.
+"""The RK4 driver's compiled loop, kernel.multiply's compiled graded product
+and the trajectory CSV's float text: rk4.c, built on first use, loaded with
+ctypes.
 
 Nothing is built at import. The first `Program.runner()`, `product()` or
 `status()` builds rk4.c with COMPILER and FLAGS into CACHE as
@@ -12,10 +13,13 @@ rk4.c). Without a compiler, or with a failed build or load, `runner()` and
 `product()` return None, and the driver runs its numpy loop and
 kernel.multiply its numpy product. If numpy matches neither spelling,
 only `runner()` does: the product has no complex multiply. `status()` and
-`product_status()` say which it is.
+`product_status()` say which it is. `formatter()` writes the text that
+repr writes, so it is there exactly when the library loads (and gcc has
+128-bit integers); without it the CSV writer formats with repr itself.
 """
 
 import ctypes
+import functools
 import math
 import os
 import shutil
@@ -36,6 +40,7 @@ COMPILER = "gcc"
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-tree-vectorize", "-shared",
          "-fPIC")
 BUILD_TIMEOUT = 60  # seconds
+TEXT_BYTES = 25  # rk4.c's longest float text, -1.2345678901234567e-308, and a separator
 
 _F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 _P = ctypes.c_void_p
@@ -106,9 +111,45 @@ def _reference(a, b):
     return np.multiply(a, b)
 
 
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """rk4.c's table g of Schubfach's 126-bit powers of ten, for k in
+    [-324, 292]: with 10^-k = beta 2^r and 2^125 <= beta < 2^126, g =
+    floor(beta) + 1, as the pair (g >> 63, g mod 2^63). Exact integers,
+    built on the formatter's first use and kept."""
+    pairs = []
+    for k in range(-324, 293):
+        if k <= 0:
+            n = 10**-k
+            r = n.bit_length() - 126
+            beta = n >> r if r >= 0 else n << -r
+        else:  # 1 / 10^k, which is no power of two
+            n = 10**k
+            beta = (1 << (n.bit_length() + 125)) // n
+        g = beta + 1
+        pairs.append((g >> 63, g & ((1 << 63) - 1)))
+    return np.array(pairs, dtype=np.uint64)
+
+
+def _formatter(fn):
+    """format_rows(block) over rk4.c's cohstab_format_rows `fn`: the text
+    of a C-contiguous 2-D float64 block, each row
+    ",".join(map(repr, row)) + "\n", through one buffer of the block's
+    size."""
+    def format_rows(block):
+        if not (isinstance(block, np.ndarray) and block.dtype == _F64 and block.ndim == 2
+                and block.flags.c_contiguous and block.shape[1] > 0):
+            raise ValueError("block is not a C-contiguous 2-D float64 array with columns")
+        out = np.empty(block.size * TEXT_BYTES, dtype=np.uint8)
+        n = fn(*block.shape, block.ctypes.data, _pow10_table().ctypes.data, out.ctypes.data)
+        return str(out[:n], "ascii")
+
+    return format_rows
+
+
 def _load():
     """({RHS kind: chunk function} or why the numpy loop runs, spelling,
-    product), or the reason there is no library."""
+    product, formatter or None), or the reason there is no library."""
     try:
         lib = ctypes.CDLL(str(_build()))
     except OSError as exc:
@@ -117,6 +158,11 @@ def _load():
     lib.cohstab_multiply.restype = None
     for name in ("cohstab_cmul_plain", "cohstab_cmul_fma"):
         getattr(lib, name).argtypes = [ctypes.c_int64, _P, _P, _P]
+    fmt = getattr(lib, "cohstab_format_rows", None)  # compiled out without __int128
+    if fmt is not None:
+        fmt.argtypes = [ctypes.c_int64, ctypes.c_int64, _P, _P, _P]
+        fmt.restype = ctypes.c_int64
+        fmt = _formatter(fmt)
     a, b = _spelling_probe()
     want = _reference(a, b)
     spellings = ("fma", "plain") if lib.cohstab_has_fma() else ("plain",)
@@ -130,10 +176,11 @@ def _load():
             for run in runs.values():
                 run.argtypes = [ctypes.POINTER(_Program), ctypes.c_int64, _P, _P, _P, _P, _P]
                 run.restype = None
-            return runs, spelling, lib.cohstab_multiply
-    # the product has no complex multiply, so it runs whatever the spelling
+            return runs, spelling, lib.cohstab_multiply, fmt
+    # the product and the formatter have no complex multiply, so they run
+    # whatever the spelling
     return ("numpy's complex multiply matches neither compiled spelling", None,
-            lib.cohstab_multiply)
+            lib.cohstab_multiply, fmt)
 
 
 def _library():
@@ -171,6 +218,15 @@ def product():
     nothing, or None if kernel.multiply runs its numpy product."""
     chosen = _chosen if _chosen is not None else _library()
     return None if isinstance(chosen, str) else chosen[2]
+
+
+def formatter():
+    """format_rows(block), the text of rk4.c's cohstab_format_rows: each row
+    of a C-contiguous 2-D float64 block as ",".join(map(repr, row)) + "\n",
+    or None if the library does not load or was built by a gcc without
+    128-bit integers."""
+    chosen = _chosen if _chosen is not None else _library()
+    return None if isinstance(chosen, str) else chosen[3]
 
 
 class Program:

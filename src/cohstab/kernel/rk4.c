@@ -2,9 +2,11 @@
  * cohstab.dynamics._integrate, for an RHS of one of two kinds: a plan, one
  * fused bilinear plan (kernel.bilinear) plus the post-ops of the fermion
  * Schrödinger evolution and the Grassmann law; or the ladder of the boson
- * Schrödinger evolution. And, at the end, the graded product of
- * kernel.multiply (cohstab_multiply), which has no complex multiply, so it
- * needs no spelling.
+ * Schrödinger evolution. Then the graded product of kernel.multiply
+ * (cohstab_multiply), which has no complex multiply, so it needs no
+ * spelling. And, at the end, the trajectory CSV's text (cohstab_format_rows):
+ * each float64 as Python's repr writes it, by Schubfach's shortest digits,
+ * compiled only where gcc has 128-bit integers.
  *
  * Per grid step it does what the numpy loop does, op for op: the dt step on
  * pair[0], then on pair[1] the two dt/2 substeps that split it at its
@@ -367,3 +369,207 @@ cohstab_has_fma(void)
     __builtin_cpu_init();
     return __builtin_cpu_supports("fma");
 }
+
+#ifdef __SIZEOF_INT128__
+/* The text of a float64 table, each row as Python writes
+ * ",".join(map(repr, row)) + "\n" (float_repr_style 'short').
+ *
+ * Digits: Schubfach's toDecimal (Giulietti, "The Schubfach way to render
+ * doubles", 2020), which gives the shortest decimal in the value's rounding
+ * interval, the nearest of those, ties to an even last digit: the digits of
+ * repr. The shorter candidates are tried from s >= 10 on, not from Java's
+ * s >= 100, which keeps at least 2 digits. g holds for each k in
+ * [K_MIN, K_MAX] the pair (g >> 63, g mod 2^63) of g = floor(beta) + 1,
+ * 10^-k = beta 2^r with 2^125 <= beta < 2^126 (compiled._pow10_table).
+ *
+ * Layout: the exponent form d[.ddd]e+XX iff decpt <= -4 or decpt > 16,
+ * decpt the decimal point's place after the first digit's; else the fixed
+ * form, with ".0" after an integral value. -0.0, nan (any sign or
+ * payload), inf and -inf are written as repr writes them. */
+
+#define K_MIN (-324)
+#define C_MIN ((uint64_t)1 << 52)
+#define Q_MIN (-1074)
+#define MASK63 (((uint64_t)1 << 63) - 1)
+
+typedef unsigned __int128 u128;
+
+static inline uint64_t
+high64(uint64_t a, uint64_t b)
+{
+    return (uint64_t)(((u128)a * b) >> 64);
+}
+
+/* floor(e log10(2)), floor(e log10(2) + log10(3/4)) and floor(e log2(10)),
+ * exact for the exponents used here */
+static inline int
+flog10pow2(int e)
+{
+    return (int)((int64_t)e * 661971961083LL >> 41);
+}
+
+static inline int
+flog10_three_quarters_pow2(int e)
+{
+    return (int)(((int64_t)e * 661971961083LL - 274743187321LL) >> 41);
+}
+
+static inline int
+flog2pow10(int e)
+{
+    return (int)((int64_t)e * 913124641741LL >> 38);
+}
+
+/* cp g 2^-127 rounded to odd, g = g[0] 2^63 + g[1] */
+static inline uint64_t
+round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    const u128 y = (u128)g[0] * cp;
+    const uint64_t z = ((uint64_t)y >> 1) + high64(g[1], cp);
+    return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & MASK63) + MASK63) >> 63);
+}
+
+/* The shortest decimal f 10^k in the rounding interval of c 2^q, c > 0. */
+static inline uint64_t
+shortest(int q, uint64_t c, const uint64_t *table, int *k_out)
+{
+    const uint64_t odd = c & 1, cb = c << 2, cbr = cb + 2;
+    uint64_t cbl;
+    int k;
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else { /* the interval below a power of two is half as wide */
+        cbl = cb - 1;
+        k = flog10_three_quarters_pow2(q);
+    }
+    const int h = q + flog2pow10(-k) + 2;
+    const uint64_t *g = table + 2 * (k - K_MIN);
+    const uint64_t vb = round_to_odd(g, cb << h), vbl = round_to_odd(g, cbl << h),
+                   vbr = round_to_odd(g, cbr << h);
+    const uint64_t s = vb >> 2;
+    *k_out = k;
+    if (s >= 10) { /* one digit fewer: s' = floor(s / 10), t' = s' + 1 */
+        const uint64_t sp10 = 10 * high64(s, 1844674407370955168ULL), tp10 = sp10 + 10;
+        const int upin = vbl + odd <= sp10 << 2, wpin = (tp10 << 2) + odd <= vbr;
+        if (upin != wpin)
+            return upin ? sp10 : tp10;
+    }
+    const uint64_t t = s + 1;
+    const int uin = vbl + odd <= s << 2, win = (t << 2) + odd <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    const int64_t cmp = (int64_t)(vb - ((s + t) << 1)); /* both in: the nearer */
+    return cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+}
+
+static const char PAIRS[] = "00010203040506070809101112131415161718192021222324252627282930"
+                            "31323334353637383940414243444546474849505152535455565758596061"
+                            "62636465666768697071727374757677787980818283848586878889909192"
+                            "93949596979899";
+
+/* f 10^k as repr writes it, f > 0; returns the end */
+static inline char *
+put_decimal(char *p, uint64_t f, int k)
+{
+    char digits[20], *d = digits + 20;
+    while (f % 10 == 0) {
+        f /= 10;
+        k++;
+    }
+    for (; f >= 100; f /= 100)
+        memcpy(d -= 2, PAIRS + 2 * (f % 100), 2);
+    if (f >= 10)
+        memcpy(d -= 2, PAIRS + 2 * f, 2);
+    else
+        *--d = (char)('0' + f);
+    const int n = (int)(digits + 20 - d), decpt = n + k;
+    if (decpt <= -4 || decpt > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        int e = decpt - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100) {
+            *p++ = (char)('0' + e / 100);
+            e %= 100;
+        }
+        memcpy(p, PAIRS + 2 * e, 2);
+        return p + 2;
+    }
+    if (decpt <= 0) {
+        memcpy(p, "0.000", 2 - decpt);
+        p += 2 - decpt;
+        memcpy(p, d, n);
+        return p + n;
+    }
+    if (decpt < n) {
+        memcpy(p, d, decpt);
+        p[decpt] = '.';
+        memcpy(p + decpt + 1, d + decpt, n - decpt);
+        return p + n + 1;
+    }
+    memcpy(p, d, n);
+    p += n;
+    memset(p, '0', decpt - n);
+    p += decpt - n;
+    memcpy(p, ".0", 2);
+    return p + 2;
+}
+
+/* repr(x) at p; returns the end */
+static inline char *
+put_repr(char *p, double x, const uint64_t *table)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t t = bits & (C_MIN - 1);
+    const int bq = (int)(bits >> 52) & 0x7ff;
+    if (bq == 0x7ff) {
+        if (t != 0) {
+            memcpy(p, "nan", 3);
+            return p + 3;
+        }
+        if (bits >> 63)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (bits << 1 == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    const int mq = bq ? 1075 - bq : -Q_MIN; /* -q, subnormals included */
+    const uint64_t c = bq ? C_MIN | t : t;
+    if (0 < mq && mq < 53 && (c >> mq) << mq == c) /* an integer below 2^53 */
+        return put_decimal(p, c >> mq, 0);
+    int k;
+    const uint64_t f = shortest(-mq, c, table, &k);
+    return put_decimal(p, f, k);
+}
+
+/* rows lines of cols values each, from a C-contiguous table; out holds at
+ * least rows * cols * 25 bytes (compiled.TEXT_BYTES: the longest value,
+ * -1.2345678901234567e-308, and a separator). Returns the bytes written. */
+int64_t
+cohstab_format_rows(int64_t rows, int64_t cols, const double *values, const uint64_t *g,
+                    char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t j = 0; j < cols; j++) {
+            p = put_repr(p, *values++, g);
+            *p++ = ',';
+        }
+        p[-1] = '\n';
+    }
+    return p - out;
+}
+#endif

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohstab import cli, coherence, dynamics
+from cohstab.kernel import compiled
 from cohstab.cli import main
 from cohstab.scenario import MAX_SCENARIO_BYTES, MAX_TERMS, parse_scenario
 
@@ -83,9 +84,13 @@ def test_record_without_eigenvalue_writes_nan(gens1):
     assert rows[2] == ["1.0"] + negated + ["-0.5", "-0.0"] + negated * 2 + ["0.001", "-0.0"]
 
 
-def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch):
+@pytest.mark.parametrize("text", ["formatter", "repr"])
+def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch, text):
     # rows of 11 values, 2 to a block of text: 7 rows make 4 blocks, the last
-    # short; the values take every form repr gives a float
+    # short; the values take every form repr gives a float; the text of the
+    # compiled formatter, and of repr where the library does not load
+    if text == "repr":
+        monkeypatch.setattr(compiled, "formatter", lambda: None)
     cfg = dynamics.IntegrationConfig(6.0, 1.0, stride=1)
     rng = np.random.default_rng(5)
     lams = rng.standard_normal((7, 2 * gens1.dim)) * 10.0 ** rng.integers(-320, 300, (7, 1))
@@ -103,6 +108,33 @@ def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch):
     table = np.column_stack((traj.times, lams, traj.residuals, traj.norm_dev))
     csv.writer(want, lineterminator="\n").writerows(list(map(repr, r)) for r in table.tolist())
     assert "".join(blocks) == want.getvalue()
+
+
+@pytest.mark.parametrize("text", ["formatter", "repr"])
+def test_trajectory_write_peaks_near_one_block(gens1, tmp_path, monkeypatch, text):
+    # 40,001 records of 11 values are about 8 MB of text, written a block at
+    # a time: over what the header's write holds (csv.writer's 128 KiB
+    # record buffer), the formatter holds one block's buffer of
+    # CSV_BLOCK_VALUES * TEXT_BYTES bytes and its text; repr's %-format
+    # holds the block's floats as a list and a tuple besides
+    if text == "repr":
+        monkeypatch.setattr(compiled, "formatter", lambda: None)
+    cfg = dynamics.IntegrationConfig(4.0, 1e-4, stride=1)
+    n = cfg.n_steps + 1
+    rng = np.random.default_rng(11)
+    traj = dynamics.Trajectory(
+        "fermion", cfg, cfg.record_indices(), np.zeros((n, 2, gens1.dim), dtype=complex),
+        lams=rng.standard_normal((n, 2 * gens1.dim)).view(complex), residuals=rng.random(n),
+        norm_dev=-rng.random(n), grid=cfg.times(), gens=gens1)
+    path = tmp_path / "long.csv"
+    header, text = cli._trajectory_rows(traj)
+    cli._write_csv(path, header, text=text)  # the first use builds the formatter's table
+    _, header_peak = _traced_peak(lambda: cli._write_csv(path, header))
+    header, text = cli._trajectory_rows(traj)
+    _, peak = _traced_peak(lambda: cli._write_csv(path, header, text=text))
+    block = cli.CSV_BLOCK_VALUES * compiled.TEXT_BYTES
+    assert path.stat().st_size > 80 * block
+    assert peak - header_peak < (2 if compiled.formatter() is not None else 3) * block
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -529,18 +529,115 @@ def test_zero_skip_keeps_nan_of_zero_times_inf():
     assert np.isnan(got[1].real) and np.array_equal(nan_blind_bits(got), nan_blind_bits(want))
 
 
+# -- the trajectory CSV's float text -------------------------------------------
+
+
+def _repr_text(table) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+def _structured_bits() -> np.ndarray:
+    """Raw bits, both signs of each: every power of two and its neighbours,
+    every power of ten (the layout's switch points 1e-5, 1e-4 and 1e16
+    among them) and its neighbours, the first 20,000 subnormals and 20,000
+    spread over the rest, integers below and past 2^53, decimal-like values,
+    and NaN payloads."""
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.uint64)
+    pow10 = np.array([float(f"1e{e}") for e in range(-323, 309)]).view(np.uint64)
+    ints = np.concatenate([np.arange(1, 2000.0), 2.0**53 + np.arange(-8, 9) * 2.0])
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                     0x7FF4000000000000], dtype=np.uint64)
+    subnormals = np.concatenate([np.arange(1, 20_001), np.arange(1, 2**52, 2**52 // 20_000)])
+    positive = np.concatenate([
+        [0, 0x7FF0000000000000], pow2, pow2 + 1, pow2[1:] - 1, pow10, pow10 + 1, pow10 - 1,
+        subnormals.astype(np.uint64), ints.view(np.uint64),
+        (np.arange(-20_000, 20_000) / 1000).view(np.uint64), nans]).astype(np.uint64)
+    return np.concatenate([positive, positive | np.uint64(1 << 63)])
+
+
+def test_formatter_writes_repr_of_structured_values():
+    fmt = compiled.formatter()
+    if fmt is None:
+        assert not HAS_COMPILER
+        return
+    values = _structured_bits().view(np.float64)
+    block = values[:len(values) // 7 * 7].reshape(-1, 7)  # rows of 7
+    assert fmt(block) == _repr_text(block)
+    assert fmt(values[-6:].reshape(1, -1)) == _repr_text(values[-6:].reshape(1, -1))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=120),
+       cols=st.integers(1, 6))
+def test_formatter_writes_repr_of_raw_bit_patterns(patterns, cols):
+    fmt = compiled.formatter()
+    if fmt is None:
+        assert not HAS_COMPILER
+        return
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    rows = values[:len(values) // cols * cols].reshape(-1, cols)
+    if len(rows):
+        assert fmt(rows) == _repr_text(rows)
+    # and 4,096 patterns more, seeded by the draw
+    drawn = np.random.default_rng(patterns).integers(0, 2**64, 2**12, dtype=np.uint64)
+    rows = drawn.view(np.float64).reshape(-1, 8)
+    assert fmt(rows) == _repr_text(rows)
+
+
+@pytest.mark.parametrize("block", [np.zeros(4), np.zeros((2, 4), np.float32),
+                                   np.zeros((2, 8))[:, ::2], np.zeros((3, 0)),
+                                   [[0.0, 1.0]]],
+                         ids=["1d", "float32", "strided", "no_columns", "list"])
+def test_formatter_refuses_a_block_it_cannot_read(block):
+    fmt = compiled.formatter()
+    if fmt is None:
+        assert not HAS_COMPILER
+        return
+    with pytest.raises(ValueError, match="block is not"):
+        fmt(block)
+
+
+def test_pow10_table_is_schubfach_g():
+    # g = floor(beta) + 1 for 10^-k = beta 2^r, 2^125 <= beta < 2^126, as
+    # (g >> 63, g mod 2^63), from exact fractions
+    from fractions import Fraction
+
+    table = compiled._pow10_table()
+    assert table.shape == (617, 2) and table.dtype == np.uint64
+    for k, (g1, g0) in zip(range(-324, 293), table.tolist()):
+        x = Fraction(10) ** -k
+        r = x.numerator.bit_length() - x.denominator.bit_length() - 126
+        while x / Fraction(2) ** r >= 2**126:
+            r += 1
+        while x / Fraction(2) ** r < 2**125:
+            r -= 1
+        g = math.floor(x / Fraction(2) ** r) + 1
+        assert (g1, g0) == (g >> 63, g & (2**63 - 1))
+
+
 # -- fallback and build hygiene ------------------------------------------------
 
 
-def _golden_runs(tmp_path, names=SCENARIOS) -> dict:
-    """Whether `coherence run` writes each scenario's golden files byte for byte."""
-    same = {}
-    for name in names:
-        out = tmp_path / name
-        assert main(["run", str(ROOT / "scenarios" / f"{name}.ini"), "--out", str(out)]) == 0
-        for produced in sorted(out.glob("*.csv")):
-            same[produced.name] = (produced.read_bytes()
-                                   == (ROOT / "tests" / "golden" / produced.name).read_bytes())
+def _golden_runs(tmp_path, names=SCENARIOS, formatter=True) -> dict:
+    """Whether `coherence run` writes each scenario's golden files byte for
+    byte. The trajectory's text comes from the compiled formatter exactly
+    when the library loads, unless `formatter` is False, and from repr
+    otherwise."""
+    same, formatted, loaded = {}, [], compiled.formatter
+
+    def spied():
+        fmt = loaded()
+        return None if fmt is None else lambda block: (formatted.append(1), fmt(block))[1]
+
+    with mock.patch.object(compiled, "formatter", spied):
+        for name in names:
+            out = tmp_path / name
+            assert main(["run", str(ROOT / "scenarios" / f"{name}.ini"),
+                         "--out", str(out)]) == 0
+            for produced in sorted(out.glob("*.csv")):
+                same[produced.name] = (produced.read_bytes() == (
+                    ROOT / "tests" / "golden" / produced.name).read_bytes())
+    assert bool(formatted) == (formatter and compiled.product() is not None)
     return same
 
 
@@ -562,6 +659,26 @@ def test_missing_compiler_runs_numpy_loop_with_identical_goldens(fresh_cache, tm
     assert compiled.status() == ("numpy loop: no compiled library (no C compiler "
                                  "'no-such-cc-for-cohstab' on PATH)")
     assert not fresh_cache.exists()
+
+
+def test_compiled_formatter_writes_identical_goldens(tmp_path):
+    same = _golden_runs(tmp_path)
+    assert len(same) == 8 and all(same.values()), same
+    assert (compiled.formatter() is not None) == HAS_COMPILER
+
+
+def test_library_without_int128_loads_without_the_formatter(fresh_cache, tmp_path,
+                                                            monkeypatch):
+    # rk4.c compiles its formatter out where gcc has no 128-bit integers; the
+    # rest loads, and the trajectory's text comes from repr
+    monkeypatch.setattr(compiled, "FLAGS", compiled.FLAGS + ("-U__SIZEOF_INT128__",))
+    if not HAS_COMPILER:
+        assert compiled.formatter() is None
+        return
+    assert compiled.status().startswith("compiled C loop")
+    assert compiled.product() is not None and compiled.formatter() is None
+    same = _golden_runs(tmp_path, ("grassmann_forced",), formatter=False)
+    assert len(same) == 2 and all(same.values()), same
 
 
 def test_failed_build_runs_numpy_loop_quietly(fresh_cache, tmp_path, capfd, monkeypatch):

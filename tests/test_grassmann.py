@@ -36,6 +36,19 @@ def zeta_star(gens1):
     return gens1.gen("zeta*")
 
 
+@pytest.mark.parametrize("n_pairs", range(tables.MAX_GENERATORS // 2 + 1))
+def test_monomial_labels_name_each_mask_s_generators(n_pairs):
+    gens = GeneratorSet.from_pairs(f"g{k}" for k in range(n_pairs))
+    labels = gens.monomial_labels
+    assert labels is gens.monomial_labels  # built once per generator set
+    assert labels == tuple(" ".join(n for i, n in enumerate(gens.names) if mask >> i & 1)
+                           or "1" for mask in range(gens.dim))
+
+
+def test_repr_labels_terms(gens1, zeta, zeta_star):
+    assert repr(2 + 0.5 * zeta * zeta_star) == "((2+0j)) + ((0.5+0j))*[zeta zeta*]"
+
+
 # -- multiplication ----------------------------------------------------------
 
 
