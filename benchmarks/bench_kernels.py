@@ -35,7 +35,9 @@ microseconds per record of what the evolution computes from its records
 write": nanoseconds per value of the trajectory CSV's text and its write,
 for the trajectory of each file in scenarios/ and a 256-coefficient one.
 Then the wall time of each file in scenarios/, run as `coherence run` runs
-it, with a byte check of its trajectory against tests/golden/.
+it, with a byte check of its trajectory against tests/golden/. Last, the
+memory of a long run: free_fermion and boson_forced on 10**6 grid steps at
+stride 100, under tracemalloc, once per column.
 
 Every measurement runs the same way. This checkout's src/cohstab, and with
 --baseline a `git archive` of REV's, are copied under distinct package
@@ -52,9 +54,9 @@ only what the parent's tree has.
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import importlib
-import inspect
 import io
 import json
 import os
@@ -66,6 +68,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,8 @@ STEP_GRID = (0.2, 1e-3)  # t_end and dt of the step layers: 200 grid steps
 STEP_RUNS = 10
 RHS_CALLS = 1000
 OBSERVER_GRID = (0.2, 1e-3, 1)  # t_end, dt and stride: 201 records
+LONG_RUN = (1000.0, 1e-3, 100)  # t_end, dt and stride: 10**6 grid steps, 10,001 records
+LONG_RUN_SCENARIOS = ("free_fermion", "boson_forced")
 
 
 @contextlib.contextmanager
@@ -261,7 +266,8 @@ def bench_rk4_step(packages: dict) -> dict:
     per call of the tree's dynamics._rk4_step on the evolution's start as
     one row, stepped over the grid with the dt run's coefficient rows
     (columns 0, 2 and 4 of a step's 5 stage times), as the driver's numpy
-    loop hands them. The tables are built before the timing."""
+    loop hands them. The tables are built before the timing, by the tree's
+    _coeff_tables from the grid argument the evolution gave its driver."""
     def timed(dynamics, cfg, rhs, y0, tables):
         y = np.asarray(y0, dtype=np.complex128)[None]
         t0 = time.process_time()
@@ -272,8 +278,8 @@ def bench_rk4_step(packages: dict) -> dict:
 
     cases = {col: {} for col in packages}
     for col, pkg in packages.items():
-        for name, (dynamics, cfg, rhs, (coeffs, y0, *_), _) in _step_cases(pkg).items():
-            tables = list(dynamics._coeff_tables(coeffs, cfg.times()))
+        for name, (dynamics, cfg, rhs, (coeffs, y0, grid, *_), _) in _step_cases(pkg).items():
+            tables = list(dynamics._coeff_tables(coeffs, grid))
             cases[col][name] = functools.partial(timed, dynamics, cfg, rhs, y0, tables)
     return _alternate(cases, "us")
 
@@ -307,13 +313,11 @@ def bench_grassmann_runs(packages: dict) -> dict:
     Grassmann law. Reported are the CPU time of this process and the Python
     RHS calls of every driver loop, per grid step. The counted RHS keeps
     the RHS's compiled program, so the driver runs the loop it would run
-    unwatched. A tree whose verify_trajectory still takes the law is
-    passed "grassmann"; a newer one takes the law from the trajectory."""
+    unwatched."""
     n_steps = int(round(STEP_GRID[0] / STEP_GRID[1]))
 
     def timed(dynamics, verify, evolve):
         integrate, count = dynamics._integrate, [0]
-        law = ("grassmann",) if len(inspect.signature(verify).parameters) > 1 else ()
 
         def counting(rhs, *args, **kw):
             def counted(*a):
@@ -325,7 +329,7 @@ def bench_grassmann_runs(packages: dict) -> dict:
 
         with _patched(dynamics, "_integrate", counting):
             t0 = time.process_time()
-            verify(evolve(), *law)
+            verify(evolve())
             spent = time.process_time() - t0
         return {"step_us": spent / n_steps * 1e6, "rhs_calls_per_step": count[0] / n_steps}
 
@@ -382,27 +386,21 @@ def bench_observer(packages: dict) -> dict:
     evolutions, per size.
 
     Each case evolves the step layers' spec and start (see _evolutions) on
-    OBSERVER_GRID once and keeps its records and the gaps its driver
-    reports, as (records, gaps) or, from a tree whose driver fills a
-    `gaps=` list, in that list; then the evolution runs with its driver
-    replaced by one that returns those records, all of them or the first
-    alone, and the gaps, as the driver did. Reported is the difference of
-    the two wall times per extra record, so what the evolution does once
-    (plan, coefficient checks) cancels.
+    OBSERVER_GRID once and keeps the (records, gaps) its driver returns;
+    then the evolution runs with its driver replaced by one that returns
+    those records, all of them or the first alone, and the gaps. Reported
+    is the difference of the two wall times per extra record, so what the
+    evolution does once (plan, coefficient checks) cancels.
     """
-    def run(dynamics, evolve, cfg, records, kept_gaps, paired):
-        def replay(*args, gaps=None, **kw):  # the kept run's records and gaps
-            gaps is None or gaps.extend(kept_gaps)  # a tree with a gaps= list
-            return (records.copy(), kept_gaps) if paired else records.copy()
-
-        with _patched(dynamics, "_integrate", replay):
+    def run(dynamics, evolve, cfg, records, gaps):
+        with _patched(dynamics, "_integrate", lambda *args, **kw: (records.copy(), gaps)):
             t0 = time.perf_counter()
             evolve(cfg)
             return time.perf_counter() - t0
 
-    def timed(dynamics, evolve, cfg, records, gaps, paired):
-        extra = (run(dynamics, evolve, cfg, records, gaps, paired)
-                 - run(dynamics, evolve, cfg, records[:1], gaps, paired))
+    def timed(dynamics, evolve, cfg, records, gaps):
+        extra = (run(dynamics, evolve, cfg, records, gaps)
+                 - run(dynamics, evolve, cfg, records[:1], gaps))
         return {"us": extra / (len(records) - 1) * 1e6}
 
     cases = {col: {} for col in packages}
@@ -411,11 +409,9 @@ def bench_observer(packages: dict) -> dict:
         cfg = dynamics.IntegrationConfig(*OBSERVER_GRID)
         for name, evolve in _evolutions(pkg).items():
             if "schrodinger" in name:
-                (_, _, kw), returned = _driver_args(dynamics, evolve, cfg)
-                paired = isinstance(returned, tuple)
-                records, gaps = returned if paired else (returned, kw.get("gaps", []))
+                _, (records, gaps) = _driver_args(dynamics, evolve, cfg)
                 cases[col][name.replace("schrodinger", "observer")] = functools.partial(
-                    timed, dynamics, evolve, cfg, records, list(gaps), paired)
+                    timed, dynamics, evolve, cfg, records, gaps)
     return _alternate(cases, "us")
 
 
@@ -482,6 +478,43 @@ def bench_scenarios(packages: dict) -> dict:
                    for name in SCENARIOS}
              for col, pkg in packages.items()}
     return _alternate(cases, reduce={"exit_code": max, "golden_match": all})
+
+
+def bench_long_run(packages: dict) -> dict:
+    """Memory of a long run: each of LONG_RUN_SCENARIOS from scenarios/ on
+    IntegrationConfig(*LONG_RUN), run as `coherence run` runs it, under
+    tracemalloc. Reported, in MB, are what the Schrödinger evolution holds
+    when it returns and run_scenario's peak, with run_scenario's exit code.
+    Each is measured once per column: tracemalloc counts the same bytes on
+    every run."""
+    def watched(evolve, held):
+        def run(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            traj = evolve(*args)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            return traj
+
+        return run
+
+    out = {col: {} for col in packages}
+    for col, pkg in packages.items():
+        cli, dynamics = _module(pkg, "cli"), _module(pkg, "dynamics")
+        for name in LONG_RUN_SCENARIOS:
+            scenario = _module(pkg, "scenario").parse_scenario(ROOT / "scenarios" / f"{name}.ini")
+            scenario = dataclasses.replace(scenario, config=dynamics.IntegrationConfig(*LONG_RUN))
+            evolve = f"evolve_schrodinger_{'boson' if scenario.kind == 'boson' else 'fermion'}"
+            held = []
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                    _patched(cli, evolve, watched(getattr(cli, evolve), held)):
+                tracemalloc.start()
+                try:
+                    code = cli.run_scenario(scenario, tmp)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            out[col][name] = {"evolution_mb": held[0] / 1e6, "run_scenario_peak_mb": peak / 1e6,
+                              "exit_code": code}
+    return out
 
 
 def _git(*args) -> str:
@@ -558,6 +591,10 @@ def _print_column(name: str, data: dict) -> None:
     for scen, res in data["scenarios"].items():
         print(f"  {scen:<17} {res['run_s']:7.2f} s  exit {res['exit_code']}  "
               f"golden {'match' if res['golden_match'] else 'DIFFERS'}")
+    for scen, res in data["long_run_mb"].items():
+        print(f"  {scen:<17} long run: the evolution holds {res['evolution_mb']:6.1f} MB, "
+              f"run_scenario peaks at {res['run_scenario_peak_mb']:6.1f} MB "
+              f"(exit {res['exit_code']})")
 
 
 def main() -> None:
@@ -587,6 +624,7 @@ def main() -> None:
                 "observer_us_per_record": bench_observer(packages),
                 "csv_write_ns_per_value": bench_csv_write(packages),
                 "scenarios": bench_scenarios(packages),
+                "long_run_mb": bench_long_run(packages),
             }
             backends = {col: _backend(pkg) for col, pkg in packages.items()}
             sizes = {col: _source_lines(Path(tmp) / "pkgs" / pkg)

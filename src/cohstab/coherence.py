@@ -106,24 +106,24 @@ def classify_hamiltonian(spec: HamiltonianSpec, config: IntegrationConfig,
     """Preserving/non-preserving verdict, with a dynamic cross-check for
     the fermion kind.
 
-    The forcing is read from slot_rows on the grid (a `trajectory`'s own,
-    if given) a block of TABLE_BYTES of rows at a time, which refuses a
-    non-real omega or scalar and a non-finite coefficient (StepTooLarge);
-    then a `trajectory` not of `spec` on `config` is refused (ValidationError).
+    The forcing is read from slot_rows at config's grid times, a block of
+    TABLE_BYTES of rows at a time, which refuses a non-real omega or scalar
+    and a non-finite coefficient (StepTooLarge); then a `trajectory` not of
+    `spec` on `config` is refused (ValidationError).
     Boson and grassmann kinds always preserve; nothing is integrated. A
     fermion kind preserves iff the forcing vanishes on the grid. Its witness is `trajectory`,
     or one evolved from the coherent state of the first generator:
     dynamic_max_residual is its worst residual, and agrees says whether that
     residual, against DYNAMIC_RESIDUAL_TOL, gives the static verdict.
     """
-    times = _check_spec(spec, VALID_KINDS,
-                        config.times if trajectory is None else lambda: trajectory.grid)
+    _check_spec(spec, VALID_KINDS)
     max_forcing, witness_time = 0.0, None
-    for rows in kernel.row_blocks(times.size, 64):  # a slot row: 4 complex values
-        forcing = np.abs(spec.slot_rows(times[rows])[:, 2])
+    for rows in kernel.row_blocks(config.n_steps + 1, 64):  # a slot row: 4 complex values
+        times = config.times(rows)
+        forcing = np.abs(spec.slot_rows(times)[:, 2])
         max_forcing = max(max_forcing, float(np.max(forcing)))
         if witness_time is None and (forcing > STATIC_ZERO_TOL).any():
-            witness_time = float(times[rows][np.argmax(forcing > STATIC_ZERO_TOL)])
+            witness_time = float(times[np.argmax(forcing > STATIC_ZERO_TOL)])
     if trajectory is not None and (trajectory.spec != spec or trajectory.config != config):
         raise ValidationError("a witness trajectory of another spec or config")
     if spec.kind != "fermion":
@@ -253,9 +253,8 @@ def verify_trajectory(traj: Trajectory) -> VerificationReport:
 
     law = "fermion_free" if traj.kind == "fermion" else traj.kind
     if law == "fermion_free":
-        times = traj.grid
-        omega = _slot_columns(traj.spec, times, [3])[:, 0]
-        phase = cumulative_simpson(omega.real, times[1] - times[0])
+        omega = _slot_columns(traj.spec, traj.config, [3])[:, 0]
+        phase = cumulative_simpson(omega.real, traj.config.t_end / traj.config.n_steps)
         rotation = np.exp(-1j * phase[traj.record_indices])
         max_dev = float(np.max(np.abs(traj.lams - rotation[:, None] * traj.lams[0])))
     elif law == "grassmann":
@@ -273,7 +272,7 @@ def verify_trajectory(traj: Trajectory) -> VerificationReport:
             block_devs.append(np.max(np.abs(traj.amplitudes[rows] - reference)))
         state_dev = float(np.max(block_devs))
     else:
-        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]), traj.grid)
+        z_closed = _boson_closed_form(traj.spec, complex(traj.lams[0, 0]), traj.config)
         max_dev = float(np.max(np.abs(traj.lams[:, 0] - z_closed[traj.record_indices])))
 
     passed = max_dev <= VERIFY_TOL and max_res <= VERIFY_TOL

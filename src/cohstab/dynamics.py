@@ -114,8 +114,14 @@ class IntegrationConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
+    def times(self, rows=slice(None)) -> np.ndarray:
+        """Grid times at `rows`, a slice or integer indices (all by default):
+        i * (t_end / n_steps) + 0.0, t_end at n_steps: np.linspace(0, t_end,
+        n_steps + 1)[rows] bit for bit, whose zero-step branch is never taken,
+        as dt >= 5e-324 and n_steps <= MAX_STEPS keep t_end / n_steps above 0."""
+        n = self.n_steps
+        i = np.arange(*rows.indices(n + 1)) if isinstance(rows, slice) else np.asarray(rows)
+        return np.where(i == n, self.t_end, i * (self.t_end / n) + 0.0)
 
     @property
     def n_records(self) -> int:  # len(record_indices()), without building it
@@ -245,16 +251,13 @@ class DenseHamiltonian:
         return None
 
 
-def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = None,
-                records=(0, 0)) -> np.ndarray:
-    """The times grid() returns, once `spec` passes: the one grid of an
-    evolution, which its driver steps on. Refuses, in this order: anything
-    but a HamiltonianSpec or, given `gens`, a DenseHamiltonian, a kind not
-    in `kinds` (both ValidationError), a set other than `gens`
+def _check_spec(spec, kinds: tuple[str, ...], gens: GeneratorSet | None = None, records=(0, 0)):
+    """Refuse, in this order, before anything is allocated: anything but a
+    HamiltonianSpec or, given `gens`, a DenseHamiltonian, a kind not in
+    `kinds` (both ValidationError), a set other than `gens`
     (MismatchedGenerators), and `records` = (n_records, values each) of
-    over MAX_STEPS + 1 complex values, 160 MB (ValidationError); grid is
-    called only after all four pass. slot_rows checks the coefficients
-    wherever they are read."""
+    over MAX_STEPS + 1 complex values, 160 MB (ValidationError). slot_rows
+    checks the coefficients wherever they are read."""
     types = (HamiltonianSpec,) if gens is None else (HamiltonianSpec, DenseHamiltonian)
     if not isinstance(spec, types):
         raise ValidationError(f"a {type(spec).__name__} where a "
@@ -268,14 +271,12 @@ def _check_spec(spec, kinds: tuple[str, ...], grid, gens: GeneratorSet | None = 
     if n_records * values > MAX_STEPS + 1:
         raise ValidationError(f"{n_records} records of {values} complex values exceed "
                               f"the record bound of {MAX_STEPS + 1} values")
-    return grid()
 
 
 def hamiltonian_operator(spec, t: float, gens: GeneratorSet) -> FermionOperator:
     """The fermion-sector operator of a spec or DenseHamiltonian at one time."""
-    ts = np.array([t], dtype=float)
-    _check_spec(spec, ("fermion", "grassmann"), lambda: ts, gens)
-    c = _dense_slots(spec.slot_rows, spec.slot_masks(gens), gens.dim)(ts)
+    _check_spec(spec, ("fermion", "grassmann"), gens)
+    c = _dense_slots(spec.slot_rows, spec.slot_masks(gens), gens.dim)(np.array([t], dtype=float))
     return FermionOperator(gens, *(Multivector(gens, row) for row in c[0]))
 
 
@@ -372,25 +373,27 @@ class Trajectory:
     amplitudes (n_records, 2, dim) or a boson's (n_records, levels); the
     eigenvalues lams (n_records, dim) or a boson's (n_records, 1), all NaN
     where a record has none (residual inf); residuals and norm_dev; the
-    Grassmann law at the same records, if the run carried it; grid, the
-    evolution's grid that _check_spec returned. states, eigenvalues and
-    phase_factors are their objects, built when first read."""
+    Grassmann law at the same records, if the run carried it. record_indices
+    and times follow from config; states, eigenvalues and phase_factors are
+    the records' objects. Each is built when first read."""
 
     kind: str
     config: IntegrationConfig
-    record_indices: np.ndarray
     amplitudes: np.ndarray
     lams: np.ndarray
     residuals: np.ndarray
     norm_dev: np.ndarray
-    grid: np.ndarray
     spec: HamiltonianSpec | DenseHamiltonian | None = None
     gens: GeneratorSet | None = None
     law: GrassmannPath | None = None  # a grassmann spec's, see evolve_schrodinger_fermion
 
+    @functools.cached_property
+    def record_indices(self) -> np.ndarray:
+        return self.config.record_indices()
+
     @property
     def times(self) -> np.ndarray:
-        return self.grid[self.record_indices]
+        return self.config.times(self.record_indices)
 
     @functools.cached_property
     def states(self) -> list:
@@ -440,8 +443,8 @@ def _gate(label: str, gap: float) -> None:
         )
 
 
-def _integrate(rhs, coeffs, y0, times: np.ndarray, label, record=None, check=None):
-    """Fixed-step RK4 on the uniform grid `times`, gated by a re-run at dt/2.
+def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label, record=None, check=None):
+    """Fixed-step RK4 on config's uniform grid, gated by a re-run at dt/2.
 
     `coeffs(ts)` evaluates the evolution's coefficients at a 1-D array of
     times, one row per time; `rhs(c, Y)` takes a batch of states Y of shape
@@ -450,19 +453,20 @@ def _integrate(rhs, coeffs, y0, times: np.ndarray, label, record=None, check=Non
     all of the chunk's stage times (see _coeff_tables), and hands each
     stage its rows, so no RHS looks anything up by time.
 
-    `times` is the grid the caller's _check_spec returned, having bounded
-    the records; the driver builds no grid of its own. Returns (records,
-    gaps): the states at the grid indices `record` (every grid point by
-    default) along a new leading axis, and each system's endpoint gap (see
-    below). Before anything is allocated it refuses (ValidationError) a
-    `record` that is not strictly increasing integers in 0..n_steps. The
-    loop runs each chunk's grid steps in blocks of as many states as fit
-    CHECK_BYTES, writing the dt run's states into a buffer that the next
-    block reuses; the records are copied out of it. `check(ts, states)`
-    sees every grid point of the dt run: first the start on its own, then
-    each block, with its times. The dt/2 run keeps only its endpoint;
-    unless that lies within STEP_TOL of the dt endpoint (NaN never does)
-    the evolution is refused with StepTooLarge; slot_rows checks coefficients.
+    The caller's _check_spec has bounded the records; the driver reads the
+    grid's times from config a chunk at a time, for `check` too. Returns
+    (records, gaps): the states at the grid indices `record` (every grid
+    point by default) along a new leading axis, and each system's endpoint
+    gap (see below). Before anything is allocated it refuses
+    (ValidationError) a `record` that is not strictly increasing integers
+    in 0..n_steps. The loop runs each chunk's grid steps in blocks of as
+    many states as fit CHECK_BYTES, writing the dt run's states into a
+    buffer that the next block reuses; the records are copied out of it.
+    `check(ts, states)` sees every grid point of the dt run: first the
+    start on its own, then each block, with its times. The dt/2 run keeps
+    only its endpoint; unless that lies within STEP_TOL of the dt endpoint
+    (NaN never does) the evolution is refused with StepTooLarge; slot_rows
+    checks coefficients.
 
     `label` names the system, or is a tuple of labels of systems stacked
     in equal parts along y0's leading axis, whose rows the rhs keeps apart.
@@ -487,11 +491,11 @@ def _integrate(rhs, coeffs, y0, times: np.ndarray, label, record=None, check=Non
         record = np.asarray(record)
         if not (record.ndim == 1 and record.dtype.kind in "iu"
                 and np.all(record[1:] > record[:-1])
-                and np.all((record >= 0) & (record < times.size))):
+                and np.all((record >= 0) & (record <= config.n_steps))):
             raise ValidationError("record must be strictly increasing grid indices "
-                                  f"in 0..{times.size - 1}")
+                                  f"in 0..{config.n_steps}")
     labels = (label,) if isinstance(label, str) else label
-    keep = np.arange(times.size) if record is None else record.astype(np.int64)
+    keep = np.arange(config.n_steps + 1) if record is None else record.astype(np.int64)
     records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
     program = getattr(rhs, "program", None)
     run = None if program is None else program.runner()
@@ -503,16 +507,17 @@ def _integrate(rhs, coeffs, y0, times: np.ndarray, label, record=None, check=Non
     block = max(1, CHECK_BYTES // y.nbytes)
     states = np.empty((block,) + y.shape, dtype=np.complex128)  # a block's dt-run states
     if check is not None:
-        check(times[:1], pair[:1])
+        check(config.times(slice(0, 1)), pair[:1])
     if keep.size and keep[0] == 0:
         records[0] = y
     i = 0
-    for table, dts in _coeff_tables(coeffs, times):
+    for table, dts in _coeff_tables(coeffs, config):
+        ts = None if check is None else config.times(slice(i + 1, i + len(dts) + 1))
         for a in range(0, len(dts), block):  # grid steps i + 1 .. i + n
             n = min(block, len(dts) - a)
             run(table[a:a + n], dts[a:a + n], pair, states[:n])
             if check is not None:
-                check(times[i + 1:i + n + 1], states[:n])
+                check(ts[a:a + n], states[:n])
             lo, hi = np.searchsorted(keep, (i + 1, i + n + 1))
             records[lo:hi] = states[keep[lo:hi] - i - 1]
             i += n
@@ -553,19 +558,19 @@ def _stage_times(times: np.ndarray):
     return lattice, dts
 
 
-def _coeff_tables(coeffs, times: np.ndarray):
-    """Yield the coefficient rows of every stage of the grid steps over
-    `times`, chunk by chunk, each as (table, dts): a (K, 5) + row shape
-    table in the column order of _stage_times, and the chunk's steps.
+def _coeff_tables(coeffs, config: IntegrationConfig):
+    """Yield the coefficient rows of every stage of config's grid steps,
+    chunk by chunk, each as (table, dts): a (K, 5) + row shape table in the
+    column order of _stage_times, and the chunk's steps.
 
     Each chunk evaluates `coeffs` once on all of its stage times, a time that
     recurs at each place it holds, and reshapes the rows into the table. The
     first chunk is one step; its rows size the rest to fit TABLE_BYTES.
     """
     a, chunk = 0, 1
-    while a < times.size - 1:
-        b = min(a + chunk, times.size - 1)
-        lattice, dts = _stage_times(times[a:b + 1])
+    while a < config.n_steps:
+        b = min(a + chunk, config.n_steps)
+        lattice, dts = _stage_times(config.times(slice(a, b + 1)))
         values = np.asarray(coeffs(lattice.reshape(-1)), dtype=np.complex128)
         del lattice  # while the driver steps, only the table (a view of values) is held
         yield values.reshape(dts.shape[:1] + (5,) + values.shape[1:]), dts
@@ -591,37 +596,37 @@ def _rk4_step(rhs, c, c_mid, c_next, dt, y):
 def evolve_classical_boson(spec: HamiltonianSpec, z0: complex,
                            config: IntegrationConfig) -> ClassicalBosonPath:
     """Integrate i z' = omega z + f and cross-validate with the closed form."""
-    times = _check_spec(spec, ("boson",), config.times)
+    _check_spec(spec, ("boson",))
 
     def rhs(c, y):
         _, _, f, w = c.T[:, :, None]
         return -1j * (w * y + f)
 
     y0 = np.array([z0], dtype=np.complex128)
-    series, _ = _integrate(rhs, spec.slot_rows, y0, times, "classical boson")
-    return ClassicalBosonPath(times, series[:, 0], _boson_closed_form(spec, z0, times))
+    series, _ = _integrate(rhs, spec.slot_rows, y0, config, "classical boson")
+    return ClassicalBosonPath(config.times(), series[:, 0], _boson_closed_form(spec, z0, config))
 
 
-def _slot_columns(spec: HamiltonianSpec, times: np.ndarray, cols: list[int]) -> np.ndarray:
-    """The columns `cols` of spec.slot_rows on the grid, with its refusals,
-    read a block of TABLE_BYTES of rows at a time."""
-    blocks = kernel.row_blocks(times.size, 64)  # a slot row: 4 complex values
-    return np.concatenate([spec.slot_rows(times[rows])[:, cols] for rows in blocks])
+def _slot_columns(spec: HamiltonianSpec, config: IntegrationConfig, cols: list[int]) -> np.ndarray:
+    """The columns `cols` of spec.slot_rows on config's grid, with its
+    refusals, read a block of TABLE_BYTES of rows at a time."""
+    blocks = kernel.row_blocks(config.n_steps + 1, 64)  # a slot row: 4 complex values
+    return np.concatenate([spec.slot_rows(config.times(rows))[:, cols] for rows in blocks])
 
 
-def _boson_integrals(spec: HamiltonianSpec, times: np.ndarray):
-    """(phase, drive) on the grid: the integrals of omega and of
+def _boson_integrals(spec: HamiltonianSpec, config: IntegrationConfig):
+    """(phase, drive) on config's grid: the integrals of omega and of
     forcing * exp(i phase), from which the boson closed forms are built."""
-    forcing, omega = _slot_columns(spec, times, [2, 3]).T
-    phase = cumulative_simpson(omega.real, times[1] - times[0])
-    drive = cumulative_simpson(forcing * np.exp(1j * phase), times[1] - times[0])
+    forcing, omega = _slot_columns(spec, config, [2, 3]).T
+    phase = cumulative_simpson(omega.real, config.t_end / config.n_steps)
+    drive = cumulative_simpson(forcing * np.exp(1j * phase), config.t_end / config.n_steps)
     return phase, drive
 
 
 def _boson_closed_form(spec: HamiltonianSpec, z0: complex,
-                       times: np.ndarray) -> np.ndarray:
-    """Closed-form solution of i z' = omega z + f from z0 on the grid."""
-    phase, drive = _boson_integrals(spec, times)
+                       config: IntegrationConfig) -> np.ndarray:
+    """Closed-form solution of i z' = omega z + f from z0 on config's grid."""
+    phase, drive = _boson_integrals(spec, config)
     return np.exp(-1j * phase) * (z0 - 1j * drive)
 
 
@@ -630,15 +635,15 @@ def build_ladder_invariant(spec: HamiltonianSpec, config: IntegrationConfig):
     if getattr(spec, "kind", None) == "fermion":
         return evolve_nu_system(spec, config)
     # "fermion" is listed so that a refusal names both kinds this takes
-    times = _check_spec(spec, ("boson", "fermion"), config.times)
-    phase, drive = _boson_integrals(spec, times)
-    return BosonInvariantPath(times, np.exp(1j * phase), 1j * drive)
+    _check_spec(spec, ("boson", "fermion"))
+    phase, drive = _boson_integrals(spec, config)
+    return BosonInvariantPath(config.times(), np.exp(1j * phase), 1j * drive)
 
 
 def evolve_nu_system(spec: HamiltonianSpec,
                      config: IntegrationConfig) -> FermionInvariantPath:
     """Auxiliary system for the forced-fermion invariant, from (1, 0, 0)."""
-    times = _check_spec(spec, ("fermion",), config.times, records=(config.n_steps + 1, 3))
+    _check_spec(spec, ("fermion",), records=(config.n_steps + 1, 3))
 
     def rhs(c, y):
         _, fc, f, w = c.T[:, :, None]
@@ -654,7 +659,7 @@ def evolve_nu_system(spec: HamiltonianSpec,
 
     y0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
     return FermionInvariantPath(
-        times, _integrate(rhs, spec.slot_rows, y0, times, "nu system")[0])
+        config.times(), _integrate(rhs, spec.slot_rows, y0, config, "nu system")[0])
 
 
 # -- fermion / grassmann Schrödinger evolution --------------------------------
@@ -676,8 +681,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     y0 = np.stack((s0.psi0.coeffs, s0.psi1.coeffs))
     gens = s0.gens
     n_gen = gens.n_generators
-    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
-                        (config.n_records, y0.size))
+    _check_spec(h, ("fermion", "grassmann"), gens, (config.n_records, y0.size))
     masks = h.slot_masks(gens)
     law = False
     # a non-finite start carries no law, so the driver's gate refuses it, not
@@ -688,7 +692,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
             law = True
             y0 = np.concatenate((y0, [zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)]))
     rec_idx = config.record_indices()
-    records, gaps = _integrate(_rhs(n_gen, 2, law, masks), h.slot_rows, y0, times,
+    records, gaps = _integrate(_rhs(n_gen, 2, law, masks), h.slot_rows, y0, config,
                                ("fermion Schrödinger", _LAW_LABEL) if law
                                else "fermion Schrödinger", rec_idx)
     amplitudes = records[:, :2]
@@ -700,9 +704,9 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
     for rows in _record_blocks(amplitudes):
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
-    path = GrassmannPath(gens, times[rec_idx], records[:, 2], records[:, 3],
+    path = GrassmannPath(gens, config.times(rec_idx), records[:, 2], records[:, 3],
                          gaps[1]) if law else None
-    return Trajectory(h.kind, config, rec_idx, amplitudes, lams, residuals, norm_dev, times,
+    return Trajectory(h.kind, config, amplitudes, lams, residuals, norm_dev,
                       spec=h, gens=gens, law=path)
 
 
@@ -714,7 +718,7 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
     """RK4 on truncated amplitudes under omega*a†a + f*a† + conj(f)*a + g,
     refused (TruncationBreach) at the first grid point whose tail mass
     exceeds BREACH_TOL or is NaN."""
-    times = _check_spec(spec, ("boson",), config.times, records=(config.n_records, s0.amps.size))
+    _check_spec(spec, ("boson",), records=(config.n_records, s0.amps.size))
     n = np.arange(s0.amps.size)
 
     def rhs(c, y):
@@ -722,16 +726,14 @@ def evolve_schrodinger_boson(spec: HamiltonianSpec, s0: BosonState,
         return -1j * (w * (n * y) + f * _raise(y) + fc * _lower(y) + g * y)
 
     rhs.program = kernel.compiled.Program.ladder(_ladder_sqrt(n.size))  # C where it can
-    rec_idx = config.record_indices()
-    records, _ = _integrate(rhs, spec.slot_rows, s0.amps, times, "boson Schrödinger",
-                            rec_idx, check=_tail_guard)
+    records, _ = _integrate(rhs, spec.slot_rows, s0.amps, config, "boson Schrödinger",
+                            config.record_indices(), check=_tail_guard)
 
     lams, residuals, norm_dev = (np.empty(len(records), dtype=t) for t in (complex, float, float))
     for rows in _record_blocks(records):
         lams[rows], residuals[rows] = eigenvalue_lsq(records[rows])
         norm_dev[rows] = np.abs(np.sum(np.abs(records[rows]) ** 2, axis=-1) - s0.norm_sq())
-    return Trajectory("boson", config, rec_idx, records, lams[:, None], residuals, norm_dev,
-                      times, spec)
+    return Trajectory("boson", config, records, lams[:, None], residuals, norm_dev, spec)
 
 
 def _tail_mass(states: np.ndarray) -> np.ndarray:
@@ -855,13 +857,13 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     gens = zeta0.gens
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
-    times = _check_spec(spec, ("grassmann",), config.times, gens,
-                        (config.n_steps + 1 if record is None else np.size(record), 2 * gens.dim))
+    _check_spec(spec, ("grassmann",), gens,
+                (config.n_steps + 1 if record is None else np.size(record), 2 * gens.dim))
     _refuse_eta(spec, zeta0)
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
     series, (gap,) = _integrate(_rhs(n_gen, 0, True, spec.slot_masks(gens)), spec.slot_rows,
-                                y0, times, _LAW_LABEL, record)
-    return GrassmannPath(gens, times if record is None else times[record],
+                                y0, config, _LAW_LABEL, record)
+    return GrassmannPath(gens, config.times() if record is None else config.times(record),
                          series[:, 0], series[:, 1], gap)
 
 
@@ -876,8 +878,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
     value is X(0). Sampled at every grid time.
     """
     gens = op0.gens
-    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens,
-                        (config.n_steps + 1, 4 * gens.dim))
+    _check_spec(h, ("fermion", "grassmann"), gens, (config.n_steps + 1, 4 * gens.dim))
     coeffs = _dense_slots(h.slot_rows, h.slot_masks(gens), gens.dim)
     n_gen = gens.n_generators
 
@@ -885,7 +886,7 @@ def evolve_operator_transport(h, op0: FermionOperator,
         return 1j * _commutator_coeff_arrays(y, hc, n_gen)
 
     y0 = np.stack([c.coeffs for c in op0.coefficients()])
-    series, _ = _integrate(rhs, coeffs, y0, times, "operator transport")
+    series, _ = _integrate(rhs, coeffs, y0, config, "operator transport")
     return [FermionOperator(gens, *(Multivector(gens, row) for row in y))
             for y in series]
 
@@ -924,8 +925,8 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
             raise MismatchedGenerators("operator series over a foreign set")
     if n != n_times:
         raise ValidationError("operator series and grid lengths differ")
-    times = _check_spec(h, ("fermion", "grassmann"), config.times, gens, (n_times, 4 * gens.dim))
-    dt = times[1] - times[0]
+    _check_spec(h, ("fermion", "grassmann"), gens, (n_times, 4 * gens.dim))
+    dt = config.t_end / config.n_steps  # times[1] - times[0], bit for bit
     _fd_order_check(dt)
     if isinstance(b_series, FermionInvariantPath):
         b = np.zeros((n, 4, gens.dim), dtype=np.complex128)
@@ -937,9 +938,9 @@ def invariant_residual(b_series, h, config: IntegrationConfig,
     n_gen = gens.n_generators
     # the 12 slot-pair products of a block's times, both ways, fit in TABLE_BYTES
     block = max(1, TABLE_BYTES // (2 * 12 * b[0, 0].nbytes))
-    residuals = np.empty(times.size)
-    for a in range(0, times.size, block):
-        bs, hs = b[a:a + block], table(times[a:a + block])
+    residuals = np.empty(n_times)
+    for a in range(0, n_times, block):
+        bs, hs = b[a:a + block], table(config.times(slice(a, a + block)))
         comm = _commutator_coeff_arrays(bs, hs, n_gen)
         residuals[a:a + block] = np.max(np.abs(dcoeff[a:a + block] - 1j * comm),
                                         axis=(1, 2))

@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from cohstab import dynamics, kernel
 from cohstab.cli import main
 from cohstab.grassmann import GeneratorSet
 from cohstab.kernel import compiled
@@ -29,6 +30,25 @@ def numpy_product(monkeypatch, tmp_path):
     monkeypatch.setattr(compiled, "_chosen", None)
     monkeypatch.setattr(compiled, "COMPILER", "no-such-cc-for-cohstab")
     assert compiled.product() is None
+
+
+@pytest.fixture
+def grid_reads(monkeypatch):
+    """Per IntegrationConfig.times call of the test, whether it returned the
+    whole grid, with tables of 500 slot rows or of 100 fermion or boson grid
+    steps, so that a phase that reads the grid a block at a time reads
+    several blocks of a shipped scenario's 2,001 points."""
+    for owner in (kernel, dynamics):
+        monkeypatch.setattr(owner, "TABLE_BYTES", 500 * 64)
+    reads, times = [], dynamics.IntegrationConfig.times
+
+    def read(config, *rows):
+        out = times(config, *rows)
+        reads.append(out.size == config.n_steps + 1)
+        return out
+
+    monkeypatch.setattr(dynamics.IntegrationConfig, "times", read)
+    return reads
 
 
 @pytest.fixture

@@ -66,10 +66,10 @@ def test_record_without_eigenvalue_writes_nan(gens1):
     lam = 0.5 * gens1.gen("zeta")
     missing = np.full(gens1.dim, complex(np.nan, np.nan))
     traj = dynamics.Trajectory(
-        "fermion", cfg, cfg.record_indices(), np.zeros((3, 2, gens1.dim), dtype=complex),
+        "fermion", cfg, np.zeros((3, 2, gens1.dim), dtype=complex),
         lams=np.stack((lam.coeffs, missing, (-lam).coeffs)),
         residuals=np.array([0.0, np.inf, 1e-3]), norm_dev=np.array([0.0, 0.25, -0.0]),
-        grid=cfg.times(), gens=gens1)
+        gens=gens1)
     assert traj.eigenvalues[1] is None
     header, text = cli._trajectory_rows(traj)
     rows = [line.split(",") for line in "".join(text).split("\n")]
@@ -97,9 +97,9 @@ def test_trajectory_text_is_what_csv_writer_writes(gens1, monkeypatch, text):
     lams.flat[::5] = [np.nan, -np.inf, np.inf, -0.0, 0.0, 5e-324, 1e16, 123456.0, -1e-5, 0.1,
                       2.0**60, -7.0][:len(lams.flat[::5])]
     traj = dynamics.Trajectory(
-        "fermion", cfg, cfg.record_indices(), np.zeros((7, 2, gens1.dim), dtype=complex),
+        "fermion", cfg, np.zeros((7, 2, gens1.dim), dtype=complex),
         lams=lams.view(complex), residuals=rng.random(7), norm_dev=-rng.random(7),
-        grid=cfg.times(), gens=gens1)
+        gens=gens1)
     monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 23)
     header, text = cli._trajectory_rows(traj)
     blocks = list(text)
@@ -123,9 +123,9 @@ def test_trajectory_write_peaks_near_one_block(gens1, tmp_path, monkeypatch, tex
     n = cfg.n_steps + 1
     rng = np.random.default_rng(11)
     traj = dynamics.Trajectory(
-        "fermion", cfg, cfg.record_indices(), np.zeros((n, 2, gens1.dim), dtype=complex),
+        "fermion", cfg, np.zeros((n, 2, gens1.dim), dtype=complex),
         lams=rng.standard_normal((n, 2 * gens1.dim)).view(complex), residuals=rng.random(n),
-        norm_dev=-rng.random(n), grid=cfg.times(), gens=gens1)
+        norm_dev=-rng.random(n), gens=gens1)
     path = tmp_path / "long.csv"
     header, text = cli._trajectory_rows(traj)
     cli._write_csv(path, header, text=text)  # the first use builds the formatter's table
@@ -479,12 +479,11 @@ def test_one_law_integration_per_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_one_grid_per_run(name, tmp_path, monkeypatch):
-    # the evolution's _check_spec builds the grid; classify, verify and the
-    # CSV read it from the trajectory
-    grids = _count_calls(monkeypatch, "times", (dynamics.IntegrationConfig,))
+def test_one_grid_per_run(name, tmp_path, grid_reads):
+    # the config is the run's one grid: the evolution, classify, verify and
+    # the CSV read their times from it a block at a time, none the whole grid
     assert cli.run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path)) == 0
-    assert len(grids) == 1
+    assert len(grid_reads) > 1 and not any(grid_reads)
 
 
 def test_overrides_change_grid(tmp_path):

@@ -57,7 +57,7 @@ class _Captured(Exception):
 
 
 def _driver_call(start, cfg):
-    """The (rhs, coeffs, y0, times, label, record) an evolution hands the
+    """The (rhs, coeffs, y0, config, label, record) an evolution hands the
     driver, which is not run."""
     integrate, got = dynamics._integrate, []
 
@@ -112,7 +112,7 @@ def lock_step_mismatches(kind, n_pairs, omega_real, seed=0) -> int:
     coeffs = _awkward_rows(omega_real)
     runs = []
     for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
-        records, gaps = dynamics._integrate(step, coeffs, y0, cfg.times(), label)
+        records, gaps = dynamics._integrate(step, coeffs, y0, cfg, label)
         runs.append((records, np.array(gaps)))
     (a, a_gaps), (b, b_gaps) = runs
     return int(np.sum(bits(a) != bits(b)) + np.sum(bits(a_gaps) != bits(b_gaps)))
@@ -140,7 +140,7 @@ def ladder_mismatches(levels, omega_real, seed=0) -> int:
         for step in (rhs, lambda c, y: rhs(c, y)):  # the program, then the numpy loop
             seen = []
             records, gaps = dynamics._integrate(
-                step, coeffs, y0, cfg.times(), label, record,
+                step, coeffs, y0, cfg, label, record,
                 lambda ts, states: seen.extend((ts.copy(), states.copy())))
             runs.append([records, np.array(gaps), *seen])
     (a, b) = runs

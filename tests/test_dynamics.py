@@ -138,6 +138,27 @@ def test_record_indices_follow_stride_without_a_list():
     assert IntegrationConfig(1.0, 1.0 / MAX_STEPS, 1).n_records == MAX_STEPS + 1
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(t_end=st.one_of(st.floats(5e-324, 2.2250738585072014e-308), st.floats(5e-324, 1e300)),
+       steps=st.integers(1, 300), data=st.data())
+def test_grid_times_are_linspace_bits(t_end, steps, data):
+    # at every index, a slice (its stop past the end or not) or an index
+    # array holding the last point, on subnormal grids and steps too, and
+    # on the one-step grid of the same t_end
+    for cfg in (IntegrationConfig(t_end, max(t_end / steps, 5e-324)),
+                IntegrationConfig(t_end, t_end)):
+        n = cfg.n_steps
+        grid = np.linspace(0.0, t_end, n + 1)
+        start = data.draw(st.integers(0, n))
+        rows = (slice(None), slice(start, data.draw(st.integers(start, n + 5)),
+                                   data.draw(st.integers(1, 4))),
+                np.unique(data.draw(st.lists(st.integers(0, n), max_size=8)) + [n]))
+        for at in rows:
+            assert np.array_equal(bits(cfg.times(at)), bits(grid[at]))
+        # the Simpson and difference step of the closed forms and residual
+        assert bits(np.array(cfg.t_end / n)) == bits(grid[1] - grid[0])
+
+
 def test_evolution_refuses_records_over_the_bound_before_allocating():
     # every grid point of four 256-coefficient slots: 10**4 + 1 points x 1024 values
     gens = GeneratorSet.from_pairs(("zeta", "eta", "chi", "xi"))
@@ -151,6 +172,22 @@ def test_evolution_refuses_records_over_the_bound_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the records alone would take 168 MB
+
+
+def test_long_evolution_holds_its_records_and_no_grid():
+    # 10**5 grid steps at stride 100: the trajectory holds its 1,001
+    # records and less than a table besides, no array of the grid's 0.8 MB
+    sc = parse_scenario(ROOT / "scenarios" / "free_fermion.ini")
+    spec, s0 = sc.hamiltonian_spec(), make_coherent(sc.initial_zeta())
+    evolve_schrodinger_fermion(spec, s0, IntegrationConfig(1.0, 1e-3, 100))  # first-use setup
+    tracemalloc.start()
+    try:
+        traj = evolve_schrodinger_fermion(spec, s0, IntegrationConfig(100.0, 1e-3, 100))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    records = sum(a.nbytes for a in (traj.amplitudes, traj.lams, traj.residuals, traj.norm_dev))
+    assert len(traj.amplitudes) == 1001 and held < records + kernel.TABLE_BYTES
 
 
 @pytest.mark.parametrize("n", [201, 200, 3, 4])  # odd and even point counts
@@ -872,8 +909,8 @@ def driver_runs(monkeypatch):
     runs = []
     integrate = dynamics._integrate
 
-    def spy(rhs, coeffs, y0, times, label, record=None, check=None):
-        run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, times=times,
+    def spy(rhs, coeffs, y0, config, label, record=None, check=None):
+        run = SimpleNamespace(rhs=rhs, coeffs=coeffs, y0=y0, config=config,
                               label=label, record=record, calls=Counter(),
                               stages=[], coeff_times=[], records=None)
         runs.append(run)
@@ -887,7 +924,7 @@ def driver_runs(monkeypatch):
             run.coeff_times.append(np.array(ts))
             return coeffs(ts)
 
-        run.records, gaps = integrate(counted, tabulated, y0, times, label, record, check)
+        run.records, gaps = integrate(counted, tabulated, y0, config, label, record, check)
         return run.records, gaps
 
     monkeypatch.setattr(dynamics, "_integrate", spy)
@@ -962,26 +999,29 @@ def test_driver_tabulates_five_stage_times_per_grid_step(name, driver_runs):
     assert sum(ts.size for ts in run.coeff_times) == 5 * cfg.n_steps
 
 
+#: The evolutions that return the times of every grid point.
+WHOLE_GRID = ("classical boson", "nu system", "grassmann classical", "dense grassmann classical")
+
+
 @pytest.mark.parametrize("name", EVOLUTIONS, ids=EVOLUTION_IDS)
-def test_each_evolution_builds_one_grid(name, monkeypatch):
-    # the driver steps on the grid that the evolution's _check_spec returned
-    grids, times = [], IntegrationConfig.times
-    monkeypatch.setattr(IntegrationConfig, "times",
-                        lambda config: (grids.append(config), times(config))[1])
-    cfg = IntegrationConfig(0.3, 1e-2, stride=3)
-    EVOLUTIONS[name](cfg)
-    assert grids == [cfg]
+def test_each_evolution_builds_one_grid(name, grid_reads):
+    # the driver and the closed forms read their times from the config a
+    # block at a time; the whole grid is built only as the times an
+    # evolution returns, once
+    EVOLUTIONS[name](IntegrationConfig(0.6, 1e-3, stride=10))
+    assert grid_reads.count(True) == (name in WHOLE_GRID) and grid_reads.count(False) > 1
 
 
 def test_closed_forms_read_the_slot_rows_a_block_at_a_time(monkeypatch):
     # 7 grid times per block: the 31 go as 7, 7, 7, 7 and 3, and the columns
     # are those of one read of the whole grid, bit for bit
     monkeypatch.setattr(kernel, "TABLE_BYTES", 7 * 64)
-    times = IntegrationConfig(0.3, 1e-2).times()
+    cfg = IntegrationConfig(0.3, 1e-2)
+    times = cfg.times()
     sizes, slot_rows = [], HamiltonianSpec.slot_rows
     monkeypatch.setattr(HamiltonianSpec, "slot_rows",
                         lambda spec, ts: (sizes.append(ts.size), slot_rows(spec, ts))[1])
-    got = dynamics._slot_columns(LOCK_BOSON, times, [2, 3])
+    got = dynamics._slot_columns(LOCK_BOSON, cfg, [2, 3])
     assert sizes == [7, 7, 7, 7, 3]
     assert np.array_equal(bits(got), bits(slot_rows(LOCK_BOSON, times)[:, [2, 3]]))
 
@@ -1231,7 +1271,7 @@ def table_mismatches(spec, cfg) -> dict:
     wrong = {}
     for label, start in _evolutions_of(spec).items():
         table = np.concatenate([rows for rows, _ in dynamics._coeff_tables(
-            _coeffs_of(start, cfg), times)])
+            _coeffs_of(start, cfg), cfg)])
         ref = np.array([per_time_rows(label, spec, gens, v) for v in values])
         want = ref[where.reshape(-1)].reshape(table.shape)
         wrong[label] = int(np.sum(bits(table) != bits(want)))
@@ -1255,11 +1295,10 @@ def test_coefficient_tables_match_per_time_evaluation(name, spec, cfg):
 @pytest.mark.parametrize("name", ["grassmann_forced", "grassmann_wide_0"])
 def test_trajectory_and_law_tabulate_one_layout(name):
     _, spec, cfg = next(case for case in TABLE_CASES if case[0] == name)
-    times = cfg.times()
     evolutions = _evolutions_of(spec)
     trajectory, law = (
         np.concatenate([rows for rows, _ in dynamics._coeff_tables(
-            _coeffs_of(evolutions[label], cfg), times)])
+            _coeffs_of(evolutions[label], cfg), cfg)])
         for label in ("fermion Schrödinger", "grassmann classical"))
     assert np.array_equal(bits(trajectory), bits(law))
 
@@ -1342,8 +1381,8 @@ def _chunk_spy(monkeypatch, seen):
     table to `seen`."""
     coeff_tables = dynamics._coeff_tables
 
-    def spy(coeffs, times):
-        for table, dts in coeff_tables(coeffs, times):
+    def spy(coeffs, config):
+        for table, dts in coeff_tables(coeffs, config):
             seen.append(table)
             yield table, dts
 

@@ -136,7 +136,7 @@ def ref_verify(traj, law, states, eigenvalues):
     lam0 = eigenvalues[0]
     if law == "fermion_free":
         times = traj.config.times()
-        omega = _slot_columns(traj.spec, times, [3])[:, 0]
+        omega = _slot_columns(traj.spec, traj.config, [3])[:, 0]
         phase = cumulative_simpson(omega.real, times[1] - times[0])
         devs = [(eigenvalues[k] - complex(np.exp(-1j * phase[int(idx)])) * lam0).sup_norm()
                 for k, idx in enumerate(traj.record_indices)]
