@@ -5,9 +5,9 @@ static preserving/non-preserving verdict, with a dynamic witness trajectory
 for the fermion kind; reconstruct_forcing inverts a prescribed eigenvalue
 path into a Hamiltonian; verify_trajectory compares an evolved
 trajectory against the classical law of its kind: the closed form for the
-boson and free-fermion laws, an independent integration for the grassmann
-law, the one a grassmann spec's trajectory carries (its own rows of the
-same driver loop, which no trajectory row reaches).
+boson and free-fermion laws, and for the grassmann law the independent
+integration that a grassmann spec's trajectory carries (its own rows of
+the same driver loop, which no trajectory row reaches).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .dynamics import (
     Trajectory,
     _boson_closed_form,
     _check_spec,
+    _refuse_eta,
     _slot_columns,
     cumulative_simpson,
-    evolve_grassmann_classical,
     evolve_schrodinger_fermion,
 )
 from .errors import (
@@ -46,7 +46,7 @@ from .fermion import (
     extract_eigenvalue,
     make_coherent,
 )
-from .grassmann import GeneratorSet, Multivector, exponential
+from .grassmann import GeneratorSet, Multivector, exponential, require_odd_degree_one
 
 #: Residual below which a fermion-sector state counts as coherent (exact sector).
 FERMION_COHERENT_TOL = 1e-8
@@ -238,10 +238,11 @@ def verify_trajectory(traj: Trajectory) -> VerificationReport:
 
     A fermion follows "fermion_free" (phase-rotated initial eigenvalue), a
     grassmann "grassmann" (classical forced law plus phase: the path
-    traj.law, gated here by its dt vs dt/2 gap, or if the run carries none,
-    a law integrated from record 0's eigenvalue), a boson "boson"
+    traj.law, gated here by its dt vs dt/2 gap), a boson "boson"
     (closed-form classical eigenvalue). Passes iff deviations and residuals
-    are <= 1e-6.
+    are <= 1e-6. A grassmann trajectory without a law is refused as the
+    law refuses its record-0 eigenvalue (NotOddLinear, then
+    GeneratorCollision), or else as a law stripped by hand (ValidationError).
     """
     if np.isnan(traj.lams).all():
         raise MissingEigenvalues("trajectory has no eigenvalue records")
@@ -261,8 +262,10 @@ def verify_trajectory(traj: Trajectory) -> VerificationReport:
         n_gen = traj.gens.n_generators
         path = traj.law
         if path is None:  # a run that cannot carry its law: refused as the law refuses it
-            path = evolve_grassmann_classical(traj.spec, Multivector(traj.gens, traj.lams[0]),
-                                              traj.config, traj.record_indices)
+            zeta0 = Multivector(traj.gens, traj.lams[0])
+            require_odd_degree_one(zeta0, "initial eigenvalue")
+            _refuse_eta(traj.spec, zeta0)
+            raise ValidationError("a grassmann trajectory that does not carry its law")
         path.gate()
         max_dev = float(np.max(np.abs(traj.lams - path.zeta)))
         block_devs = []  # the law's states, rebuilt a block of records at a time

@@ -52,6 +52,7 @@ from .fermion import (
     _adjoint_rows,
     _apply_rows,
     _commutator_coeff_arrays,
+    _modulus,
     _norm_bodies,
     _record_blocks,
     _state,
@@ -373,7 +374,8 @@ class Trajectory:
     amplitudes (n_records, 2, dim) or a boson's (n_records, levels); the
     eigenvalues lams (n_records, dim) or a boson's (n_records, 1), all NaN
     where a record has none (residual inf); residuals and norm_dev; the
-    Grassmann law at the same records, if the run carried it. record_indices
+    Grassmann law at the same records, if the run carried it, which is the
+    only law verify_trajectory reads for a grassmann run. record_indices
     and times follow from config; states, eigenvalues and phase_factors are
     the records' objects. Each is built when first read."""
 
@@ -455,13 +457,12 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label, record=None, c
 
     The caller's _check_spec has bounded the records; the driver reads the
     grid's times from config a chunk at a time, for `check` too. Returns
-    (records, gaps): the states at the grid indices `record` (every grid
-    point by default) along a new leading axis, and each system's endpoint
-    gap (see below). Before anything is allocated it refuses
-    (ValidationError) a `record` that is not strictly increasing integers
-    in 0..n_steps. The loop runs each chunk's grid steps in blocks of as
-    many states as fit CHECK_BYTES, writing the dt run's states into a
-    buffer that the next block reuses; the records are copied out of it.
+    (records, gaps): the states at every grid point, or at the records if
+    `record` is config.record_indices(), along a new leading axis, and
+    each system's endpoint gap (see below). The loop runs each chunk's
+    grid steps in blocks of as many states as fit CHECK_BYTES, writing the
+    dt run's states into a buffer that the next block reuses; the records
+    are copied out of it.
     `check(ts, states)` sees every grid point of the dt run: first the
     start on its own, then each block, with its times. The dt/2 run keeps
     only its endpoint; unless that lies within STEP_TOL of the dt endpoint
@@ -487,15 +488,8 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label, record=None, c
     An RHS a caller wraps carries none, so the wrapper runs in the numpy
     loop. Both loops call `check` on the same blocks.
     """
-    if record is not None:
-        record = np.asarray(record)
-        if not (record.ndim == 1 and record.dtype.kind in "iu"
-                and np.all(record[1:] > record[:-1])
-                and np.all((record >= 0) & (record <= config.n_steps))):
-            raise ValidationError("record must be strictly increasing grid indices "
-                                  f"in 0..{config.n_steps}")
     labels = (label,) if isinstance(label, str) else label
-    keep = np.arange(config.n_steps + 1) if record is None else record.astype(np.int64)
+    keep = np.arange(config.n_steps + 1) if record is None else record
     records = np.empty((len(keep),) + np.shape(y0), dtype=np.complex128)
     program = getattr(rhs, "program", None)
     run = None if program is None else program.runner()
@@ -508,8 +502,7 @@ def _integrate(rhs, coeffs, y0, config: IntegrationConfig, label, record=None, c
     states = np.empty((block,) + y.shape, dtype=np.complex128)  # a block's dt-run states
     if check is not None:
         check(config.times(slice(0, 1)), pair[:1])
-    if keep.size and keep[0] == 0:
-        records[0] = y
+    records[0] = y
     i = 0
     for table, dts in _coeff_tables(coeffs, config):
         ts = None if check is None else config.times(slice(i + 1, i + len(dts) + 1))
@@ -700,7 +693,7 @@ def evolve_schrodinger_fermion(h, s0: FermionState,
     # physical norm^2 = body of <psi|psi>; the soul components are only
     # conserved for parity-even Hamiltonians. Record 0 is s0.
     norm = _norm_bodies(amplitudes)
-    norm_dev = np.array([abs(complex(n) - complex(norm[0])) for n in norm])
+    norm_dev = _modulus(norm - norm[0])
     lams, residuals = np.empty(amplitudes.shape[::2], dtype=complex), np.empty(len(records))
     for rows in _record_blocks(amplitudes):
         lams[rows], residuals[rows] = extract_eigenvalue(amplitudes[rows])
@@ -839,16 +832,16 @@ def _rhs(n_gen: int, turn_rows: int, law: bool, masks):
     return rhs
 
 
-def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConfig,
-                               record=None) -> GrassmannPath:
+def evolve_grassmann_classical(spec, zeta0: Multivector,
+                               config: IntegrationConfig) -> GrassmannPath:
     """Integrate i zeta' = omega zeta - eta and the phase equation.
 
     `spec` is a grassmann HamiltonianSpec or DenseHamiltonian, read in its
     slot layout (delta, -eta*, eta, omega): a spec's slot_rows at its
     slot_masks, a DenseHamiltonian's dim-wide rows with omega the body of
-    the b†b slot. The path holds the grid points `record` (every one by
-    default). A grassmann spec's trajectory integrates the same law in its
-    own driver loop (see evolve_schrodinger_fermion).
+    the b†b slot. The path holds every grid point. A grassmann spec's
+    trajectory integrates the same law at its records in its own driver
+    loop (see evolve_schrodinger_fermion).
 
     Note the implemented phase law is phi' = -delta + (zeta* eta + eta* zeta)/2,
     which is what makes exp(i phi(t)) |zeta(t)> solve the Schrödinger equation
@@ -857,14 +850,12 @@ def evolve_grassmann_classical(spec, zeta0: Multivector, config: IntegrationConf
     gens = zeta0.gens
     require_odd_degree_one(zeta0, "initial eigenvalue")
     n_gen = gens.n_generators
-    _check_spec(spec, ("grassmann",), gens,
-                (config.n_steps + 1 if record is None else np.size(record), 2 * gens.dim))
+    _check_spec(spec, ("grassmann",), gens, (config.n_steps + 1, 2 * gens.dim))
     _refuse_eta(spec, zeta0)
     y0 = np.stack((zeta0.coeffs, np.zeros(gens.dim, dtype=np.complex128)))
     series, (gap,) = _integrate(_rhs(n_gen, 0, True, spec.slot_masks(gens)), spec.slot_rows,
-                                y0, config, _LAW_LABEL, record)
-    return GrassmannPath(gens, config.times() if record is None else config.times(record),
-                         series[:, 0], series[:, 1], gap)
+                                y0, config, _LAW_LABEL)
+    return GrassmannPath(gens, config.times(), series[:, 0], series[:, 1], gap)
 
 
 # -- operator transport ---------------------------------------------------------

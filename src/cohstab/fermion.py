@@ -447,6 +447,9 @@ def _norm_bodies(psi: np.ndarray) -> np.ndarray:  # <psi|psi>'s body; only bodie
     return inner_product(psi[..., :1], psi[..., :1])[:, 0]
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:  # libm hypot, which Python's complex abs calls
+    return np.hypot(z.real, z.imag)
+
+
 def _has_vacuum(psi: np.ndarray) -> np.ndarray:
-    # Python's abs (libm hypot) on the vacuum body, as the gate always had it
-    return np.array([abs(complex(b)) >= 1e-150 for b in psi[:, 0, 0]], dtype=bool)
+    return _modulus(psi[:, 0, 0]) >= 1e-150

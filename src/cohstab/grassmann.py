@@ -262,9 +262,7 @@ def exponential(x):
     """exp(x) = exp(body) * (terminating soul series); of each row of rows (R, dim)."""
     if isinstance(x, Multivector):
         return Multivector(x.gens, exponential(x.coeffs[None])[0])
-    # exp(body) as one scalar per row, which a vectorised exp need not match
-    scale = np.array([complex(np.exp(b)) for b in x[:, 0]], dtype=np.complex128)
-    return _soul_series(x, lambda t, k: t / k) * scale[:, None]
+    return _soul_series(x, lambda t, k: t / k) * np.exp(x[:, :1])
 
 
 def invert(x):

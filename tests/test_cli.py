@@ -329,8 +329,8 @@ def test_repeated_generator_is_scenario_error(tmp_path, capsys, command, scenari
 
 
 def test_eta_in_the_initial_value_is_refused_by_verify(tmp_path, capsys):
-    # a trajectory whose start holds eta carries no law, so verify_trajectory
-    # integrates the law itself, which refuses that start
+    # the law refuses a start that holds eta, and so run refuses it before
+    # evolving anything, with the law's message
     path = tmp_path / "grassmann_forced.ini"
     text = (SCENARIOS / "grassmann_forced.ini").read_text()
     path.write_text(text.replace("zeta0 = zeta\n", "zeta0 = eta\n"))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohstab import kernel
+from cohstab import dynamics, kernel
 from cohstab.boson import BosonState, make_coherent_boson
 from cohstab.coeffs import complex_pair, const_fn, cos_fn, poly_fn, sin_fn, zero_fn
 from cohstab.coherence import (
@@ -28,9 +28,11 @@ from cohstab.dynamics import (
     hamiltonian_operator,
 )
 from cohstab.errors import (
+    GeneratorCollision,
     MissingEigenvalues,
     NotDegreeOne,
     NotHermitian,
+    NotOddLinear,
     StepTooLarge,
     ValidationError,
 )
@@ -294,19 +296,46 @@ def test_verify_grassmann_run_with_phase(gens2):
     assert report.max_state_deviation < 1e-8
 
 
-def test_verify_without_a_carried_law_integrates_the_same_law(gens2):
+def _forced_grassmann(gens2):
     forcing = complex_pair(cos_fn(0.4, 1.0), sin_fn(-0.4, 1.0))
-    spec = HamiltonianSpec("grassmann", const_fn(1.0), forcing, const_fn(0.1),
+    return HamiltonianSpec("grassmann", const_fn(1.0), forcing, const_fn(0.1),
                            gens=gens2, eta_generator="eta")
-    traj = evolve_schrodinger_fermion(spec, make_coherent(gens2.gen("zeta")),
+
+
+def _no_driver(monkeypatch):
+    """Make any later RK4 driver call fail the test."""
+    def integrate(*args, **kw):
+        raise AssertionError("verify_trajectory integrated a law")
+
+    monkeypatch.setattr(dynamics, "_integrate", integrate)
+
+
+def test_verify_refuses_a_stripped_law_without_integrating(gens2, monkeypatch):
+    traj = evolve_schrodinger_fermion(_forced_grassmann(gens2),
+                                      make_coherent(gens2.gen("zeta")),
                                       IntegrationConfig(0.5, 1e-3, stride=7))
-    assert traj.law is not None
-    carried = verify_trajectory(traj)
-    integrated = verify_trajectory(dataclasses.replace(traj, law=None))
-    assert carried.passed and integrated == carried
-    fields = ("max_eigenvalue_deviation", "max_residual", "max_state_deviation")
-    got, want = (np.array([getattr(r, f) for f in fields]) for r in (integrated, carried))
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert traj.law is not None and verify_trajectory(traj).passed
+    _no_driver(monkeypatch)
+    with pytest.raises(ValidationError, match="does not carry its law"):
+        verify_trajectory(dataclasses.replace(traj, law=None))
+
+
+@pytest.mark.parametrize("start, error, message", [
+    (lambda g: FermionState(g, g.one(), g.one()), NotOddLinear,  # record-0 eigenvalue 1
+     "^initial eigenvalue must be odd of degree one"),
+    (lambda g: make_coherent(g.gen("eta")), GeneratorCollision,
+     "^eta generator 'eta' appears in the initial value$"),
+], ids=["even_eigenvalue", "eta_start"])
+def test_verify_refuses_a_lawless_start_as_the_law_does(gens2, start, error, message,
+                                                         monkeypatch):
+    # the trajectory carries no law for a start the law refuses, and verify
+    # raises the law's refusal without integrating anything
+    traj = evolve_schrodinger_fermion(_forced_grassmann(gens2), start(gens2),
+                                      IntegrationConfig(0.1, 1e-2))
+    assert traj.law is None
+    _no_driver(monkeypatch)
+    with pytest.raises(error, match=message):
+        verify_trajectory(traj)
 
 
 @pytest.mark.parametrize("omega, error", [(np.nan, StepTooLarge), (1 + 0.5j, NotHermitian)],

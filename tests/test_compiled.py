@@ -57,8 +57,8 @@ class _Captured(Exception):
 
 
 def _driver_call(start, cfg):
-    """The (rhs, coeffs, y0, config, label, record) an evolution hands the
-    driver, which is not run."""
+    """The (rhs, coeffs, y0, config, label) an evolution hands the driver,
+    then its record and check if it passes them; the driver is not run."""
     integrate, got = dynamics._integrate, []
 
     def capture(*args, **kw):
@@ -106,7 +106,7 @@ def lock_step_mismatches(kind, n_pairs, omega_real, seed=0) -> int:
     awkward evolution: its records at every grid point and its gaps. Needs
     a STEP_TOL the awkward gaps pass."""
     cfg = IntegrationConfig(0.05, 1e-2)
-    rhs, _, y0, _, label, _ = _driver_call(_start(kind, n_pairs), cfg)
+    rhs, _, y0, _, label = _driver_call(_start(kind, n_pairs), cfg)[:5]
     assert hasattr(rhs, "program")
     y0 = awkward(np.random.default_rng(seed), np.shape(y0))
     coeffs = _awkward_rows(omega_real)
@@ -255,7 +255,8 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
     # fused: with the latter off, the library must pick its plain spelling,
     # and its graded product, which has no complex multiply, still match;
     # coefficient functions still give a time's bits wherever it sits in
-    # a table, and the boson observer's rows those of each row alone
+    # a table, the boson observer's rows those of each row alone, and the
+    # fermion observer's ufunc sites those of their scalar forms
     off = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
     dispatch = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_dispatch__
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in off if f in dispatch),
@@ -270,12 +271,14 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
             "          for _, spec, cfg in d.TABLE_CASES))\n"
             "import test_boson as b\n"
             "print(b.observer_mismatches(b.observer_sweep()))\n"
+            "import test_observer as o\n"
+            "print(o.ufunc_site_mismatches(0))\n"
             "print(compiled.status())\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    plan, ladder, product, tables, observer, status = proc.stdout.splitlines()
-    assert plan == ladder == product == tables == observer == "0"
+    plan, ladder, product, tables, observer, ufunc_sites, status = proc.stdout.splitlines()
+    assert plan == ladder == product == tables == observer == ufunc_sites == "0"
     if not HAS_COMPILER:
         assert status.startswith("numpy loop")
     elif platform.machine() in ("x86_64", "AMD64"):
@@ -286,15 +289,15 @@ def test_compiled_loop_matches_numpy_loop_without_avx_loops():
                          ids=["check_bytes_blocks", "two_state_blocks"])
 def test_compiled_records_across_chunks_match_numpy_loop(two_state_blocks, monkeypatch):
     # 3 grid steps per chunk (a table row is 4 complex values); records every
-    # 3rd step, or at grid points that skip the start, fall on chunk edges
-    # and inside chunks, and with blocks of 2 states, which cut the chunks,
-    # on block edges too
+    # 3rd step, or the law's at every grid point, fall on chunk edges and
+    # inside chunks, and with blocks of 2 states, which cut the chunks, on
+    # block edges too
     cfg = IntegrationConfig(0.3, 1e-2, stride=3)
     zeta = LOCK_G2.gen("zeta")
     monkeypatch.setattr(dynamics, "TABLE_BYTES", 3 * 5 * 4 * 16)
     starts = (
         lambda c: evolve_schrodinger_fermion(LOCK_GRASSMANN, make_coherent(zeta), c),
-        lambda c: evolve_grassmann_classical(LOCK_GRASSMANN, zeta, c, np.array([2, 3, 17, 30])),
+        lambda c: evolve_grassmann_classical(LOCK_GRASSMANN, zeta, c),
     )
 
     def run(start):

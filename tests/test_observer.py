@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_compiled import nan_blind_bits
 
-from cohstab import dynamics, kernel
+from cohstab import dynamics, grassmann, kernel
 from cohstab.coeffs import const_fn
 from cohstab.coherence import verify_trajectory
 from cohstab.dynamics import (
@@ -26,6 +27,8 @@ from cohstab.dynamics import (
 from cohstab.errors import VacuumAmplitudeZero
 from cohstab.fermion import (
     FermionState,
+    _has_vacuum,
+    _modulus,
     _record_blocks,
     extract_eigenvalue,
     inner_product,
@@ -141,11 +144,11 @@ def ref_verify(traj, law, states, eigenvalues):
         devs = [(eigenvalues[k] - complex(np.exp(-1j * phase[int(idx)])) * lam0).sup_norm()
                 for k, idx in enumerate(traj.record_indices)]
         return float(np.max(devs)), None
-    path = evolve_grassmann_classical(traj.spec, lam0, traj.config, traj.record_indices)
+    path = evolve_grassmann_classical(traj.spec, lam0, traj.config)  # every grid point
     devs, sdevs = [], []
-    for k in range(len(traj.record_indices)):
-        devs.append((eigenvalues[k] - path.zeta_at(k)).sup_norm())
-        reference = ref_exponential(1j * path.phi_at(k)) * ref_make_coherent(path.zeta_at(k))
+    for k, idx in enumerate(traj.record_indices):
+        devs.append((eigenvalues[k] - path.zeta_at(idx)).sup_norm())
+        reference = ref_exponential(1j * path.phi_at(idx)) * ref_make_coherent(path.zeta_at(idx))
         sdevs.append((states[k] - reference).sup_norm())
     return float(np.max(devs)), float(np.max(sdevs))
 
@@ -273,6 +276,60 @@ def test_observer_matches_per_record_loop_on_crafted_records(n_pairs, monkeypatc
         spec, FermionState.vacuum(gens), IntegrationConfig(len(records) - 1.0, 1.0, 1))
     assert sum(lam is None for lam in traj.eigenvalues) >= 3
     assert_observer_matches(traj)
+
+
+# -- the per-row ufunc sites are their scalar forms --------------------------------
+
+
+def special_parts(rng, n) -> np.ndarray:
+    """n float parts, each +-0.0, subnormal, normal anywhere in the exponent
+    range, huge (up to 1.2e308, so no modulus of two overflows), +-inf or
+    NaN."""
+    kind = rng.integers(0, 6, n)
+    magnitude = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+        [0.0, rng.uniform(0.0, 2.3e-308, n), 10.0 ** rng.uniform(-307.0, 307.0, n),
+         rng.uniform(1e307, 1.2e308, n), np.inf], np.nan)
+    return np.where(rng.random(n) < 0.5, -magnitude, magnitude)
+
+
+def special_values(rng, n) -> np.ndarray:
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = special_parts(rng, n), special_parts(rng, n)
+    out[0] = 1.0  # a finite abs clears the ERANGE that abs reports on a NaN after an overflow
+    return out
+
+
+def ufunc_site_mismatches(seed, n=60_000) -> int:
+    """Raw bits, NaNs aside for the modulus, in which each per-row ufunc
+    site and the per-row scalar form it replaced disagree on n drawn
+    values: the modulus of norm_dev and of the vacuum gate (Python's
+    complex abs), the gate, and exponential's exp(body) (np.exp of each
+    row's body as a Python complex)."""
+    rng = np.random.default_rng(seed)
+    z = special_values(rng, n)
+    with np.errstate(all="ignore"):
+        scalar = np.array([abs(complex(v)) for v in z])
+        wrong = int(np.sum(nan_blind_bits(_modulus(z)) != nan_blind_bits(scalar)))
+        psi = np.zeros((n, 2, 1), dtype=np.complex128)
+        psi[:, 0, 0] = z
+        wrong += int(np.sum(_has_vacuum(psi) != (scalar >= 1e-150)))
+        x = z.reshape(-1, 4)  # two generators, whose souls are drawn too
+        scale = np.array([complex(np.exp(b)) for b in x[:, 0]], dtype=np.complex128)
+        want = grassmann._soul_series(x, lambda t, k: t / k) * scale[:, None]
+        wrong += int(np.sum(bits(exponential(x)) != bits(want)))
+    return wrong
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ufunc_sites_match_their_scalar_forms(seed):
+    assert ufunc_site_mismatches(seed) == 0
+
+
+def test_vacuum_gate_passes_a_body_whose_modulus_overflows():
+    # Python's complex abs raised OverflowError on such a body; hypot reads inf
+    with np.errstate(over="ignore"):
+        assert _has_vacuum(np.full((1, 2, 1), complex(1.7e308, 1.7e308))).all()
 
 
 # -- the object-level functions are their one-row case -----------------------------
